@@ -100,7 +100,10 @@ def _build_config(args) -> JobConfig:
     group = _merge(args, cfg, "group")
     if group is None:
         raise ValueError("--group r,p,n is required")
-    r, p, n = (int(t) for t in str(group).split(","))
+    try:
+        r, p, n = (int(t) for t in str(group).split(","))
+    except ValueError:
+        raise ValueError(f"--group must be r,p,n, got {group!r}") from None
     mus = [tuple(int(t) for t in m.split(","))
            for m in (getattr(args, "mu", None) or [])]
     if not mus and "mu" in cfg:

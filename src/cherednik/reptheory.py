@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyc, Q
-from .groups import GroupElement, group_elements
+from .groups import GroupElement, conjugacy_classes, group_order
 from .jack import jack_by_solve, order_lt
 from .operators import PolyRep
 from .polynomials import Poly
@@ -33,9 +33,9 @@ __all__ = [
     "Hjk", "Hx", "coxeter_number", "degrees", "is_irreducible",
     "gordon_point", "on_hyperplane", "genericity_guard",
     "radical_membership", "l1_dimension_by_counting", "l1_series_by_counting",
-    "singular_vector_check", "GradedChar", "graded_char_L1",
-    "invariant_char_series", "catalan_series", "coinvariant_series",
-    "exponents_and_freeness",
+    "span_character_check", "singular_vector_check", "GradedChar",
+    "graded_char_L1", "invariant_char_series", "catalan_series",
+    "coinvariant_series", "exponents_and_freeness",
 ]
 
 
@@ -195,11 +195,68 @@ def l1_series_by_counting(n: int, k: int, truncation: int) -> list[int]:
     return out
 
 
+def span_character_check(rep: PolyRep, basis, k: int) -> dict | None:
+    """Check that the span of ``basis`` is W-stable with the character of
+    the span of the k-th powers of the variables; None when it is.
+
+    ``basis`` is a list of pairs (mu, f) with f monic at x^mu and
+    triangular like the eigenvectors f_mu, so that coordinates are read off
+    at each mu, peeling in the triangularity order.
+    Stability is checked on ``rep.reflections``, which generate W, and the
+    two characters, both class functions, on one representative of each
+    conjugacy class.  A failure is a record naming the witness element.
+    """
+    zero = rep.params.zero
+    mus = [mu for mu, _ in basis]
+    expand_order = sorted(range(len(basis)),
+                          key=lambda i: sum(1 for jdx in range(len(basis))
+                                            if jdx != i and
+                                            order_lt(mus[jdx], mus[i])),
+                          reverse=True)
+
+    def expand(w, f):
+        """Coordinates of w.f on the basis, and what is left over."""
+        g = rep.t(w, f)
+        coefs = [zero] * len(basis)
+        for jdx in expand_order:
+            c = g.coeff(mus[jdx])
+            if c:
+                coefs[jdx] = c
+                g = g - basis[jdx][1].scaled(c)
+        return coefs, g
+
+    for s in rep.reflections:
+        for mu, f in basis:
+            _, residual = expand(s.element, f)
+            if not residual.is_zero():
+                return {"status": "fail", "reason": "span not group-stable",
+                        "w": str(s.element), "mu": list(mu),
+                        "residual": str(residual)}
+    for w, _ in conjugacy_classes(rep.r, rep.p, rep.n):
+        trace = zero
+        for i, (_, f) in enumerate(basis):
+            trace = trace + expand(w, f)[0][i]
+        trace_v = zero
+        for i in range(rep.n):
+            kk, j = w.x_image(i)
+            if j == i:
+                trace_v = trace_v + rep.params.zeta(kk * k)
+        if trace != trace_v:
+            return {"status": "fail", "reason": "character mismatch",
+                    "w": str(w), "span_trace": str(trace),
+                    "power_trace": str(trace_v)}
+    return None
+
+
 def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
                           k: int) -> dict:
     """Construct the f over (0..k..0) at the point; check every Dunkl
     operator kills them and that their span is group-stable with the same
-    character as the span of the k-th powers of the variables."""
+    character as the span of the k-th powers of the variables.
+
+    The last two checks run over the reflections and the conjugacy class
+    representatives (``span_character_check``), not over all of W.
+    """
     rep = PolyRep(r, p, n, SpecializedParameters(point))
     basis = []
     for i in range(n):
@@ -212,36 +269,9 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
                 return {"status": "fail", "reason": "not annihilated",
                         "mu": list(jv.mu), "y_index": j,
                         "image": str(img)}
-    expand_order = sorted(range(n),
-                          key=lambda i: sum(1 for jdx in range(n)
-                                            if jdx != i and
-                                            order_lt(basis[jdx].mu, basis[i].mu)),
-                          reverse=True)
-    zero = rep.params.zero
-    for w in group_elements(r, p, n):
-        trace = zero
-        trace_v = zero
-        for i, jv in enumerate(basis):
-            g = rep.t(w, jv.poly)
-            coefs = [zero] * n
-            for jdx in expand_order:
-                c = g.coeff(basis[jdx].mu)
-                if c:
-                    coefs[jdx] = c
-                    g = g - basis[jdx].poly.scaled(c)
-            if not g.is_zero():
-                return {"status": "fail", "reason": "span not group-stable",
-                        "w": str(w), "mu": list(jv.mu),
-                        "residual": str(g)}
-            trace = trace + coefs[i]
-        for i in range(n):
-            kk, j = w.x_image(i)
-            if j == i:
-                trace_v = trace_v + rep.params.zeta(kk * k)
-        if trace != trace_v:
-            return {"status": "fail", "reason": "character mismatch",
-                    "w": str(w), "span_trace": str(trace),
-                    "power_trace": str(trace_v)}
+    failure = span_character_check(rep, [(jv.mu, jv.poly) for jv in basis], k)
+    if failure is not None:
+        return failure
     return {"status": "pass", "k": k, "dimension": n,
             "annihilated": True, "group_stable": True,
             "character_match": True}
@@ -348,13 +378,19 @@ def graded_char_L1(r: int, p: int, n: int, w: GroupElement,
 
 def invariant_char_series(r: int, p: int, n: int, k: int,
                           truncation: int) -> list:
-    """(1/|W|) sum_w det(1 - t^k w_V)/det(1 - t w), coefficientwise."""
+    """(1/|W|) sum_w det(1 - t^k w_V)/det(1 - t w), coefficientwise.
+
+    The summand is a class function, so the sum runs over the conjugacy
+    classes, each representative weighted by its class size.
+    """
     total = [Cyc.zero(r)] * (truncation + 1)
     count = 0
-    for w in group_elements(r, p, n):
+    for w, size in conjugacy_classes(r, p, n):
         s = graded_char_L1(r, p, n, w, k).series(truncation)
-        total = [a + b for a, b in zip(total, s)]
-        count += 1
+        total = [a + b * Q(size) for a, b in zip(total, s)]
+        count += size
+    if count != group_order(r, p, n):
+        raise ArithmeticError(f"class sizes sum to {count}, not |W|")
     out = []
     for c in total:
         v = c / Q(count)

@@ -10,14 +10,20 @@ Everything here deliberately avoids the production code paths it checks:
   elimination on one whole graded piece, with no triangularity, ordering or
   character filtering;
 * ``bruhat_le_cover`` computes Bruhat order by transitive closure of the
-  covering relation.
+  covering relation;
+* ``span_character_check_all_of_w``, ``singular_vector_check_all_of_w`` and
+  ``invariant_char_series_all_of_w`` walk every element of W where the
+  package uses the reflections and one representative per conjugacy class.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from cherednik import GroupElement, Poly
+from cherednik import (
+    Cyc, GroupElement, Poly, PolyRep, Q, SpecializedParameters,
+    graded_char_L1, group_elements, jack_by_solve, order_lt,
+)
 from cherednik.operators import monomials_of_degree
 
 
@@ -217,3 +223,76 @@ def max_length_sorting_permutation(mu) -> tuple[int, ...]:
             if best is None or inv(perm) > inv(best):
                 best = perm
     return best
+
+
+def span_character_check_all_of_w(rep, basis, k: int):
+    """Stability of the span of the (mu, f) pairs and its character against
+    that of the k-th powers, on every element of W; None when both hold."""
+    n = rep.n
+    mus = [mu for mu, _ in basis]
+    expand_order = sorted(range(len(basis)),
+                          key=lambda i: sum(1 for jdx in range(len(basis))
+                                            if jdx != i and
+                                            order_lt(mus[jdx], mus[i])),
+                          reverse=True)
+    zero = rep.params.zero
+    for w in group_elements(rep.r, rep.p, n):
+        trace = zero
+        trace_v = zero
+        for i, (mu, f) in enumerate(basis):
+            g = rep.t(w, f)
+            coefs = [zero] * len(basis)
+            for jdx in expand_order:
+                c = g.coeff(mus[jdx])
+                if c:
+                    coefs[jdx] = c
+                    g = g - basis[jdx][1].scaled(c)
+            if not g.is_zero():
+                return {"status": "fail", "reason": "span not group-stable",
+                        "w": str(w), "mu": list(mu), "residual": str(g)}
+            trace = trace + coefs[i]
+        for i in range(n):
+            kk, j = w.x_image(i)
+            if j == i:
+                trace_v = trace_v + rep.params.zeta(kk * k)
+        if trace != trace_v:
+            return {"status": "fail", "reason": "character mismatch",
+                    "w": str(w), "span_trace": str(trace),
+                    "power_trace": str(trace_v)}
+    return None
+
+
+def singular_vector_check_all_of_w(r: int, p: int, n: int, point, k: int):
+    """``singular_vector_check`` with its span check run over all of W."""
+    rep = PolyRep(r, p, n, SpecializedParameters(point))
+    basis = [jack_by_solve(rep, tuple(k if j == i else 0 for j in range(n)))
+             for i in range(n)]
+    for jv in basis:
+        for j in range(n):
+            img = rep.dunkl(j, jv.poly)
+            if not img.is_zero():
+                return {"status": "fail", "reason": "not annihilated",
+                        "mu": list(jv.mu), "y_index": j, "image": str(img)}
+    failure = span_character_check_all_of_w(
+        rep, [(jv.mu, jv.poly) for jv in basis], k)
+    if failure is not None:
+        return failure
+    return {"status": "pass", "k": k, "dimension": n, "annihilated": True,
+            "group_stable": True, "character_match": True}
+
+
+def invariant_char_series_all_of_w(r: int, p: int, n: int, k: int,
+                                   truncation: int) -> list:
+    """(1/|W|) sum over every w of det(1 - t^k w_V)/det(1 - t w)."""
+    total = [Cyc.zero(r)] * (truncation + 1)
+    count = 0
+    for w in group_elements(r, p, n):
+        s = graded_char_L1(r, p, n, w, k).series(truncation)
+        total = [a + b for a, b in zip(total, s)]
+        count += 1
+    out = []
+    for c in total:
+        v = c / Q(count)
+        assert v.is_rational(), "invariant series is not rational"
+        out.append(v.rational_value())
+    return out

@@ -1,10 +1,14 @@
 """The command-line surface: flags, exit codes, JSON schema, golden files."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import cherednik
 from cherednik import GenericParameters, jack_by_solve, PolyRep, poly_from_json
 from cherednik.cli import main
 
@@ -128,6 +132,39 @@ def test_gordon_r_one_unsupported(capsys):
 def test_bad_group_rejected(capsys):
     code, _, err = run_cli(capsys, "verify", "--group", "4,3,2")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("group", ["2,1", "2,1,2,1", "2,x,2"])
+def test_malformed_group_says_what_is_expected(capsys, group):
+    code, _, err = run_cli(capsys, "jack", "--group", group)
+    assert code == 2
+    assert "--group must be r,p,n" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(pathlib.Path(cherednik.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["gordon", "--group", "2,1,2", "--json"]
+    proc = subprocess.run([sys.executable, "-m", "cherednik", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and proc.stdout == out
+
+
+@pytest.mark.parametrize("group", ["2,1,5", "3,1,4"])
+def test_gordon_reaches_larger_groups(capsys, group):
+    code, out, _ = run_cli(capsys, "gordon", "--group", group, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "pass"
+    assert data["singular_vectors"]["status"] == "pass"
+    if group == "2,1,5":
+        assert data["catalan_invariant_match"] is True
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

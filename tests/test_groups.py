@@ -5,8 +5,8 @@ import random
 import pytest
 
 from cherednik import (
-    Cyc, GenericParameters, GroupElement, Poly, PolyRep, group_elements,
-    group_order, parse_element, reflections,
+    Cyc, GenericParameters, GroupElement, Poly, PolyRep, conjugacy_classes,
+    group_elements, group_order, parse_element, reflections,
 )
 
 
@@ -166,3 +166,50 @@ def test_parse_print_roundtrip():
         2, (1, 0), (0, 1))
     with pytest.raises(ValueError):
         parse_element("(1 5)[0,0]", 2)
+
+
+def _orbits_by_enumeration(r, p, n):
+    """Map each element of G(r,p,n) to the index of its conjugacy class,
+    and list the class sizes, by brute-force conjugation."""
+    elems = list(group_elements(r, p, n))
+    inverses = [g.inverse() for g in elems]
+    class_of, sizes = {}, []
+    for w in elems:
+        if w in class_of:
+            continue
+        orbit = {g * w * gi for g, gi in zip(elems, inverses)}
+        for v in orbit:
+            class_of[v] = len(sizes)
+        sizes.append(len(orbit))
+    return class_of, sizes
+
+
+def test_conjugacy_classes_match_orbit_enumeration():
+    checked = 0
+    for r in range(1, 5):
+        for p in (q for q in range(1, r + 1) if r % q == 0):
+            for n in range(1, 5):
+                if group_order(r, p, n) > 1000:
+                    continue
+                classes = conjugacy_classes(r, p, n)
+                class_of, sizes = _orbits_by_enumeration(r, p, n)
+                hit = [class_of[w] for w, _ in classes]
+                assert sorted(hit) == list(range(len(sizes))), (r, p, n)
+                assert [size for _, size in classes] == [sizes[i] for i in hit]
+                assert sum(size for _, size in classes) == group_order(r, p, n)
+                checked += 1
+    assert checked == 28
+
+
+def test_conjugacy_classes_split_inside_g_r_p_n():
+    # types with gcd(p, lengths, colors) = d > 1 split into d classes
+    assert len(conjugacy_classes(2, 2, 4)) == 13
+    assert len(conjugacy_classes(4, 4, 4)) == 33
+    assert len(conjugacy_classes(4, 2, 3)) == 20
+    # the wreath products: one class per colored cycle type
+    assert len(conjugacy_classes(2, 1, 5)) == 36
+    for (r, p, n) in [(2, 1, 6), (3, 1, 4), (6, 3, 3)]:
+        assert sum(size for _, size in conjugacy_classes(r, p, n)) \
+            == group_order(r, p, n)
+    with pytest.raises(ValueError):
+        conjugacy_classes(4, 3, 2)

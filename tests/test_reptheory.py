@@ -5,13 +5,22 @@ from fractions import Fraction
 import pytest
 
 from cherednik import (
-    Cyc, GroupElement, Hjk, Hx, ParamPoint, PolyRep, catalan_series,
-    coinvariant_series, coxeter_number, degrees, exponents_and_freeness,
-    genericity_guard, gordon_point, graded_char_L1, invariant_char_series,
-    is_irreducible, jack_by_solve, l1_dimension_by_counting,
-    l1_series_by_counting, on_hyperplane, radical_membership,
-    singular_vector_check,
+    Cyc, GroupElement, Hjk, Hx, ParamPoint, Poly, PolyRep,
+    SpecializedParameters, catalan_series, coinvariant_series,
+    coxeter_number, degrees, exponents_and_freeness, genericity_guard,
+    gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
+    jack_by_solve, l1_dimension_by_counting, l1_series_by_counting,
+    on_hyperplane, parse_element, radical_membership, singular_vector_check,
 )
+from cherednik.reptheory import span_character_check
+
+from oracles import (
+    invariant_char_series_all_of_w, singular_vector_check_all_of_w,
+    span_character_check_all_of_w,
+)
+
+# small groups on which the all-of-W oracles run in well under a second
+DIFFERENTIAL_GROUPS = [(2, 1, 2), (2, 1, 3), (3, 3, 2), (2, 2, 3), (4, 2, 2)]
 
 
 def test_coxeter_numbers():
@@ -134,6 +143,66 @@ def test_singular_vectors_at_gordon_point():
     gen = PolyRep(2, 1, 2)
     jv = jack_by_solve(gen, (5, 0))
     assert not gen.dunkl(0, jv.poly).is_zero()
+
+
+def _gordon_rep(r, p, n):
+    return PolyRep(r, p, n, SpecializedParameters(gordon_point(r, p, n)))
+
+
+def _monomial(rep, mu):
+    return (mu, Poly.monomial(mu, rep.params.one))
+
+
+def test_span_check_flags_unstable_span_with_a_reflection():
+    # x1^5 and x2^3 carry the character of the 5th powers on the diagonal
+    # elements, so only a permutation exposes the missing x2^5
+    rep = _gordon_rep(2, 1, 2)
+    basis = [_monomial(rep, (5, 0)), _monomial(rep, (0, 3))]
+    report = span_character_check(rep, basis, 5)
+    assert report["status"] == "fail"
+    assert report["reason"] == "span not group-stable"
+    assert parse_element(report["w"], 2) in {s.element
+                                             for s in rep.reflections}
+    oracle = span_character_check_all_of_w(rep, basis, 5)
+    assert (oracle["status"], oracle["reason"]) \
+        == (report["status"], report["reason"])
+
+
+@pytest.mark.parametrize("r,p,n,m", [(2, 1, 2, 2), (3, 1, 2, 2)])
+def test_span_check_flags_character_mismatch(r, p, n, m):
+    # x_i^m spans a W-stable space whose character is not that of the k-th
+    # powers when m != k mod r
+    rep = _gordon_rep(r, p, n)
+    k = coxeter_number(r, p, n) + 1
+    assert m % r != k % r
+    basis = [_monomial(rep, tuple(m if j == i else 0 for j in range(n)))
+             for i in range(n)]
+    for report in (span_character_check(rep, basis, k),
+                   span_character_check_all_of_w(rep, basis, k)):
+        assert (report["status"], report["reason"]) \
+            == ("fail", "character mismatch")
+    power_basis = [_monomial(rep, tuple(k if j == i else 0 for j in range(n)))
+                   for i in range(n)]
+    assert span_character_check(rep, power_basis, k) is None
+
+
+def test_singular_check_flags_a_non_gordon_point():
+    pt = ParamPoint.from_c(2, 1, 1, Fraction(1, 3), [Fraction(1, 3)])
+    report = singular_vector_check(2, 1, 2, pt, 5)
+    assert (report["status"], report["reason"]) == ("fail", "not annihilated")
+    oracle = singular_vector_check_all_of_w(2, 1, 2, pt, 5)
+    assert (oracle["status"], oracle["reason"]) == ("fail", "not annihilated")
+
+
+@pytest.mark.parametrize("r,p,n", DIFFERENTIAL_GROUPS)
+def test_class_pipeline_matches_all_of_w(r, p, n):
+    k = coxeter_number(r, p, n) + 1
+    point = gordon_point(r, p, n)
+    report = singular_vector_check(r, p, n, point, k)
+    assert report["status"] == "pass"
+    assert report == singular_vector_check_all_of_w(r, p, n, point, k)
+    assert invariant_char_series(r, p, n, k, 12) \
+        == invariant_char_series_all_of_w(r, p, n, k, 12)
 
 
 def test_graded_character_identity_element():
