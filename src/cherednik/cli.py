@@ -26,7 +26,7 @@ from .reptheory import (
     catalan_series, coxeter_number, exponents_and_freeness, genericity_guard,
     gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
     is_well_generated, l1_dimension_by_counting, l1_series_by_counting,
-    singular_vector_check,
+    simple_spectrum_violations, singular_vector_check,
 )
 from .scalars import GenericParameters, ParamPoint, SpecializedParameters
 from .groups import GroupElement
@@ -50,14 +50,13 @@ class JobConfig:
     suite: str = "all"
     check_both: bool = False
     inject_fault: Optional[str] = None
-    threads: int = 1
     as_json: bool = False
 
     def validate(self):
         if self.r < 1 or self.p < 1 or self.r % self.p or self.n < 1:
             raise ValueError(f"invalid group ({self.r},{self.p},{self.n})")
-        if self.max_deg <= 0 or self.truncation <= 0 or self.threads < 1:
-            raise ValueError("degree caps, truncations and threads must be positive")
+        if self.max_deg <= 0 or self.truncation <= 0:
+            raise ValueError("degree caps and truncations must be positive")
         if self.mode == "specialized" and self.point is None:
             raise ValueError("specialized mode requires a parameter point")
         for mu in self.mus:
@@ -74,6 +73,11 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+# the keys _build_config reads from a config file
+_CONFIG_KEYS = ("group", "mu", "mode", "c0", "kappa", "cdiag", "max_deg",
+               "truncation", "bound", "suite")
+
+
 def _read_config(path: str) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -82,7 +86,10 @@ def _read_config(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            out[key] = val.strip()
     return out
 
 
@@ -130,7 +137,6 @@ def _build_config(args) -> JobConfig:
         suite=_merge(args, cfg, "suite", str, "all"),
         check_both=bool(getattr(args, "check_both", False)),
         inject_fault=getattr(args, "inject_fault", None),
-        threads=int(_merge(args, cfg, "threads", int, 1)),
         as_json=bool(getattr(args, "json", False)),
     )
     job.validate()
@@ -188,11 +194,9 @@ def _verify_suites(job: JobConfig) -> dict:
     reports = {}
     wanted = job.suite
     if wanted in ("all", "relations"):
-        reports["relations"] = rep.check_relations(job.max_deg,
-                                                   workers=job.threads)
+        reports["relations"] = rep.check_relations(job.max_deg)
     if wanted in ("all", "commutators"):
-        reports["commutators"] = rep.commutator_report(job.max_deg,
-                                                       workers=job.threads)
+        reports["commutators"] = rep.commutator_report(job.max_deg)
     if wanted in ("all", "pbw"):
         reports["pbw"] = check_pbw(rca_forms(job.r, job.p, job.n, rep.params))
     if wanted in ("all", "intertwiners"):
@@ -305,7 +309,6 @@ def _add_common(sp):
     sp.add_argument("--group", help="r,p,n")
     sp.add_argument("--config", help="key=value config file; flags win")
     sp.add_argument("--json", action="store_true", help="machine output")
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--mode", choices=["generic", "specialized"], default=None)
     sp.add_argument("--kappa", type=_parse_fraction, default=None)
     sp.add_argument("--c0", type=_parse_fraction, default=None,
@@ -362,9 +365,8 @@ def main(argv=None) -> int:
     except NonGenericError as exc:
         report = {"status": "non-generic", "error": str(exc)}
         if job.point is not None:
-            from .reptheory import _simple_spectrum_violations
             report["simple_spectrum_violations"] = \
-                _simple_spectrum_violations(job.point, job.n)
+                simple_spectrum_violations(job.point, job.n)
         print(json.dumps(report, indent=2) if job.as_json
               else f"non-generic point: {exc}", file=sys.stderr)
         return PRECONDITION

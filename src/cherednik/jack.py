@@ -268,7 +268,7 @@ def jack_by_solve(rep: PolyRep, mu) -> JackVector:
         i, diff = pivot
         resid = params.zero
         for eta, c_eta in coeffs.items():
-            hit = rep._z_mono(i, eta).terms.get(nu)
+            hit = rep.z_monomial(i, eta).terms.get(nu)
             if hit is not None:
                 resid = resid + c_eta * hit
         c_nu = resid / diff
@@ -293,7 +293,7 @@ def jack_by_intertwiners(rep: PolyRep, mu) -> JackVector:
     mu = tuple(int(v) for v in mu)
     if len(mu) != rep.n or any(v < 0 for v in mu):
         raise ValueError(f"bad composition {mu} for rank {rep.n}")
-    memo = rep._jack_memo
+    memo = rep.jack_cache
     got = memo.get(mu)
     if got is not None:
         return got

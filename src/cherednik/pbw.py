@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import Cyc
 from .groups import GroupElement, group_elements, reflections
+from .polynomials import accumulate
 from .scalars import GenericParameters
 
 __all__ = ["FormFamily", "rca_forms", "check_pbw"]
@@ -93,13 +94,12 @@ def rca_forms(r: int, p: int, n: int, params=None) -> FormFamily:
     return fam
 
 
-def check_pbw(family: FormFamily, *, elements=None) -> dict:
+def check_pbw(family: FormFamily) -> dict:
     """Check conditions (a) and (b); returns a JSON-ready report with the
     first violated instance as witness."""
     n = family.n
     dim = 2 * n
-    if elements is None:
-        elements = list(group_elements(family.r, family.p, family.n))
+    elements = list(group_elements(family.r, family.p, family.n))
     support = list(family.forms)
     checked_a = checked_b = 0
     for v in elements:
@@ -128,25 +128,13 @@ def check_pbw(family: FormFamily, *, elements=None) -> dict:
                 for c in range(dim):
                     # (w e_c - e_c) weighted by <a,b>_w, plus cyclic shifts
                     acc: dict[int, object] = {}
-
-                    def add(idx, val):
-                        if not val:
-                            return
-                        s = acc.get(idx)
-                        s = val if s is None else s + val
-                        if s:
-                            acc[idx] = s
-                        else:
-                            acc.pop(idx, None)
-
                     for (coef, (sc, tgt), src) in (
                             (vab, images[c], c),
                             (family.value(w, b, c), images[a], a),
                             (family.value(w, c, a), images[b], b)):
-                        if not coef:
-                            continue
-                        add(tgt, coef.cmul(sc))
-                        add(src, -coef)
+                        if coef:
+                            accumulate(acc, ((tgt, coef.cmul(sc)),
+                                             (src, -coef)))
                     checked_b += 1
                     if acc:
                         idx, val = next(iter(acc.items()))

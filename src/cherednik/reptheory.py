@@ -32,7 +32,8 @@ from .scalars import ParamPoint, SpecializedParameters
 __all__ = [
     "Hjk", "Hx", "coxeter_number", "degrees", "is_irreducible",
     "gordon_point", "on_hyperplane", "genericity_guard",
-    "radical_membership", "l1_dimension_by_counting", "l1_series_by_counting",
+    "radical_membership", "simple_spectrum_violations",
+    "l1_dimension_by_counting", "l1_series_by_counting",
     "span_character_check", "singular_vector_check", "GradedChar",
     "graded_char_L1", "invariant_char_series", "catalan_series",
     "coinvariant_series", "exponents_and_freeness",
@@ -127,7 +128,9 @@ def on_hyperplane(point: ParamPoint, hid, n: int) -> bool:
     return lhs == Cyc.from_rational(point.r, hid.j)
 
 
-def _simple_spectrum_violations(point: ParamPoint, n: int) -> list[str]:
+def simple_spectrum_violations(point: ParamPoint, n: int) -> list[str]:
+    """Why the z-spectrum may fail to be simple at ``point``: one entry for
+    each j <= n with j c0 a positive integer (none unless c0 is rational)."""
     out = []
     if not point.c0.is_rational():
         return out
@@ -165,7 +168,7 @@ def genericity_guard(point: ParamPoint, k: int, n: int,
                 continue
             if on_hyperplane(point, Hjk(l, j), n):
                 violations.append(f"point lies on H_{{{l},{j}}}")
-    violations.extend(_simple_spectrum_violations(point, n))
+    violations.extend(simple_spectrum_violations(point, n))
     return {"ok": not violations, "k": k, "bound": bound,
             "violations": violations}
 

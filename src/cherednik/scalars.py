@@ -133,6 +133,7 @@ class MPoly:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
+    # Term loops below stay inline: polynomials.accumulate measured no faster.
     def __add__(self, other: "MPoly") -> "MPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():

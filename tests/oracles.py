@@ -2,6 +2,8 @@
 
 Everything here deliberately avoids the production code paths it checks:
 
+* ``act_on_poly_accumulating`` sums the images of colliding terms, where
+  the package relies on w permuting exponent vectors injectively;
 * ``poly_divexact`` does sparse long division (the package uses geometric
   series for divided differences);
 * ``oracle_dunkl`` / ``oracle_z`` rebuild the operators from the literal
@@ -25,6 +27,22 @@ from cherednik import (
     graded_char_L1, group_elements, jack_by_solve, order_lt,
 )
 from cherednik.operators import monomials_of_degree
+
+
+def act_on_poly_accumulating(w: GroupElement, f: Poly) -> Poly:
+    """The group action x^mu -> zeta^k x^{w.mu}, adding up the images of
+    terms that land on the same exponent vector."""
+    out: dict = {}
+    for e, c in f.terms.items():
+        k, nu = w.act_on_exponents(e)
+        v = c.cmul(Cyc.root(w.r, k))
+        s = out.get(nu)
+        s = v if s is None else s + v
+        if s:
+            out[nu] = s
+        else:
+            out.pop(nu, None)
+    return Poly(f.n, out)
 
 
 def poly_divexact(f: Poly, g: Poly):

@@ -60,6 +60,16 @@ def test_jack_non_generic_point_exits_two(capsys):
     assert "non-generic" in err
 
 
+def test_jack_non_generic_point_json_names_violations(capsys):
+    code, out, err = run_cli(capsys, "jack", "--group", "2,1,2",
+                             "--mu", "2,0", "--c0", "1", "--json")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["status"] == "non-generic"
+    assert report["simple_spectrum_violations"] == [
+        "c0 = 1/1 lies in (1/1)Z_>0", "c0 = 2/2 lies in (1/2)Z_>0"]
+
+
 def test_verify_pass_and_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--group", "3,1,2",
                            "--max-deg", "4")
@@ -178,11 +188,21 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0 and "f_(0,1)" in out and "f_(1,0)" not in out
 
 
-def test_threads_flag(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--group", "2,1,2",
-                           "--max-deg", "2", "--suite", "relations",
-                           "--threads", "4")
-    assert code == 0 and "PASS" in out
+@pytest.mark.parametrize("line,key", [("threads=4", "threads"),
+                                      ("max-deg=3", "max-deg")])
+def test_config_file_rejects_unknown_keys(tmp_path, capsys, line, key):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"group=2,1,2\nmu=1,0\n{line}\n")
+    code, _, err = run_cli(capsys, "jack", "--config", str(cfg))
+    assert code == 2 and f"unknown config key '{key}'" in err
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--group", "2,1,2", "--max-deg", "2",
+              "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,argv", [

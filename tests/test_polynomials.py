@@ -4,11 +4,13 @@ import random
 import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from oracles import oracle_dunkl, oracle_z, poly_divexact
+from oracles import (
+    act_on_poly_accumulating, oracle_dunkl, oracle_z, poly_divexact,
+)
 
 from cherednik import (
     GenericParameters, GroupElement, Poly, PolyRep, SpecializedParameters,
-    order_lt, weight_of,
+    act_on_poly, group_elements, order_lt, weight_of,
 )
 from cherednik.operators import monomials_up_to
 from cherednik.parsing import parse_poly, poly_from_json
@@ -33,6 +35,16 @@ def test_poly_arithmetic_canonical():
     assert (a + b) * (a - b) == a * a - b * b
     assert a.scaled(par.zero).is_zero()
     assert (a + b).degree() == 1 and (a * b).degree() == 2
+
+
+def test_from_terms_drops_cancelling_terms():
+    par = GenericParameters(2, 1)
+    one = par.one
+    f = Poly.from_terms(2, [((1, 0), one), ((0, 1), one), ((1, 0), -one),
+                            ((0, 1), -one)])
+    assert f == Poly.zero(2) and not f.terms
+    g = Poly.from_terms(2, [((1, 0), one), ((1, 0), -one), ((0, 1), one)])
+    assert g.terms == {(0, 1): one}
 
 
 def test_str_and_json_roundtrip():
@@ -264,9 +276,33 @@ def test_degree_bookkeeping():
     assert rep.t(w, f).degree() == 3
 
 
-def test_workers_agree_with_serial():
-    rep = PolyRep(2, 1, 2)
-    assert rep.check_relations(3, workers=4) == rep.check_relations(3)
+def test_commutator_report_fault_injection():
+    # the flipped transposition sign still gives commuting y's (it is c0 ->
+    # -c0), but z_i keeps +c0 in its class sum, so the z's stop commuting
+    report = PolyRep(2, 1, 2, fault_dunkl_sign=True).commutator_report(2)
+    assert report["status"] == "fail"
+    assert report["commutator"] == "[z_i,z_j]"
+    assert (report["i"], report["j"], report["mu"]) == (0, 1, [2, 0])
+    assert report["defect"] != "0"
+
+
+def test_act_on_exponents_is_injective():
+    for (r, p, n) in [(3, 1, 2), (2, 2, 3)]:
+        monos = list(monomials_up_to(n, 4))
+        for w in group_elements(r, p, n):
+            images = {w.act_on_exponents(mu)[1] for mu in monos}
+            assert len(images) == len(monos), str(w)
+
+
+def test_act_on_poly_matches_accumulating_oracle():
+    rng = random.Random(41)
+    for (r, p, n) in [(3, 1, 2), (2, 2, 3), (4, 2, 2)]:
+        for rep in (PolyRep(r, p, n),
+                    PolyRep(r, p, n, SpecializedParameters(
+                        gordon_point(r, p, n)))):
+            for w in group_elements(r, p, n):
+                f = random_poly(rng, rep, deg=3, nterms=5)
+                assert act_on_poly(w, f) == act_on_poly_accumulating(w, f)
 
 
 def test_relation_convention_cross_module():
