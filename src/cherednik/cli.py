@@ -57,6 +57,8 @@ class JobConfig:
             raise ValueError(f"invalid group ({self.r},{self.p},{self.n})")
         if self.max_deg <= 0 or self.truncation <= 0:
             raise ValueError("degree caps and truncations must be positive")
+        if self.bound is not None and self.bound <= 0:
+            raise ValueError(f"--bound must be positive, got {self.bound}")
         if self.mode == "specialized" and self.point is None:
             raise ValueError("specialized mode requires a parameter point")
         for mu in self.mus:
@@ -73,12 +75,17 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-# the keys _build_config reads from a config file
-_CONFIG_KEYS = ("group", "mu", "mode", "c0", "kappa", "cdiag", "max_deg",
-               "truncation", "bound", "suite")
+# the config-file keys each subcommand reads; jack also accepts max_deg
+# (validated, unused) so that existing jack config files keep working
+_POINT_KEYS = ("mode", "c0", "kappa", "cdiag")
+_CONFIG_KEYS = {
+    "gordon": ("group", "truncation", "bound"),
+    "jack": ("group", "mu", *_POINT_KEYS, "max_deg"),
+    "verify": ("group", *_POINT_KEYS, "max_deg", "suite"),
+}
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, keys) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -87,7 +94,7 @@ def _read_config(path: str) -> dict:
                 continue
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r}")
             out[key] = val.strip()
     return out
@@ -103,7 +110,8 @@ def _merge(args, cfg: dict, key: str, conv=str, default=None):
 
 
 def _build_config(args) -> JobConfig:
-    cfg = _read_config(args.config) if args.config else {}
+    cfg = _read_config(args.config, _CONFIG_KEYS[args.command]) \
+        if args.config else {}
     group = _merge(args, cfg, "group")
     if group is None:
         raise ValueError("--group r,p,n is required")
@@ -309,6 +317,10 @@ def _add_common(sp):
     sp.add_argument("--group", help="r,p,n")
     sp.add_argument("--config", help="key=value config file; flags win")
     sp.add_argument("--json", action="store_true", help="machine output")
+
+
+def _add_point(sp):
+    """The parameter-point flags; gordon always runs at the Coxeter point."""
     sp.add_argument("--mode", choices=["generic", "specialized"], default=None)
     sp.add_argument("--kappa", type=_parse_fraction, default=None)
     sp.add_argument("--c0", type=_parse_fraction, default=None,
@@ -327,12 +339,14 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("jack", help="construct eigenvectors f_mu")
     _add_common(sp)
+    _add_point(sp)
     sp.add_argument("--mu", action="append", help="composition, e.g. 1,0")
     sp.add_argument("--check-both", action="store_true",
                     help="cross-check both constructions")
 
     sp = sub.add_parser("verify", help="run verification suites")
     _add_common(sp)
+    _add_point(sp)
     sp.add_argument("--suite", default=None,
                     choices=["all", "relations", "commutators", "pbw",
                              "intertwiners"])

@@ -10,9 +10,9 @@ Rationals are gmpy2.mpq when available (much faster), else Fraction.
 
 >>> z = Cyc.root(4, 1)
 >>> z * z
-Cyc(4, [-1])
+Cyc(4, [-1, 0])
 >>> (1 + z) * (1 + z**3)
-Cyc(4, [2])
+Cyc(4, [2, 0])
 """
 
 from __future__ import annotations

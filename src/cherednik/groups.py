@@ -53,9 +53,18 @@ class GroupElement:
 
     @classmethod
     def transposition(cls, r: int, n: int, i: int, j: int) -> "GroupElement":
+        return cls.colored_transposition(r, n, i, j, 0)
+
+    @classmethod
+    def colored_transposition(cls, r: int, n: int, i: int, j: int,
+                              l: int) -> "GroupElement":
+        """diagonal(i, l) * transposition(i, j) * diagonal(i, -l): swaps
+        slots i and j with colors l at i and -l at j."""
         perm = list(range(n))
         perm[i], perm[j] = perm[j], perm[i]
-        return cls(r, tuple(perm), (0,) * n)
+        col = [0] * n
+        col[i], col[j] = l % r, -l % r
+        return cls(r, tuple(perm), tuple(col))
 
     @classmethod
     def diagonal(cls, r: int, n: int, i: int, l: int) -> "GroupElement":
@@ -232,6 +241,11 @@ class Reflection:
     alpha: tuple[Cyc, ...]
     alpha_check: tuple[Cyc, ...]
 
+    def coupling(self, params):
+        """The coupling constant c_s of this reflection's class in
+        ``params``: c0 for a transposition, c_l for a diagonal of color l."""
+        return params.c0 if self.kind == "transposition" else params.c(self.l)
+
 
 def reflections(r: int, p: int, n: int) -> list[Reflection]:
     """All reflections of G(r,p,n): r*n(n-1)/2 of transposition type plus
@@ -246,9 +260,7 @@ def reflections(r: int, p: int, n: int) -> list[Reflection]:
     for i in range(n):
         for j in range(i + 1, n):
             for l in range(r):
-                elem = (GroupElement.diagonal(r, n, i, l)
-                        * GroupElement.transposition(r, n, i, j)
-                        * GroupElement.diagonal(r, n, i, -l))
+                elem = GroupElement.colored_transposition(r, n, i, j, l)
                 alpha = [zero] * n
                 alpha[i] = Cyc.one(r)
                 alpha[j] = -Cyc.root(r, l)

@@ -77,26 +77,24 @@ def apply_sigma(rep: PolyRep, i: int, jv: JackVector, *,
         return Scaled(params.zero, None)
     smu = list(mu)
     smu[i], smu[i + 1] = smu[i + 1], smu[i]
-    smu = tuple(smu)
-    lead = out.coeff(smu)
+    return _as_scaled_eigenvector(params, out, tuple(smu),
+                                  f"sigma_{i + 1} output on f_{mu}")
+
+
+def _as_scaled_eigenvector(params, poly: Poly, nu, what: str) -> Scaled:
+    """poly as its coefficient at x^nu times the monic eigenvector over nu;
+    ``what`` names poly in the error when that coefficient is zero."""
+    lead = poly.coeff(nu)
     if not lead:
-        raise SingularIntertwinerError(
-            f"sigma_{i + 1} output on f_{mu} has no x^{smu} term")
-    monic = out if lead == params.one else out.scaled(params.one / lead)
-    return Scaled(lead, JackVector(smu, monic, weight_of(smu, params)))
+        raise SingularIntertwinerError(f"{what} has no x^{nu} term")
+    monic = poly if lead == params.one else poly.scaled(params.one / lead)
+    return Scaled(lead, JackVector(nu, monic, weight_of(nu, params)))
 
 
 def _long_cycle_down(rep: PolyRep) -> GroupElement:
     """s_{n-1} ... s_1 as a group element: slot 0 -> n-1, slot k -> k-1."""
     n = rep.n
     perm = tuple([n - 1] + list(range(n - 1)))
-    return GroupElement.from_perm_col(rep.r, perm, (0,) * n)
-
-
-def _long_cycle_up(rep: PolyRep) -> GroupElement:
-    """s_1 ... s_{n-1}: slot n-1 -> 0, slot k -> k+1."""
-    n = rep.n
-    perm = tuple(list(range(1, n)) + [0])
     return GroupElement.from_perm_col(rep.r, perm, (0,) * n)
 
 
@@ -107,7 +105,7 @@ def phi_on_poly(rep: PolyRep, f: Poly) -> Poly:
 
 def psi_on_poly(rep: PolyRep, f: Poly) -> Poly:
     """The lowering operator y_1 t_{s_1...s_{n-1}} on any polynomial."""
-    return rep.dunkl(0, rep.t(_long_cycle_up(rep), f))
+    return rep.dunkl(0, rep.t(_long_cycle_down(rep).inverse(), f))
 
 
 def apply_phi(rep: PolyRep, jv: JackVector) -> JackVector:
@@ -140,15 +138,10 @@ def apply_psi(rep: PolyRep, jv: JackVector) -> Scaled:
         if not poly.is_zero():
             raise AssertionError("lowering operator failed to annihilate")
         return Scaled(params.zero, None)
-    psimu = (mu[-1] - 1,) + mu[:-1]
     if poly.is_zero():
         return Scaled(params.zero, None)
-    lead = poly.coeff(psimu)
-    if not lead:
-        raise SingularIntertwinerError(
-            f"lowering output on f_{mu} has no x^{psimu} term")
-    monic = poly.scaled(params.one / lead)
-    return Scaled(lead, JackVector(psimu, monic, weight_of(psimu, params)))
+    return _as_scaled_eigenvector(params, poly, (mu[-1] - 1,) + mu[:-1],
+                                  f"lowering output on f_{mu}")
 
 
 def phi_psi_scalar(rep: PolyRep, jv: JackVector):

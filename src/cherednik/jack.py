@@ -154,16 +154,10 @@ class Weight:
     zeta_exps: tuple[int, ...]
 
     def t_equal(self, other: "Weight") -> bool:
-        if self.r != other.r or self.p != other.p:
-            return False
-        if self.zvals != other.zvals:
-            return False
-        m = self.r // self.p
-        a, b = self.zeta_exps, other.zeta_exps
-        if any((x - y) % m for x, y in zip(a, b)):
-            return False
-        return all(((a[i] - a[i + 1]) - (b[i] - b[i + 1])) % self.r == 0
-                   for i in range(len(a) - 1))
+        return (self.r == other.r and self.p == other.p
+                and self.zvals == other.zvals
+                and zeta_compatible(self.zeta_exps, other.zeta_exps,
+                                    self.r, self.p))
 
     def swap(self, i: int) -> "Weight":
         z = list(self.zvals)

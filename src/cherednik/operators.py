@@ -111,9 +111,7 @@ class PolyRep:
                 a = s.alpha[i]
                 if not a:
                     continue
-                cs = self.params.c0 if s.kind == "transposition" \
-                    else self.params.c(s.l)
-                lst.append((s, cs, a))
+                lst.append((s, s.coupling(self.params), a))
             self._touching.append(lst)
         self._c0r = self.params.c0 * self.params.rational(r)
         self._dunkl_memo: dict = {}
@@ -245,10 +243,7 @@ class PolyRep:
         """phi_i applied literally as a sum of group elements (for tests)."""
         out = Poly.zero(self.n)
         for j in range(i):
-            for l in range(self.r):
-                w = (GroupElement.diagonal(self.r, self.n, i, l)
-                     * GroupElement.transposition(self.r, self.n, j, i)
-                     * GroupElement.diagonal(self.r, self.n, i, -l))
+            for w in self._conj_transpositions(i, j):
                 out = out + self.t(w, f)
         return out
 
@@ -268,9 +263,8 @@ class PolyRep:
         for i in range(self.n):
             out = out + self.x(i, self.dunkl(i, f))
         for s in self.reflections:
-            cs = self.params.c0 if s.kind == "transposition" \
-                else self.params.c(s.l)
-            out = out + (f - self.t(s.element, f)).scaled(cs)
+            out = out + (f - self.t(s.element, f)).scaled(
+                s.coupling(self.params))
         return out
 
     # -- divided differences in the y-variables (for the x-side commutator) ----
@@ -312,8 +306,7 @@ class PolyRep:
             b = s.alpha_check[j]
             if not b:
                 continue
-            cs = self.params.c0 if s.kind == "transposition" \
-                else self.params.c(s.l)
+            cs = s.coupling(self.params)
             acc = Poly.zero(self.n)
             for ev, cy in self._dd_y_mono(nu, s):
                 acc = acc + g_of(ev).scaled(self.params.embed(cy))
@@ -325,12 +318,8 @@ class PolyRep:
 
     def _conj_transpositions(self, i: int, j: int) -> list[GroupElement]:
         """The r elements conjugating the (i j) transposition by colors at i."""
-        out = []
-        for l in range(self.r):
-            out.append(GroupElement.diagonal(self.r, self.n, i, l)
-                       * GroupElement.transposition(self.r, self.n, i, j)
-                       * GroupElement.diagonal(self.r, self.n, i, -l))
-        return out
+        return [GroupElement.colored_transposition(self.r, self.n, i, j, l)
+                for l in range(self.r)]
 
     def _first_failure(self, max_deg: int, check_mono) -> dict:
         """Run ``check_mono`` on each monomial of degree <= max_deg in turn;

@@ -134,16 +134,10 @@ class _Parser:
 
 def _divide(a, b):
     if isinstance(a, Poly) and not isinstance(b, Poly):
-        return a.scaled(_invert(b))
+        return a.scaled(b.inverse())
     if isinstance(a, Poly) or isinstance(b, Poly):
         raise ValueError("cannot divide by a polynomial")
     return a / b
-
-
-def _invert(s):
-    if isinstance(s, Cyc):
-        return s.inverse()
-    return s.inverse()
 
 
 def _power(base, n):

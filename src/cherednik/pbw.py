@@ -81,7 +81,7 @@ def rca_forms(r: int, p: int, n: int, params=None) -> FormFamily:
         # symplectic pairing extending <x,y> = x(y) with h, h* isotropic
         fam.set(one, i, n + i, -params.kappa)
     for s in reflections(r, p, n):
-        cs = params.c0 if s.kind == "transposition" else params.c(s.l)
+        cs = s.coupling(params)
         for a in range(n):
             xa = s.alpha_check[a]
             if not xa:

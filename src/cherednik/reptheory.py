@@ -285,20 +285,35 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
 # ---------------------------------------------------------------------------
 
 
-def _pmul(a: list[Cyc], b: list[Cyc], r: int) -> list[Cyc]:
-    out = [Cyc.zero(r)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
+def _one_minus_product(factors, zero, one) -> list:
+    """prod (1 - s t^a) over the pairs (a, s), coefficients ascending;
+    ``int`` or ``Cyc`` coefficients."""
+    out = [one]
+    for a, s in factors:
+        nxt = out + [zero] * a
+        for i, c in enumerate(out):
+            if c:
+                nxt[i + a] = nxt[i + a] - s * c
+        out = nxt
+    return out
+
+
+def _series_quotient(num, den, truncation: int, zero) -> list:
+    """The power series num(t)/den(t) up to t^truncation, for den[0] = 1."""
+    num = list(num) + [zero] * (truncation + 1)
+    out = []
+    for m in range(truncation + 1):
+        acc = num[m]
+        for j in range(1, min(m, len(den) - 1) + 1):
+            if den[j]:
+                acc = acc - den[j] * out[m - j]
+        out.append(acc)
     return out
 
 
 def _charpoly_factors(w: GroupElement, power: int) -> list[tuple[int, Cyc]]:
-    """det(1 - T w_k) for the monomial action on the k-th powers of the
-    variables, as cycle factors (length, product of entries)."""
+    """The cycle factors 1 - s t^a of det(1 - t^k w_k), w_k the action on
+    the k-th powers of the variables (k = power), as pairs (a, s)."""
     n = w.n
     seen = [False] * n
     out = []
@@ -313,7 +328,7 @@ def _charpoly_factors(w: GroupElement, power: int) -> list[tuple[int, Cyc]]:
             scal += w.col[j] * power
             j = w.perm[j]
             length += 1
-        out.append((length, Cyc.root(w.r, scal)))
+        out.append((power * length, Cyc.root(w.r, scal)))
     return out
 
 
@@ -326,16 +341,8 @@ class GradedChar:
     den: tuple
 
     def series(self, truncation: int) -> list[Cyc]:
-        zero = Cyc.zero(self.r)
-        num = list(self.num) + [zero] * (truncation + 1)
-        out = []
-        for m in range(truncation + 1):
-            acc = num[m]
-            for j in range(1, min(m, len(self.den) - 1) + 1):
-                if self.den[j]:
-                    acc = acc - self.den[j] * out[m - j]
-            out.append(acc)  # den[0] = 1
-        return out
+        return _series_quotient(self.num, self.den, truncation,
+                                Cyc.zero(self.r))
 
     def at_one(self) -> Cyc:
         """Limit at t = 1, cancelling matching powers of (1 - t)."""
@@ -367,15 +374,9 @@ class GradedChar:
 def graded_char_L1(r: int, p: int, n: int, w: GroupElement,
                    k: int) -> GradedChar:
     """det(1 - t^k w_V)/det(1 - t w) with V spanned by the k-th powers."""
-    one = [Cyc.one(r)]
-    num = one
-    for length, scal in _charpoly_factors(w, k):
-        f = [Cyc.one(r)] + [Cyc.zero(r)] * (k * length - 1) + [-scal]
-        num = _pmul(num, f, r)
-    den = one
-    for length, scal in _charpoly_factors(w, 1):
-        f = [Cyc.one(r)] + [Cyc.zero(r)] * (length - 1) + [-scal]
-        den = _pmul(den, f, r)
+    zero, one = Cyc.zero(r), Cyc.one(r)
+    num = _one_minus_product(_charpoly_factors(w, k), zero, one)
+    den = _one_minus_product(_charpoly_factors(w, 1), zero, one)
     return GradedChar(r, tuple(num), tuple(den))
 
 
@@ -410,28 +411,9 @@ def invariant_char_series(r: int, p: int, n: int, k: int,
 
 def _int_series(num_factors, den_factors, truncation: int) -> list[int]:
     """prod (1 - t^a)/prod (1 - t^b) as integer coefficients."""
-    num = [1]
-    for a in num_factors:
-        nxt = [0] * (len(num) + a)
-        for i, c in enumerate(num):
-            nxt[i] += c
-            nxt[i + a] -= c
-        num = nxt
-    out = []
-    den = [1]
-    for b in den_factors:
-        nxt = [0] * (len(den) + b)
-        for i, c in enumerate(den):
-            nxt[i] += c
-            nxt[i + b] -= c
-        den = nxt
-    num = num + [0] * (truncation + 1)
-    for m in range(truncation + 1):
-        acc = num[m]
-        for j in range(1, min(m, len(den) - 1) + 1):
-            acc -= den[j] * out[m - j]
-        out.append(acc)
-    return out
+    num = _one_minus_product([(a, 1) for a in num_factors], 0, 1)
+    den = _one_minus_product([(b, 1) for b in den_factors], 0, 1)
+    return _series_quotient(num, den, truncation, 0)
 
 
 def catalan_series(r: int, p: int, n: int, truncation: int) -> dict:

@@ -442,7 +442,11 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if not _reduced:
-            num, den = _reduce(num, den)
+            if not num.is_zero():
+                g = mp_gcd(num, den)
+                if not g.is_one():
+                    num, den = num.divexact(g), den.divexact(g)
+            num, den = _normal_form(num, den)
         self.num = num
         self.den = den
 
@@ -479,13 +483,7 @@ class RatFunc:
         g = mp_gcd(num, g0)
         if not g.is_one():
             num, den = num.divexact(g), den.divexact(g)
-        if num.is_zero():
-            return RatFunc(num, den.ring.one(), _reduced=True)
-        _, lc = den.lead()
-        if lc != den.ring.cone:
-            inv = lc.inverse()
-            num, den = num.mul_cyc(inv), den.mul_cyc(inv)
-        return RatFunc(num, den, _reduced=True)
+        return RatFunc(*_normal_form(num, den), _reduced=True)
 
     __radd__ = __add__
 
@@ -514,13 +512,7 @@ class RatFunc:
         g2 = mp_gcd(o.num, self.den)
         num = self.num.divexact(g1) * o.num.divexact(g2)
         den = self.den.divexact(g2) * o.den.divexact(g1)
-        if num.is_zero():
-            return RatFunc(num, den.ring.one(), _reduced=True)
-        _, lc = den.lead()
-        if lc != den.ring.cone:
-            inv = lc.inverse()
-            num, den = num.mul_cyc(inv), den.mul_cyc(inv)
-        return RatFunc(num, den, _reduced=True)
+        return RatFunc(*_normal_form(num, den), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -534,12 +526,7 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        num, den = self.den, self.num
-        _, lc = den.lead()
-        if lc != den.ring.cone:
-            inv = lc.inverse()
-            num, den = num.mul_cyc(inv), den.mul_cyc(inv)
-        return RatFunc(num, den, _reduced=True)
+        return RatFunc(*_normal_form(self.den, self.num), _reduced=True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -594,12 +581,10 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _reduce(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
+def _normal_form(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
+    """Scale coprime num/den so den is monic; zero becomes 0/1."""
     if num.is_zero():
         return num, den.ring.one()
-    g = mp_gcd(num, den)
-    if not g.is_one():
-        num, den = num.divexact(g), den.divexact(g)
     _, lc = den.lead()
     if lc != den.ring.cone:
         inv = lc.inverse()
@@ -610,6 +595,24 @@ def _reduce(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
 # ---------------------------------------------------------------------------
 # parameter fields
 # ---------------------------------------------------------------------------
+
+
+def _c_value(r: int, p: int, l: int, d):
+    """c_l = (p/r) sum_{j=0}^{r/p-1} zeta^{-lj} d_j for l != 0 mod r; zero
+    unless p divides l.
+
+    ``d(j)`` is d_j, a Cyc or a RatFunc; both scale through ``cmul``.
+    """
+    l %= r
+    if l == 0:
+        raise ValueError("c_l is defined for l != 0 mod r")
+    if l % p:
+        return d(0).cmul(Cyc.zero(r))
+    scale = Cyc.from_rational(r, p, r)
+    out = d(0).cmul(scale)
+    for j in range(1, r // p):
+        out = out + d(j).cmul(scale * Cyc.root(r, -l * j))
+    return out
 
 
 class GenericParameters:
@@ -640,22 +643,10 @@ class GenericParameters:
 
     def c(self, l: int) -> RatFunc:
         """c_l for 1 <= l <= r-1 (mod r); zero unless p divides l."""
-        l %= self.r
-        if l == 0:
-            raise ValueError("c_l is defined for l != 0 mod r")
-        got = self._c.get(l)
-        if got is not None:
-            return got
-        if l % self.p:
-            out = self.zero
-        else:
-            m = self.r // self.p
-            out = self.zero
-            scale = Cyc.from_rational(self.r, self.p, self.r)
-            for j in range(m):
-                out = out + self.d(j).cmul(scale * Cyc.root(self.r, -l * j))
-        self._c[l] = out
-        return out
+        got = self._c.get(l % self.r)
+        if got is None:
+            got = self._c[l % self.r] = _c_value(self.r, self.p, l, self.d)
+        return got
 
     def zeta(self, k: int) -> RatFunc:
         return self.embed(Cyc.root(self.r, k))
@@ -697,15 +688,14 @@ class ParamPoint:
 
     @classmethod
     def make(cls, r: int, p: int, kappa, c0, d=()) -> "ParamPoint":
-        conv = lambda v: v if isinstance(v, Cyc) else Cyc.from_rational(r, v)
-        return cls(r, p, conv(kappa), conv(c0), tuple(conv(v) for v in d))
+        return cls(r, p, _as_cyc(r, kappa), _as_cyc(r, c0),
+                   tuple(_as_cyc(r, v) for v in d))
 
     @classmethod
     def from_c(cls, r: int, p: int, kappa, c0, cdiag: Sequence = ()) -> "ParamPoint":
         """Build from the conjugacy-class parameters c_p, c_{2p}, ..., c_{r-p}."""
         ds = d_from_c(r, p, cdiag)
-        conv = lambda v: v if isinstance(v, Cyc) else Cyc.from_rational(r, v)
-        return cls(r, p, conv(kappa), conv(c0), tuple(ds[1:]))
+        return cls(r, p, _as_cyc(r, kappa), _as_cyc(r, c0), tuple(ds[1:]))
 
     def d_value(self, j: int) -> Cyc:
         j %= self.r // self.p
@@ -717,17 +707,7 @@ class ParamPoint:
         return self.d[j - 1]
 
     def c_value(self, l: int) -> Cyc:
-        l %= self.r
-        if l == 0:
-            raise ValueError("c_l is defined for l != 0 mod r")
-        if l % self.p:
-            return Cyc.zero(self.r)
-        m = self.r // self.p
-        out = Cyc.zero(self.r)
-        scale = Cyc.from_rational(self.r, self.p, self.r)
-        for j in range(m):
-            out = out + scale * Cyc.root(self.r, -l * j) * self.d_value(j)
-        return out
+        return _c_value(self.r, self.p, l, self.d_value)
 
     def __str__(self):
         ds = ", ".join(f"d{j + 1}={v}" for j, v in enumerate(self.d))
@@ -815,15 +795,7 @@ def c_from_d(r: int, p: int, dvals: Sequence) -> list[Cyc]:
     ds = [_as_cyc(r, v) for v in dvals]
     if len(ds) != m:
         raise ValueError(f"expected {m} d-values, got {len(ds)}")
-    out = []
-    scale = Cyc.from_rational(r, p, r)
-    for t in range(1, m):
-        l = t * p
-        s = Cyc.zero(r)
-        for j in range(m):
-            s = s + Cyc.root(r, -l * j) * ds[j]
-        out.append(scale * s)
-    return out
+    return [_c_value(r, p, t * p, ds.__getitem__) for t in range(1, m)]
 
 
 def specialize(s, point: ParamPoint) -> Cyc:

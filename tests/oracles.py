@@ -15,7 +15,12 @@ Everything here deliberately avoids the production code paths it checks:
   covering relation;
 * ``span_character_check_all_of_w``, ``singular_vector_check_all_of_w`` and
   ``invariant_char_series_all_of_w`` walk every element of W where the
-  package uses the reflections and one representative per conjugacy class.
+  package uses the reflections and one representative per conjugacy class;
+* ``coupling`` and ``class_sum`` write out c_s and the colored
+  transpositions inline;
+* ``c_from_d_sum``, ``graded_char_series_dense`` and ``int_series_dense``
+  are the summation, dense-product and series loops the package replaced by
+  one shared definition each.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ def oracle_dunkl(rep, i: int, f: Poly) -> Poly:
         a = s.alpha[i]
         if not a:
             continue
-        cs = params.c0 if s.kind == "transposition" else params.c(s.l)
+        cs = coupling(params, s)
         alpha_poly = Poly(n, {tuple(1 if t == m else 0 for t in range(n)):
                               params.embed(v)
                               for m, v in enumerate(s.alpha) if v})
@@ -102,10 +107,13 @@ def oracle_dunkl(rep, i: int, f: Poly) -> Poly:
     return out
 
 
-def oracle_z(rep, i: int, f: Poly) -> Poly:
-    """z_i = y_i x_i + c0 * (literal group class sum)."""
-    xi = rep.x(i, f)
-    out = oracle_dunkl(rep, i, xi)
+def coupling(params, s):
+    """c_s: c0 on the transpositions, c_l on the diagonals of color l."""
+    return params.c0 if s.kind == "transposition" else params.c(s.l)
+
+
+def class_sum(rep, i: int, f: Poly) -> Poly:
+    """phi_i f, summing the colored transpositions of slots j < i."""
     acc = Poly.zero(rep.n)
     for j in range(i):
         for l in range(rep.r):
@@ -113,7 +121,79 @@ def oracle_z(rep, i: int, f: Poly) -> Poly:
                  * GroupElement.transposition(rep.r, rep.n, j, i)
                  * GroupElement.diagonal(rep.r, rep.n, i, -l))
             acc = acc + rep.t(w, f)
-    return out + acc.scaled(rep.params.c0)
+    return acc
+
+
+def oracle_z(rep, i: int, f: Poly) -> Poly:
+    """z_i = y_i x_i + c0 * (literal group class sum)."""
+    out = oracle_dunkl(rep, i, rep.x(i, f))
+    return out + class_sum(rep, i, f).scaled(rep.params.c0)
+
+
+def c_from_d_sum(r: int, p: int, l: int, d_of, zero):
+    """c_l = (p/r) (sum_{j<r/p} zeta^{-lj} d_j), summing before scaling;
+    ``d_of(j)`` may be a Cyc or a RatFunc."""
+    if l % p:
+        return zero
+    total = zero
+    for j in range(r // p):
+        total = total + Cyc.root(r, -l * j) * d_of(j)
+    return Cyc.from_rational(r, p, r) * total
+
+
+def _dense_mul(a: list, b: list, zero) -> list:
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _dense_quotient(num: list, den: list, truncation: int, zero) -> list:
+    """num/den to t^truncation by long division; den[0] must be 1."""
+    num = list(num) + [zero] * (truncation + 1)
+    out = []
+    for m in range(truncation + 1):
+        acc = num[m]
+        for j in range(1, min(m, len(den) - 1) + 1):
+            acc = acc - den[j] * out[m - j]
+        out.append(acc)
+    return out
+
+
+def graded_char_series_dense(w: GroupElement, k: int, truncation: int):
+    """det(1 - t^k w_V)/det(1 - t w) to t^truncation, each determinant a
+    dense product of one factor 1 - (entry product) T^length per cycle."""
+    r, n = w.r, w.n
+    zero, one = Cyc.zero(r), Cyc.one(r)
+    num, den = [one], [one]
+    seen = set()
+    for i in range(n):
+        cycle = []
+        j = i
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = w.perm[j]
+        if not cycle:
+            continue
+        colors = sum(w.col[j] for j in cycle)
+        length = len(cycle)
+        num = _dense_mul(num, [one] + [zero] * (k * length - 1)
+                         + [-Cyc.root(r, k * colors)], zero)
+        den = _dense_mul(den, [one] + [zero] * (length - 1)
+                         + [-Cyc.root(r, colors)], zero)
+    return _dense_quotient(num, den, truncation, zero)
+
+
+def int_series_dense(num_exps, den_exps, truncation: int) -> list[int]:
+    """prod (1 - t^a)/prod (1 - t^b) to t^truncation over the integers."""
+    num, den = [1], [1]
+    for a in num_exps:
+        num = _dense_mul(num, [1] + [0] * (a - 1) + [-1], 0)
+    for b in den_exps:
+        den = _dense_mul(den, [1] + [0] * (b - 1) + [-1], 0)
+    return _dense_quotient(num, den, truncation, 0)
 
 
 def gaussian_kernel(rows: list[list], zero, one) -> list[list]:

@@ -197,6 +197,49 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, line, key):
     assert code == 2 and f"unknown config key '{key}'" in err
 
 
+@pytest.mark.parametrize("flag", [["--c0", "1"], ["--kappa", "1"],
+                                  ["--cdiag", "1"], ["--mode", "generic"],
+                                  ["--gordon-point"]])
+def test_gordon_takes_no_parameter_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["gordon", "--group", "2,1,2", "--json", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,line,key", [
+    ("gordon", "c0=1", "c0"), ("gordon", "suite=pbw", "suite"),
+    ("gordon", "mu=1,0", "mu"), ("gordon", "max_deg=3", "max_deg"),
+    ("jack", "bound=5", "bound"), ("jack", "truncation=5", "truncation"),
+    ("verify", "mu=1,0", "mu"), ("verify", "bound=5", "bound"),
+])
+def test_config_keys_are_per_subcommand(tmp_path, capsys, command, line,
+                                        key):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"group=2,1,2\n{line}\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"unknown config key '{key}'" in err
+
+
+def test_gordon_config_file_with_its_own_keys(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("group=2,1,2\ntruncation=3\nbound=30\n")
+    code, out, _ = run_cli(capsys, "gordon", "--config", str(cfg), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["guard"]["bound"] == 30
+    assert len(data["identity_character"]["series"]) == 4
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_gordon_bound_must_be_positive(capsys, bound):
+    code, out, err = run_cli(capsys, "gordon", "--group", "2,1,2",
+                             "--bound", bound, "--json")
+    assert code == 2 and out == ""
+    assert "--bound must be positive" in err
+
+
 def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--group", "2,1,2", "--max-deg", "2",

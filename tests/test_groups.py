@@ -1,12 +1,16 @@
 """Colored permutations, reflections and the fixed action convention."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+import oracles
 from cherednik import (
-    Cyc, GenericParameters, GroupElement, Poly, PolyRep, conjugacy_classes,
-    group_elements, group_order, parse_element, reflections,
+    Cyc, GenericParameters, GroupElement, ParamPoint, Poly, PolyRep,
+    SpecializedParameters, conjugacy_classes, group_elements, group_order,
+    parse_element, reflections,
 )
 
 
@@ -213,3 +217,28 @@ def test_conjugacy_classes_split_inside_g_r_p_n():
             == group_order(r, p, n)
     with pytest.raises(ValueError):
         conjugacy_classes(4, 3, 2)
+
+
+def test_colored_transpositions_are_the_transposition_reflections():
+    for (r, p, n) in [(1, 1, 3), (2, 1, 3), (3, 3, 3), (4, 2, 3), (6, 2, 2)]:
+        for i, j in itertools.permutations(range(n), 2):
+            for l in range(-r, 2 * r):
+                literal = (GroupElement.diagonal(r, n, i, l)
+                           * GroupElement.transposition(r, n, i, j)
+                           * GroupElement.diagonal(r, n, i, -l))
+                assert GroupElement.colored_transposition(
+                    r, n, i, j, l) == literal
+        trans = [s for s in reflections(r, p, n) if s.kind == "transposition"]
+        assert len(trans) == r * n * (n - 1) // 2
+        for s in trans:
+            assert s.element == GroupElement.colored_transposition(
+                r, n, s.i, s.j, s.l)
+
+
+def test_coupling_matches_the_inline_class_constant():
+    point = ParamPoint.from_c(4, 2, 1, Fraction(1, 3), [Fraction(2, 5)])
+    for params in (GenericParameters(4, 2), SpecializedParameters(point)):
+        refl = reflections(4, 2, 2)
+        assert {s.kind for s in refl} == {"transposition", "diagonal"}
+        for s in refl:
+            assert s.coupling(params) == oracles.coupling(params, s)

@@ -5,7 +5,8 @@ import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import (
-    act_on_poly_accumulating, oracle_dunkl, oracle_z, poly_divexact,
+    act_on_poly_accumulating, class_sum, oracle_dunkl, oracle_z,
+    poly_divexact,
 )
 
 from cherednik import (
@@ -208,6 +209,16 @@ def test_z_matches_literal_class_sum():
             f = random_poly(rng, rep, deg=3, nterms=3)
             for i in range(n):
                 assert rep.z(i, f) == oracle_z(rep, i, f)
+
+
+def test_phi_class_sum_matches_the_literal_class_sum():
+    rng = random.Random(29)
+    for (r, p, n) in [(2, 1, 3), (3, 3, 3), (4, 2, 2)]:
+        rep = PolyRep(r, p, n)
+        for _ in range(3):
+            f = random_poly(rng, rep, deg=3, nterms=3)
+            for i in range(n):
+                assert rep.phi_class_sum(i, f) == class_sum(rep, i, f)
 
 
 def test_h_operator_grading():

@@ -7,7 +7,7 @@ import pytest
 from cherednik import (
     Cyc, GroupElement, Hjk, Hx, ParamPoint, Poly, PolyRep,
     SpecializedParameters, catalan_series, coinvariant_series,
-    coxeter_number, degrees, exponents_and_freeness, genericity_guard,
+    conjugacy_classes, coxeter_number, degrees, exponents_and_freeness, genericity_guard,
     gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
     jack_by_solve, l1_dimension_by_counting, l1_series_by_counting,
     on_hyperplane, parse_element, radical_membership, singular_vector_check,
@@ -15,6 +15,7 @@ from cherednik import (
 from cherednik.reptheory import span_character_check
 
 from oracles import (
+    graded_char_series_dense, int_series_dense,
     invariant_char_series_all_of_w, singular_vector_check_all_of_w,
     span_character_check_all_of_w,
 )
@@ -297,3 +298,17 @@ def test_dim_three_ways_g332():
     assert graded_char_L1(r, p, n, ident, k).at_one() \
         == Cyc.from_rational(r, k ** n)
     assert sum(l1_series_by_counting(n, k, n * (k - 1))) == k ** n
+
+
+@pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3)])
+def test_series_match_the_dense_product_oracles(r, p, n):
+    h = coxeter_number(r, p, n)
+    for w, _ in conjugacy_classes(r, p, n):
+        for k in (1, 2, h + 1):
+            assert graded_char_L1(r, p, n, w, k).series(20) \
+                == graded_char_series_dense(w, k, 20)
+    degs = degrees(r, p, n)
+    assert catalan_series(r, p, n, 20)["coefficients"] \
+        == int_series_dense([h + d for d in degs], degs, 20)
+    assert coinvariant_series(r, p, n, 20) \
+        == int_series_dense(degs, [1] * n, 20)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cherednik import (
-    Cyc, GenericParameters, ParamPoint, PoleError, SpecializedParameters,
-    c_from_d, cyc, d_from_c, specialize,
+    Cyc, GenericParameters, ParamPoint, PoleError, RatFunc,
+    SpecializedParameters, c_from_d, cyc, d_from_c, specialize,
 )
 from cherednik.parsing import parse_scalar
 from cherednik.reptheory import gordon_point
@@ -160,3 +161,58 @@ def test_point_c_values_match_generic():
     for l in (2,):
         assert specialize(par.c(l), pt) == pt.c_value(l)
     assert pt.c_value(1) == Cyc.zero(4)
+
+
+def _d_point(r, p):
+    """A point whose d_j are distinct and, for r > 2, irrational."""
+    ds = [Cyc.root(r, j) + Cyc.from_rational(r, j + 2, 3)
+          for j in range(1, r // p)]
+    return ParamPoint.make(r, p, 1, Fraction(1, 5), ds)
+
+
+@pytest.mark.parametrize("r,p", [(r, p) for r in range(1, 7)
+                                 for p in range(1, r + 1) if r % p == 0])
+def test_c_from_d_matches_the_summation_oracle(r, p):
+    gen = GenericParameters(r, p)
+    point = _d_point(r, p)
+    czero = Cyc.zero(r)
+    for l in range(-r + 1, 2 * r):
+        if l % r == 0:
+            with pytest.raises(ValueError):
+                gen.c(l)
+            with pytest.raises(ValueError):
+                point.c_value(l)
+            continue
+        expected = oracles.c_from_d_sum(r, p, l, point.d_value, czero)
+        assert gen.c(l) == oracles.c_from_d_sum(r, p, l, gen.d, gen.zero)
+        assert gen.c(l) is gen.c(l + r)  # one memo entry per class
+        assert specialize(gen.c(l), point) == expected
+        assert point.c_value(l) == expected
+    ds = [point.d_value(j) for j in range(r // p)]
+    assert c_from_d(r, p, ds) == [
+        oracles.c_from_d_sum(r, p, t * p, ds.__getitem__, czero)
+        for t in range(1, r // p)]
+
+
+def test_ratfunc_normal_form_is_pinned():
+    # (str(num), str(den)) as the package printed them before the normal
+    # form had one definition
+    ring = GenericParameters(3, 1).ring
+    k, c0, d1 = (ring.gen(v) for v in range(3))
+    two = ring.const(Cyc.from_rational(3, 2))
+    z = ring.const(Cyc.root(3, 1))
+    a = RatFunc(ring.one(), k * (k + c0))
+    cases = [
+        (RatFunc(ring.zero(), k * two + c0), ("0", "1")),
+        (RatFunc(k + c0, k * two + c0), ("1/2*k + 1/2*c0", "k + 1/2*c0")),
+        (RatFunc(k * two + c0, d1 + k).inverse(),
+         ("1/2*k + 1/2*d1", "k + 1/2*c0")),
+        (RatFunc(z * k + c0, ring.one()).inverse(),
+         ("(-1 - z)", "k + (-1 - z)*c0")),
+        (a - a, ("0", "1")),
+        (a + a, ("2", "k^2 + k*c0")),
+        (RatFunc(ring.zero(), ring.one()) * RatFunc(ring.one(), k),
+         ("0", "1")),
+    ]
+    for f, pinned in cases:
+        assert (str(f.num), str(f.den)) == pinned
