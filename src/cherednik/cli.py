@@ -75,12 +75,11 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-# the config-file keys each subcommand reads; jack also accepts max_deg
-# (validated, unused) so that existing jack config files keep working
+# the config-file keys each subcommand reads
 _POINT_KEYS = ("mode", "c0", "kappa", "cdiag")
 _CONFIG_KEYS = {
     "gordon": ("group", "truncation", "bound"),
-    "jack": ("group", "mu", *_POINT_KEYS, "max_deg"),
+    "jack": ("group", "mu", *_POINT_KEYS),
     "verify": ("group", *_POINT_KEYS, "max_deg", "suite"),
 }
 
@@ -109,6 +108,30 @@ def _merge(args, cfg: dict, key: str, conv=str, default=None):
     return default
 
 
+def _build_point(args, cfg: dict, r: int, p: int, n: int):
+    """The point that --c0 (with --kappa and --cdiag) or --gordon-point
+    picks, or None; a flag that would be ignored is an error."""
+    c0 = _merge(args, cfg, "c0", _parse_fraction)
+    kappa = _merge(args, cfg, "kappa", _parse_fraction)
+    cdiag = _merge(args, cfg, "cdiag", str)
+    if c0 is None:
+        for name, val in (("kappa", kappa), ("cdiag", cdiag)):
+            if val is not None:
+                raise ValueError(f"--{name} specializes only together "
+                                 "with --c0")
+    if getattr(args, "gordon_point", False):
+        if c0 is not None:
+            raise ValueError("--gordon-point and --c0 pick different "
+                             "points; give one")
+        return gordon_point(r, p, n)
+    if c0 is None:
+        return None
+    cvals = [Fraction(t) for t in cdiag.split(",")] if cdiag \
+        else [Fraction(0)] * (r // p - 1)
+    return ParamPoint.from_c(r, p, Fraction(1) if kappa is None else kappa,
+                             c0, cvals)
+
+
 def _build_config(args) -> JobConfig:
     cfg = _read_config(args.config, _CONFIG_KEYS[args.command]) \
         if args.config else {}
@@ -123,22 +146,15 @@ def _build_config(args) -> JobConfig:
            for m in (getattr(args, "mu", None) or [])]
     if not mus and "mu" in cfg:
         mus = [tuple(int(t) for t in cfg["mu"].split(","))]
-    mode = _merge(args, cfg, "mode", str, "generic")
-    point = None
-    if getattr(args, "gordon_point", False):
+    mode = _merge(args, cfg, "mode", str)
+    point = _build_point(args, cfg, r, p, n)
+    if point is not None:
+        if mode == "generic":
+            raise ValueError("--mode generic contradicts a parameter point "
+                             "(--c0 or --gordon-point)")
         mode = "specialized"
-        point = gordon_point(r, p, n)
-    else:
-        c0 = _merge(args, cfg, "c0", _parse_fraction)
-        if c0 is not None:
-            kappa = _merge(args, cfg, "kappa", _parse_fraction, Fraction(1))
-            cdiag_txt = _merge(args, cfg, "cdiag", str)
-            cdiag = [Fraction(t) for t in cdiag_txt.split(",")] \
-                if cdiag_txt else [Fraction(0)] * (r // p - 1)
-            point = ParamPoint.from_c(r, p, kappa, c0, cdiag)
-            mode = "specialized"
     job = JobConfig(
-        r=r, p=p, n=n, mode=mode, point=point, mus=mus,
+        r=r, p=p, n=n, mode=mode or "generic", point=point, mus=mus,
         max_deg=int(_merge(args, cfg, "max_deg", int, 4)),
         truncation=int(_merge(args, cfg, "truncation", int, 12)),
         bound=_merge(args, cfg, "bound", int),

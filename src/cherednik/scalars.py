@@ -12,10 +12,19 @@ Two modes behind one arithmetic interface:
 Rational functions are kept gcd-reduced with the denominator normalized to
 leading coefficient 1 (graded-lex), so equality is structural.  That makes
 eigenvalue comparisons decidable, which the eigenbasis construction relies on.
+
+The eigenbasis and the intertwiners divide only by weight differences, which
+are linear forms.  A :class:`RatFunc` keeps the split of its denominator into
+monic linear forms whenever it knows it; sums and products of such values
+reduce by trial division by those factors, since a numerator that no factor
+divides is coprime to their product.  A denominator with no known split (the
+inverse of a nonlinear numerator) falls back to the general gcd
+:func:`mp_gcd`.  Both paths give the same canonical form.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -434,21 +443,27 @@ def mp_gcd(f: MPoly, g: MPoly) -> MPoly:
 
 
 class RatFunc:
-    """num/den over Q(zeta_r)[params], gcd-reduced, den monic (graded-lex)."""
+    """num/den over Q(zeta_r)[params], gcd-reduced, den monic (graded-lex).
 
-    __slots__ = ("num", "den")
+    ``split`` is the factorisation of ``den`` into monic linear forms when
+    it is known (a :class:`_Split`), or None.  When both operands know
+    theirs, ``+`` and ``*`` reduce by trial division by those factors; any
+    other operand takes the general ``mp_gcd`` path.
+    """
 
-    def __init__(self, num: MPoly, den: MPoly, *, _reduced: bool = False):
+    __slots__ = ("num", "den", "split")
+
+    def __init__(self, num: MPoly, den: MPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not _reduced:
-            if not num.is_zero():
-                g = mp_gcd(num, den)
-                if not g.is_one():
-                    num, den = num.divexact(g), den.divexact(g)
-            num, den = _normal_form(num, den)
+        if not num.is_zero():
+            g = mp_gcd(num, den)
+            if not g.is_one():
+                num, den = num.divexact(g), den.divexact(g)
+        num, den = _normal_form(num, den)
         self.num = num
         self.den = den
+        self.split = _linear_split(den)
 
     # -- coercion ------------------------------------------------------------
 
@@ -459,10 +474,9 @@ class RatFunc:
             return other
         ring = self.num.ring
         if isinstance(other, Cyc):
-            return RatFunc(ring.const(other), ring.one(), _reduced=True)
+            return _polynomial(ring.const(other))
         if isinstance(other, (int, Fraction)) or type(other) is type(Q(0)):
-            return RatFunc(ring.const(Cyc.from_rational(ring.r, other)),
-                           ring.one(), _reduced=True)
+            return _polynomial(ring.const(Cyc.from_rational(ring.r, other)))
         return None
 
     # -- arithmetic ------------------------------------------------------------
@@ -472,23 +486,27 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num + o.num, self.den, _reduced=True)
+            return _rf(self.num + o.num, self.den, _NO_SPLIT)
+        if self.split is not None and o.split is not None:
+            return _add_split(self, o)
         g0 = mp_gcd(self.den, o.den)
         if g0.is_one():
             num = self.num * o.den + o.num * self.den
-            return RatFunc(num, self.den * o.den, _reduced=not num.is_zero())
-        d2r = o.den.divexact(g0)
-        num = self.num * d2r + o.num * self.den.divexact(g0)
-        den = self.den * d2r
-        g = mp_gcd(num, g0)
-        if not g.is_one():
-            num, den = num.divexact(g), den.divexact(g)
-        return RatFunc(*_normal_form(num, den), _reduced=True)
+            den = self.den * o.den
+        else:
+            d2r = o.den.divexact(g0)
+            num = self.num * d2r + o.num * self.den.divexact(g0)
+            den = self.den * d2r
+            g = mp_gcd(num, g0)
+            if not g.is_one():
+                num, den = num.divexact(g), den.divexact(g)
+        num, den = _normal_form(num, den)
+        return _rf(num, den, _linear_split(den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _reduced=True)
+        return _rf(-self.num, self.den, self.split)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -507,26 +525,29 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num * o.num, self.den, _reduced=True)
+            return _rf(self.num * o.num, self.den, _NO_SPLIT)
+        if self.split is not None and o.split is not None:
+            return _mul_split(self, o)
         g1 = mp_gcd(self.num, o.den)
         g2 = mp_gcd(o.num, self.den)
         num = self.num.divexact(g1) * o.num.divexact(g2)
         den = self.den.divexact(g2) * o.den.divexact(g1)
-        return RatFunc(*_normal_form(num, den), _reduced=True)
+        num, den = _normal_form(num, den)
+        return _rf(num, den, _linear_split(den))
 
     __rmul__ = __mul__
 
     def cmul(self, c: Cyc) -> "RatFunc":
         """Fast scale by a cyclotomic unit (or zero)."""
         if not c:
-            return RatFunc(self.num.ring.zero(), self.num.ring.one(),
-                           _reduced=True)
-        return RatFunc(self.num.mul_cyc(c), self.den, _reduced=True)
+            return _polynomial(self.num.ring.zero())
+        return _rf(self.num.mul_cyc(c), self.den, self.split)
 
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(*_normal_form(self.den, self.num), _reduced=True)
+        num, den = _normal_form(self.den, self.num)
+        return _rf(num, den, _linear_split(den))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -541,8 +562,7 @@ class RatFunc:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        ring = self.num.ring
-        out = RatFunc(ring.one(), ring.one(), _reduced=True)
+        out = _polynomial(self.num.ring.one())
         base = self.inverse() if n < 0 else self
         n = abs(n)
         while n:
@@ -581,6 +601,53 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
+class _Split:
+    """A denominator as a product of monic linear forms: ``forms`` maps each
+    form to its multiplicity, ``den`` is the expanded product.  Splits are
+    interned while some value holds them, so equal denominators share one
+    expanded polynomial, multiplied out once."""
+
+    __slots__ = ("forms", "den", "__weakref__")
+
+    def __init__(self, forms: dict, den):
+        self.forms = forms
+        self.den = den
+
+
+_NO_SPLIT = _Split({}, None)  # den = 1
+_SPLITS = weakref.WeakValueDictionary()  # frozenset of forms -> _Split
+
+
+def _intern(forms: dict, ring: ParamRing) -> _Split:
+    """The split with these forms (at least one)."""
+    key = frozenset(forms.items())
+    got = _SPLITS.get(key)
+    if got is None:
+        got = _SPLITS[key] = _Split(forms, _times(ring.one(), forms))
+    return got
+
+
+def _rf(num: MPoly, den: MPoly, split) -> RatFunc:
+    """A RatFunc from parts already in normal form, with den's split."""
+    out = object.__new__(RatFunc)
+    out.num = num
+    out.den = den
+    out.split = split
+    return out
+
+
+def _polynomial(num: MPoly) -> RatFunc:
+    return _rf(num, num.ring.one(), _NO_SPLIT)
+
+
+def _factored(num: MPoly, forms: dict) -> RatFunc:
+    """num over the product of forms, which num is coprime to."""
+    if not forms:
+        return _polynomial(num)
+    split = _intern(forms, num.ring)
+    return _rf(num, split.den, split)
+
+
 def _normal_form(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     """Scale coprime num/den so den is monic; zero becomes 0/1."""
     if num.is_zero():
@@ -590,6 +657,128 @@ def _normal_form(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
         inv = lc.inverse()
         num, den = num.mul_cyc(inv), den.mul_cyc(inv)
     return num, den
+
+
+def _linear_split(den: MPoly):
+    """The split of a monic denominator that shows on its face: no factor
+    for 1, itself for a linear form, None (unknown) for anything else."""
+    if den.is_one():
+        return _NO_SPLIT
+    if den.total_degree() == 1:
+        return _intern({den: 1}, den.ring)
+    return None
+
+
+def _div_linear(p: MPoly, f: MPoly):
+    """p / f for a monic linear form f, or None when f does not divide p.
+
+    f = x_v + g with g free of x_v, so this is synthetic division in x_v,
+    from the top x_v-degree down; the x_v-free remainder must vanish.
+    """
+    if not p.terms:
+        return p
+    lead, _ = f.lead()
+    v = lead.index(1)
+    g = [(e, c) for e, c in f.terms.items() if e != lead]
+    layers: dict[int, dict] = {}
+    for e, c in p.terms.items():
+        layers.setdefault(e[v], {})[e] = c
+    quot: dict = {}
+    for d in range(max(layers), 0, -1):
+        layer = layers.pop(d, None)
+        if not layer:
+            continue
+        below = layers.setdefault(d - 1, {})
+        for e, c in layer.items():
+            qe = e[:v] + (d - 1,) + e[v + 1:]
+            quot[qe] = c
+            for ge, gc in g:
+                t = tuple(a + b for a, b in zip(qe, ge))
+                s = below.get(t)
+                s = -(c * gc) if s is None else s - c * gc
+                if s:
+                    below[t] = s
+                else:
+                    below.pop(t, None)
+    if layers.get(0):
+        return None
+    return MPoly(p.ring, quot)
+
+
+def _times(p: MPoly, forms: dict) -> MPoly:
+    """p times the product of f^k for f, k in forms."""
+    for f, k in forms.items():
+        for _ in range(k):
+            p = p * f
+    return p
+
+
+def _adjust(base: dict, more: dict, less: dict) -> dict:
+    """The multiset base + more - less."""
+    out = dict(base)
+    for f, m in more.items():
+        out[f] = out.get(f, 0) + m
+    for f, k in less.items():
+        if out[f] == k:
+            del out[f]
+        else:
+            out[f] -= k
+    return out
+
+
+def _strip(num: MPoly, forms: dict, skip: dict) -> tuple[MPoly, dict]:
+    """Divide num by each factor of forms outside skip, as often as it goes
+    up to the factor's multiplicity; the quotient and the factors taken."""
+    off = {}
+    for f, m in forms.items():
+        if f in skip:
+            continue
+        k = 0
+        while k < m:
+            q = _div_linear(num, f)
+            if q is None:
+                break
+            num = q
+            k += 1
+        if k:
+            off[f] = k
+    return num, off
+
+
+def _add_split(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a + b over the lcm of two factored denominators.
+
+    A linear factor is prime, and a reduced numerator has none of its
+    denominator's factors.  So a factor one denominator has more often than
+    the other divides exactly one of the two scaled numerators and not their
+    sum: only factors of equal multiplicity in both can cancel.
+    """
+    fa, fb = a.split.forms, b.split.forms
+    up_a: dict = {}  # lcm / a.den as a multiset
+    even: dict = {}
+    for f, m in fb.items():
+        ma = fa.get(f, 0)
+        if m > ma:
+            up_a[f] = m - ma
+        elif m == ma:
+            even[f] = m
+    up_b = {f: m - fb.get(f, 0) for f, m in fa.items() if m > fb.get(f, 0)}
+    num = _times(a.num, up_a) + _times(b.num, up_b)
+    if num.is_zero():
+        return _polynomial(num)
+    num, off = _strip(num, even, {})
+    return _factored(num, _adjust(fa, up_a, off))
+
+
+def _mul_split(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a * b for factored denominators: each numerator sheds the other's
+    factors (a reduced numerator has none of its own)."""
+    if a.num.is_zero() or b.num.is_zero():
+        return _polynomial(a.num.ring.zero())
+    fa, fb = a.split.forms, b.split.forms
+    na, off_b = _strip(a.num, fb, fa)
+    nb, off_a = _strip(b.num, fa, fb)
+    return _factored(na * nb, _adjust(fa, fb, {**off_a, **off_b}))
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +817,13 @@ class GenericParameters:
         m = r // p - 1
         names = ("k", "c0") + tuple(f"d{j}" for j in range(1, m + 1))
         self.ring = param_ring(r, names)
-        one = self.ring.one()
-        self.kappa = RatFunc(self.ring.gen(0), one, _reduced=True)
-        self.c0 = RatFunc(self.ring.gen(1), one, _reduced=True)
+        self.kappa = _polynomial(self.ring.gen(0))
+        self.c0 = _polynomial(self.ring.gen(1))
         dpolys = [self.ring.gen(2 + j) for j in range(m)]
         d0 = self.ring.zero()
         for q in dpolys:
             d0 = d0 - q
-        self._d = [RatFunc(q, one, _reduced=True) for q in [d0] + dpolys]
+        self._d = [_polynomial(q) for q in [d0] + dpolys]
         self._c: dict[int, RatFunc] = {}
 
     def d(self, j: int) -> RatFunc:
@@ -652,18 +840,18 @@ class GenericParameters:
         return self.embed(Cyc.root(self.r, k))
 
     def embed(self, c: Cyc) -> RatFunc:
-        return RatFunc(self.ring.const(c), self.ring.one(), _reduced=True)
+        return _polynomial(self.ring.const(c))
 
     def rational(self, a, b=1) -> RatFunc:
         return self.embed(Cyc.from_rational(self.r, a, b))
 
     @property
     def zero(self) -> RatFunc:
-        return RatFunc(self.ring.zero(), self.ring.one(), _reduced=True)
+        return _polynomial(self.ring.zero())
 
     @property
     def one(self) -> RatFunc:
-        return RatFunc(self.ring.one(), self.ring.one(), _reduced=True)
+        return _polynomial(self.ring.one())
 
     def __repr__(self):
         return f"GenericParameters(r={self.r}, p={self.p})"

@@ -179,7 +179,7 @@ def test_gordon_reaches_larger_groups(capsys, group):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
-    cfg.write_text("group=2,1,2\nmu=1,0\nmax_deg=2\n")
+    cfg.write_text("group=2,1,2\nmu=1,0\n")
     code, out, _ = run_cli(capsys, "jack", "--config", str(cfg))
     assert code == 0 and "f_(1,0)" in out
     # flags win over the file
@@ -211,6 +211,7 @@ def test_gordon_takes_no_parameter_flags(capsys, flag):
     ("gordon", "c0=1", "c0"), ("gordon", "suite=pbw", "suite"),
     ("gordon", "mu=1,0", "mu"), ("gordon", "max_deg=3", "max_deg"),
     ("jack", "bound=5", "bound"), ("jack", "truncation=5", "truncation"),
+    ("jack", "max_deg=3", "max_deg"),
     ("verify", "mu=1,0", "mu"), ("verify", "bound=5", "bound"),
 ])
 def test_config_keys_are_per_subcommand(tmp_path, capsys, command, line,
@@ -220,6 +221,68 @@ def test_config_keys_are_per_subcommand(tmp_path, capsys, command, line,
     code, out, err = run_cli(capsys, command, "--config", str(cfg))
     assert code == 2 and out == ""
     assert f"unknown config key '{key}'" in err
+
+
+def _point_job(command, *flags):
+    tail = ["--mu", "1,0"] if command == "jack" else ["--max-deg", "1"]
+    return [command, "--group", "3,1,2", *flags, *tail, "--json"]
+
+
+_IGNORED_POINT = [
+    (["--cdiag", "1"], "--cdiag specializes only together with --c0"),
+    (["--kappa", "2"], "--kappa specializes only together with --c0"),
+    (["--gordon-point", "--kappa", "2"],
+     "--kappa specializes only together with --c0"),
+    (["--mode", "generic", "--c0", "1"], "--mode generic contradicts"),
+    (["--mode", "generic", "--gordon-point"], "--mode generic contradicts"),
+    (["--gordon-point", "--c0", "1"], "--gordon-point and --c0"),
+]
+
+
+@pytest.mark.parametrize("command", ["jack", "verify"])
+@pytest.mark.parametrize("flags,reason", _IGNORED_POINT, ids=[
+    "cdiag", "kappa", "gordon-kappa", "generic-c0", "generic-gordon",
+    "gordon-c0"])
+def test_point_flags_that_would_be_ignored_exit_2(capsys, command, flags,
+                                                  reason):
+    code, out, err = run_cli(capsys, *_point_job(command, *flags))
+    assert code == 2 and out == ""
+    assert reason in err
+
+
+@pytest.mark.parametrize("command", ["jack", "verify"])
+@pytest.mark.parametrize("lines,flags,reason", [
+    ("cdiag=1", [], "--cdiag specializes only together with --c0"),
+    ("kappa=2", [], "--kappa specializes only together with --c0"),
+    ("mode=generic\nc0=1", [], "--mode generic contradicts"),
+    ("mode=generic", ["--c0", "1"], "--mode generic contradicts"),
+    ("c0=1", ["--gordon-point"], "--gordon-point and --c0"),
+], ids=["cdiag", "kappa", "generic-c0", "generic-flag-c0", "flag-gordon-c0"])
+def test_point_keys_that_would_be_ignored_exit_2(tmp_path, capsys, command,
+                                                 lines, flags, reason):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(lines + "\n")
+    code, out, err = run_cli(capsys, *_point_job(command, "--config",
+                                                  str(cfg), *flags))
+    assert code == 2 and out == ""
+    assert reason in err
+
+
+def test_kappa_and_cdiag_specialize_with_c0(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("c0=1/3\nkappa=2\n")
+    runs = [_point_job("jack", "--c0", "1/3", "--kappa", "2", "--cdiag",
+                       "1/5,1/7"),
+            _point_job("jack", "--mode", "specialized", "--c0", "1/3"),
+            _point_job("jack", "--config", str(cfg), "--cdiag", "1/5,1/7")]
+    zs = []
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["mode"] == "specialized"
+        zs.append(data["eigenvectors"][0]["weight"]["z"])
+    assert zs[0] == zs[2] != zs[1]
 
 
 def test_gordon_config_file_with_its_own_keys(tmp_path, capsys):

@@ -232,3 +232,25 @@ def test_jack_json_export():
     assert data["mu"] == [2, 1]
     assert set(data["weight"]) == {"z", "zeta"}
     assert all(set(t) == {"exp", "coeff"} for t in data["terms"])
+
+
+@pytest.mark.parametrize("group,mu", [((1, 1, 4), (2, 4, 1, 1)),
+                                      ((3, 3, 4), (6, 3, 3, 0))])
+def test_generic_eigenbasis_makes_no_gcd_call(monkeypatch, group, mu):
+    # every division is by a weight difference, a linear form, so the
+    # factored denominators reduce without the general gcd
+    from cherednik import scalars
+    calls = []
+    real = scalars.mp_gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(scalars, "mp_gcd", counting)
+    rep = PolyRep(*group)
+    assert jack_by_solve(rep, mu).poly == jack_by_intertwiners(rep, mu).poly
+    assert calls == []
+    k = rep.params.ring.gen(0)
+    scalars.RatFunc(k, k * k)  # the counter sees the general path
+    assert calls

@@ -1,6 +1,7 @@
 """Parameter scalars: rational functions, the d/c reparametrization,
 specialization, and canonical forms."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 import oracles
 from cherednik import (
     Cyc, GenericParameters, ParamPoint, PoleError, RatFunc,
-    SpecializedParameters, c_from_d, cyc, d_from_c, specialize,
+    SpecializedParameters, c_from_d, cyc, d_from_c, specialize, weight_of,
 )
+from cherednik import scalars as scalar_layer
+from cherednik.operators import monomials_of_degree
 from cherednik.parsing import parse_scalar
 from cherednik.reptheory import gordon_point
 
@@ -87,8 +90,12 @@ def test_specialize_gordon_d_difference():
 
 @st.composite
 def scalars(draw, par):
+    # the last atom has a factored denominator (a linear form), the one
+    # before a denominator with no known split
     atoms = [par.kappa, par.c0, par.d(1), par.one, par.rational(2),
-             par.rational(-1, 3), par.zeta(1)]
+             par.rational(-1, 3), par.zeta(1),
+             par.one / (par.kappa * par.kappa + par.c0),
+             par.c0 / (par.kappa - par.c0)]
     val = draw(st.sampled_from(atoms))
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(["+", "*", "-"]))
@@ -216,3 +223,138 @@ def test_ratfunc_normal_form_is_pinned():
     ]
     for f, pinned in cases:
         assert (str(f.num), str(f.den)) == pinned
+
+
+# ---------------------------------------------------------------------------
+# factored denominators against the general gcd path
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    calls = []
+    real = scalar_layer.mp_gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(scalar_layer, "mp_gcd", counting)
+    return calls
+
+
+def _weight_differences(r, p, n, count=5):
+    """Distinct nonzero z-weight differences of compositions of size 3."""
+    par = GenericParameters(r, p)
+    zs = [weight_of(mu, par).zvals for mu in monomials_of_degree(n, 3)]
+    out = []
+    for a, b in itertools.combinations(zs, 2):
+        for x, y in zip(a, b):
+            if x != y and x - y not in out:
+                out.append(x - y)
+    return par, out[:count]
+
+
+def _factored_pool(par, diffs):
+    """Quotients by weight differences, one division per factor (as the
+    eigenbasis divides): single, two distinct and repeated factors, and
+    numerators that share a factor with another value."""
+    k, c0 = par.kappa, par.c0
+    pool = []
+    for j, d in enumerate(diffs):
+        e = diffs[j - 1]
+        pool += [par.one / d, (k + par.rational(j)) / d / e,
+                 (c0 - par.rational(1, j + 2)) / d / d, e / d, d * k]
+    return pool
+
+
+def _oracle(num, den):
+    return RatFunc(num, den)  # reduced by mp_gcd
+
+
+def _assert_same(got, want):
+    assert (got.num, got.den) == (want.num, want.den)
+    assert str(got) == str(want)
+
+
+def _assert_split(f):
+    """f.split is a multiset of monic linear forms whose product is f.den."""
+    assert f.split is not None
+    prod = f.num.ring.one()
+    for g, m in f.split.forms.items():
+        assert g.total_degree() == 1 and g.monic() == g and m > 0
+        for _ in range(m):
+            prod = prod * g
+    assert prod == f.den
+
+
+@pytest.mark.parametrize("group", [(1, 1, 4), (2, 1, 3), (3, 3, 3)])
+def test_factored_path_matches_the_gcd_path(group, gcd_calls):
+    par, diffs = _weight_differences(*group)
+    pool = _factored_pool(par, diffs)
+    for f in pool:
+        _assert_split(f)
+    pairs = list(itertools.combinations_with_replacement(pool, 2))
+    sums = [a + b for a, b in pairs]
+    products = [a * b for a, b in pairs]
+    quotients = [a / d for a in pool for d in diffs]
+    assert gcd_calls == []
+    want = [_oracle(a.num * b.den + b.num * a.den, a.den * b.den)
+            for a, b in pairs]
+    want += [_oracle(a.num * b.num, a.den * b.den) for a, b in pairs]
+    want += [_oracle(a.num, a.den * d.num) for a in pool for d in diffs]
+    for got, w in zip(sums + products + quotients, want, strict=True):
+        _assert_split(got)
+        _assert_same(got, w)
+
+
+def test_factored_path_cancels_and_falls_back(gcd_calls):
+    par = GenericParameters(2, 1)
+    k, c0, one = par.kappa, par.c0, par.one
+    f, g = k - c0, k + par.d(1)
+    got = [
+        # repeated factors
+        f ** -3 * f ** 2, k / f / f - c0 / f / f, one / f / f / g * (f * g),
+        # full cancellation and zero sums
+        one / f / g * (f * g), one / f + one / g - (f + g) / f / g,
+        k / f - k / f,
+    ]
+    assert gcd_calls == []
+    want = [_oracle(one.num, f.num)] * 3 + [one, par.zero, par.zero]
+    for x, w in zip(got, want, strict=True):
+        _assert_split(x)
+        _assert_same(x, w)
+    # an operand with no known split takes the general path
+    a, b = one / (k * k + c0), one / f
+    assert a.split is None
+    gcd_calls.clear()
+    got = [a + b, a * b, b / a]
+    assert gcd_calls
+    want = [_oracle(a.num * b.den + b.num * a.den, a.den * b.den),
+            _oracle(a.num * b.num, a.den * b.den),
+            _oracle(b.num * a.den, b.den * a.num)]
+    for x, w in zip(got, want, strict=True):
+        _assert_same(x, w)
+
+
+@pytest.mark.parametrize("group", [(1, 1, 4), (2, 1, 3)])
+def test_factored_path_against_sympy_cancel(group):
+    sympy = pytest.importorskip("sympy")
+    par, diffs = _weight_differences(*group, count=2)
+    pool = _factored_pool(par, diffs)
+
+    def expr(text):
+        return sympy.sympify(text.replace("^", "**"))
+
+    for a, b in itertools.combinations(pool, 2):
+        x, y = expr(str(a)), expr(str(b))
+        for got, want in [(a + b, x + y), (a * b, x * y)]:
+            num, den = expr(str(got.num)), expr(str(got.den))
+            assert sympy.cancel(num / den - want) == 0
+            assert sympy.gcd(num, den).is_number
+    for a in pool:
+        for d in diffs:
+            got = a / d
+            num, den = expr(str(got.num)), expr(str(got.den))
+            assert sympy.cancel(num / den - expr(str(a)) / expr(str(d))) == 0
+            assert sympy.gcd(num, den).is_number
