@@ -108,30 +108,6 @@ def _merge(args, cfg: dict, key: str, conv=str, default=None):
     return default
 
 
-def _build_point(args, cfg: dict, r: int, p: int, n: int):
-    """The point that --c0 (with --kappa and --cdiag) or --gordon-point
-    picks, or None; a flag that would be ignored is an error."""
-    c0 = _merge(args, cfg, "c0", _parse_fraction)
-    kappa = _merge(args, cfg, "kappa", _parse_fraction)
-    cdiag = _merge(args, cfg, "cdiag", str)
-    if c0 is None:
-        for name, val in (("kappa", kappa), ("cdiag", cdiag)):
-            if val is not None:
-                raise ValueError(f"--{name} specializes only together "
-                                 "with --c0")
-    if getattr(args, "gordon_point", False):
-        if c0 is not None:
-            raise ValueError("--gordon-point and --c0 pick different "
-                             "points; give one")
-        return gordon_point(r, p, n)
-    if c0 is None:
-        return None
-    cvals = [Fraction(t) for t in cdiag.split(",")] if cdiag \
-        else [Fraction(0)] * (r // p - 1)
-    return ParamPoint.from_c(r, p, Fraction(1) if kappa is None else kappa,
-                             c0, cvals)
-
-
 def _build_config(args) -> JobConfig:
     cfg = _read_config(args.config, _CONFIG_KEYS[args.command]) \
         if args.config else {}
@@ -147,11 +123,29 @@ def _build_config(args) -> JobConfig:
     if not mus and "mu" in cfg:
         mus = [tuple(int(t) for t in cfg["mu"].split(","))]
     mode = _merge(args, cfg, "mode", str)
-    point = _build_point(args, cfg, r, p, n)
-    if point is not None:
-        if mode == "generic":
-            raise ValueError("--mode generic contradicts a parameter point "
-                             "(--c0 or --gordon-point)")
+    c0 = _merge(args, cfg, "c0", _parse_fraction)
+    kappa = _merge(args, cfg, "kappa", _parse_fraction)
+    cdiag = _merge(args, cfg, "cdiag", str)
+    at_gordon = getattr(args, "gordon_point", False)
+    # a point flag that would be ignored is an error
+    for name, val in (("kappa", kappa), ("cdiag", cdiag)):
+        if c0 is None and val is not None:
+            raise ValueError(f"--{name} specializes only together with --c0")
+    if at_gordon and c0 is not None:
+        raise ValueError("--gordon-point and --c0 pick different points; "
+                         "give one")
+    if mode == "generic" and (at_gordon or c0 is not None):
+        raise ValueError("--mode generic contradicts a parameter point "
+                         "(--c0 or --gordon-point)")
+    point = None
+    if at_gordon:
+        mode = "specialized"
+        point = gordon_point(r, p, n)
+    elif c0 is not None:
+        cvals = [Fraction(t) for t in cdiag.split(",")] if cdiag \
+            else [Fraction(0)] * (r // p - 1)
+        point = ParamPoint.from_c(
+            r, p, Fraction(1) if kappa is None else kappa, c0, cvals)
         mode = "specialized"
     job = JobConfig(
         r=r, p=p, n=n, mode=mode or "generic", point=point, mus=mus,
