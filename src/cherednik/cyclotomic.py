@@ -6,34 +6,30 @@ cyclotomic polynomial and phi is Euler's totient.  Working modulo Phi_r
 (rather than x^r - 1) makes the quotient a field with a canonical form, so
 equality of elements is equality of coefficient vectors.
 
-Rationals are gmpy2.mpq when available (much faster), else Fraction.
+The coordinates are kept as a tuple of Python ints ``num`` over one positive
+int ``den``, with ``gcd(den, *num) == 1``.  Phi_r is monic with integer
+coefficients, so reducing a product modulo Phi_r stays in the integers, and
+only a result with ``den != 1`` needs a gcd.
 
 >>> z = Cyc.root(4, 1)
 >>> z * z
 Cyc(4, [-1, 0])
 >>> (1 + z) * (1 + z**3)
 Cyc(4, [2, 0])
+>>> Cyc(3, [Q(1, 2), Q(-1, 3)]).num, Cyc(3, [Q(1, 2), Q(-1, 3)]).den
+((3, -2), 6)
 """
 
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
-from typing import Union
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Q
-
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 __all__ = ["Q", "Cyc", "cyclotomic_polynomial", "euler_phi"]
 
-Rat = Union[int, Fraction, type(Q(1))]
-
-_Q0 = Q(0)
-_Q1 = Q(1)
+Q = Fraction  # the rational type of the package
 
 
 def _divexact_int(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -79,63 +75,106 @@ def euler_phi(r: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ctx(r: int):
-    """Per-r tables: (phi, rows) with rows[k] = coordinates of x^k mod Phi_r."""
+    """Per-r tables: (phi, rows, folds).
+
+    rows[k] holds the integer coordinates of x^k mod Phi_r for k < max(r, 2 phi - 1);
+    folds[k - phi] lists the nonzero (m, rows[k][m]) for phi <= k <= 2 phi - 2,
+    the degrees a product of two reduced elements reaches.
+    """
     coeffs = cyclotomic_polynomial(r)
     phi = len(coeffs) - 1
-    top = tuple(-Q(c) for c in coeffs[:phi])  # x^phi mod Phi_r
-    rows: list[tuple] = []
+    top = tuple(-c for c in coeffs[:phi])  # x^phi mod Phi_r
+    rows: list[tuple[int, ...]] = []
     for k in range(max(r, 2 * phi - 1)):
         if k < phi:
-            rows.append(tuple(_Q1 if i == k else _Q0 for i in range(phi)))
+            rows.append(tuple(int(i == k) for i in range(phi)))
         else:
             prev = rows[k - 1]
-            shifted = (_Q0,) + prev[: phi - 1]
             carry = prev[phi - 1]
-            if carry:
-                rows.append(tuple(s + carry * t for s, t in zip(shifted, top)))
-            else:
-                rows.append(shifted)
-    return phi, tuple(rows)
+            rows.append(tuple(s + carry * t
+                              for s, t in zip((0,) + prev[:phi - 1], top)))
+    folds = tuple(tuple((m, t) for m, t in enumerate(rows[k]) if t)
+                  for k in range(phi, 2 * phi - 1))
+    return phi, tuple(rows), folds
+
+
+_new = object.__new__
+
+
+def _cyc(r: int, num: tuple[int, ...], den: int = 1) -> "Cyc":
+    """The Cyc num/den (den > 0), cancelling a common factor when den != 1."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    v = _new(Cyc)
+    v.r = r
+    v.num = num
+    v.den = den
+    return v
+
+
+def _rational(r: int, q) -> "Cyc":
+    """The rational q (an int or a Fraction) as an element of Q(zeta_r)."""
+    phi = _ctx(r)[0]
+    if isinstance(q, int):
+        return _cyc(r, (q,) + (0,) * (phi - 1))
+    if isinstance(q, Fraction):
+        return _cyc(r, (q.numerator,) + (0,) * (phi - 1), q.denominator)
+    raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
 
 
 class Cyc:
     """An element of Q(zeta_r), in canonical reduced-basis form."""
 
-    __slots__ = ("r", "co")
+    __slots__ = ("r", "num", "den")
 
     def __init__(self, r: int, co):
+        """The element with rational coordinates co (ints or Fractions),
+        one for each of 1, zeta, ..., zeta^{phi(r)-1}."""
+        co = tuple(co)
+        phi = _ctx(r)[0]
+        if len(co) != phi:
+            raise ValueError(f"Q(zeta_{r}) needs {phi} coordinates, got {len(co)}")
+        den = 1
+        for c in co:
+            if isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(
+                    f"coordinates must be int or Fraction, got {type(c).__name__}")
+        # den is the lcm of the denominators, so it is coprime to the numerators
         self.r = r
-        self.co = tuple(co)
+        self.num = tuple(int(c * den) for c in co)
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, r: int) -> "Cyc":
-        phi, _ = _ctx(r)
-        return cls(r, (_Q0,) * phi)
+        return _rational(r, 0)
 
     @classmethod
     def one(cls, r: int) -> "Cyc":
-        return cls.from_rational(r, 1)
+        return _rational(r, 1)
 
     @classmethod
     def from_rational(cls, r: int, a, b=1) -> "Cyc":
-        phi, _ = _ctx(r)
-        return cls(r, (Q(a) if b == 1 else Q(a) / Q(b),) + (_Q0,) * (phi - 1))
+        return _rational(r, a if b == 1 else Fraction(a, b))
 
     @classmethod
     def root(cls, r: int, k: int) -> "Cyc":
         """zeta_r^k, reduced; periodic in k with period r."""
-        phi, rows = _ctx(r)
-        return cls(r, rows[k % r])
+        return _cyc(r, _ctx(r)[1][k % r])
 
     def _coerce(self, other):
         if isinstance(other, Cyc):
             if other.r != self.r:
                 raise ValueError(f"mixed cyclotomic orders {self.r} and {other.r}")
             return other
-        if isinstance(other, (int, Fraction)) or type(other) is type(_Q0):
-            return Cyc.from_rational(self.r, other)
+        if isinstance(other, (int, Fraction)):
+            return _rational(self.r, other)
         return None
 
     # -- ring/field operations ---------------------------------------------
@@ -144,18 +183,22 @@ class Cyc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyc(self.r, tuple(a + b for a, b in zip(self.co, o.co)))
+        da, db = self.den, o.den
+        return _cyc(self.r, tuple(a * db + b * da
+                                  for a, b in zip(self.num, o.num)), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.r, tuple(-a for a in self.co))
+        return _cyc(self.r, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyc(self.r, tuple(a - b for a, b in zip(self.co, o.co)))
+        da, db = self.den, o.den
+        return _cyc(self.r, tuple(a * db - b * da
+                                  for a, b in zip(self.num, o.num)), da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -167,27 +210,22 @@ class Cyc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.co, o.co
-        phi, rows = _ctx(self.r)
+        a, b = self.num, o.num
+        phi = len(a)
         if phi == 1:
-            return Cyc(self.r, (a[0] * b[0],))
-        out = [_Q0] * phi
+            return _cyc(self.r, (a[0] * b[0],), self.den * o.den)
+        conv = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                c = ai * bj
-                k = i + j
-                if k < phi:
-                    out[k] += c
-                else:
-                    row = rows[k]
-                    for m in range(phi):
-                        if row[m]:
-                            out[m] += c * row[m]
-        return Cyc(self.r, out)
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        out = conv[:phi]
+        for c, fold in zip(conv[phi:], _ctx(self.r)[2]):
+            if c:
+                for m, t in fold:
+                    out[m] += c * t
+        return _cyc(self.r, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -196,26 +234,36 @@ class Cyc:
         return self * c
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse, by solving a phi x phi linear system."""
+        """Multiplicative inverse, by solving a phi x phi linear system.
+
+        The columns are the coordinates of self * zeta^j, which all share
+        self.den; fraction-free Gauss-Jordan elimination (Bareiss) solves
+        the integer system and leaves ±det on the diagonal.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi, _ = _ctx(self.r)
+        phi = len(self.num)
         if phi == 1:
-            return Cyc(self.r, (_Q1 / self.co[0],))
-        # columns: coordinates of self * zeta^j
-        cols = [(self * Cyc.root(self.r, j)).co for j in range(phi)]
-        mat = [[cols[j][i] for j in range(phi)] + [(_Q1 if i == 0 else _Q0)]
+            a = self.num[0]
+            return _cyc(self.r, (self.den if a > 0 else -self.den,), abs(a))
+        cols = [(self * Cyc.root(self.r, j)).num for j in range(phi)]
+        mat = [[cols[j][i] for j in range(phi)] + [int(i == 0)]
                for i in range(phi)]
+        prev = 1
         for c in range(phi):
             piv = next(rw for rw in range(c, phi) if mat[rw][c])
             mat[c], mat[piv] = mat[piv], mat[c]
-            inv = _Q1 / mat[c][c]
-            mat[c] = [v * inv for v in mat[c]]
+            pivot_row = mat[c]
+            p = pivot_row[c]
             for rw in range(phi):
-                if rw != c and mat[rw][c]:
+                if rw != c:
                     f = mat[rw][c]
-                    mat[rw] = [v - f * w for v, w in zip(mat[rw], mat[c])]
-        return Cyc(self.r, tuple(mat[i][phi] for i in range(phi)))
+                    mat[rw] = [(p * v - f * w) // prev
+                               for v, w in zip(mat[rw], pivot_row)]
+            prev = p
+        sign = 1 if prev > 0 else -1
+        return _cyc(self.r, tuple(sign * self.den * mat[i][phi] for i in range(phi)),
+                    sign * prev)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -244,35 +292,41 @@ class Cyc:
     # -- predicates and conversions ------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.co)
+        return any(self.num)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.co == o.co
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.r, self.co))
+        return hash((self.r, self.num, self.den))
 
     def is_rational(self) -> bool:
-        return not any(self.co[1:])
+        return not any(self.num[1:])
 
-    def rational_value(self):
+    def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.co[0]
+        return Fraction(self.num[0], self.den)
+
+    def _coordinates(self):
+        """The coordinates as ints (den == 1) or Fractions."""
+        if self.den == 1:
+            return self.num
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def __complex__(self) -> complex:
         w = cmath.exp(2j * cmath.pi / self.r)
-        return sum((float(c) * w ** k for k, c in enumerate(self.co) if c),
+        return sum((a / self.den * w ** k for k, a in enumerate(self.num) if a),
                    start=0j)
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
         parts = []
-        for k, c in enumerate(self.co):
+        for k, c in enumerate(self._coordinates()):
             if not c:
                 continue
             mono = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
@@ -293,7 +347,7 @@ class Cyc:
         return "".join(parts) if parts else "0"
 
     def __repr__(self):
-        return f"Cyc({self.r}, [{', '.join(str(c) for c in self.co)}])"
+        return f"Cyc({self.r}, [{', '.join(str(c) for c in self._coordinates())}])"
 
 
 if __name__ == "__main__":  # pragma: no cover

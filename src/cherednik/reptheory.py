@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyc, Q
+from .cyclotomic import Cyc
 from .groups import GroupElement, conjugacy_classes, group_order
 from .jack import jack_by_solve, order_lt
 from .operators import PolyRep
@@ -124,7 +124,7 @@ def on_hyperplane(point: ParamPoint, hid, n: int) -> bool:
     if not 1 <= hid.k <= n:
         raise ValueError(f"k={hid.k} out of range 1..{n}")
     lhs = point.d_value(0) - point.d_value(-hid.j) \
-        + point.c0 * Q(point.r * (n - hid.k))
+        + point.c0 * (point.r * (n - hid.k))
     return lhs == Cyc.from_rational(point.r, hid.j)
 
 
@@ -391,13 +391,13 @@ def invariant_char_series(r: int, p: int, n: int, k: int,
     count = 0
     for w, size in conjugacy_classes(r, p, n):
         s = graded_char_L1(r, p, n, w, k).series(truncation)
-        total = [a + b * Q(size) for a, b in zip(total, s)]
+        total = [a + b * size for a, b in zip(total, s)]
         count += size
     if count != group_order(r, p, n):
         raise ArithmeticError(f"class sizes sum to {count}, not |W|")
     out = []
     for c in total:
-        v = c / Q(count)
+        v = c / count
         if not v.is_rational():
             raise ArithmeticError("invariant series is not rational")
         out.append(v.rational_value())

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cyclotomic import Cyc, Q
+from .cyclotomic import Cyc
 
 __all__ = [
     "MPoly", "RatFunc", "ParamRing", "param_ring",
@@ -475,7 +475,7 @@ class RatFunc:
         ring = self.num.ring
         if isinstance(other, Cyc):
             return _polynomial(ring.const(other))
-        if isinstance(other, (int, Fraction)) or type(other) is type(Q(0)):
+        if isinstance(other, (int, Fraction)):
             return _polynomial(ring.const(Cyc.from_rational(ring.r, other)))
         return None
 

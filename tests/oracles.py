@@ -20,17 +20,25 @@ Everything here deliberately avoids the production code paths it checks:
   transpositions inline;
 * ``c_from_d_sum``, ``graded_char_series_dense`` and ``int_series_dense``
   are the summation, dense-product and series loops the package replaced by
-  one shared definition each.
+  one shared definition each;
+* ``FractionCyc`` is the cyclotomic number with one ``Fraction`` per
+  coordinate, which the package replaced by integer coordinates over one
+  common denominator.  It keeps the reduction rows, the Gauss-Jordan
+  inverse and the rendering of ``Cyc``, with a dense product and powers by
+  repeated multiplication, all over ``Fraction``.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+from fractions import Fraction
 
 from cherednik import (
     Cyc, GroupElement, Poly, PolyRep, Q, SpecializedParameters,
     graded_char_L1, group_elements, jack_by_solve, order_lt,
 )
+from cherednik.cyclotomic import cyclotomic_polynomial
 from cherednik.operators import monomials_of_degree
 
 
@@ -394,3 +402,156 @@ def invariant_char_series_all_of_w(r: int, p: int, n: int, k: int,
         assert v.is_rational(), "invariant series is not rational"
         out.append(v.rational_value())
     return out
+
+
+def _fraction_rows(r: int):
+    """(phi, rows) with rows[k] = Fraction coordinates of x^k mod Phi_r."""
+    coeffs = cyclotomic_polynomial(r)
+    phi = len(coeffs) - 1
+    top = tuple(-Fraction(c) for c in coeffs[:phi])
+    rows: list[tuple] = []
+    for k in range(max(r, 2 * phi - 1)):
+        if k < phi:
+            rows.append(tuple(Fraction(int(i == k)) for i in range(phi)))
+        else:
+            prev = rows[k - 1]
+            carry = prev[phi - 1]
+            rows.append(tuple(s + carry * t
+                              for s, t in zip((Fraction(0),) + prev[:phi - 1], top)))
+    return phi, rows
+
+
+class FractionCyc:
+    """An element of Q(zeta_r) as a tuple ``co`` of Fraction coordinates."""
+
+    __slots__ = ("r", "co")
+
+    def __init__(self, r: int, co):
+        self.r = r
+        self.co = tuple(Fraction(c) for c in co)
+
+    @classmethod
+    def from_rational(cls, r: int, a, b=1):
+        phi, _ = _fraction_rows(r)
+        return cls(r, (Fraction(a, b),) + (0,) * (phi - 1))
+
+    @classmethod
+    def one(cls, r: int):
+        return cls.from_rational(r, 1)
+
+    @classmethod
+    def root(cls, r: int, k: int):
+        return cls(r, _fraction_rows(r)[1][k % r])
+
+    def _coerce(self, other):
+        if isinstance(other, FractionCyc):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionCyc.from_rational(self.r, other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionCyc(self.r, (a + b for a, b in zip(self.co, o.co)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyc(self.r, (-a for a in self.co))
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        phi, rows = _fraction_rows(self.r)
+        out = [Fraction(0)] * phi
+        for i, ai in enumerate(self.co):
+            for j, bj in enumerate(o.co):
+                for m in range(phi):
+                    out[m] += ai * bj * rows[i + j][m]
+        return FractionCyc(self.r, out)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self:
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
+        phi = len(self.co)
+        cols = [(self * FractionCyc.root(self.r, j)).co for j in range(phi)]
+        mat = [[cols[j][i] for j in range(phi)] + [Fraction(int(i == 0))]
+               for i in range(phi)]
+        for c in range(phi):
+            piv = next(rw for rw in range(c, phi) if mat[rw][c])
+            mat[c], mat[piv] = mat[piv], mat[c]
+            inv = 1 / mat[c][c]
+            mat[c] = [v * inv for v in mat[c]]
+            for rw in range(phi):
+                if rw != c and mat[rw][c]:
+                    f = mat[rw][c]
+                    mat[rw] = [v - f * w for v, w in zip(mat[rw], mat[c])]
+        return FractionCyc(self.r, (mat[i][phi] for i in range(phi)))
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = FractionCyc.one(self.r)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __bool__(self) -> bool:
+        return any(self.co)
+
+    def __eq__(self, other):
+        return self.co == self._coerce(other).co
+
+    def __hash__(self):
+        return hash((self.r, self.co))
+
+    def is_rational(self) -> bool:
+        return not any(self.co[1:])
+
+    def rational_value(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        return self.co[0]
+
+    def __complex__(self) -> complex:
+        w = cmath.exp(2j * cmath.pi / self.r)
+        return sum((float(c) * w ** k for k, c in enumerate(self.co) if c),
+                   start=0j)
+
+    def __str__(self) -> str:
+        parts = []
+        for k, c in enumerate(self.co):
+            if not c:
+                continue
+            mono = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
+            if k == 0:
+                body = str(c)
+            elif c == 1:
+                body = mono
+            elif c == -1:
+                body = "-" + mono
+            else:
+                body = f"{c}*{mono}"
+            if not parts:
+                parts.append(body)
+            elif body.startswith("-"):
+                parts.append(" - " + body[1:])
+            else:
+                parts.append(" + " + body)
+        return "".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"Cyc({self.r}, [{', '.join(str(c) for c in self.co)}])"

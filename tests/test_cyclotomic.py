@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic, with a numerical shadow on every identity."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cherednik import Cyc, Q, cyc, cyclotomic_polynomial, euler_phi
 from cherednik.parsing import parse_cyc
+from oracles import FractionCyc
 
 KNOWN_PHI = {
     1: (-1, 1),
@@ -111,3 +113,85 @@ def test_str_parse_roundtrip():
                     for _ in range(phi)])
         assert parse_cyc(str(v), r) == v
     assert parse_cyc("z^2 - 1/2", 8) == cyc(8, 2) - Cyc.from_rational(8, 1, 2)
+
+
+@pytest.mark.parametrize("r, co, error", [
+    (4, [1], ValueError),
+    (3, [1, 0, 0], ValueError),
+    (1, [], ValueError),
+    (2, [0.5], TypeError),
+    (3, ["1", 0], TypeError),
+    (4, [1, None], TypeError),
+])
+def test_malformed_coordinates_rejected(r, co, error):
+    with pytest.raises(error):
+        Cyc(r, co)
+
+
+def test_equal_values_from_different_routes():
+    routes = [Cyc(3, [Q(2, 4), 0]), Cyc.from_rational(3, 1, 2),
+              Cyc.one(3) / 2, Cyc(3, [Q(1, 3), 0]) + Q(1, 6),
+              Cyc(3, [Q(1, 3), Q(1, 3)]) - Cyc(3, [Q(-1, 6), Q(1, 3)]),
+              2 * Cyc.from_rational(3, 1, 4)]
+    for v in routes:
+        assert v == routes[0] and hash(v) == hash(routes[0])
+        assert v.den == 2 and v.rational_value() == Q(1, 2)
+    assert Cyc(3, [Q(1, 3), 0]) + Cyc(3, [Q(2, 3), 0]) == Cyc.one(3)
+    assert (Cyc(3, [Q(1, 3), 0]) + Cyc(3, [Q(2, 3), 0])).den == 1
+    assert Cyc(4, [Q(1, 2), Q(3, 2)]) * 2 == Cyc(4, [1, 3])
+    assert Cyc(2, [Q(2, 3)]).inverse() == Cyc(2, [Q(3, 2)])
+    assert Cyc(2, [Q(-2, 3)]).inverse() == Cyc(2, [Q(-3, 2)])
+
+
+DIFF_ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12]
+
+
+@st.composite
+def coordinates(draw, r):
+    """Rational coordinates, integral or with small denominators that
+    often cancel in sums and products."""
+    return [Q(draw(st.integers(-8, 8)), draw(st.sampled_from([1, 1, 2, 3, 4, 6])))
+            for _ in range(euler_phi(r))]
+
+
+def agrees(v: Cyc, f: FractionCyc) -> bool:
+    """v and the oracle value f are the same number, and v is canonical."""
+    assert all(type(a) is int for a in v.num) and v.den > 0
+    assert gcd(v.den, *v.num) == 1
+    assert tuple(Q(a, v.den) for a in v.num) == f.co
+    assert str(v) == str(f) and repr(v) == repr(f)
+    assert complex(v) == complex(f)
+    assert bool(v) == bool(f) and v.is_rational() == f.is_rational()
+    if f.is_rational():
+        assert v.rational_value() == f.rational_value()
+        assert type(v.rational_value()) is Q
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DIFF_ORDERS), st.data())
+def test_matches_fraction_oracle(r, data):
+    ca, cb = data.draw(coordinates(r)), data.draw(coordinates(r))
+    q = Q(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 4)))
+    m = data.draw(st.integers(-4, 4))
+    n = data.draw(st.integers(-3, 4))
+    a, b = Cyc(r, ca), Cyc(r, cb)
+    fa, fb = FractionCyc(r, ca), FractionCyc(r, cb)
+    assert agrees(a, fa) and agrees(b, fb)
+    pairs = [(a + b, fa + fb), (a - b, fa - fb), (-a, -fa), (a * b, fa * fb),
+             (a + q, fa + q), (q - a, q - fa), (q * a, q * fa),
+             (m + a, m + fa), (a - m, fa - m), (a * m, fa * m),
+             (a * a, fa * fa), (a - a, fa - fa)]
+    if b:
+        pairs += [(a / b, fa / fb), (b.inverse(), fb.inverse())]
+    if a:
+        pairs += [(q / a, q / fa), (m / a, m / fa), (a ** n, fa ** n)]
+    elif n >= 0:
+        pairs.append((a ** n, fa ** n))
+    for v, f in pairs:
+        assert agrees(v, f)
+        assert parse_cyc(str(v), r) == v
+    assert (a == b) == (fa == fb)
+    assert (a == q) == (fa == q) and (a == m) == (fa == m)
+    if a == b:
+        assert hash(a) == hash(b)
