@@ -24,7 +24,7 @@ from .operators import (
 )
 from .jack import (
     Composition, JackVector, NonGenericError, Weight, bruhat_le, bruhat_lt,
-    dominance_lt, jack_by_intertwiners, jack_by_solve, order_lt,
+    dominance_lt, jack_by_intertwiners, jack_by_solve, order_key, order_lt,
     v_permutation, weight_of, zeta_compatible,
 )
 from .intertwiners import (
@@ -54,7 +54,7 @@ __all__ = [
     "monomials_up_to",
     "Composition", "JackVector", "NonGenericError", "Weight",
     "bruhat_le", "bruhat_lt", "dominance_lt", "jack_by_intertwiners",
-    "jack_by_solve", "order_lt", "v_permutation", "weight_of",
+    "jack_by_solve", "order_key", "order_lt", "v_permutation", "weight_of",
     "zeta_compatible",
     "Scaled", "SingularIntertwinerError", "apply_phi", "apply_psi",
     "apply_sigma", "phi_on_poly", "phi_psi_scalar", "psi_on_poly",

@@ -26,7 +26,8 @@ from .polynomials import Poly
 __all__ = [
     "Composition", "Weight", "JackVector", "NonGenericError",
     "v_permutation", "bruhat_le", "bruhat_lt", "dominance_lt", "order_lt",
-    "weight_of", "zeta_compatible", "jack_by_solve", "jack_by_intertwiners",
+    "order_key", "weight_of", "zeta_compatible", "jack_by_solve",
+    "jack_by_intertwiners",
 ]
 
 
@@ -101,6 +102,21 @@ def order_lt(lam, mu) -> bool:
     return bruhat_lt(v_permutation(lam), v_permutation(mu))
 
 
+def order_key(mu) -> tuple:
+    """A sort key that refines the triangularity order: order_lt(a, b)
+    implies order_key(a) < order_key(b).
+
+    Strict dominance makes the partition rearrangement lexicographically
+    smaller, and a strictly smaller permutation in Bruhat order has fewer
+    inversions; mu itself breaks the remaining ties.
+    """
+    mu = tuple(mu)
+    v = v_permutation(mu)
+    inversions = sum(1 for i in range(len(v)) for j in range(i + 1, len(v))
+                     if v[i] > v[j])
+    return tuple(sorted(mu, reverse=True)), inversions, mu
+
+
 @dataclass(frozen=True)
 class Composition:
     """A composition with its cached combinatorial companions."""
@@ -171,19 +187,22 @@ class Weight:
                 "zeta": list(self.zeta_exps)}
 
 
+def _z_value(params, m: int, v: int):
+    """The z_i eigenvalue kappa(m+1) - (d_0 - d_{-m-1}) - r v c0 of a
+    composition with mu_i = m and v[i] = v."""
+    return params.kappa * params.rational(m + 1) \
+        - (params.d(0) - params.d(-m - 1)) \
+        - params.c0 * params.rational(params.r * v)
+
+
 def weight_of(mu, params) -> Weight:
     """kappa(mu_i+1) - (d_0 - d_{-mu_i-1}) - r v[i] c0 on z_i; zeta^{-mu_i}
     on the i-th diagonal generator."""
     mu = tuple(mu)
     v = v_permutation(mu)
-    r = params.r
-    d0 = params.d(0)
-    zvals = []
-    for i, m in enumerate(mu):
-        val = params.kappa * params.rational(m + 1) - (d0 - params.d(-m - 1)) \
-            - params.c0 * params.rational(r * v[i])
-        zvals.append(val)
-    return Weight(r, params.p, tuple(zvals), tuple((-m) % r for m in mu))
+    return Weight(params.r, params.p,
+                  tuple(_z_value(params, m, v[i]) for i, m in enumerate(mu)),
+                  tuple((-m) % params.r for m in mu))
 
 
 def zeta_compatible(nu, mu, r: int, p: int) -> bool:
@@ -215,20 +234,24 @@ class JackVector:
 
 def _linear_extension_desc(candidates: list[tuple[int, ...]]) -> list:
     """Order candidates so every element comes after all those above it."""
-    above = {nu: set() for nu in candidates}
-    for a in candidates:
-        for b in candidates:
-            if a is not b and order_lt(a, b):
-                above[a].add(b)
-    out = []
-    remaining = set(candidates)
-    while remaining:
-        layer = [nu for nu in remaining if not (above[nu] & remaining)]
-        layer.sort(reverse=True)  # deterministic
-        for nu in layer:
-            out.append(nu)
-            remaining.discard(nu)
-    return out
+    return sorted(candidates, key=order_key, reverse=True)
+
+
+def _pivot(params, mu, v_mu, zvals, nu):
+    """The first (i, z_i(mu) - z_i(nu)) with a nonzero difference, or None.
+
+    ``zvals`` are mu's eigenvalues; nu's are built one coordinate at a time,
+    and a coordinate where (nu_i, v_nu[i]) equals (mu_i, v_mu[i]) has
+    difference zero by the formula.
+    """
+    v_nu = v_permutation(nu)
+    for i, z in enumerate(zvals):
+        if nu[i] == mu[i] and v_nu[i] == v_mu[i]:
+            continue
+        diff = z - _z_value(params, nu[i], v_nu[i])
+        if diff:
+            return i, diff
+    return None
 
 
 def jack_by_solve(rep: PolyRep, mu) -> JackVector:
@@ -248,15 +271,10 @@ def jack_by_solve(rep: PolyRep, mu) -> JackVector:
     cands = [nu for nu in monomials_of_degree(rep.n, deg)
              if nu != mu and zeta_compatible(nu, mu, rep.r, rep.p)
              and order_lt(nu, mu)]
+    v_mu = v_permutation(mu)
     coeffs: dict[tuple[int, ...], object] = {mu: params.one}
     for nu in _linear_extension_desc(cands):
-        wt_nu = weight_of(nu, params)
-        pivot = None
-        for i in range(rep.n):
-            diff = wt.zvals[i] - wt_nu.zvals[i]
-            if diff:
-                pivot = (i, diff)
-                break
+        pivot = _pivot(params, mu, v_mu, wt.zvals, nu)
         if pivot is None:
             raise NonGenericError(mu, nu)
         i, diff = pivot

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc
 from .groups import GroupElement, conjugacy_classes, group_order
-from .jack import jack_by_solve, order_lt
+from .jack import jack_by_solve, order_key
 from .operators import PolyRep
 from .polynomials import Poly
 from .scalars import ParamPoint, SpecializedParameters
@@ -204,17 +204,16 @@ def span_character_check(rep: PolyRep, basis, k: int) -> dict | None:
 
     ``basis`` is a list of pairs (mu, f) with f monic at x^mu and
     triangular like the eigenvectors f_mu, so that coordinates are read off
-    at each mu, peeling in the triangularity order.
+    at each mu, peeling from the top of the triangularity order down:
+    descending by :func:`~cherednik.jack.order_key`, a linear extension, so
+    every f above mu is subtracted before the coordinate at mu is read.
     Stability is checked on ``rep.reflections``, which generate W, and the
     two characters, both class functions, on one representative of each
     conjugacy class.  A failure is a record naming the witness element.
     """
     zero = rep.params.zero
     mus = [mu for mu, _ in basis]
-    expand_order = sorted(range(len(basis)),
-                          key=lambda i: sum(1 for jdx in range(len(basis))
-                                            if jdx != i and
-                                            order_lt(mus[jdx], mus[i])),
+    expand_order = sorted(range(len(basis)), key=lambda i: order_key(mus[i]),
                           reverse=True)
 
     def expand(w, f):
@@ -253,28 +252,31 @@ def span_character_check(rep: PolyRep, basis, k: int) -> dict | None:
 
 def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
                           k: int) -> dict:
-    """Construct the f over (0..k..0) at the point; check every Dunkl
-    operator kills them and that their span is group-stable with the same
-    character as the span of the k-th powers of the variables.
+    """Construct the f over (0..k..0) at the point; check that their span U
+    is group-stable with the same character as the span of the k-th powers
+    of the variables, and that every Dunkl operator kills U.
 
-    The last two checks run over the reflections and the conjugacy class
-    representatives (``span_character_check``), not over all of W.
+    The first two checks run over the reflections and the conjugacy class
+    representatives (``span_character_check``), not over all of W.  Once U
+    is W-stable, y_1 alone decides the third: S_n lies in G(r,p,n) and
+    t_w y_1 t_w^{-1} = y_{w(1)} for w in S_n, so with w = (1 j),
+    y_j U = t_w y_1 t_w^{-1} U = t_w y_1 U.  A span or character failure is
+    therefore reported before an annihilation failure, whose witness always
+    has ``y_index`` 0.
     """
     rep = PolyRep(r, p, n, SpecializedParameters(point))
     basis = []
     for i in range(n):
         mu = tuple(k if j == i else 0 for j in range(n))
         basis.append(jack_by_solve(rep, mu))
-    for jv in basis:
-        for j in range(n):
-            img = rep.dunkl(j, jv.poly)
-            if not img.is_zero():
-                return {"status": "fail", "reason": "not annihilated",
-                        "mu": list(jv.mu), "y_index": j,
-                        "image": str(img)}
     failure = span_character_check(rep, [(jv.mu, jv.poly) for jv in basis], k)
     if failure is not None:
         return failure
+    for jv in basis:
+        img = rep.dunkl(0, jv.poly)
+        if not img.is_zero():
+            return {"status": "fail", "reason": "not annihilated",
+                    "mu": list(jv.mu), "y_index": 0, "image": str(img)}
     return {"status": "pass", "k": k, "dimension": n,
             "annihilated": True, "group_stable": True,
             "character_match": True}

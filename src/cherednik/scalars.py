@@ -446,9 +446,11 @@ class RatFunc:
     """num/den over Q(zeta_r)[params], gcd-reduced, den monic (graded-lex).
 
     ``split`` is the factorisation of ``den`` into monic linear forms when
-    it is known (a :class:`_Split`), or None.  When both operands know
-    theirs, ``+`` and ``*`` reduce by trial division by those factors; any
-    other operand takes the general ``mp_gcd`` path.
+    it is known (a :class:`_Split`), or None.  It is ``_NO_SPLIT`` exactly
+    when ``den`` is 1, so ``+`` and ``*`` spot two polynomials by identity.
+    When both operands know their splits, ``+`` and ``*`` reduce by trial
+    division by those factors; any other operand takes the general
+    ``mp_gcd`` path.
     """
 
     __slots__ = ("num", "den", "split")
@@ -485,7 +487,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
+        if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
             return _rf(self.num + o.num, self.den, _NO_SPLIT)
         if self.split is not None and o.split is not None:
             return _add_split(self, o)
@@ -524,7 +526,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
+        if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
             return _rf(self.num * o.num, self.den, _NO_SPLIT)
         if self.split is not None and o.split is not None:
             return _mul_split(self, o)

@@ -13,6 +13,9 @@ Everything here deliberately avoids the production code paths it checks:
   character filtering;
 * ``bruhat_le_cover`` computes Bruhat order by transitive closure of the
   covering relation;
+* ``linear_extension_desc_pairwise`` orders the candidates of an
+  eigenvector by comparing every pair with ``order_lt`` and peeling off the
+  maximal ones layer by layer, where the package sorts by ``order_key``;
 * ``span_character_check_all_of_w``, ``singular_vector_check_all_of_w`` and
   ``invariant_char_series_all_of_w`` walk every element of W where the
   package uses the reflections and one representative per conjugacy class;
@@ -309,6 +312,25 @@ def bruhat_le_cover(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
         seen |= nxt
         frontier = nxt
     return w in seen
+
+
+def linear_extension_desc_pairwise(candidates: list) -> list:
+    """Order candidates so every element comes after all those above it,
+    from the ``order_lt`` table of all pairs."""
+    above = {nu: set() for nu in candidates}
+    for a in candidates:
+        for b in candidates:
+            if a is not b and order_lt(a, b):
+                above[a].add(b)
+    out = []
+    remaining = set(candidates)
+    while remaining:
+        layer = [nu for nu in remaining if not (above[nu] & remaining)]
+        layer.sort(reverse=True)  # deterministic
+        for nu in layer:
+            out.append(nu)
+            remaining.discard(nu)
+    return out
 
 
 def max_length_sorting_permutation(mu) -> tuple[int, ...]:

@@ -8,15 +8,17 @@ import pytest
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import (
-    bruhat_le_cover, dense_eigenvector, max_length_sorting_permutation,
+    bruhat_le_cover, dense_eigenvector, linear_extension_desc_pairwise,
+    max_length_sorting_permutation,
 )
 
 from cherednik import (
     Composition, NonGenericError, ParamPoint, Poly, PolyRep,
     SpecializedParameters, bruhat_le, dominance_lt,
-    jack_by_intertwiners, jack_by_solve, order_lt, v_permutation, weight_of,
-    zeta_compatible,
+    jack_by_intertwiners, jack_by_solve, order_key, order_lt, v_permutation,
+    weight_of, zeta_compatible,
 )
+from cherednik import jack as jack_module
 from cherednik.operators import monomials_of_degree, monomials_up_to
 from cherednik.reptheory import gordon_point
 
@@ -80,6 +82,87 @@ def test_dominance_requires_equal_size():
     assert not order_lt((0, 2, 0), (1, 0, 0))
     with pytest.raises(ValueError):
         order_lt((1, 0), (1, 0, 0))
+
+
+def test_order_key_refines_the_order():
+    # every related pair of compositions with n <= 4 and size <= 7
+    related = 0
+    for n in range(1, 5):
+        for d in range(8):
+            mus = list(monomials_of_degree(n, d))
+            keys = {mu: order_key(mu) for mu in mus}
+            for a in mus:
+                for b in mus:
+                    if order_lt(a, b):
+                        related += 1
+                        assert keys[a] < keys[b], (a, b)
+    assert related > 10000
+
+
+def _candidates(rep, mu):
+    return [nu for nu in monomials_of_degree(rep.n, sum(mu))
+            if nu != mu and zeta_compatible(nu, mu, rep.r, rep.p)
+            and order_lt(nu, mu)]
+
+
+def _assert_linear_extension_desc(seq):
+    for i, a in enumerate(seq):
+        for b in seq[i + 1:]:
+            assert not order_lt(a, b), (a, b)
+
+
+@pytest.mark.parametrize("group,mu", [
+    ((1, 1, 4), (3, 5, 0, 1)), ((1, 1, 4), (2, 2, 2, 1)),
+    ((2, 1, 4), (0, 4, 2, 6)), ((3, 3, 4), (6, 3, 3, 0)),
+    ((2, 1, 3), (5, 0, 0)), ((1, 1, 3), (0, 0, 6)),
+])
+def test_linear_extension_by_key_against_pairwise_oracle(group, mu):
+    rep = PolyRep(*group)
+    cands = _candidates(rep, mu)
+    got = jack_module._linear_extension_desc(cands)
+    want = linear_extension_desc_pairwise(cands)
+    assert sorted(got) == sorted(want) == sorted(cands)
+    _assert_linear_extension_desc(got)
+    _assert_linear_extension_desc(want)
+
+
+@pytest.mark.parametrize("group,point,mus", [
+    ((1, 1, 4), None, [(3, 1, 0, 2), (1, 1, 2, 0)]),
+    ((2, 1, 3), None, [(2, 0, 2), (0, 3, 1)]),
+    ((2, 1, 3), gordon_point(2, 1, 3), [(7, 0, 0), (0, 0, 7)]),
+    ((3, 1, 2), gordon_point(3, 1, 2), [(7, 0), (0, 7)]),
+])
+def test_eigenbasis_does_not_depend_on_the_extension(monkeypatch, group,
+                                                     point, mus):
+    params = SpecializedParameters(point) if point is not None else None
+    rep = PolyRep(*group, params)
+    fast = [jack_by_solve(rep, mu) for mu in mus]
+    monkeypatch.setattr(jack_module, "_linear_extension_desc",
+                        linear_extension_desc_pairwise)
+    for mu, jv in zip(mus, fast, strict=True):
+        slow = jack_by_solve(rep, mu)
+        assert (jv.poly, jv.weight) == (slow.poly, slow.weight)
+        assert jv.poly.to_json() == slow.poly.to_json()
+
+
+@pytest.mark.parametrize("group,point", [
+    ((2, 1, 3), None), ((3, 3, 3), None),
+    ((2, 1, 3), ParamPoint.make(2, 1, 1, 1, [0])),
+    ((3, 1, 2), gordon_point(3, 1, 2)),
+])
+def test_pivot_is_the_first_weight_difference(group, point):
+    # the pivot builds nu's z-eigenvalues one at a time; weight_of builds
+    # them all, and the first nonzero difference must agree
+    params = SpecializedParameters(point) if point is not None else None
+    rep = PolyRep(*group, params)
+    for mu in monomials_of_degree(rep.n, 4):
+        wt = weight_of(mu, rep.params)
+        for nu in _candidates(rep, mu):
+            diffs = [(i, a - b) for i, (a, b) in enumerate(
+                zip(wt.zvals, weight_of(nu, rep.params).zvals))]
+            want = next(((i, d) for i, d in diffs if d), None)
+            assert jack_module._pivot(rep.params, mu, v_permutation(mu),
+                                      wt.zvals, nu) == want
 
 
 def test_composition_type():

@@ -12,8 +12,11 @@ from cherednik import (
     jack_by_solve, l1_dimension_by_counting, l1_series_by_counting,
     on_hyperplane, parse_element, radical_membership, singular_vector_check,
 )
+from cherednik import reptheory
+from cherednik.operators import monomials_up_to
 from cherednik.reptheory import span_character_check
 
+import oracles
 from oracles import (
     graded_char_series_dense, int_series_dense,
     invariant_char_series_all_of_w, singular_vector_check_all_of_w,
@@ -136,6 +139,24 @@ def test_radical_membership_and_dimension():
     assert series == [1, 2, 3, 4, 5, 4, 3, 2, 1]
 
 
+@pytest.mark.parametrize("r,p,n", DIFFERENTIAL_GROUPS + [(3, 1, 2)])
+@pytest.mark.parametrize("mode", ["generic", "gordon"])
+def test_transpositions_conjugate_y1_to_yj(r, p, n, mode):
+    # t_w y_1 t_w^{-1} = y_j for w = (1 j): why singular_vector_check
+    # needs only y_1 once the span is known to be W-stable
+    rep = _gordon_rep(r, p, n) if mode == "gordon" else PolyRep(r, p, n)
+    monos = [Poly.monomial(mu, rep.params.one)
+             for mu in monomials_up_to(n, 4)]
+    mixed = monos[0]
+    for k, f in enumerate(monos[1:], start=2):
+        mixed = mixed + f.scaled(rep.params.rational(k))
+    for j in range(1, n):
+        w = GroupElement.transposition(r, n, 0, j)
+        for f in monos + [mixed]:
+            conj = rep.t(w, rep.dunkl(0, rep.t(w.inverse(), f)))
+            assert conj == rep.dunkl(j, f), (j, f)
+
+
 def test_singular_vectors_at_gordon_point():
     report = singular_vector_check(2, 1, 2, gordon_point(2, 1, 2), 5)
     assert report["status"] == "pass"
@@ -191,8 +212,43 @@ def test_singular_check_flags_a_non_gordon_point():
     pt = ParamPoint.from_c(2, 1, 1, Fraction(1, 3), [Fraction(1, 3)])
     report = singular_vector_check(2, 1, 2, pt, 5)
     assert (report["status"], report["reason"]) == ("fail", "not annihilated")
+    # the span is W-stable here, so only y_1 is applied
+    assert (report["mu"], report["y_index"]) == ([5, 0], 0)
     oracle = singular_vector_check_all_of_w(2, 1, 2, pt, 5)
     assert (oracle["status"], oracle["reason"]) == ("fail", "not annihilated")
+
+
+def test_y1_is_applied_to_every_vector():
+    # at c0 = 1/2, c1 = -2 the span is W-stable and y_1 kills f_(2,0) but
+    # not f_(0,2)
+    pt = ParamPoint.from_c(2, 1, 1, Fraction(1, 2), [Fraction(-2)])
+    rep = PolyRep(2, 1, 2, SpecializedParameters(pt))
+    assert rep.dunkl(0, jack_by_solve(rep, (2, 0)).poly).is_zero()
+    report = singular_vector_check(2, 1, 2, pt, 2)
+    assert (report["reason"], report["mu"], report["y_index"]) \
+        == ("not annihilated", [0, 2], 0)
+    assert report == singular_vector_check_all_of_w(2, 1, 2, pt, 2)
+
+
+def test_span_failure_is_reported_before_annihilation(monkeypatch):
+    # where the span is not W-stable, y_1 alone proves nothing, so that
+    # failure comes first; the oracle still reports the Dunkl image first.
+    # No point of G(2,1,2) or G(3,1,2) with small rational c and k <= 9 made
+    # the span of the eigenvectors fail, so one vector is swapped out.
+    pt = ParamPoint.from_c(2, 1, 1, Fraction(1, 3), [Fraction(1, 3)])
+    real = reptheory.jack_by_solve
+
+    def skewed(rep, mu):
+        return real(rep, (0, 3) if mu == (0, 5) else mu)
+
+    monkeypatch.setattr(reptheory, "jack_by_solve", skewed)
+    monkeypatch.setattr(oracles, "jack_by_solve", skewed)
+    report = singular_vector_check(2, 1, 2, pt, 5)
+    assert (report["status"], report["reason"], report["mu"]) \
+        == ("fail", "span not group-stable", [5, 0])
+    oracle = singular_vector_check_all_of_w(2, 1, 2, pt, 5)
+    assert (oracle["status"], oracle["reason"], oracle["y_index"]) \
+        == ("fail", "not annihilated", 0)
 
 
 @pytest.mark.parametrize("r,p,n", DIFFERENTIAL_GROUPS)

@@ -119,6 +119,24 @@ def test_ratfunc_field_axioms(data):
         assert (b / a) * a == b
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_no_split_exactly_when_the_denominator_is_one(data):
+    # + and * take the polynomial fast path on split is _NO_SPLIT alone
+    par = GenericParameters(4, 2)
+    a = data.draw(scalars(par))
+    b = data.draw(scalars(par))
+    c = data.draw(st.sampled_from([Cyc.zero(4), Cyc.one(4), cyc(4, 1),
+                                   Cyc.from_rational(4, -2, 3)]))
+    results = [a, b, a + b, a - b, a * b, -a, a.cmul(c), a + 1, 2 * b,
+               RatFunc(a.num, b.den), RatFunc(a.num * b.num, a.den)]
+    if b:
+        results += [a / b, b.inverse(), a * b.inverse() * b,
+                    RatFunc(a.den, b.num)]
+    for f in results:
+        assert (f.split is scalar_layer._NO_SPLIT) == f.den.is_one(), repr(f)
+
+
 def test_gcd_canonical_form():
     par = GenericParameters(2, 1)
     f = par.kappa - par.c0
