@@ -25,7 +25,7 @@ from .operators import (
 from .jack import (
     Composition, JackVector, NonGenericError, Weight, bruhat_le, bruhat_lt,
     dominance_lt, jack_by_intertwiners, jack_by_solve, order_key, order_lt,
-    v_permutation, weight_of, zeta_compatible,
+    v_permutation, weight_of, z_eigenvalue, zeta_compatible,
 )
 from .intertwiners import (
     Scaled, SingularIntertwinerError, apply_phi, apply_psi, apply_sigma,
@@ -55,7 +55,7 @@ __all__ = [
     "Composition", "JackVector", "NonGenericError", "Weight",
     "bruhat_le", "bruhat_lt", "dominance_lt", "jack_by_intertwiners",
     "jack_by_solve", "order_key", "order_lt", "v_permutation", "weight_of",
-    "zeta_compatible",
+    "z_eigenvalue", "zeta_compatible",
     "Scaled", "SingularIntertwinerError", "apply_phi", "apply_psi",
     "apply_sigma", "phi_on_poly", "phi_psi_scalar", "psi_on_poly",
     "psi_scalar", "verify_braid_and_quadratic",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .groups import GroupElement
-from .jack import JackVector, v_permutation, weight_of
+from .jack import JackVector, v_permutation, weight_of, z_eigenvalue
 from .operators import PolyRep
 from .polynomials import Poly
 
@@ -118,13 +118,9 @@ def apply_phi(rep: PolyRep, jv: JackVector) -> JackVector:
 
 def psi_scalar(rep: PolyRep, mu):
     """kappa mu_n - (d_0 - d_{-mu_n}) - c0 r (v_mu(n)-1): the lowering
-    coefficient; it vanishes exactly on singular vectors."""
-    params = rep.params
-    m = mu[-1]
-    v = v_permutation(mu)
-    return params.kappa * params.rational(m) \
-        - (params.d(0) - params.d(-m)) \
-        - params.c0 * params.rational(rep.r * v[-1])
+    coefficient, the z_n eigenvalue formula at mu_n - 1; it vanishes
+    exactly on singular vectors."""
+    return z_eigenvalue(rep.params, mu[-1] - 1, v_permutation(mu)[-1])
 
 
 def apply_psi(rep: PolyRep, jv: JackVector) -> Scaled:

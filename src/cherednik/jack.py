@@ -26,8 +26,8 @@ from .polynomials import Poly
 __all__ = [
     "Composition", "Weight", "JackVector", "NonGenericError",
     "v_permutation", "bruhat_le", "bruhat_lt", "dominance_lt", "order_lt",
-    "order_key", "weight_of", "zeta_compatible", "jack_by_solve",
-    "jack_by_intertwiners",
+    "order_key", "weight_of", "z_eigenvalue", "zeta_compatible",
+    "jack_by_solve", "jack_by_intertwiners",
 ]
 
 
@@ -187,7 +187,7 @@ class Weight:
                 "zeta": list(self.zeta_exps)}
 
 
-def _z_value(params, m: int, v: int):
+def z_eigenvalue(params, m: int, v: int):
     """The z_i eigenvalue kappa(m+1) - (d_0 - d_{-m-1}) - r v c0 of a
     composition with mu_i = m and v[i] = v."""
     return params.kappa * params.rational(m + 1) \
@@ -201,7 +201,8 @@ def weight_of(mu, params) -> Weight:
     mu = tuple(mu)
     v = v_permutation(mu)
     return Weight(params.r, params.p,
-                  tuple(_z_value(params, m, v[i]) for i, m in enumerate(mu)),
+                  tuple(z_eigenvalue(params, m, v[i])
+                        for i, m in enumerate(mu)),
                   tuple((-m) % params.r for m in mu))
 
 
@@ -248,7 +249,7 @@ def _pivot(params, mu, v_mu, zvals, nu):
     for i, z in enumerate(zvals):
         if nu[i] == mu[i] and v_nu[i] == v_mu[i]:
             continue
-        diff = z - _z_value(params, nu[i], v_nu[i])
+        diff = z - z_eigenvalue(params, nu[i], v_nu[i])
         if diff:
             return i, diff
     return None

@@ -139,10 +139,6 @@ class Poly:
         """Total degree (0 for the zero polynomial)."""
         return max((sum(e) for e in self.terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=_key,
                                                    reverse=True)]

@@ -217,9 +217,6 @@ class MPoly:
                     out.add(i)
         return out
 
-    def degree_in(self, v: int) -> int:
-        return max((e[v] for e in self.terms), default=0)
-
     def evaluate(self, vals: Sequence[Cyc]) -> Cyc:
         out = self.ring.czero
         pows: list[dict[int, Cyc]] = [{} for _ in range(self.ring.nvars)]

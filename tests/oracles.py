@@ -18,7 +18,9 @@ Everything here deliberately avoids the production code paths it checks:
   maximal ones layer by layer, where the package sorts by ``order_key``;
 * ``span_character_check_all_of_w``, ``singular_vector_check_all_of_w`` and
   ``invariant_char_series_all_of_w`` walk every element of W where the
-  package uses the reflections and one representative per conjugacy class;
+  package uses the reflections through slot 1 or one representative per
+  conjugacy class; the first also compares characters, which the package
+  derives from stability;
 * ``coupling`` and ``class_sum`` write out c_s and the colored
   transpositions inline;
 * ``c_from_d_sum``, ``graded_char_series_dense`` and ``int_series_dense``

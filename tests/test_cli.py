@@ -316,6 +316,8 @@ def test_threads_flag_is_gone(capsys):
      ["jack", "--group", "2,1,2", "--mu", "1,0", "--json"]),
     ("gordon_332.json",
      ["gordon", "--group", "3,3,2", "--json"]),
+    ("gordon_215.json",
+     ["gordon", "--group", "2,1,5", "--json"]),
 ])
 def test_golden_files(capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv)

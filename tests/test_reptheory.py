@@ -9,12 +9,13 @@ from cherednik import (
     SpecializedParameters, catalan_series, coinvariant_series,
     conjugacy_classes, coxeter_number, degrees, exponents_and_freeness, genericity_guard,
     gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
-    jack_by_solve, l1_dimension_by_counting, l1_series_by_counting,
-    on_hyperplane, parse_element, radical_membership, singular_vector_check,
+    group_order, jack_by_solve, l1_dimension_by_counting,
+    l1_series_by_counting, on_hyperplane, order_key, parse_element,
+    radical_membership, singular_vector_check,
 )
 from cherednik import reptheory
 from cherednik.operators import monomials_up_to
-from cherednik.reptheory import span_character_check
+from cherednik.reptheory import span_stability_check
 
 import oracles
 from oracles import (
@@ -180,7 +181,7 @@ def test_span_check_flags_unstable_span_with_a_reflection():
     # elements, so only a permutation exposes the missing x2^5
     rep = _gordon_rep(2, 1, 2)
     basis = [_monomial(rep, (5, 0)), _monomial(rep, (0, 3))]
-    report = span_character_check(rep, basis, 5)
+    report = span_stability_check(rep, basis)
     assert report["status"] == "fail"
     assert report["reason"] == "span not group-stable"
     assert parse_element(report["w"], 2) in {s.element
@@ -191,21 +192,117 @@ def test_span_check_flags_unstable_span_with_a_reflection():
 
 
 @pytest.mark.parametrize("r,p,n,m", [(2, 1, 2, 2), (3, 1, 2, 2)])
-def test_span_check_flags_character_mismatch(r, p, n, m):
+def test_power_spans_are_stable_and_the_oracle_checks_characters(r, p, n, m):
     # x_i^m spans a W-stable space whose character is not that of the k-th
-    # powers when m != k mod r
+    # powers when m != k mod r; only the oracle compares characters, since
+    # for the f over k e_i the character follows from stability
     rep = _gordon_rep(r, p, n)
     k = coxeter_number(r, p, n) + 1
     assert m % r != k % r
-    basis = [_monomial(rep, tuple(m if j == i else 0 for j in range(n)))
-             for i in range(n)]
-    for report in (span_character_check(rep, basis, k),
-                   span_character_check_all_of_w(rep, basis, k)):
-        assert (report["status"], report["reason"]) \
-            == ("fail", "character mismatch")
-    power_basis = [_monomial(rep, tuple(k if j == i else 0 for j in range(n)))
-                   for i in range(n)]
-    assert span_character_check(rep, power_basis, k) is None
+    basis = _power_basis(rep, m)
+    report = span_character_check_all_of_w(rep, basis, k)
+    assert (report["status"], report["reason"]) \
+        == ("fail", "character mismatch")
+    assert span_stability_check(rep, basis) is None
+    assert span_stability_check(rep, _power_basis(rep, k)) is None
+
+
+def _power_basis(rep, m):
+    n = rep.n
+    return [_monomial(rep, tuple(m if j == i else 0 for j in range(n)))
+            for i in range(n)]
+
+
+def _gordon_basis(r, p, n):
+    rep = _gordon_rep(r, p, n)
+    k = coxeter_number(r, p, n) + 1
+    return rep, [(jv.mu, jv.poly) for jv in
+                 (jack_by_solve(rep, tuple(k if j == i else 0
+                                           for j in range(n)))
+                  for i in range(n))]
+
+
+def _closure(r, n, gens):
+    seen = {GroupElement.identity(r, n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = a * g
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
+SLOT_ONE_GROUPS = [(2, 1, 1), (3, 3, 1), (4, 2, 1), (2, 1, 2), (2, 2, 2),
+                   (3, 3, 2), (4, 2, 2), (6, 3, 2), (6, 2, 2), (2, 1, 3),
+                   (2, 2, 3), (3, 1, 3), (3, 3, 3), (4, 2, 3), (1, 1, 4),
+                   (2, 2, 4)]
+
+
+@pytest.mark.parametrize("r,p,n", SLOT_ONE_GROUPS)
+def test_stability_check_visits_generators_of_w(r, p, n, monkeypatch):
+    # the elements span_stability_check applies, on a span every w fixes,
+    # generate all of G(r,p,n): n = 1, p = r and 1 < p < r included
+    rep = PolyRep(r, p, n)
+    visited = []
+    real = rep.t
+
+    def spy(w, f):
+        visited.append(w)
+        return real(w, f)
+
+    monkeypatch.setattr(rep, "t", spy)
+    assert span_stability_check(rep, _power_basis(rep, 3)) is None
+    assert len(_closure(r, n, set(visited))) == group_order(r, p, n)
+    assert set(visited) <= {s.element for s in rep.reflections if s.i == 0}
+
+
+@pytest.mark.parametrize("r,p,n", DIFFERENTIAL_GROUPS)
+def test_stable_span_has_the_character_of_its_leading_monomials(r, p, n):
+    # the lemma behind dropping the character check: a W-stable span of
+    # vectors x_i^m + lower has the character of the span of the x_i^m,
+    # which the oracle computes from the colors of each w
+    rep, gordon = _gordon_basis(r, p, n)
+    k = coxeter_number(r, p, n) + 1
+    assert span_character_check_all_of_w(rep, gordon, k) is None
+    for m in (1, 2, 3, 5):
+        assert span_character_check_all_of_w(rep, _power_basis(rep, m), m) \
+            is None
+
+
+@pytest.mark.parametrize("r,p,n", DIFFERENTIAL_GROUPS + [(3, 1, 2)])
+def test_gordon_basis_is_unitriangular_on_its_leading_exponents(r, p, n):
+    rep, basis = _gordon_basis(r, p, n)
+    mus = [mu for mu, _ in basis]
+    for mu, f in basis:
+        assert f.coeff(mu) == rep.params.one
+        for nu in mus:
+            if nu != mu and f.coeff(nu):
+                assert order_key(nu) < order_key(mu), (mu, nu)
+
+
+@pytest.mark.parametrize("r,p,n,m,kind", [(2, 1, 2, 5, "diagonal"),
+                                           (2, 2, 3, 1, "transposition")])
+def test_span_moved_only_by_one_kind_of_reflection(r, p, n, m, kind):
+    # x1^5 + x2^5 is moved out of its span only by the diagonal reflection,
+    # x1 + x2 + x3 only by the colored transpositions; the colorless (1 j)
+    # alone would miss both
+    rep = _gordon_rep(r, p, n)
+    powers = _power_basis(rep, m)
+    mu, f = powers[0][0], sum((g for _, g in powers[1:]), powers[0][1])
+    moved = []
+    for s in rep.reflections:
+        g = rep.t(s.element, f)
+        if g != f.scaled(g.coeff(mu)):
+            moved.append(s)
+    assert moved and all(s.kind == kind and s.l != 0 for s in moved)
+    report = span_stability_check(rep, [(mu, f)])
+    assert report["status"] == "fail"
+    assert parse_element(report["w"], r) in {s.element for s in moved}
 
 
 def test_singular_check_flags_a_non_gordon_point():
