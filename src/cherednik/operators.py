@@ -13,6 +13,13 @@ together with exact divided differences and a relation checker.  Divided
 differences are evaluated per monomial by the geometric-series expansion along
 the reflecting line, which is always an exact division.  Monomial images of
 y_i and z_i are memoized.
+
+The relation checker builds, per monomial x^mu, one table of the images
+y^ev x^mu and y^ev x_j x^mu for |ev| <= 2 (``y_images``), each entry one
+Dunkl operator away from an entry of lower degree, and reads every check
+from it.  In the x-side check the moved divided difference t_s(acc) for a
+given y-monomial and reflection does not depend on the slot j, so it is
+built once and only rescaled per j.
 """
 
 from __future__ import annotations
@@ -201,12 +208,21 @@ class PolyRep:
         """The commuting difference-differential action of y_i."""
         return self._apply_by_monomials(self._dunkl_mono, i, f)
 
-    def apply_y_monomial(self, nu: tuple[int, ...], f: Poly) -> Poly:
-        """Apply the Dunkl monomial y^nu (the y_i commute)."""
-        out = f
-        for i, e in enumerate(nu):
-            for _ in range(e):
-                out = self.dunkl(i, out)
+    def y_images(self, f: Poly, d: int) -> dict:
+        """y^ev f for every exponent vector ev with |ev| <= d, keyed by ev.
+
+        Each entry is one Dunkl operator applied to the entry one degree
+        lower: y^ev f = y_i (y^{ev - e_i} f) with i the last slot of ev.
+        """
+        out = {(0,) * self.n: f}
+        for ev in monomials_up_to(self.n, d):
+            slots = [t for t, e in enumerate(ev) if e]
+            if not slots:
+                continue
+            i = slots[-1]
+            lower = list(ev)
+            lower[i] -= 1
+            out[ev] = self.dunkl(i, out[tuple(lower)])
         return out
 
     # -- z operators and the grading element -----------------------------------
@@ -285,34 +301,43 @@ class PolyRep:
         coeff = (Cyc.one(r) - Cyc.root(r, -s.l * a)) / denom
         return [(tuple(out), coeff)]
 
-    def x_side_commutator_defect(self, nu: tuple[int, ...], j: int,
-                                 f: Poly) -> Poly:
-        """[y^nu, x_j] f minus the dual commutator formula; zero iff it holds.
+    def x_side_defects(self, yf: dict, yxf: list[dict]):
+        """Yield ``(nu, j, defect)`` for 1 <= |nu| <= 2 and each slot j, in
+        the order the relation check visits them.
 
-        The formula applies the divided difference in the y's first and the
-        group element after it.
+        ``yf`` and ``yxf[j]`` are :meth:`y_images` of some f and of x_j f
+        to degree 2. ``defect`` is [y^nu, x_j] f minus the dual commutator
+        formula, zero iff it holds. The formula applies the divided
+        difference in the y's first and the group element after it. For fixed (nu, s)
+        the moved divided difference t_s(sum_ev cy y^ev f) does not depend
+        on j, so it is built once and scaled by c_s <alpha_s^vee, y_j>.
         """
-        g_of = lambda ev: self.apply_y_monomial(ev, f)
-        lhs = self.apply_y_monomial(nu, self.x(j, f)) \
-            - self.x(j, self.apply_y_monomial(nu, f))
-        # kappa * d(g)/d(x_j): derivative of y^nu in the j-th slot
-        rhs = Poly.zero(self.n)
-        if nu[j]:
-            dn = list(nu)
-            dn[j] -= 1
-            rhs = rhs + g_of(tuple(dn)).scaled(self.params.kappa
-                                               * self.params.rational(nu[j]))
-        for s in self.reflections:
-            b = s.alpha_check[j]
-            if not b:
+        kappa = self.params.kappa
+        for nu in monomials_up_to(self.n, 2):
+            if sum(nu) == 0:
                 continue
-            cs = s.coupling(self.params)
-            acc = Poly.zero(self.n)
-            for ev, cy in self._dd_y_mono(nu, s):
-                acc = acc + g_of(ev).scaled(self.params.embed(cy))
-            if acc:
-                rhs = rhs - self.t(s.element, acc).scaled(cs.cmul(b))
-        return lhs - rhs
+            moved = []
+            for s in self.reflections:
+                acc = Poly.zero(self.n)
+                for ev, cy in self._dd_y_mono(nu, s):
+                    acc = acc + yf[ev].scaled(self.params.embed(cy))
+                if acc:
+                    moved.append((s, s.coupling(self.params),
+                                  self.t(s.element, acc)))
+            for j in range(self.n):
+                lhs = yxf[j][nu] - self.x(j, yf[nu])
+                # kappa * d(g)/d(x_j): derivative of y^nu in the j-th slot
+                rhs = Poly.zero(self.n)
+                if nu[j]:
+                    dn = list(nu)
+                    dn[j] -= 1
+                    rhs = rhs + yf[tuple(dn)].scaled(
+                        kappa * self.params.rational(nu[j]))
+                for s, cs, tacc in moved:
+                    b = s.alpha_check[j]
+                    if b:
+                        rhs = rhs - tacc.scaled(cs.cmul(b))
+                yield nu, j, lhs - rhs
 
     # -- relation checking ------------------------------------------------------
 
@@ -342,10 +367,12 @@ class PolyRep:
         """The first defining relation that fails on x^mu, or None."""
         n, r = self.n, self.r
         m = Poly.monomial(mu, self.params.one)
+        ym = self.y_images(m, 2)
+        yxm = [self.y_images(self.x(j, m), 2) for j in range(n)]
         for i in range(n):
+            e_i = tuple(1 if t == i else 0 for t in range(n))
             for j in range(n):
-                lhs = self.dunkl(i, self.x(j, m)) \
-                    - self.x(j, self.dunkl(i, m))
+                lhs = yxm[j][e_i] - self.x(j, ym[e_i])
                 if i == j:
                     rhs = m.scaled(self.params.kappa)
                     for t in range(1, r):
@@ -379,15 +406,11 @@ class PolyRep:
                 if self.t(w, self.x(j, m)) != wx * self.t(w, m):
                     return {"relation": "t_w x = (wx) t_w", "w": str(w),
                             "j": j, "mu": list(mu)}
-        for nu in monomials_up_to(n, 2):
-            if sum(nu) == 0:
-                continue
-            for j in range(n):
-                defect = self.x_side_commutator_defect(nu, j, m)
-                if defect:
-                    return {"relation": "x-side commutator",
-                            "y_monomial": list(nu), "j": j,
-                            "mu": list(mu), "defect": str(defect)}
+        for nu, j, defect in self.x_side_defects(ym, yxm):
+            if defect:
+                return {"relation": "x-side commutator",
+                        "y_monomial": list(nu), "j": j,
+                        "mu": list(mu), "defect": str(defect)}
         return None
 
     def commutator_report(self, max_deg: int) -> dict:

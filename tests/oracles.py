@@ -8,6 +8,10 @@ Everything here deliberately avoids the production code paths it checks:
   series for divided differences);
 * ``oracle_dunkl`` / ``oracle_z`` rebuild the operators from the literal
   reflection sum;
+* ``apply_y_monomial`` and ``x_side_commutator_defect`` rebuild y^nu f and
+  the x-side commutator defect of one (nu, j) from scratch, where the
+  package reads one table of y-images per monomial and moves each y-side
+  divided difference once for all j;
 * ``dense_eigenvector`` finds simultaneous eigenvectors by Gaussian
   elimination on one whole graded piece, with no triangularity, ordering or
   character filtering;
@@ -141,6 +145,42 @@ def oracle_z(rep, i: int, f: Poly) -> Poly:
     """z_i = y_i x_i + c0 * (literal group class sum)."""
     out = oracle_dunkl(rep, i, rep.x(i, f))
     return out + class_sum(rep, i, f).scaled(rep.params.c0)
+
+
+def apply_y_monomial(rep, nu: tuple[int, ...], f: Poly) -> Poly:
+    """y^nu f by repeated Dunkl operators, y_1 first (the y_i commute)."""
+    out = f
+    for i, e in enumerate(nu):
+        for _ in range(e):
+            out = rep.dunkl(i, out)
+    return out
+
+
+def x_side_commutator_defect(rep, nu: tuple[int, ...], j: int,
+                             f: Poly) -> Poly:
+    """[y^nu, x_j] f minus the dual commutator formula, rebuilding every
+    y-image and every moved divided difference for this one (nu, j)."""
+    params = rep.params
+    g_of = lambda ev: apply_y_monomial(rep, ev, f)
+    lhs = apply_y_monomial(rep, nu, rep.x(j, f)) \
+        - rep.x(j, apply_y_monomial(rep, nu, f))
+    rhs = Poly.zero(rep.n)
+    if nu[j]:
+        dn = list(nu)
+        dn[j] -= 1
+        rhs = rhs + g_of(tuple(dn)).scaled(params.kappa
+                                           * params.rational(nu[j]))
+    for s in rep.reflections:
+        b = s.alpha_check[j]
+        if not b:
+            continue
+        acc = Poly.zero(rep.n)
+        for ev, cy in rep._dd_y_mono(nu, s):
+            acc = acc + g_of(ev).scaled(params.embed(cy))
+        if acc:
+            rhs = rhs - rep.t(s.element, acc).scaled(
+                coupling(params, s).cmul(b))
+    return lhs - rhs
 
 
 def c_from_d_sum(r: int, p: int, l: int, d_of, zero):

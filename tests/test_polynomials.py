@@ -3,10 +3,12 @@
 import random
 import sys
 
+import pytest
+
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import (
-    act_on_poly_accumulating, class_sum, oracle_dunkl, oracle_z,
-    poly_divexact,
+    act_on_poly_accumulating, apply_y_monomial, class_sum, oracle_dunkl,
+    oracle_z, poly_divexact, x_side_commutator_defect,
 )
 
 from cherednik import (
@@ -255,6 +257,76 @@ def test_check_relations_fault_injection():
     assert report["status"] == "fail"
     assert report["relation"] == "y_i x_j commutator"
     assert "mu" in report and "defect" in report
+
+
+def _doubled_dd_y_mono(monkeypatch):
+    """Break the dual commutator formula: every y-side divided difference
+    coefficient doubled."""
+    true_dd = PolyRep._dd_y_mono
+    monkeypatch.setattr(
+        PolyRep, "_dd_y_mono",
+        lambda self, nu, s: [(ev, cy + cy) for ev, cy in true_dd(self, nu, s)])
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("group", [(2, 1, 2), (3, 1, 2), (4, 2, 2),
+                                   (2, 2, 3)], ids="G{0[0]}{0[1]}{0[2]}".format)
+def test_x_side_defects_match_oracle(monkeypatch, group, broken):
+    if broken:
+        _doubled_dd_y_mono(monkeypatch)
+    rep = PolyRep(*group)
+    n = rep.n
+    expected_pairs = [(nu, j) for nu in monomials_up_to(n, 2) if sum(nu)
+                      for j in range(n)]
+    nonzero = 0
+    for mu in monomials_up_to(n, 3):
+        m = Poly.monomial(mu, rep.params.one)
+        seen = []
+        for nu, j, defect in rep.x_side_defects(
+                rep.y_images(m, 2),
+                [rep.y_images(rep.x(j, m), 2) for j in range(n)]):
+            assert defect == x_side_commutator_defect(rep, nu, j, m), \
+                (mu, nu, j)
+            seen.append((nu, j))
+            nonzero += bool(defect)
+        assert seen == expected_pairs
+    assert bool(nonzero) == broken
+
+
+def test_x_side_branch_reports_its_own_failure(monkeypatch):
+    _doubled_dd_y_mono(monkeypatch)
+    rep = PolyRep(2, 1, 2)
+    report = rep.check_relations(2)
+    assert report["status"] == "fail"
+    assert report["relation"] == "x-side commutator"
+
+    def oracle_failures():
+        for mu in monomials_up_to(2, 2):
+            m = Poly.monomial(mu, rep.params.one)
+            for nu in monomials_up_to(2, 2):
+                for j in range(2):
+                    d = sum(nu) and x_side_commutator_defect(rep, nu, j, m)
+                    if d:
+                        yield mu, nu, j, d
+
+    # the witness is the oracle's first nonzero defect in check order
+    mu, nu, j, defect = next(oracle_failures())
+    assert (report["y_monomial"], report["j"], report["mu"]) \
+        == (list(nu), j, list(mu))
+    assert report["defect"] == str(defect) != "0"
+
+
+@pytest.mark.parametrize("rep", [
+    PolyRep(2, 1, 2), PolyRep(3, 1, 2),
+    PolyRep(2, 1, 2, SpecializedParameters(gordon_point(2, 1, 2))),
+], ids=["G212", "G312", "G212-gordon"])
+def test_y_images_match_repeated_dunkl(rep):
+    rng = random.Random(43)
+    f = random_poly(rng, rep, deg=4, nterms=5)
+    table = rep.y_images(f, 3)
+    assert sorted(table) == sorted(monomials_up_to(rep.n, 3))
+    for ev, img in table.items():
+        assert img == apply_y_monomial(rep, ev, f), ev
 
 
 def test_commutators_vanish_small():
