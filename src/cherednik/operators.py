@@ -12,7 +12,10 @@ the standard operators to sparse polynomials:
 together with exact divided differences and a relation checker.  Divided
 differences are evaluated per monomial by the geometric-series expansion along
 the reflecting line, which is always an exact division.  Monomial images of
-y_i and z_i are memoized.
+y_i and z_i are memoized.  Each term's coefficient in y_i x^mu depends only
+on the reflection and an index (a root power with a sign, or the residue of
+an exponent mod r), so ``PolyRep`` tabulates -c_s <alpha_s, y_i> times each
+such coefficient once, and a monomial image needs no scalar product.
 
 The relation checker builds, per monomial x^mu, one table of the images
 y^ev x^mu and y^ev x_j x^mu for |ev| <= 2 (``y_images``), each entry one
@@ -61,39 +64,48 @@ def monomials_up_to(n: int, d: int):
         yield from monomials_of_degree(n, k)
 
 
-def _dd_transposition(mu, a, b, l, r):
-    """(x^mu - s x^mu)/(x_a - zeta^l x_b) for s the colored transposition.
+def _dd_terms(mu, s: Reflection, l: int, r: int) -> list:
+    """(x^mu - s x^mu)/alpha_s as (exponents, index) pairs; exact by the
+    geometric series along the reflecting line.
 
-    Returns a list of (exponents, Cyc) pairs; exact by the geometric series.
+    For a transposition, alpha_s = x_a - zeta^l x_b and the coefficient of
+    index k is zeta^k for k < r and -zeta^(k - r) otherwise.  For a diagonal
+    reflection the index is the residue e = mu_i mod r, and the one term is
+    present only when l e != 0 mod r.  :func:`_dd_coefficient` maps an index
+    to its coefficient.
     """
+    if s.kind == "diagonal":
+        e = mu[s.i] % r
+        if (l * e) % r == 0:
+            return []
+        nu = list(mu)
+        nu[s.i] -= 1
+        return [(tuple(nu), e)]
+    a, b = s.i, s.j
     ea, eb = mu[a], mu[b]
-    if ea == eb:
-        return []
     out = []
     if ea > eb:
         for t in range(ea - eb):
             nu = list(mu)
             nu[a] = ea - 1 - t
             nu[b] = eb + t
-            out.append((tuple(nu), Cyc.root(r, l * t)))
+            out.append((tuple(nu), (l * t) % r))
     else:
         for t in range(eb - ea):
             nu = list(mu)
             nu[a] = eb - 1 - t
             nu[b] = ea + t
-            out.append((tuple(nu), -Cyc.root(r, l * (ea - eb + t))))
+            out.append((tuple(nu), r + (l * (ea - eb + t)) % r))
     return out
 
 
-def _dd_diagonal(mu, i, l, r):
-    """(x^mu - s x^mu)/(zeta^{-l-1} x_i) for s the diagonal reflection."""
-    a = mu[i]
-    if a == 0 or (l * a) % r == 0:
-        return []
-    nu = list(mu)
-    nu[i] = a - 1
-    coeff = Cyc.root(r, l + 1) * (Cyc.one(r) - Cyc.root(r, -l * a))
-    return [(tuple(nu), coeff)]
+def _dd_coefficient(s: Reflection, k: int, r: int) -> Cyc:
+    """The x-side coefficient of index k in :func:`_dd_terms`: +-zeta^k for
+    a transposition, zeta^{l+1}(1 - zeta^{-l k}) for a diagonal of color l,
+    where alpha_s = zeta^{-l-1} x_i."""
+    if s.kind == "diagonal":
+        return Cyc.root(r, s.l + 1) * (Cyc.one(r) - Cyc.root(r, -s.l * k))
+    return Cyc.root(r, k) if k < r else -Cyc.root(r, k - r)
 
 
 class PolyRep:
@@ -109,17 +121,33 @@ class PolyRep:
         if self.params.r != r or self.params.p != p:
             raise ValueError("parameter field does not match the group")
         self.reflections: list[Reflection] = reflections(r, p, n)
-        self._fault_dunkl_sign = fault_dunkl_sign
-        # reflections with <alpha_s, y_i> != 0, with their coupling constants
-        self._touching: list[list[tuple[Reflection, object, Cyc]]] = []
+        # per slot i, each reflection with <alpha_s, y_i> != 0 and its table:
+        # index k of _dd_terms -> -c_s <alpha_s, y_i> _dd_coefficient(s, k).
+        # The injected fault flips the sign on the transpositions.  A table
+        # depends only on the class of s and alpha_s[i], so those share it.
+        self._dunkl_tables: list[list[tuple[Reflection, list]]] = []
+        shared: dict = {}
         for i in range(n):
             lst = []
             for s in self.reflections:
                 a = s.alpha[i]
                 if not a:
                     continue
-                lst.append((s, s.coupling(self.params), a))
-            self._touching.append(lst)
+                table = shared.get((s.cclass, a))
+                if table is None:
+                    factor = s.coupling(self.params)
+                    if not (fault_dunkl_sign and s.kind == "transposition"):
+                        factor = -factor
+                    if s.kind == "transposition":
+                        table = [factor.cmul(a * _dd_coefficient(s, k, r))
+                                 for k in range(2 * r)]
+                    else:
+                        table = [factor.cmul(a * _dd_coefficient(s, e, r))
+                                 if (s.l * e) % r else None
+                                 for e in range(r)]
+                    shared[s.cclass, a] = table
+                lst.append((s, table))
+            self._dunkl_tables.append(lst)
         self._c0r = self.params.c0 * self.params.rational(r)
         self._dunkl_memo: dict = {}
         self._z_memo: dict = {}
@@ -153,11 +181,8 @@ class PolyRep:
         """(f - s f)/alpha_s, evaluated exactly term by term."""
         out: dict = {}
         for e, c in f.terms.items():
-            if s.kind == "transposition":
-                pairs = _dd_transposition(e, s.i, s.j, s.l, self.r)
-            else:
-                pairs = _dd_diagonal(e, s.i, s.l, self.r)
-            accumulate(out, [(nu, c.cmul(cy)) for nu, cy in pairs])
+            accumulate(out, [(nu, c.cmul(_dd_coefficient(s, k, self.r)))
+                             for nu, k in _dd_terms(e, s, s.l, self.r)])
         return Poly(self.n, out)
 
     # -- Dunkl operators ------------------------------------------------------
@@ -172,18 +197,11 @@ class PolyRep:
             nu = list(mu)
             nu[i] -= 1
             accumulate(out, [(tuple(nu), self.params.kappa * mu[i])])
-        for s, cs, a in self._touching[i]:
-            if s.kind == "transposition":
-                pairs = _dd_transposition(mu, s.i, s.j, s.l, self.r)
-            else:
-                pairs = _dd_diagonal(mu, s.i, s.l, self.r)
-            if not pairs:
-                continue
-            if self._fault_dunkl_sign and s.kind == "transposition":
-                factor = cs
-            else:
-                factor = -cs
-            accumulate(out, [(nu, factor.cmul(a * cy)) for nu, cy in pairs])
+        r = self.r
+        for s, table in self._dunkl_tables[i]:
+            terms = _dd_terms(mu, s, s.l, r)
+            if terms:
+                accumulate(out, [(nu, table[k]) for nu, k in terms])
         poly = Poly(self.n, out)
         self._dunkl_memo[key] = poly
         return poly
@@ -288,18 +306,15 @@ class PolyRep:
     def _dd_y_mono(self, nu, s: Reflection):
         """(y^nu - s^{-1} y^nu)/alpha_s^vee as (exponents, Cyc) pairs."""
         r = self.r
+        # a transposition s^{-1} = s maps y_a -> zeta^{-l} y_b, y_b -> zeta^{l}
+        # y_a and alpha^vee = y_a - zeta^{-l} y_b: the x-side terms with
+        # l -> -l.  A diagonal keeps its residue index.
+        terms = _dd_terms(nu, s, -s.l, r)
         if s.kind == "transposition":
-            # s^{-1} = s maps y_a -> zeta^{-l} y_b, y_b -> zeta^{l} y_a and
-            # alpha^vee = y_a - zeta^{-l} y_b: the x-side formulas with l -> -l
-            return _dd_transposition(nu, s.i, s.j, -s.l, r)
-        a = nu[s.i]
-        if a == 0 or (s.l * a) % r == 0:
-            return []
-        out = list(nu)
-        out[s.i] = a - 1
+            return [(ev, _dd_coefficient(s, k, r)) for ev, k in terms]
         denom = Cyc.root(r, s.l + 1) - Cyc.root(r, 1)
-        coeff = (Cyc.one(r) - Cyc.root(r, -s.l * a)) / denom
-        return [(tuple(out), coeff)]
+        return [(ev, (Cyc.one(r) - Cyc.root(r, -s.l * e)) / denom)
+                for ev, e in terms]
 
     def x_side_defects(self, yf: dict, yxf: list[dict]):
         """Yield ``(nu, j, defect)`` for 1 <= |nu| <= 2 and each slot j, in

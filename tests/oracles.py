@@ -8,6 +8,12 @@ Everything here deliberately avoids the production code paths it checks:
   series for divided differences);
 * ``oracle_dunkl`` / ``oracle_z`` rebuild the operators from the literal
   reflection sum;
+* ``dd_transposition_terms``, ``dd_diagonal_terms`` and
+  ``dunkl_mono_per_term`` build each term of a divided difference and of
+  y_i x^mu with a fresh root of unity and its own products by
+  <alpha_s, y_i> and -c_s, where the package reads per-reflection
+  coefficient tables built once per representation; ``dd_y_mono_per_term``
+  is the y-side divided difference built the same way;
 * ``apply_y_monomial`` and ``x_side_commutator_defect`` rebuild y^nu f and
   the x-side commutator defect of one (nu, j) from scratch, where the
   package reads one table of y-images per monomial and moves each y-side
@@ -49,6 +55,7 @@ from cherednik import (
 )
 from cherednik.cyclotomic import cyclotomic_polynomial
 from cherednik.operators import monomials_of_degree
+from cherednik.polynomials import accumulate
 
 
 def act_on_poly_accumulating(w: GroupElement, f: Poly) -> Poly:
@@ -122,6 +129,81 @@ def oracle_dunkl(rep, i: int, f: Poly) -> Poly:
         assert quot is not None, "reflection difference not divisible"
         out = out - quot.scaled(cs.cmul(a))
     return out
+
+
+def dd_transposition_terms(mu, a, b, l, r):
+    """(x^mu - s x^mu)/(x_a - zeta^l x_b) for s the colored transposition,
+    as (exponents, Cyc) pairs, by the geometric series."""
+    ea, eb = mu[a], mu[b]
+    if ea == eb:
+        return []
+    out = []
+    if ea > eb:
+        for t in range(ea - eb):
+            nu = list(mu)
+            nu[a] = ea - 1 - t
+            nu[b] = eb + t
+            out.append((tuple(nu), Cyc.root(r, l * t)))
+    else:
+        for t in range(eb - ea):
+            nu = list(mu)
+            nu[a] = eb - 1 - t
+            nu[b] = ea + t
+            out.append((tuple(nu), -Cyc.root(r, l * (ea - eb + t))))
+    return out
+
+
+def dd_diagonal_terms(mu, i, l, r):
+    """(x^mu - s x^mu)/(zeta^{-l-1} x_i) for s the diagonal reflection."""
+    a = mu[i]
+    if a == 0 or (l * a) % r == 0:
+        return []
+    nu = list(mu)
+    nu[i] = a - 1
+    coeff = Cyc.root(r, l + 1) * (Cyc.one(r) - Cyc.root(r, -l * a))
+    return [(tuple(nu), coeff)]
+
+
+def dd_per_term(rep, mu, s):
+    """(x^mu - s x^mu)/alpha_s as (exponents, Cyc) pairs."""
+    if s.kind == "transposition":
+        return dd_transposition_terms(mu, s.i, s.j, s.l, rep.r)
+    return dd_diagonal_terms(mu, s.i, s.l, rep.r)
+
+
+def dunkl_mono_per_term(rep, i: int, mu: tuple[int, ...],
+                        fault_dunkl_sign: bool = False) -> Poly:
+    """y_i x^mu, scaling each divided-difference term by <alpha_s, y_i>
+    and -c_s on the spot (+c_s on the transpositions under the fault)."""
+    params = rep.params
+    out: dict = {}
+    if mu[i]:
+        nu = list(mu)
+        nu[i] -= 1
+        accumulate(out, [(tuple(nu), params.kappa * mu[i])])
+    for s in rep.reflections:
+        a = s.alpha[i]
+        if not a:
+            continue
+        cs = coupling(params, s)
+        factor = cs if fault_dunkl_sign and s.kind == "transposition" else -cs
+        accumulate(out, [(nu, factor.cmul(a * cy))
+                         for nu, cy in dd_per_term(rep, mu, s)])
+    return Poly(rep.n, out)
+
+
+def dd_y_mono_per_term(rep, nu, s):
+    """(y^nu - s^{-1} y^nu)/alpha_s^vee as (exponents, Cyc) pairs."""
+    r = rep.r
+    if s.kind == "transposition":
+        return dd_transposition_terms(nu, s.i, s.j, -s.l, r)
+    a = nu[s.i]
+    if a == 0 or (s.l * a) % r == 0:
+        return []
+    out = list(nu)
+    out[s.i] = a - 1
+    denom = Cyc.root(r, s.l + 1) - Cyc.root(r, 1)
+    return [(tuple(out), (Cyc.one(r) - Cyc.root(r, -s.l * a)) / denom)]
 
 
 def coupling(params, s):

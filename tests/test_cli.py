@@ -311,16 +311,29 @@ def test_threads_flag_is_gone(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name,argv", [
+GOLDEN_CASES = [
     ("jack_212_mu10.json",
-     ["jack", "--group", "2,1,2", "--mu", "1,0", "--json"]),
+     ["jack", "--group", "2,1,2", "--mu", "1,0", "--json"], 0),
     ("gordon_332.json",
-     ["gordon", "--group", "3,3,2", "--json"]),
+     ["gordon", "--group", "3,3,2", "--json"], 0),
     ("gordon_215.json",
-     ["gordon", "--group", "2,1,5", "--json"]),
-])
-def test_golden_files(capsys, name, argv):
+     ["gordon", "--group", "2,1,5", "--json"], 0),
+    ("gordon_314.json",
+     ["gordon", "--group", "3,1,4", "--json"], 0),
+    ("verify_212_dunkl_sign.json",
+     ["verify", "--group", "2,1,2", "--max-deg", "3", "--suite",
+      "relations", "--inject-fault", "dunkl-sign", "--json"], 1),
+    ("verify_213_dunkl_sign.json",
+     ["verify", "--group", "2,1,3", "--max-deg", "3", "--suite",
+      "relations", "--inject-fault", "dunkl-sign", "--json"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "name,argv,exit_code", GOLDEN_CASES,
+    ids=[f"{case[0]}-argv{k}" for k, case in enumerate(GOLDEN_CASES)])
+def test_golden_files(capsys, name, argv, exit_code):
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     expected = (GOLDEN / name).read_text()
     assert out == expected

@@ -2,18 +2,20 @@
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import (
-    act_on_poly_accumulating, apply_y_monomial, class_sum, oracle_dunkl,
+    act_on_poly_accumulating, apply_y_monomial, class_sum, dd_per_term,
+    dd_y_mono_per_term, dunkl_mono_per_term, oracle_dunkl,
     oracle_z, poly_divexact, x_side_commutator_defect,
 )
 
 from cherednik import (
-    GenericParameters, GroupElement, Poly, PolyRep, SpecializedParameters,
-    act_on_poly, group_elements, order_lt, weight_of,
+    GenericParameters, GroupElement, ParamPoint, Poly, PolyRep,
+    SpecializedParameters, act_on_poly, group_elements, order_lt, weight_of,
 )
 from cherednik.operators import monomials_up_to
 from cherednik.parsing import parse_poly, poly_from_json
@@ -141,6 +143,67 @@ def test_dunkl_matches_literal_reflection_sum():
                 assert rep.dunkl(i, f) == oracle_dunkl(rep, i, f)
 
 
+# G(4,1,2) and G(6,2,2) have diagonal reflections with l e = 0 mod r for a
+# residue e != 0, where the divided difference of x_i^e vanishes
+TABLE_GROUPS = [(1, 1, 3), (2, 1, 2), (3, 1, 2), (4, 1, 2), (6, 2, 2),
+                (3, 3, 3)]
+
+
+def table_params(r, p, n, point):
+    if point == "generic":
+        return GenericParameters(r, p)
+    if point == "gordon" and r == 1:
+        # gordon_point needs r > 1; the Coxeter number of S_n is n
+        c = Fraction(n + 1, n)
+        return SpecializedParameters(ParamPoint.from_c(1, 1, 1, c))
+    if point == "gordon":
+        return SpecializedParameters(gordon_point(r, p, n))
+    cdiag = [Fraction(t + 2, 2 * t + 5) for t in range(1, r // p)]
+    return SpecializedParameters(ParamPoint.from_c(
+        r, p, Fraction(3, 2), Fraction(1, 3), cdiag))
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("point", ["generic", "gordon", "other"])
+@pytest.mark.parametrize("r,p,n", TABLE_GROUPS)
+def test_dunkl_mono_matches_per_term_oracle(r, p, n, point, fault):
+    rep = PolyRep(r, p, n, table_params(r, p, n, point),
+                  fault_dunkl_sign=fault)
+    for mu in monomials_up_to(n, 5 if n == 2 else 4):
+        for i in range(n):
+            assert rep._dunkl_mono(i, mu) == \
+                dunkl_mono_per_term(rep, i, mu, fault), (i, mu)
+
+
+@pytest.mark.parametrize("r,p,n", TABLE_GROUPS)
+def test_divided_differences_match_per_term_oracle(r, p, n):
+    rep = PolyRep(r, p, n)
+    one = rep.params.one
+    for mu in monomials_up_to(n, 5 if n == 2 else 4):
+        for s in rep.reflections:
+            expected = Poly(n, {})
+            for nu, cy in dd_per_term(rep, mu, s):
+                expected = expected + Poly.monomial(nu, one.cmul(cy))
+            assert rep.divided_difference(Poly.monomial(mu, one), s) \
+                == expected
+            assert rep._dd_y_mono(mu, s) == dd_y_mono_per_term(rep, mu, s)
+
+
+@pytest.mark.parametrize("r,p,n", [(4, 1, 2), (6, 2, 2)])
+def test_diagonal_tables_skip_vanishing_residues(r, p, n):
+    rep = PolyRep(r, p, n)
+    diagonals = [(s, table) for s, table in rep._dunkl_tables[0]
+                 if s.kind == "diagonal"]
+    assert diagonals
+    skipped = set()
+    for s, table in diagonals:
+        for e, entry in enumerate(table):
+            assert (entry is None) == ((s.l * e) % r == 0)
+            if entry is None and e:
+                skipped.add((s.l, e))
+    assert skipped
+
+
 def test_dunkl_lowers_degree_and_leibniz():
     rng = random.Random(19)
     rep = PolyRep(3, 1, 2)
@@ -158,7 +221,11 @@ def test_dunkl_lowers_degree_and_leibniz():
         for i in range(2):
             direct = rep.dunkl(i, f * g)
             acc = Poly.zero(2)
-            for s, cs, a in rep._touching[i]:
+            for s in rep.reflections:
+                a = s.alpha[i]
+                if not a:
+                    continue
+                cs = s.coupling(par)
                 ddf = rep.divided_difference(f, s)
                 ddg = rep.divided_difference(g, s)
                 part = ddf * rep.t(s.element, g) + f * ddg
