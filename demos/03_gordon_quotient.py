@@ -10,8 +10,7 @@ replays the whole story at desk scale.
 from cherednik import (
     GroupElement, PolyRep, SpecializedParameters, coxeter_number,
     genericity_guard, gordon_point, graded_char_L1, jack_by_solve,
-    l1_dimension_by_counting, l1_series_by_counting, psi_scalar,
-    radical_membership, singular_vector_check,
+    psi_scalar, singular_vector_check,
 )
 
 r, p, n = 2, 1, 2
@@ -41,14 +40,13 @@ print("their span is group-stable with the character of the k-th powers:")
 print(f"  {singular_vector_check(r, p, n, point, k)}")
 print()
 
-dim = l1_dimension_by_counting(n, k)
-print(f"dim of the quotient: {dim} = (h+1)^n")
-print(f"by degree: {l1_series_by_counting(n, k, n * (k - 1))}")
 ident = graded_char_L1(r, p, n, GroupElement.identity(r, n), k)
-print(f"graded character at the identity: {[str(c) for c in ident.series(8)]}")
-print(f"its value at t = 1: {ident.at_one()}")
+print(f"graded character at the identity, ((1 - t^k)/(1 - t))^n: "
+      f"{[str(c) for c in ident.series(n * (k - 1))]}")
+print(f"its value at t = 1, the dimension of the quotient: "
+      f"{ident.at_one()} = (h+1)^n = {k ** n}")
 print()
 
 print("membership of f_mu in the radical is reading off max(mu) >= k:")
 for mu in [(0, 0), (4, 4), (5, 0), (2, 7)]:
-    print(f"  mu = {mu}: {radical_membership(mu, k)}")
+    print(f"  mu = {mu}: {max(mu) >= k}")

@@ -36,9 +36,8 @@ from .pbw import FormFamily, check_pbw, rca_forms
 from .reptheory import (
     GradedChar, Hjk, Hx, catalan_series, coinvariant_series, coxeter_number,
     degrees, exponents_and_freeness, genericity_guard, gordon_point,
-    graded_char_L1, invariant_char_series, is_irreducible,
-    l1_dimension_by_counting, l1_series_by_counting, on_hyperplane,
-    radical_membership, singular_vector_check,
+    graded_char_L1, invariant_char_series, is_irreducible, on_hyperplane,
+    singular_vector_check,
 )
 from .parsing import parse_cyc, parse_poly, parse_scalar, poly_from_json
 
@@ -63,8 +62,7 @@ __all__ = [
     "GradedChar", "Hjk", "Hx", "catalan_series", "coinvariant_series",
     "coxeter_number", "degrees", "exponents_and_freeness",
     "genericity_guard", "gordon_point", "graded_char_L1",
-    "invariant_char_series", "is_irreducible", "l1_dimension_by_counting",
-    "l1_series_by_counting", "on_hyperplane", "radical_membership",
+    "invariant_char_series", "is_irreducible", "on_hyperplane",
     "singular_vector_check",
     "parse_cyc", "parse_poly", "parse_scalar", "poly_from_json",
 ]

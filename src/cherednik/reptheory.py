@@ -11,15 +11,18 @@ the union of (1/j) Z_{>0} for j <= n, which keeps the spectrum simple), the
 radical of the polynomial representation is spanned by the eigenvectors f_mu
 with some part of size >= k, the quotient has dimension k^n, and its graded
 group character is det(1 - t^k w_V)/det(1 - t w) for V the span of the k-th
-powers of the variables.  At c_s = (h+1)/h (h the Coxeter number) this
-reproduces the diagonal coinvariant quotient and the q-Catalan series
+powers of the variables.  At the identity that is ((1 - t^k)/(1 - t))^n, so
+the graded dimension of the quotient is read off in closed form.  At
+c_s = (h+1)/h (h the Coxeter number) this reproduces the diagonal
+coinvariant quotient and the q-Catalan series
 prod (1 - t^{h+d_i})/(1 - t^{d_i}).
 
-The singular vectors f over k e_i are checked without enumerating W: their
-span is tested for stability on the reflections through slot 1, which
-generate W; its character then equals that of V by a unitriangular
-comparison of leading terms; and y_1 alone tests annihilation (see
-:func:`singular_vector_check`).
+The singular vectors f over k e_i come from one eigenvector solve: H_{k,1}
+needs k != 0 mod r, so the class sum pi_i kills f over k e_{i+1} and the
+exchange operator sigma_i is t_{s_i} there.  Their span is tested for
+stability on the reflections through slot 1, which generate W; its character
+then equals that of V by a unitriangular comparison of leading terms; and y_1
+alone tests annihilation (see :func:`singular_vector_check`).
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ from .scalars import ParamPoint, SpecializedParameters
 __all__ = [
     "Hjk", "Hx", "coxeter_number", "degrees", "is_irreducible",
     "gordon_point", "on_hyperplane", "genericity_guard",
-    "radical_membership", "simple_spectrum_violations",
-    "l1_dimension_by_counting", "l1_series_by_counting",
-    "span_stability_check", "singular_vector_check", "GradedChar",
-    "graded_char_L1", "invariant_char_series", "catalan_series",
-    "coinvariant_series", "exponents_and_freeness",
+    "simple_spectrum_violations", "span_stability_check",
+    "singular_vector_check", "GradedChar", "graded_char_L1",
+    "invariant_char_series", "catalan_series", "coinvariant_series",
+    "exponents_and_freeness",
 ]
 
 
@@ -180,28 +182,8 @@ def genericity_guard(point: ParamPoint, k: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# the radical and the quotient
+# singular vectors
 # ---------------------------------------------------------------------------
-
-
-def radical_membership(mu, k: int) -> bool:
-    """f_mu lies in the radical iff some part of mu reaches k."""
-    return max(mu) >= k
-
-
-def l1_dimension_by_counting(n: int, k: int) -> int:
-    """Count the quotient basis {f_mu : all parts < k} by enumeration."""
-    return sum(1 for _ in itertools.product(range(k), repeat=n))
-
-
-def l1_series_by_counting(n: int, k: int, truncation: int) -> list[int]:
-    """Graded dimension of the quotient from the eigenbasis indexing."""
-    out = [0] * (truncation + 1)
-    for mu in itertools.product(range(k), repeat=n):
-        d = sum(mu)
-        if d <= truncation:
-            out[d] += 1
-    return out
 
 
 def span_stability_check(rep: PolyRep, basis) -> dict | None:
@@ -242,6 +224,16 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     is group-stable with the same character as the span V_k of the k-th
     powers of the variables, and that every Dunkl operator kills U.
 
+    Only f over k e_n is solved for (``jack_by_solve``); f over k e_i is
+    t_{s_i} applied to f over k e_{i+1}, with s_i the colorless (i i+1).
+    This needs k != 0 mod r, as H_{k,1} does, and a ValueError says so
+    otherwise.  The exchange operator
+    sigma_i = t_{s_i} + c_0 pi_i/(z_i - z_{i+1}) sends f_mu to a multiple of
+    f_{s_i mu}, and the class sum pi_i acts on f_mu by 0 unless
+    mu_i = mu_{i+1} mod r (see :mod:`~cherednik.intertwiners`).  The entries
+    0 and k of k e_{i+1} differ mod r, so sigma_i is t_{s_i} on f over
+    k e_{i+1}, and its image is monic at x^{k e_i}: it is f over k e_i.
+
     Stability runs over the reflections through slot 1, which generate W
     (``span_stability_check``), not over all of W.  The character follows
     from stability, so ``"character_match"`` is reported without a further
@@ -258,19 +250,23 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     therefore reported before an annihilation failure, whose witness always
     has ``y_index`` 0.
     """
+    if k <= 0 or k % r == 0:
+        raise ValueError("k must be positive and nonzero mod r")
     rep = PolyRep(r, p, n, SpecializedParameters(point))
-    basis = []
-    for i in range(n):
-        mu = tuple(k if j == i else 0 for j in range(n))
-        basis.append(jack_by_solve(rep, mu))
-    failure = span_stability_check(rep, [(jv.mu, jv.poly) for jv in basis])
+    tops = [tuple(k if j == i else 0 for j in range(n)) for i in range(n)]
+    polys = [jack_by_solve(rep, tops[-1]).poly]
+    for i in reversed(range(n - 1)):
+        s_i = GroupElement.transposition(r, n, i, i + 1)
+        polys.insert(0, rep.t(s_i, polys[0]))
+    basis = list(zip(tops, polys))
+    failure = span_stability_check(rep, basis)
     if failure is not None:
         return failure
-    for jv in basis:
-        img = rep.dunkl(0, jv.poly)
+    for mu, f in basis:
+        img = rep.dunkl(0, f)
         if not img.is_zero():
             return {"status": "fail", "reason": "not annihilated",
-                    "mu": list(jv.mu), "y_index": 0, "image": str(img)}
+                    "mu": list(mu), "y_index": 0, "image": str(img)}
     return {"status": "pass", "k": k, "dimension": n,
             "annihilated": True, "group_stable": True,
             "character_match": True}

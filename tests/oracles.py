@@ -30,7 +30,13 @@ Everything here deliberately avoids the production code paths it checks:
   ``invariant_char_series_all_of_w`` walk every element of W where the
   package uses the reflections through slot 1 or one representative per
   conjugacy class; the first also compares characters, which the package
-  derives from stability;
+  derives from stability; the second also solves for each of the n
+  singular vectors, where the package solves for one and applies
+  transpositions;
+* ``l1_dimension_by_counting`` and ``l1_series_by_counting`` count the
+  compositions with every part below k, where the package reads the
+  graded dimension of the quotient off the identity character in closed
+  form; ``radical_membership`` is the radical's indexing rule;
 * ``coupling`` and ``class_sum`` write out c_s and the colored
   transpositions inline;
 * ``c_from_d_sum``, ``graded_char_series_dense`` and ``int_series_dense``
@@ -547,6 +553,26 @@ def invariant_char_series_all_of_w(r: int, p: int, n: int, k: int,
         v = c / Q(count)
         assert v.is_rational(), "invariant series is not rational"
         out.append(v.rational_value())
+    return out
+
+
+def radical_membership(mu, k: int) -> bool:
+    """f_mu lies in the radical iff some part of mu reaches k."""
+    return max(mu) >= k
+
+
+def l1_dimension_by_counting(n: int, k: int) -> int:
+    """Count the quotient basis {f_mu : all parts < k} by enumeration."""
+    return sum(1 for _ in itertools.product(range(k), repeat=n))
+
+
+def l1_series_by_counting(n: int, k: int, truncation: int) -> list[int]:
+    """Graded dimension of the quotient from the eigenbasis indexing."""
+    out = [0] * (truncation + 1)
+    for mu in itertools.product(range(k), repeat=n):
+        d = sum(mu)
+        if d <= truncation:
+            out[d] += 1
     return out
 
 

@@ -9,15 +9,15 @@ import sys
 import time
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from oracles import dense_eigenvector, oracle_z
+from oracles import dense_eigenvector, l1_dimension_by_counting, oracle_z
 
 from cherednik import (
     Cyc, GroupElement, Poly, PolyRep, apply_phi, apply_psi, apply_sigma,
     catalan_series, check_pbw, coxeter_number, exponents_and_freeness,
     genericity_guard, gordon_point, graded_char_L1, invariant_char_series,
-    jack_by_intertwiners, jack_by_solve, l1_dimension_by_counting,
-    order_lt, phi_psi_scalar, psi_scalar, rca_forms,
-    singular_vector_check, weight_of, SpecializedParameters,
+    jack_by_intertwiners, jack_by_solve, order_lt, phi_psi_scalar,
+    psi_scalar, rca_forms, singular_vector_check, weight_of,
+    SpecializedParameters,
 )
 from cherednik.operators import monomials_up_to
 

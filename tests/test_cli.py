@@ -12,6 +12,8 @@ import cherednik
 from cherednik import GenericParameters, jack_by_solve, PolyRep, poly_from_json
 from cherednik.cli import main
 
+from oracles import l1_dimension_by_counting, l1_series_by_counting
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -177,6 +179,20 @@ def test_gordon_reaches_larger_groups(capsys, group):
         assert data["catalan_invariant_match"] is True
 
 
+@pytest.mark.parametrize("group", ["2,1,1", "2,1,2", "2,1,3", "2,1,4",
+                                   "2,1,5", "3,1,2", "3,3,3", "4,2,2"])
+def test_gordon_quotient_series_matches_counting(capsys, group):
+    # by_degree is read off the identity character in closed form; the
+    # oracle counts the compositions with every part below k
+    code, out, _ = run_cli(capsys, "gordon", "--group", group, "--json")
+    assert code == 0
+    data = json.loads(out)
+    n, k = data["group"][2], data["k"]
+    assert data["dim_L1"]["count"] == l1_dimension_by_counting(n, k)
+    assert data["dim_L1"]["by_degree"] \
+        == l1_series_by_counting(n, k, n * (k - 1))
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("group=2,1,2\nmu=1,0\n")
@@ -326,6 +342,10 @@ GOLDEN_CASES = [
     ("verify_213_dunkl_sign.json",
      ["verify", "--group", "2,1,3", "--max-deg", "3", "--suite",
       "relations", "--inject-fault", "dunkl-sign", "--json"], 1),
+    ("gordon_315.json",
+     ["gordon", "--group", "3,1,5", "--json"], 0),
+    ("gordon_216.json",
+     ["gordon", "--group", "2,1,6", "--json"], 0),
 ]
 
 

@@ -1,5 +1,6 @@
 """Hyperplanes, the guard, singular vectors, characters and Catalan series."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,8 @@ from cherednik import (
     SpecializedParameters, catalan_series, coinvariant_series,
     conjugacy_classes, coxeter_number, degrees, exponents_and_freeness, genericity_guard,
     gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
-    group_order, jack_by_solve, l1_dimension_by_counting,
-    l1_series_by_counting, on_hyperplane, order_key, parse_element,
-    radical_membership, singular_vector_check,
+    group_order, jack_by_solve, on_hyperplane, order_key, parse_element,
+    singular_vector_check,
 )
 from cherednik import reptheory
 from cherednik.operators import monomials_up_to
@@ -20,8 +20,9 @@ from cherednik.reptheory import span_stability_check
 import oracles
 from oracles import (
     graded_char_series_dense, int_series_dense,
-    invariant_char_series_all_of_w, singular_vector_check_all_of_w,
-    span_character_check_all_of_w,
+    invariant_char_series_all_of_w, l1_dimension_by_counting,
+    l1_series_by_counting, radical_membership,
+    singular_vector_check_all_of_w, span_character_check_all_of_w,
 )
 
 # small groups on which the all-of-W oracles run in well under a second
@@ -315,28 +316,50 @@ def test_singular_check_flags_a_non_gordon_point():
     assert (oracle["status"], oracle["reason"]) == ("fail", "not annihilated")
 
 
-def test_y1_is_applied_to_every_vector():
-    # at c0 = 1/2, c1 = -2 the span is W-stable and y_1 kills f_(2,0) but
-    # not f_(0,2)
-    pt = ParamPoint.from_c(2, 1, 1, Fraction(1, 2), [Fraction(-2)])
-    rep = PolyRep(2, 1, 2, SpecializedParameters(pt))
-    assert rep.dunkl(0, jack_by_solve(rep, (2, 0)).poly).is_zero()
-    report = singular_vector_check(2, 1, 2, pt, 2)
-    assert (report["reason"], report["mu"], report["y_index"]) \
-        == ("not annihilated", [0, 2], 0)
-    assert report == singular_vector_check_all_of_w(2, 1, 2, pt, 2)
+@pytest.mark.parametrize("r,p,k", [(2, 1, 2), (2, 1, 0), (2, 1, -3),
+                                   (3, 1, 6), (3, 3, 0)])
+def test_singular_check_needs_k_nonzero_mod_r(r, p, k):
+    # f over k e_i is t_{s_i} f over k e_{i+1} only when pi_i kills the
+    # latter, i.e. when 0 and k differ mod r; H_{k,1} needs that too
+    pt = ParamPoint.from_c(r, p, 1, Fraction(1, 2),
+                           [Fraction(-2)] * (r // p - 1))
+    with pytest.raises(ValueError, match="nonzero mod r"):
+        singular_vector_check(r, p, 2, pt, k)
+
+
+def test_y1_is_applied_to_every_vector(monkeypatch):
+    r, p, n = 2, 1, 3
+    k = coxeter_number(r, p, n) + 1
+    point = gordon_point(r, p, n)
+    applied = []
+    real = PolyRep.dunkl
+
+    def spy(rep, i, f):
+        applied.append((i, f))
+        return real(rep, i, f)
+
+    monkeypatch.setattr(PolyRep, "dunkl", spy)
+    assert singular_vector_check(r, p, n, point, k)["status"] == "pass"
+    monkeypatch.undo()
+    rep = PolyRep(r, p, n, SpecializedParameters(point))
+    tops = [tuple(k if j == i else 0 for j in range(n)) for i in range(n)]
+    assert applied == [(0, jack_by_solve(rep, mu).poly) for mu in tops]
 
 
 def test_span_failure_is_reported_before_annihilation(monkeypatch):
     # where the span is not W-stable, y_1 alone proves nothing, so that
     # failure comes first; the oracle still reports the Dunkl image first.
     # No point of G(2,1,2) or G(3,1,2) with small rational c and k <= 9 made
-    # the span of the eigenvectors fail, so one vector is swapped out.
+    # the span of the eigenvectors fail, so the one solved vector is
+    # perturbed: its transposition no longer lies in the span.
     pt = ParamPoint.from_c(2, 1, 1, Fraction(1, 3), [Fraction(1, 3)])
     real = reptheory.jack_by_solve
 
     def skewed(rep, mu):
-        return real(rep, (0, 3) if mu == (0, 5) else mu)
+        jv = real(rep, mu)
+        if mu != (0, 5):
+            return jv
+        return dataclasses.replace(jv, poly=jv.poly + real(rep, (0, 4)).poly)
 
     monkeypatch.setattr(reptheory, "jack_by_solve", skewed)
     monkeypatch.setattr(oracles, "jack_by_solve", skewed)
@@ -346,6 +369,45 @@ def test_span_failure_is_reported_before_annihilation(monkeypatch):
     oracle = singular_vector_check_all_of_w(2, 1, 2, pt, 5)
     assert (oracle["status"], oracle["reason"], oracle["y_index"]) \
         == ("fail", "not annihilated", 0)
+
+
+_TRANSPOSED_CASES = (
+    [(r, p, n, None, None)
+     for r, p, n in DIFFERENTIAL_GROUPS + [(2, 1, 4), (3, 1, 3)]]
+    + [(2, 1, 2, Fraction(1, 3), k) for k in (3, 5)])
+
+
+@pytest.mark.parametrize("r,p,n,c,k", _TRANSPOSED_CASES)
+def test_transposed_singular_vectors_match_separate_solves(
+        monkeypatch, r, p, n, c, k):
+    # one solve per check; the vectors it builds by transpositions are the
+    # ones jack_by_solve finds over each k e_i
+    if c is None:
+        point, k = gordon_point(r, p, n), coxeter_number(r, p, n) + 1
+    else:
+        point = ParamPoint.from_c(r, p, 1, c, [c] * (r // p - 1))
+    seen = {"basis": None, "solves": 0}
+    real_span, real_solve = reptheory.span_stability_check, \
+        reptheory.jack_by_solve
+
+    def span_spy(rep, basis):
+        seen["basis"] = list(basis)
+        return real_span(rep, basis)
+
+    def solve_spy(rep, mu):
+        seen["solves"] += 1
+        return real_solve(rep, mu)
+
+    monkeypatch.setattr(reptheory, "span_stability_check", span_spy)
+    monkeypatch.setattr(reptheory, "jack_by_solve", solve_spy)
+    singular_vector_check(r, p, n, point, k)
+    monkeypatch.undo()
+    assert seen["solves"] == 1
+    rep = PolyRep(r, p, n, SpecializedParameters(point))
+    tops = [tuple(k if j == i else 0 for j in range(n)) for i in range(n)]
+    assert [mu for mu, _ in seen["basis"]] == tops
+    for mu, f in seen["basis"]:
+        assert f == jack_by_solve(rep, mu).poly, mu
 
 
 @pytest.mark.parametrize("r,p,n", DIFFERENTIAL_GROUPS)
