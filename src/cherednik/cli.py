@@ -20,7 +20,7 @@ from typing import Optional
 from .cyclotomic import Cyc
 from .jack import NonGenericError, jack_by_intertwiners, jack_by_solve
 from .operators import PolyRep, monomials_up_to
-from .pbw import check_pbw, rca_forms
+from .pbw import check_pbw, rca_forms, require_pbw_budget
 from .intertwiners import verify_braid_and_quadratic
 from .reptheory import (
     catalan_series, coxeter_number, exponents_and_freeness, genericity_guard,
@@ -40,12 +40,10 @@ class JobConfig:
     r: int
     p: int
     n: int
-    mode: str = "generic"
     point: Optional[ParamPoint] = None
     mus: list[tuple[int, ...]] = field(default_factory=list)
     max_deg: int = 4
     truncation: int = 12
-    bound: Optional[int] = None
     suite: str = "all"
     check_both: bool = False
     inject_fault: Optional[str] = None
@@ -56,16 +54,12 @@ class JobConfig:
             raise ValueError(f"invalid group ({self.r},{self.p},{self.n})")
         if self.max_deg <= 0 or self.truncation <= 0:
             raise ValueError("degree caps and truncations must be positive")
-        if self.bound is not None and self.bound <= 0:
-            raise ValueError(f"--bound must be positive, got {self.bound}")
-        if self.mode == "specialized" and self.point is None:
-            raise ValueError("specialized mode requires a parameter point")
         for mu in self.mus:
             if len(mu) != self.n or any(v < 0 for v in mu):
                 raise ValueError(f"bad composition {mu} for rank {self.n}")
 
     def params(self):
-        if self.mode == "specialized":
+        if self.point is not None:
             return SpecializedParameters(self.point)
         return GenericParameters(self.r, self.p)
 
@@ -75,9 +69,9 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 # the config-file keys each subcommand reads
-_POINT_KEYS = ("mode", "c0", "kappa", "cdiag")
+_POINT_KEYS = ("c0", "kappa", "cdiag")
 _CONFIG_KEYS = {
-    "gordon": ("group", "truncation", "bound"),
+    "gordon": ("group", "truncation"),
     "jack": ("group", "mu", *_POINT_KEYS),
     "verify": ("group", *_POINT_KEYS, "max_deg", "suite"),
 }
@@ -121,7 +115,6 @@ def _build_config(args) -> JobConfig:
            for m in (getattr(args, "mu", None) or [])]
     if not mus and "mu" in cfg:
         mus = [tuple(int(t) for t in cfg["mu"].split(","))]
-    mode = _merge(args, cfg, "mode", str)
     c0 = _merge(args, cfg, "c0", _parse_fraction)
     kappa = _merge(args, cfg, "kappa", _parse_fraction)
     cdiag = _merge(args, cfg, "cdiag", str)
@@ -133,24 +126,18 @@ def _build_config(args) -> JobConfig:
     if at_gordon and c0 is not None:
         raise ValueError("--gordon-point and --c0 pick different points; "
                          "give one")
-    if mode == "generic" and (at_gordon or c0 is not None):
-        raise ValueError("--mode generic contradicts a parameter point "
-                         "(--c0 or --gordon-point)")
     point = None
     if at_gordon:
-        mode = "specialized"
         point = gordon_point(r, p, n)
     elif c0 is not None:
         cvals = [Fraction(t) for t in cdiag.split(",")] if cdiag \
             else [Fraction(0)] * (r // p - 1)
         point = ParamPoint.from_c(
             r, p, Fraction(1) if kappa is None else kappa, c0, cvals)
-        mode = "specialized"
     job = JobConfig(
-        r=r, p=p, n=n, mode=mode or "generic", point=point, mus=mus,
+        r=r, p=p, n=n, point=point, mus=mus,
         max_deg=int(_merge(args, cfg, "max_deg", int, 4)),
         truncation=int(_merge(args, cfg, "truncation", int, 12)),
-        bound=_merge(args, cfg, "bound", int),
         suite=_merge(args, cfg, "suite", str, "all"),
         check_both=bool(getattr(args, "check_both", False)),
         inject_fault=getattr(args, "inject_fault", None),
@@ -189,7 +176,8 @@ def cmd_jack(job: JobConfig) -> int:
                       [f"constructions disagree at mu={mu}"])
                 return INTERNAL
         results.append(entry)
-    payload = {"group": [job.r, job.p, job.n], "mode": job.mode,
+    mode = "generic" if job.point is None else "specialized"
+    payload = {"group": [job.r, job.p, job.n], "mode": mode,
                "eigenvectors": results}
     lines = []
     for entry in results:
@@ -206,16 +194,20 @@ def cmd_jack(job: JobConfig) -> int:
 def _verify_suites(job: JobConfig) -> dict:
     fault_dunkl = job.inject_fault == "dunkl-sign"
     fault_pi = job.inject_fault == "pi-sign"
-    rep = PolyRep(job.r, job.p, job.n, job.params(),
-                  fault_dunkl_sign=fault_dunkl)
-    reports = {}
     wanted = job.suite
+    params = job.params()
+    if wanted in ("all", "pbw"):
+        # refuse an oversized PBW check before any suite runs
+        family = rca_forms(job.r, job.p, job.n, params)
+        require_pbw_budget(family)
+    rep = PolyRep(job.r, job.p, job.n, params, fault_dunkl_sign=fault_dunkl)
+    reports = {}
     if wanted in ("all", "relations"):
         reports["relations"] = rep.check_relations(job.max_deg)
     if wanted in ("all", "commutators"):
         reports["commutators"] = rep.commutator_report(job.max_deg)
     if wanted in ("all", "pbw"):
-        reports["pbw"] = check_pbw(rca_forms(job.r, job.p, job.n, rep.params))
+        reports["pbw"] = check_pbw(family)
     if wanted in ("all", "intertwiners"):
         grid = [mu for mu in monomials_up_to(job.n, min(job.max_deg, 4))]
         clean = PolyRep(job.r, job.p, job.n, job.params())
@@ -258,7 +250,7 @@ def cmd_gordon(job: JobConfig) -> int:
     h = coxeter_number(r, p, n)
     k = h + 1
     point = gordon_point(r, p, n)
-    guard = genericity_guard(point, k, n, bound=job.bound)
+    guard = genericity_guard(point, k, n)
     if not guard["ok"]:
         _emit({"status": "guard-failure", "h": h, "k": k, "guard": guard},
               job.as_json,
@@ -329,7 +321,6 @@ def _add_common(sp):
 
 def _add_point(sp):
     """The parameter-point flags; gordon always runs at the Coxeter point."""
-    sp.add_argument("--mode", choices=["generic", "specialized"], default=None)
     sp.add_argument("--kappa", type=_parse_fraction, default=None)
     sp.add_argument("--c0", type=_parse_fraction, default=None,
                     help="specialize c0 (rational)")
@@ -366,8 +357,6 @@ def main(argv=None) -> int:
     sp = sub.add_parser("gordon", help="reproduce the coinvariant quotient")
     _add_common(sp)
     sp.add_argument("--truncation", type=int, default=None)
-    sp.add_argument("--bound", type=int, default=None,
-                    help="hyperplane scanning bound")
 
     args = parser.parse_args(argv)
     try:

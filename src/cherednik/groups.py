@@ -292,7 +292,8 @@ def group_order(r: int, p: int, n: int) -> int:
 
 
 def group_elements(r: int, p: int, n: int) -> Iterator[GroupElement]:
-    """All elements of G(r,p,n). Intended for desk scale (|W| <= 20000)."""
+    """All r^n n!/p elements of G(r,p,n).  The package walks them only in
+    ``pbw.check_pbw``, within ``pbw.PBW_COMPARISON_BUDGET``."""
     if r % p:
         raise ValueError(f"p={p} must divide r={r}")
     for perm in itertools.permutations(range(n)):

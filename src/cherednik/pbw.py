@@ -18,11 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclotomic import Cyc
-from .groups import GroupElement, group_elements, reflections
+from .groups import GroupElement, group_elements, group_order, reflections
 from .polynomials import accumulate
 from .scalars import GenericParameters
 
-__all__ = ["FormFamily", "rca_forms", "check_pbw"]
+__all__ = ["FormFamily", "rca_forms", "check_pbw", "require_pbw_budget"]
+
+# the most form comparisons condition (a) may make: G(3,1,4) needs 1.47
+# million, G(2,1,5) 4.49 million; the 182,784 of G(2,1,4) take about 2 s
+PBW_COMPARISON_BUDGET = 2_000_000
 
 
 @dataclass
@@ -94,9 +98,22 @@ def rca_forms(r: int, p: int, n: int, params=None) -> FormFamily:
     return fam
 
 
+def require_pbw_budget(family: FormFamily) -> int:
+    """|W| |support| n(2n-1), the form comparisons of condition (a); a
+    ValueError when that is over ``PBW_COMPARISON_BUDGET``."""
+    r, p, n = family.r, family.p, family.n
+    count = group_order(r, p, n) * len(family.forms) * n * (2 * n - 1)
+    if count > PBW_COMPARISON_BUDGET:
+        raise ValueError(
+            f"the PBW check on G({r},{p},{n}) needs {count:,} form "
+            f"comparisons, over the budget of {PBW_COMPARISON_BUDGET:,}")
+    return count
+
+
 def check_pbw(family: FormFamily) -> dict:
-    """Check conditions (a) and (b); returns a JSON-ready report with the
-    first violated instance as witness."""
+    """Check conditions (a) and (b), after :func:`require_pbw_budget`;
+    returns a JSON-ready report with the first violated instance as witness."""
+    require_pbw_budget(family)
     n = family.n
     dim = 2 * n
     elements = list(group_elements(family.r, family.p, family.n))

@@ -27,7 +27,6 @@ alone tests annihilation (see :func:`singular_vector_check`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +34,6 @@ from .cyclotomic import Cyc
 from .groups import GroupElement, conjugacy_classes, group_order
 from .jack import jack_by_solve, order_key
 from .operators import PolyRep
-from .polynomials import Poly
 from .scalars import ParamPoint, SpecializedParameters
 
 __all__ = [
@@ -438,34 +436,33 @@ def coinvariant_series(r: int, p: int, n: int, truncation: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _det(entries: list[list[Poly]], n_vars: int, one) -> Poly:
-    n = len(entries)
-    out = Poly.zero(n_vars)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j = perm[i]
-            length = 1
-            seen[i] = True
-            while j != i:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = Poly.monomial((0,) * n_vars, one)
-        for i in range(n):
-            term = term * entries[i][perm[i]]
-        out = out + term if sign > 0 else out - term
-    return out
+def _alternant_sign(rows, r: int, shift: int) -> int:
+    """s in {1, -1} with det = s x^(shift,..,shift) prod_{i<j} (x_i^r - x_j^r),
+    else 0, for the matrix whose row i, the pair (b_i, a_i), has entries
+    x^(b_i,..,b_i) x_j^(a_i).
+
+    det is x^(sum b_i) times the alternant det[x_j^(a_i)], whose monomials
+    are the permutations of the a_i (none when two agree); the right side's
+    are those of shift + r(0, 1, .., n-1).  So the sorted a_i must be
+    c, c+r, .., c+(n-1)r with sum b_i + c = shift.  Then the alternant is
+    sgn(sorting) x^c det[(x_j^r)^i], and det[y_j^i] is
+    (-1)^(n(n-1)/2) prod_{i<j} (y_i - y_j): -1 to the number of u < v with
+    a_u < a_v in all.
+    """
+    a = [e for _, e in rows]
+    c = min(a)
+    if sorted(a) != [c + i * r for i in range(len(a))] \
+            or sum(b for b, _ in rows) + c != shift:
+        return 0
+    ascents = sum(a[u] < a[v] for u in range(len(a))
+                  for v in range(u + 1, len(a)))
+    return (-1) ** ascents
 
 
 def exponents_and_freeness(r: int, p: int, n: int, m: int) -> dict:
     """Closed-form exponents of the span of the m-th power monomials, the
-    symbolic determinant identities behind freeness, and, at m = h+1, the
+    determinant identities behind freeness (signs from
+    :func:`_alternant_sign`, 0 where one fails), and, at m = h+1, the
     multiset equality {m - e_i} = {degrees}."""
     if r % p:
         raise ValueError(f"p={p} must divide r={r}")
@@ -478,24 +475,8 @@ def exponents_and_freeness(r: int, p: int, n: int, m: int) -> dict:
     else:
         exps = [mbar + i * r for i in range(n - 1)]
         exps.append((n - 1) * (r - mbar) + n * mprime)
-    one = Cyc.one(r)
-
-    def xpow(j, e):
-        ev = [0] * n
-        ev[j] = e
-        return Poly.monomial(tuple(ev), one)
-
-    vandermonde = Poly.monomial((0,) * n, one)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vandermonde = vandermonde * (xpow(i, r) - xpow(j, r))
-
-    f_rows = [[xpow(j, i * r + mbar) for j in range(n)] for i in range(n)]
-    det_f = _det(f_rows, n, one)
-    all_m = Poly.monomial((mbar,) * n, one)
-    target_f = all_m * vandermonde
-    sign_f = 1 if det_f == target_f else (-1 if det_f == -target_f else 0)
-
+    f_rows = [(0, i * r + mbar) for i in range(n)]
+    sign_f = _alternant_sign(f_rows, r, mbar)
     result = {
         "exponents": sorted(exps),
         "m_bar": mbar,
@@ -504,17 +485,8 @@ def exponents_and_freeness(r: int, p: int, n: int, m: int) -> dict:
         "det_sign": sign_f,
     }
     if p > 1:
-        rows = [[xpow(j, i * r + mbar) for j in range(n)]
-                for i in range(n - 1)]
-        last = []
-        for j in range(n):
-            ev = [r - mbar + mprime] * n
-            ev[j] = mprime
-            last.append(Poly.monomial(tuple(ev), one))
-        rows.append(last)
-        det_a = _det(rows, n, one)
-        target_a = Poly.monomial((mprime,) * n, one) * vandermonde
-        sign_a = 1 if det_a == target_a else (-1 if det_a == -target_a else 0)
+        rows = f_rows[:-1] + [(r - mbar + mprime, mbar - r)]
+        sign_a = _alternant_sign(rows, r, mprime)
         result["det_identity"] = result["det_identity"] and sign_a != 0
         result["det_sign_alt"] = sign_a
     if r > 1 and m == coxeter_number(r, p, n) + 1:

@@ -37,6 +37,10 @@ Everything here deliberately avoids the production code paths it checks:
   compositions with every part below k, where the package reads the
   graded dimension of the quotient off the identity character in closed
   form; ``radical_membership`` is the radical's indexing rule;
+* ``det_leibniz`` expands a determinant of ``Poly`` entries over all n!
+  permutations; ``alternant_sign_leibniz`` and ``freeness_dets_leibniz``
+  compare it with the expanded Vandermonde-type products, where the package
+  reads the freeness determinants off the row exponents;
 * ``coupling`` and ``class_sum`` write out c_s and the colored
   transpositions inline;
 * ``c_from_d_sum``, ``graded_char_series_dense`` and ``int_series_dense``
@@ -575,6 +579,83 @@ def l1_series_by_counting(n: int, k: int, truncation: int) -> list[int]:
             out[d] += 1
     return out
 
+
+
+def det_leibniz(entries, n_vars: int, one) -> Poly:
+    """det of a square matrix of ``Poly`` entries: the Leibniz sum over all
+    n! permutations, each sign from the permutation's even cycles."""
+    n = len(entries)
+    out = Poly.zero(n_vars)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for i in range(n):
+            if seen[i]:
+                continue
+            j = perm[i]
+            length = 1
+            seen[i] = True
+            while j != i:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        term = Poly.monomial((0,) * n_vars, one)
+        for i in range(n):
+            term = term * entries[i][perm[i]]
+        out = out + term if sign > 0 else out - term
+    return out
+
+
+def _sign_against_vandermonde(det: Poly, r: int, shift: int) -> int:
+    """s with det = s x^(shift,..,shift) prod_{i<j} (x_i^r - x_j^r), the
+    product expanded; 0 when neither sign matches."""
+    n, one = det.n, Cyc.one(r)
+
+    def xpow(j, e):
+        return Poly.monomial(tuple(e if i == j else 0 for i in range(n)), one)
+
+    target = Poly.monomial((shift,) * n, one)
+    for i in range(n):
+        for j in range(i + 1, n):
+            target = target * (xpow(i, r) - xpow(j, r))
+    return 1 if det == target else (-1 if det == -target else 0)
+
+
+def alternant_sign_leibniz(rows, r: int, shift: int) -> int:
+    """``reptheory._alternant_sign`` by expanding the determinant of the
+    matrix with entries x^(b_i,..,b_i) x_j^(a_i) (every b_i and b_i + a_i
+    nonnegative)."""
+    n, one = len(rows), Cyc.one(r)
+    entries = [[Poly.monomial(tuple(b + (a if i == j else 0)
+                                    for i in range(n)), one)
+                for j in range(n)] for b, a in rows]
+    return _sign_against_vandermonde(det_leibniz(entries, n, one), r, shift)
+
+
+def freeness_dets_leibniz(r: int, p: int, n: int, m: int) -> dict:
+    """The determinant fields of ``exponents_and_freeness`` (``det_identity``,
+    ``det_sign`` and, for p > 1, ``det_sign_alt``), from the two matrices of
+    monomials built entry by entry and expanded by the Leibniz sum."""
+    mbar, mprime = m % r, m % (r // p)
+    one = Cyc.one(r)
+
+    def entry(ev):
+        return Poly.monomial(tuple(ev), one)
+
+    rows = [[entry(i * r + mbar if k == j else 0 for k in range(n))
+             for j in range(n)] for i in range(n)]
+    sign_f = _sign_against_vandermonde(det_leibniz(rows, n, one), r, mbar)
+    out = {"det_identity": sign_f != 0, "det_sign": sign_f}
+    if p > 1:
+        rows[-1] = [entry(mprime if k == j else r - mbar + mprime
+                          for k in range(n)) for j in range(n)]
+        sign_a = _sign_against_vandermonde(det_leibniz(rows, n, one), r,
+                                           mprime)
+        out["det_identity"] = sign_f != 0 and sign_a != 0
+        out["det_sign_alt"] = sign_a
+    return out
 
 def _fraction_rows(r: int):
     """(phi, rows) with rows[k] = Fraction coordinates of x^k mod Phi_r."""

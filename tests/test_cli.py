@@ -215,7 +215,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, line, key):
 
 @pytest.mark.parametrize("flag", [["--c0", "1"], ["--kappa", "1"],
                                   ["--cdiag", "1"], ["--mode", "generic"],
-                                  ["--gordon-point"]])
+                                  ["--gordon-point"], ["--bound", "30"]])
 def test_gordon_takes_no_parameter_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["gordon", "--group", "2,1,2", "--json", *flag])
@@ -226,6 +226,7 @@ def test_gordon_takes_no_parameter_flags(capsys, flag):
 @pytest.mark.parametrize("command,line,key", [
     ("gordon", "c0=1", "c0"), ("gordon", "suite=pbw", "suite"),
     ("gordon", "mu=1,0", "mu"), ("gordon", "max_deg=3", "max_deg"),
+    ("gordon", "bound=5", "bound"),
     ("jack", "bound=5", "bound"), ("jack", "truncation=5", "truncation"),
     ("jack", "max_deg=3", "max_deg"),
     ("verify", "mu=1,0", "mu"), ("verify", "bound=5", "bound"),
@@ -249,16 +250,13 @@ _IGNORED_POINT = [
     (["--kappa", "2"], "--kappa specializes only together with --c0"),
     (["--gordon-point", "--kappa", "2"],
      "--kappa specializes only together with --c0"),
-    (["--mode", "generic", "--c0", "1"], "--mode generic contradicts"),
-    (["--mode", "generic", "--gordon-point"], "--mode generic contradicts"),
     (["--gordon-point", "--c0", "1"], "--gordon-point and --c0"),
 ]
 
 
 @pytest.mark.parametrize("command", ["jack", "verify"])
 @pytest.mark.parametrize("flags,reason", _IGNORED_POINT, ids=[
-    "cdiag", "kappa", "gordon-kappa", "generic-c0", "generic-gordon",
-    "gordon-c0"])
+    "cdiag", "kappa", "gordon-kappa", "gordon-c0"])
 def test_point_flags_that_would_be_ignored_exit_2(capsys, command, flags,
                                                   reason):
     code, out, err = run_cli(capsys, *_point_job(command, *flags))
@@ -270,8 +268,10 @@ def test_point_flags_that_would_be_ignored_exit_2(capsys, command, flags,
 @pytest.mark.parametrize("lines,flags,reason", [
     ("cdiag=1", [], "--cdiag specializes only together with --c0"),
     ("kappa=2", [], "--kappa specializes only together with --c0"),
-    ("mode=generic\nc0=1", [], "--mode generic contradicts"),
-    ("mode=generic", ["--c0", "1"], "--mode generic contradicts"),
+    # the mode follows from whether a point is given, so a mode key would
+    # be ignored
+    ("mode=generic\nc0=1", [], "unknown config key 'mode'"),
+    ("mode=generic", ["--c0", "1"], "unknown config key 'mode'"),
     ("c0=1", ["--gordon-point"], "--gordon-point and --c0"),
 ], ids=["cdiag", "kappa", "generic-c0", "generic-flag-c0", "flag-gordon-c0"])
 def test_point_keys_that_would_be_ignored_exit_2(tmp_path, capsys, command,
@@ -289,7 +289,7 @@ def test_kappa_and_cdiag_specialize_with_c0(tmp_path, capsys):
     cfg.write_text("c0=1/3\nkappa=2\n")
     runs = [_point_job("jack", "--c0", "1/3", "--kappa", "2", "--cdiag",
                        "1/5,1/7"),
-            _point_job("jack", "--mode", "specialized", "--c0", "1/3"),
+            _point_job("jack", "--c0", "1/3"),
             _point_job("jack", "--config", str(cfg), "--cdiag", "1/5,1/7")]
     zs = []
     for argv in runs:
@@ -303,20 +303,34 @@ def test_kappa_and_cdiag_specialize_with_c0(tmp_path, capsys):
 
 def test_gordon_config_file_with_its_own_keys(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
-    cfg.write_text("group=2,1,2\ntruncation=3\nbound=30\n")
+    cfg.write_text("group=2,1,2\ntruncation=3\n")
     code, out, _ = run_cli(capsys, "gordon", "--config", str(cfg), "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["guard"]["bound"] == 30
+    assert data["guard"]["bound"] == 16  # max(2k, 4h) with h = 4, k = 5
     assert len(data["identity_character"]["series"]) == 4
 
 
-@pytest.mark.parametrize("bound", ["0", "-3"])
-def test_gordon_bound_must_be_positive(capsys, bound):
-    code, out, err = run_cli(capsys, "gordon", "--group", "2,1,2",
-                             "--bound", bound, "--json")
+@pytest.mark.parametrize("command", ["jack", "verify"])
+def test_mode_flag_is_gone(capsys, command):
+    # the mode is read off --c0 / --gordon-point
+    with pytest.raises(SystemExit) as exc:
+        main(_point_job(command, "--mode", "specialized", "--c0", "1/3"))
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_verify_refuses_an_oversized_pbw_check_at_once(capsys,
+                                                      monkeypatch):
+    # |W| = 122,880 on G(4,1,5); the refusal comes before any suite runs
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr(cherednik.cli, "PolyRep", no_suite)
+    code, out, err = run_cli(capsys, "verify", "--group", "4,1,5")
     assert code == 2 and out == ""
-    assert "--bound must be positive" in err
+    assert "PBW check on G(4,1,5) needs 309,657,600 form comparisons" in err
+    assert "budget of 2,000,000" in err
 
 
 def test_threads_flag_is_gone(capsys):

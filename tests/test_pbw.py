@@ -2,10 +2,14 @@
 
 import itertools
 
+import pytest
+
 from cherednik import (
     FormFamily, GenericParameters, GroupElement, check_pbw, group_elements,
     rca_forms, reflections,
 )
+from cherednik import pbw
+from cherednik.pbw import PBW_COMPARISON_BUDGET, require_pbw_budget
 
 
 def test_rca_forms_support_and_isotropy():
@@ -98,3 +102,23 @@ def test_report_is_json_ready():
 
     report = check_pbw(rca_forms(2, 1, 2))
     assert json.loads(json.dumps(report)) == report
+
+
+def test_condition_a_count_is_the_closed_form():
+    # |W| |support| n(2n - 1): 48 * 10 * 15 on G(2,1,3)
+    assert require_pbw_budget(rca_forms(2, 1, 3)) == 7200
+    for (r, p, n) in [(2, 1, 2), (2, 2, 2), (3, 3, 2), (2, 1, 3)]:
+        fam = rca_forms(r, p, n)
+        assert check_pbw(fam)["checked_a"] == require_pbw_budget(fam)
+
+
+def test_oversized_pbw_request_fails_before_enumerating_w(monkeypatch):
+    assert require_pbw_budget(rca_forms(3, 1, 4)) == 1_469_664 \
+        <= PBW_COMPARISON_BUDGET
+
+    def no_walk(*args):
+        raise AssertionError("W was enumerated")
+
+    monkeypatch.setattr(pbw, "group_elements", no_walk)
+    with pytest.raises(ValueError, match="4,492,800 form comparisons"):
+        check_pbw(rca_forms(2, 1, 5))

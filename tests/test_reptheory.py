@@ -505,6 +505,44 @@ def test_exponents_and_freeness_examples():
         exponents_and_freeness(2, 1, 2, 4)  # r divides m
 
 
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_freeness_dets_match_leibniz_oracle(r):
+    # every p | r, n <= 5 and m <= 4r + 2 with m != 0 mod r: 980 cases in all
+    for p in (d for d in range(1, r + 1) if r % d == 0):
+        for n in range(1, 6):
+            for m in range(1, 4 * r + 3):
+                if m % r == 0:
+                    continue
+                out = exponents_and_freeness(r, p, n, m)
+                want = oracles.freeness_dets_leibniz(r, p, n, m)
+                assert {k: v for k, v in out.items()
+                        if k.startswith("det")} == want, (r, p, n, m)
+
+
+@pytest.mark.parametrize("rows,r,shift,sign", [
+    ([(0, 1), (0, 3), (0, 5)], 2, 1, -1),      # the f-matrix of G(2,1,3)
+    ([(0, 5), (0, 1), (0, 3)], 2, 1, -1),      # its rows cyclically moved
+    ([(0, 3), (0, 1), (0, 5)], 2, 1, 1),       # two rows swapped
+    ([(0, 2), (0, 5), (4, -1)], 3, 3, -1),     # a p > 1 style last row
+    ([(1, 1), (0, 4)], 3, 2, -1),              # the shift spread over rows
+    ([(0, 1), (0, 3), (0, 7)], 2, 1, 0),       # not a progression
+    ([(0, 1), (0, 3), (0, 3)], 2, 1, 0),       # a repeated exponent
+    ([(0, 1), (0, 1)], 2, 1, 0),               # all exponents equal
+    ([(0, 1), (0, 3), (0, 5)], 2, 2, 0),       # the wrong shift
+    ([(1, 1), (0, 4)], 3, 1, 0),               # the row shift left out
+    ([(0, 1), (0, 4), (0, 7)], 2, 1, 0),       # step 3 where r = 2
+])
+def test_alternant_sign_on_crafted_rows(rows, r, shift, sign):
+    assert reptheory._alternant_sign(rows, r, shift) == sign
+    assert oracles.alternant_sign_leibniz(rows, r, shift) == sign
+
+
+def test_freeness_dets_at_rank_twelve():
+    # the Leibniz sum would have 12! = 479001600 terms here
+    out = exponents_and_freeness(2, 1, 12, 23)
+    assert out["det_sign"] == 1 and out["det_identity"]
+
 def test_dim_three_ways_g332():
     r, p, n = 3, 3, 2
     k = coxeter_number(r, p, n) + 1
