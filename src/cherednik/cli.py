@@ -1,8 +1,9 @@
 """Command-line surface: ``cherednik jack | verify | gordon``.
 
 Machine-readable output with ``--json``; deterministic ordering throughout so
-outputs can be kept as golden files.  Options may also be supplied in a
-``key=value`` config file via ``--config``; explicit flags win.
+outputs can be kept as golden files.  ``cherednik jack @job.args`` reads
+arguments from a file, one per line, spliced in where ``@job.args`` stands:
+a later flag wins and ``--mu`` accumulates.
 
 Exit codes: 0 success, 1 internal error or failed verification,
 2 precondition/guard failure (bad arguments, non-generic point, caveats).
@@ -35,16 +36,17 @@ OK, INTERNAL, PRECONDITION = 0, 1, 2
 
 @dataclass
 class JobConfig:
-    """Validated knobs shared by the subcommands."""
+    """Validated knobs shared by the subcommands.  An option the subcommand
+    lacks is ``None``; every default lives in the argument parser."""
 
     r: int
     p: int
     n: int
     point: Optional[ParamPoint] = None
     mus: list[tuple[int, ...]] = field(default_factory=list)
-    max_deg: int = 4
-    truncation: int = 12
-    suite: str = "all"
+    max_deg: Optional[int] = None
+    truncation: Optional[int] = None
+    suite: Optional[str] = None
     check_both: bool = False
     inject_fault: Optional[str] = None
     as_json: bool = False
@@ -52,7 +54,8 @@ class JobConfig:
     def validate(self):
         if self.r < 1 or self.p < 1 or self.r % self.p or self.n < 1:
             raise ValueError(f"invalid group ({self.r},{self.p},{self.n})")
-        if self.max_deg <= 0 or self.truncation <= 0:
+        if any(v is not None and v <= 0
+               for v in (self.max_deg, self.truncation)):
             raise ValueError("degree caps and truncations must be positive")
         for mu in self.mus:
             if len(mu) != self.n or any(v < 0 for v in mu):
@@ -64,60 +67,22 @@ class JobConfig:
         return GenericParameters(self.r, self.p)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
-# the config-file keys each subcommand reads
-_POINT_KEYS = ("c0", "kappa", "cdiag")
-_CONFIG_KEYS = {
-    "gordon": ("group", "truncation"),
-    "jack": ("group", "mu", *_POINT_KEYS),
-    "verify": ("group", *_POINT_KEYS, "max_deg", "suite"),
-}
-
-
-def _read_config(path: str, keys) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise ValueError(f"unknown config key {key!r}")
-            out[key] = val.strip()
-    return out
-
-
-def _merge(args, cfg: dict, key: str, conv=str, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return conv(cfg[key])
-    return default
-
-
 def _build_config(args) -> JobConfig:
-    cfg = _read_config(args.config, _CONFIG_KEYS[args.command]) \
-        if args.config else {}
-    group = _merge(args, cfg, "group")
-    if group is None:
-        raise ValueError("--group r,p,n is required")
     try:
-        r, p, n = (int(t) for t in str(group).split(","))
+        r, p, n = (int(t) for t in args.group.split(","))
     except ValueError:
-        raise ValueError(f"--group must be r,p,n, got {group!r}") from None
-    mus = [tuple(int(t) for t in m.split(","))
-           for m in (getattr(args, "mu", None) or [])]
-    if not mus and "mu" in cfg:
-        mus = [tuple(int(t) for t in cfg["mu"].split(","))]
-    c0 = _merge(args, cfg, "c0", _parse_fraction)
-    kappa = _merge(args, cfg, "kappa", _parse_fraction)
-    cdiag = _merge(args, cfg, "cdiag", str)
+        raise ValueError(f"--group must be r,p,n, got {args.group!r}") \
+            from None
+    mus = []
+    for mu in getattr(args, "mu", []):
+        try:
+            mus.append(tuple(int(t) for t in mu.split(",")))
+        except ValueError:
+            raise ValueError("--mu must be a comma list of integers like "
+                             f"1,0, got {mu!r}") from None
+    c0 = getattr(args, "c0", None)
+    kappa = getattr(args, "kappa", None)
+    cdiag = getattr(args, "cdiag", None)
     at_gordon = getattr(args, "gordon_point", False)
     # a point flag that would be ignored is an error
     for name, val in (("kappa", kappa), ("cdiag", cdiag)):
@@ -136,12 +101,12 @@ def _build_config(args) -> JobConfig:
             r, p, Fraction(1) if kappa is None else kappa, c0, cvals)
     job = JobConfig(
         r=r, p=p, n=n, point=point, mus=mus,
-        max_deg=int(_merge(args, cfg, "max_deg", int, 4)),
-        truncation=int(_merge(args, cfg, "truncation", int, 12)),
-        suite=_merge(args, cfg, "suite", str, "all"),
-        check_both=bool(getattr(args, "check_both", False)),
+        max_deg=getattr(args, "max_deg", None),
+        truncation=getattr(args, "truncation", None),
+        suite=getattr(args, "suite", None),
+        check_both=getattr(args, "check_both", False),
         inject_fault=getattr(args, "inject_fault", None),
-        as_json=bool(getattr(args, "json", False)),
+        as_json=args.json,
     )
     job.validate()
     return job
@@ -314,15 +279,14 @@ def cmd_gordon(job: JobConfig) -> int:
 
 
 def _add_common(sp):
-    sp.add_argument("--group", help="r,p,n")
-    sp.add_argument("--config", help="key=value config file; flags win")
+    sp.add_argument("--group", required=True, help="r,p,n")
     sp.add_argument("--json", action="store_true", help="machine output")
 
 
 def _add_point(sp):
     """The parameter-point flags; gordon always runs at the Coxeter point."""
-    sp.add_argument("--kappa", type=_parse_fraction, default=None)
-    sp.add_argument("--c0", type=_parse_fraction, default=None,
+    sp.add_argument("--kappa", type=Fraction, default=None)
+    sp.add_argument("--c0", type=Fraction, default=None,
                     help="specialize c0 (rational)")
     sp.add_argument("--cdiag", default=None,
                     help="comma list of the diagonal class parameters")
@@ -333,42 +297,41 @@ def _add_point(sp):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cherednik",
-        description="Exact rational Cherednik computations for G(r,p,n)")
+        description="Exact rational Cherednik computations for G(r,p,n)",
+        fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("jack", help="construct eigenvectors f_mu")
     _add_common(sp)
     _add_point(sp)
-    sp.add_argument("--mu", action="append", help="composition, e.g. 1,0")
+    sp.add_argument("--mu", action="append", required=True,
+                    help="composition, e.g. 1,0")
     sp.add_argument("--check-both", action="store_true",
                     help="cross-check both constructions")
 
     sp = sub.add_parser("verify", help="run verification suites")
     _add_common(sp)
     _add_point(sp)
-    sp.add_argument("--suite", default=None,
+    sp.add_argument("--suite", default="all",
                     choices=["all", "relations", "commutators", "pbw",
                              "intertwiners"])
-    sp.add_argument("--max-deg", dest="max_deg", type=int, default=None)
+    sp.add_argument("--max-deg", dest="max_deg", type=int, default=4)
     sp.add_argument("--inject-fault", dest="inject_fault", default=None,
                     choices=["dunkl-sign", "pi-sign"],
                     help="deliberately break an operator (for testing)")
 
     sp = sub.add_parser("gordon", help="reproduce the coinvariant quotient")
     _add_common(sp)
-    sp.add_argument("--truncation", type=int, default=None)
+    sp.add_argument("--truncation", type=int, default=12)
 
     args = parser.parse_args(argv)
     try:
         job = _build_config(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION
     try:
         if args.command == "jack":
-            if not job.mus:
-                print("error: at least one --mu is required", file=sys.stderr)
-                return PRECONDITION
             return cmd_jack(job)
         if args.command == "verify":
             return cmd_verify(job)

@@ -579,9 +579,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

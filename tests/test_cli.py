@@ -18,7 +18,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    # argparse refuses bad arguments by raising SystemExit(2)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -148,9 +152,24 @@ def test_bad_group_rejected(capsys):
 
 @pytest.mark.parametrize("group", ["2,1", "2,1,2,1", "2,x,2"])
 def test_malformed_group_says_what_is_expected(capsys, group):
-    code, _, err = run_cli(capsys, "jack", "--group", group)
+    code, _, err = run_cli(capsys, "jack", "--group", group, "--mu", "1,0")
     assert code == 2
     assert "--group must be r,p,n" in err
+
+
+@pytest.mark.parametrize("mu", ["1,a", "1;0", "", "1/2,0"])
+def test_malformed_mu_says_what_is_expected(capsys, mu):
+    code, out, err = run_cli(capsys, "jack", "--group", "2,1,2",
+                             "--mu", "1,0", "--mu", mu)
+    assert code == 2 and out == ""
+    assert f"--mu must be a comma list of integers like 1,0, got {mu!r}" \
+        in err
+
+
+def test_group_is_required(capsys):
+    code, out, err = run_cli(capsys, "gordon", "--json")
+    assert code == 2 and out == ""
+    assert "the following arguments are required: --group" in err
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -193,24 +212,83 @@ def test_gordon_quotient_series_matches_counting(capsys, group):
         == l1_series_by_counting(n, k, n * (k - 1))
 
 
+def _args_file(tmp_path, *lines):
+    """An argument file, one argument per line, and its ``@`` argument."""
+    path = tmp_path / "job.args"
+    path.write_text("".join(line + "\n" for line in lines))
+    return "@" + str(path)
+
+
+def test_argument_file_matches_flags_byte_for_byte(tmp_path, capsys):
+    flags = ["--group=2,1,2", "--mu=2,1", "--mu=0,1", "--check-both",
+             "--json"]
+    code, expected, _ = run_cli(capsys, "jack", *flags)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "jack", _args_file(tmp_path, *flags))
+    assert code == 0 and out == expected
+    # a flag and its value may also sit on two lines
+    code, out, _ = run_cli(capsys, "jack", _args_file(
+        tmp_path, "--group", "2,1,2", "--mu", "2,1", "--mu", "0,1",
+        "--check-both", "--json"))
+    assert code == 0 and out == expected
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
+    job = _args_file(tmp_path, "--group=2,1,2", "--mu=1,0")
+    code, out, _ = run_cli(capsys, "jack", job, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["group"] == [2, 1, 2]
+    assert [e["mu"] for e in data["eigenvectors"]] == [[1, 0]]
+    # a later --group wins; --mu accumulates across the file and the
+    # command line, in order
+    code, out, _ = run_cli(capsys, "jack", job, "--group", "3,1,2",
+                           "--mu", "0,1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["group"] == [3, 1, 2]
+    assert [e["mu"] for e in data["eigenvectors"]] == [[1, 0], [0, 1]]
+    # an earlier --group loses to the file
+    code, out, _ = run_cli(capsys, "jack", "--group", "3,1,2", job, "--json")
+    assert code == 0 and json.loads(out)["group"] == [2, 1, 2]
+
+
+def test_missing_argument_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.args"
+    code, out, err = run_cli(capsys, "gordon", "@" + str(missing))
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err and str(missing) in err
+
+
+def test_verify_argument_file_refuses_an_unknown_suite(tmp_path, capsys):
+    # a misspelt suite must not run nothing and report a pass
+    code, out, err = run_cli(capsys, "verify", _args_file(
+        tmp_path, "--group=2,1,2", "--suite=relation"))
+    assert code == 2 and out == ""
+    assert "invalid choice: 'relation'" in err
+    for suite in ("all", "relations", "commutators", "pbw", "intertwiners"):
+        assert f"'{suite}'" in err
+
+
+@pytest.mark.parametrize("command", ["jack", "verify", "gordon"])
+def test_config_flag_is_gone(tmp_path, capsys, command):
+    # argument files replaced the key=value files of --config
     cfg = tmp_path / "job.cfg"
-    cfg.write_text("group=2,1,2\nmu=1,0\n")
-    code, out, _ = run_cli(capsys, "jack", "--config", str(cfg))
-    assert code == 0 and "f_(1,0)" in out
-    # flags win over the file
-    code, out, _ = run_cli(capsys, "jack", "--config", str(cfg),
-                           "--mu", "0,1")
-    assert code == 0 and "f_(0,1)" in out and "f_(1,0)" not in out
+    cfg.write_text("group=2,1,2\n")
+    tail = ["--mu", "1,0"] if command == "jack" else []
+    code, out, err = run_cli(capsys, command, "--group", "2,1,2", *tail,
+                             "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --config" in err
 
 
 @pytest.mark.parametrize("line,key", [("threads=4", "threads"),
                                       ("max-deg=3", "max-deg")])
 def test_config_file_rejects_unknown_keys(tmp_path, capsys, line, key):
-    cfg = tmp_path / "job.cfg"
-    cfg.write_text(f"group=2,1,2\nmu=1,0\n{line}\n")
-    code, _, err = run_cli(capsys, "jack", "--config", str(cfg))
-    assert code == 2 and f"unknown config key '{key}'" in err
+    job = _args_file(tmp_path, "--group=2,1,2", "--mu=1,0", "--" + line)
+    code, out, err = run_cli(capsys, "jack", job)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: --{key}" in err
 
 
 @pytest.mark.parametrize("flag", [["--c0", "1"], ["--kappa", "1"],
@@ -233,11 +311,14 @@ def test_gordon_takes_no_parameter_flags(capsys, flag):
 ])
 def test_config_keys_are_per_subcommand(tmp_path, capsys, command, line,
                                         key):
-    cfg = tmp_path / "job.cfg"
-    cfg.write_text(f"group=2,1,2\n{line}\n")
-    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    # each file line is the flag of the same name, checked like one
+    flag = "--" + key.replace("_", "-")
+    tail = ["--mu=1,0"] if command == "jack" else []
+    job = _args_file(tmp_path, "--group=2,1,2",
+                     "--" + line.replace("_", "-"), *tail)
+    code, out, err = run_cli(capsys, command, job)
     assert code == 2 and out == ""
-    assert f"unknown config key '{key}'" in err
+    assert f"unrecognized arguments: {flag}=" in err
 
 
 def _point_job(command, *flags):
@@ -266,31 +347,25 @@ def test_point_flags_that_would_be_ignored_exit_2(capsys, command, flags,
 
 @pytest.mark.parametrize("command", ["jack", "verify"])
 @pytest.mark.parametrize("lines,flags,reason", [
-    ("cdiag=1", [], "--cdiag specializes only together with --c0"),
-    ("kappa=2", [], "--kappa specializes only together with --c0"),
-    # the mode follows from whether a point is given, so a mode key would
-    # be ignored
-    ("mode=generic\nc0=1", [], "unknown config key 'mode'"),
-    ("mode=generic", ["--c0", "1"], "unknown config key 'mode'"),
-    ("c0=1", ["--gordon-point"], "--gordon-point and --c0"),
-], ids=["cdiag", "kappa", "generic-c0", "generic-flag-c0", "flag-gordon-c0"])
+    (["--cdiag=1"], [], "--cdiag specializes only together with --c0"),
+    (["--kappa=2"], [], "--kappa specializes only together with --c0"),
+    (["--c0=1"], ["--gordon-point"], "--gordon-point and --c0"),
+], ids=["cdiag", "kappa", "flag-gordon-c0"])
 def test_point_keys_that_would_be_ignored_exit_2(tmp_path, capsys, command,
                                                  lines, flags, reason):
-    cfg = tmp_path / "job.cfg"
-    cfg.write_text(lines + "\n")
-    code, out, err = run_cli(capsys, *_point_job(command, "--config",
-                                                  str(cfg), *flags))
+    # the point checks see file lines and command-line flags together
+    job = _args_file(tmp_path, *lines)
+    code, out, err = run_cli(capsys, *_point_job(command, job, *flags))
     assert code == 2 and out == ""
     assert reason in err
 
 
 def test_kappa_and_cdiag_specialize_with_c0(tmp_path, capsys):
-    cfg = tmp_path / "job.cfg"
-    cfg.write_text("c0=1/3\nkappa=2\n")
+    job = _args_file(tmp_path, "--c0=1/3", "--kappa=2")
     runs = [_point_job("jack", "--c0", "1/3", "--kappa", "2", "--cdiag",
                        "1/5,1/7"),
             _point_job("jack", "--c0", "1/3"),
-            _point_job("jack", "--config", str(cfg), "--cdiag", "1/5,1/7")]
+            _point_job("jack", job, "--cdiag", "1/5,1/7")]
     zs = []
     for argv in runs:
         code, out, _ = run_cli(capsys, *argv)
@@ -302,9 +377,8 @@ def test_kappa_and_cdiag_specialize_with_c0(tmp_path, capsys):
 
 
 def test_gordon_config_file_with_its_own_keys(tmp_path, capsys):
-    cfg = tmp_path / "job.cfg"
-    cfg.write_text("group=2,1,2\ntruncation=3\n")
-    code, out, _ = run_cli(capsys, "gordon", "--config", str(cfg), "--json")
+    job = _args_file(tmp_path, "--group=2,1,2", "--truncation=3")
+    code, out, _ = run_cli(capsys, "gordon", job, "--json")
     assert code == 0
     data = json.loads(out)
     assert data["guard"]["bound"] == 16  # max(2k, 4h) with h = 4, k = 5
