@@ -95,8 +95,12 @@ def _build_config(args) -> JobConfig:
     if at_gordon:
         point = gordon_point(r, p, n)
     elif c0 is not None:
-        cvals = [Fraction(t) for t in cdiag.split(",")] if cdiag \
-            else [Fraction(0)] * (r // p - 1)
+        try:
+            cvals = [Fraction(t) for t in cdiag.split(",")] if cdiag \
+                else [Fraction(0)] * (r // p - 1)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("--cdiag must be a comma list of rationals "
+                             f"like 1/3,0, got {cdiag!r}") from None
         point = ParamPoint.from_c(
             r, p, Fraction(1) if kappa is None else kappa, c0, cvals)
     job = JobConfig(
@@ -283,10 +287,24 @@ def _add_common(sp):
     sp.add_argument("--json", action="store_true", help="machine output")
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational flag value.  argparse turns a ValueError from ``type``
+    into a usage error but lets ZeroDivisionError ('1/0') escape, so both
+    become ArgumentTypeError here."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}") from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            f"zero denominator in {text!r}") from None
+
+
 def _add_point(sp):
     """The parameter-point flags; gordon always runs at the Coxeter point."""
-    sp.add_argument("--kappa", type=Fraction, default=None)
-    sp.add_argument("--c0", type=Fraction, default=None,
+    sp.add_argument("--kappa", type=_fraction, default=None)
+    sp.add_argument("--c0", type=_fraction, default=None,
                     help="specialize c0 (rational)")
     sp.add_argument("--cdiag", default=None,
                     help="comma list of the diagonal class parameters")

@@ -22,7 +22,13 @@ y^ev x^mu and y^ev x_j x^mu for |ev| <= 2 (``y_images``), each entry one
 Dunkl operator away from an entry of lower degree, and reads every check
 from it.  In the x-side check the moved divided difference t_s(acc) for a
 given y-monomial and reflection does not depend on the slot j, so it is
-built once and only rescaled per j.
+built once per (nu, s).  Each (nu, j) defect goes into one dict: the
+reflections of a class are summed with their cyclotomic weights
+<alpha_s^vee, y_j> and scaled by the class's c_s once, the y-side
+coefficients are tabulated once per representation, and scales by +-1 are
+skipped.  On the benchmark's ``verify`` workload this took ``RatFunc``
+products per pass from 48,822 to 28,456 and ``wall_s`` from 0.809 s to
+0.575 s (see README, Performance notes).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ def act_on_poly(w: "GroupElement", f: "Poly") -> "Poly":
     out: dict = {}
     for e, c in f.terms.items():
         k, nu = w.act_on_exponents(e)
-        out[nu] = c.cmul(Cyc.root(w.r, k))
+        out[nu] = c.cmul(Cyc.root(w.r, k)) if k else c
     return Poly(f.n, out)
 
 
@@ -108,6 +114,16 @@ def _dd_coefficient(s: Reflection, k: int, r: int) -> Cyc:
     return Cyc.root(r, k) if k < r else -Cyc.root(r, k - r)
 
 
+def _scaled(terms: dict, cy: Cyc, sign: int):
+    """The items of ``terms`` times cy; sign is +-1 when cy = +-1, which
+    skips the scale, and 0 otherwise."""
+    if sign == 1:
+        return terms.items()
+    if sign == -1:
+        return [(e, -c) for e, c in terms.items()]
+    return [(e, c.cmul(cy)) for e, c in terms.items()]
+
+
 class PolyRep:
     """The polynomial representation of the rational Cherednik algebra of
     G(r,p,n), with either generic or specialized parameters."""
@@ -151,6 +167,7 @@ class PolyRep:
         self._c0r = self.params.c0 * self.params.rational(r)
         self._dunkl_memo: dict = {}
         self._z_memo: dict = {}
+        self._x_plan = None
         #: Eigenvectors built by :func:`~cherednik.jack.jack_by_intertwiners`,
         #: keyed by composition; shared by every call on this representation.
         self.jack_cache: dict = {}
@@ -316,43 +333,96 @@ class PolyRep:
         return [(ev, (Cyc.one(r) - Cyc.root(r, -s.l * e)) / denom)
                 for ev, e in terms]
 
+    def _x_side_plan(self) -> list:
+        """Per y-monomial nu with 1 <= |nu| <= 2, in check order: each
+        conjugacy class's coupling constant and, per reflection s of the
+        class with a nonzero y-side divided difference, the group element,
+        the ``_dd_y_mono(nu, s)`` pairs and the weights <alpha_s^vee, y_j>
+        per slot j (None where zero).  Each scale factor is stored as
+        ``(cy, sign)``, with sign +-1 when cy = +-1 and 0 otherwise.
+
+        Built on first use and kept on this representation: it depends only
+        on the group, the parameters and ``_dd_y_mono``.
+        """
+        if self._x_plan is not None:
+            return self._x_plan
+        one = Cyc.one(self.r)
+
+        def tag(cy):
+            return cy, (1 if cy == one else -1 if cy == -one else 0)
+
+        plan = []
+        for nu in monomials_up_to(self.n, 2):
+            if sum(nu) == 0:
+                continue
+            classes: dict = {}
+            for s in self.reflections:
+                pairs = [(ev, *tag(cy)) for ev, cy in self._dd_y_mono(nu, s)]
+                if not pairs:
+                    continue
+                weights = [tag(b) if b else None for b in s.alpha_check]
+                cls = classes.get(s.cclass)
+                if cls is None:
+                    cls = classes[s.cclass] = (s.coupling(self.params), [])
+                cls[1].append((s.element, pairs, weights))
+            plan.append((nu, list(classes.values())))
+        self._x_plan = plan
+        return plan
+
     def x_side_defects(self, yf: dict, yxf: list[dict]):
         """Yield ``(nu, j, defect)`` for 1 <= |nu| <= 2 and each slot j, in
         the order the relation check visits them.
 
         ``yf`` and ``yxf[j]`` are :meth:`y_images` of some f and of x_j f
         to degree 2. ``defect`` is [y^nu, x_j] f minus the dual commutator
-        formula, zero iff it holds. The formula applies the divided
-        difference in the y's first and the group element after it. For fixed (nu, s)
-        the moved divided difference t_s(sum_ev cy y^ev f) does not depend
-        on j, so it is built once and scaled by c_s <alpha_s^vee, y_j>.
+        formula, zero iff it holds:
+
+            [y^nu, x_j] f = kappa d(y^nu)/d(y_j) f
+                            - sum_s c_s <alpha_s^vee, y_j> t_s(D_s y^nu f)
+
+        with D_s y^nu = (y^nu - s^{-1} y^nu)/alpha_s^vee, the divided
+        difference in the y's applied first and the group element after it.
+        The moved divided difference t_s(D_s y^nu f) does not depend on j,
+        so it is built once per (nu, s).  Per (nu, j) the reflections of one
+        class are summed with their cyclotomic weights and the sum is scaled
+        by the class's c_s once; every scale by +-1 is skipped.
         """
-        kappa = self.params.kappa
-        for nu in monomials_up_to(self.n, 2):
-            if sum(nu) == 0:
-                continue
+        n = self.n
+        # -kappa nu_j for nu_j = 1, 2
+        kappa_nu = [None, -self.params.kappa,
+                    self.params.kappa * self.params.rational(-2)]
+        for nu, classes in self._x_side_plan():
             moved = []
-            for s in self.reflections:
-                acc = Poly.zero(self.n)
-                for ev, cy in self._dd_y_mono(nu, s):
-                    acc = acc + yf[ev].scaled(self.params.embed(cy))
-                if acc:
-                    moved.append((s, s.coupling(self.params),
-                                  self.t(s.element, acc)))
-            for j in range(self.n):
-                lhs = yxf[j][nu] - self.x(j, yf[nu])
-                # kappa * d(g)/d(x_j): derivative of y^nu in the j-th slot
-                rhs = Poly.zero(self.n)
+            for cs, members in classes:
+                group = []
+                for w, pairs, weights in members:
+                    acc: dict = {}
+                    for ev, cy, sign in pairs:
+                        accumulate(acc, _scaled(yf[ev].terms, cy, sign))
+                    if acc:
+                        group.append((self.t(w, Poly(n, acc)).terms,
+                                      weights))
+                if group:
+                    moved.append((cs, group))
+            for j in range(n):
+                # y^nu x_j f - x_j y^nu f
+                out = accumulate(dict(yxf[j][nu].terms), [
+                    (e[:j] + (e[j] + 1,) + e[j + 1:], -c)
+                    for e, c in yf[nu].terms.items()])
+                # - kappa nu_j y^(nu - e_j) f
                 if nu[j]:
-                    dn = list(nu)
-                    dn[j] -= 1
-                    rhs = rhs + yf[tuple(dn)].scaled(
-                        kappa * self.params.rational(nu[j]))
-                for s, cs, tacc in moved:
-                    b = s.alpha_check[j]
-                    if b:
-                        rhs = rhs - tacc.scaled(cs.cmul(b))
-                yield nu, j, lhs - rhs
+                    k = kappa_nu[nu[j]]
+                    dn = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
+                    accumulate(out, [(e, c * k)
+                                     for e, c in yf[dn].terms.items()])
+                # + c_s sum_{s in the class} <alpha_s^vee, y_j> t_s(...)
+                for cs, group in moved:
+                    tot: dict = {}
+                    for terms, weights in group:
+                        if weights[j] is not None:
+                            accumulate(tot, _scaled(terms, *weights[j]))
+                    accumulate(out, [(e, c * cs) for e, c in tot.items()])
+                yield nu, j, Poly(n, out)
 
     # -- relation checking ------------------------------------------------------
 

@@ -18,6 +18,11 @@ Everything here deliberately avoids the production code paths it checks:
   the x-side commutator defect of one (nu, j) from scratch, where the
   package reads one table of y-images per monomial and moves each y-side
   divided difference once for all j;
+* ``x_side_defects_per_reflection`` reads the same y-image tables as the
+  package but builds each defect from ``Poly`` temporaries, scaling by
+  ``params.embed`` of every cyclotomic factor and by c_s once per
+  reflection, where the package sums each class into one accumulator,
+  skips the scales by +-1 and scales by c_s once per class;
 * ``dense_eigenvector`` finds simultaneous eigenvectors by Gaussian
   elimination on one whole graded piece, with no triangularity, ordering or
   character filtering;
@@ -64,7 +69,7 @@ from cherednik import (
     graded_char_L1, group_elements, jack_by_solve, order_lt,
 )
 from cherednik.cyclotomic import cyclotomic_polynomial
-from cherednik.operators import monomials_of_degree
+from cherednik.operators import monomials_of_degree, monomials_up_to
 from cherednik.polynomials import accumulate
 
 
@@ -273,6 +278,37 @@ def x_side_commutator_defect(rep, nu: tuple[int, ...], j: int,
             rhs = rhs - rep.t(s.element, acc).scaled(
                 coupling(params, s).cmul(b))
     return lhs - rhs
+
+
+def x_side_defects_per_reflection(rep, yf: dict, yxf: list[dict]):
+    """``PolyRep.x_side_defects`` with one scaled ``Poly`` per y-side
+    divided-difference term and one c_s <alpha_s^vee, y_j> scale per
+    reflection; same arguments, same yield order."""
+    params = rep.params
+    kappa = params.kappa
+    for nu in monomials_up_to(rep.n, 2):
+        if sum(nu) == 0:
+            continue
+        moved = []
+        for s in rep.reflections:
+            acc = Poly.zero(rep.n)
+            for ev, cy in rep._dd_y_mono(nu, s):
+                acc = acc + yf[ev].scaled(params.embed(cy))
+            if acc:
+                moved.append((s, coupling(params, s), rep.t(s.element, acc)))
+        for j in range(rep.n):
+            lhs = yxf[j][nu] - rep.x(j, yf[nu])
+            rhs = Poly.zero(rep.n)
+            if nu[j]:
+                dn = list(nu)
+                dn[j] -= 1
+                rhs = rhs + yf[tuple(dn)].scaled(
+                    kappa * params.rational(nu[j]))
+            for s, cs, tacc in moved:
+                b = s.alpha_check[j]
+                if b:
+                    rhs = rhs - tacc.scaled(cs.cmul(b))
+            yield nu, j, lhs - rhs
 
 
 def c_from_d_sum(r: int, p: int, l: int, d_of, zero):

@@ -166,6 +166,29 @@ def test_malformed_mu_says_what_is_expected(capsys, mu):
         in err
 
 
+@pytest.mark.parametrize("flags,reason", [
+    (["--c0", "1/0"], "argument --c0: zero denominator in '1/0'"),
+    (["--c0", "1", "--kappa", "1/0"],
+     "argument --kappa: zero denominator in '1/0'"),
+    (["--c0", "1/3", "--cdiag", "1/0,1"],
+     "--cdiag must be a comma list of rationals like 1/3,0, got '1/0,1'"),
+], ids=["c0", "kappa", "cdiag"])
+@pytest.mark.parametrize("command", ["jack", "verify"])
+def test_zero_denominator_names_its_flag(capsys, command, flags, reason):
+    code, out, err = run_cli(capsys, *_point_job(command, *flags))
+    assert code == 2 and out == ""
+    assert reason in err
+
+
+@pytest.mark.parametrize("cdiag", ["1,a", "1;0", "1,", "1.5.2,0"])
+def test_malformed_cdiag_says_what_is_expected(capsys, cdiag):
+    code, out, err = run_cli(capsys, *_point_job(
+        "jack", "--c0", "1/3", "--cdiag", cdiag))
+    assert code == 2 and out == ""
+    assert "--cdiag must be a comma list of rationals like 1/3,0, got " \
+        f"{cdiag!r}" in err
+
+
 def test_group_is_required(capsys):
     code, out, err = run_cli(capsys, "gordon", "--json")
     assert code == 2 and out == ""

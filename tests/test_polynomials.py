@@ -11,6 +11,7 @@ from oracles import (
     act_on_poly_accumulating, apply_y_monomial, class_sum, dd_per_term,
     dd_y_mono_per_term, dunkl_mono_per_term, oracle_dunkl,
     oracle_z, poly_divexact, x_side_commutator_defect,
+    x_side_defects_per_reflection,
 )
 
 from cherednik import (
@@ -335,28 +336,44 @@ def _doubled_dd_y_mono(monkeypatch):
         lambda self, nu, s: [(ev, cy + cy) for ev, cy in true_dd(self, nu, s)])
 
 
+# generic G(r,p,n), two specialized points, G(4,1,2) with three diagonal
+# classes, and G(2,1,3)
+X_SIDE_CASES = {
+    "G212": lambda: PolyRep(2, 1, 2),
+    "G312": lambda: PolyRep(3, 1, 2),
+    "G422": lambda: PolyRep(4, 2, 2),
+    "G223": lambda: PolyRep(2, 2, 3),
+    "G212-gordon": lambda: PolyRep(2, 1, 2, SpecializedParameters(
+        gordon_point(2, 1, 2))),
+    "G312-c0": lambda: PolyRep(3, 1, 2, SpecializedParameters(
+        ParamPoint.from_c(3, 1, 1, Fraction(1, 3),
+                          [Fraction(1, 5), Fraction(1, 7)]))),
+    "G412": lambda: PolyRep(4, 1, 2),
+    "G213": lambda: PolyRep(2, 1, 3),
+}
+
+
 @pytest.mark.parametrize("broken", [False, True])
-@pytest.mark.parametrize("group", [(2, 1, 2), (3, 1, 2), (4, 2, 2),
-                                   (2, 2, 3)], ids="G{0[0]}{0[1]}{0[2]}".format)
-def test_x_side_defects_match_oracle(monkeypatch, group, broken):
+@pytest.mark.parametrize("case", list(X_SIDE_CASES))
+def test_x_side_defects_match_oracle(monkeypatch, case, broken):
     if broken:
         _doubled_dd_y_mono(monkeypatch)
-    rep = PolyRep(*group)
+    rep = X_SIDE_CASES[case]()
     n = rep.n
     expected_pairs = [(nu, j) for nu in monomials_up_to(n, 2) if sum(nu)
                       for j in range(n)]
     nonzero = 0
     for mu in monomials_up_to(n, 3):
         m = Poly.monomial(mu, rep.params.one)
-        seen = []
-        for nu, j, defect in rep.x_side_defects(
-                rep.y_images(m, 2),
-                [rep.y_images(rep.x(j, m), 2) for j in range(n)]):
+        yf = rep.y_images(m, 2)
+        yxf = [rep.y_images(rep.x(j, m), 2) for j in range(n)]
+        got = list(rep.x_side_defects(yf, yxf))
+        assert got == list(x_side_defects_per_reflection(rep, yf, yxf)), mu
+        assert [(nu, j) for nu, j, _ in got] == expected_pairs
+        for nu, j, defect in got:
             assert defect == x_side_commutator_defect(rep, nu, j, m), \
                 (mu, nu, j)
-            seen.append((nu, j))
             nonzero += bool(defect)
-        assert seen == expected_pairs
     assert bool(nonzero) == broken
 
 
@@ -381,6 +398,20 @@ def test_x_side_branch_reports_its_own_failure(monkeypatch):
     assert (report["y_monomial"], report["j"], report["mu"]) \
         == (list(nu), j, list(mu))
     assert report["defect"] == str(defect) != "0"
+
+
+def test_x_side_plan_belongs_to_its_representation(monkeypatch):
+    # one process checks many representations, as the benchmark does: the
+    # tabulated y-side divided differences of one must not reach another
+    true_dd = PolyRep._dd_y_mono
+    assert PolyRep(2, 1, 3).check_relations(2)["status"] == "pass"
+    broken = PolyRep(2, 1, 3)
+    monkeypatch.setattr(broken, "_dd_y_mono", lambda nu, s: [
+        (ev, cy + cy) for ev, cy in true_dd(broken, nu, s)])
+    report = broken.check_relations(2)
+    assert (report["status"], report["relation"]) \
+        == ("fail", "x-side commutator")
+    assert PolyRep(2, 1, 3).check_relations(2)["status"] == "pass"
 
 
 @pytest.mark.parametrize("rep", [
