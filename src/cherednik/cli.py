@@ -91,20 +91,8 @@ def _build_config(args) -> JobConfig:
     if at_gordon and c0 is not None:
         raise ValueError("--gordon-point and --c0 pick different points; "
                          "give one")
-    point = None
-    if at_gordon:
-        point = gordon_point(r, p, n)
-    elif c0 is not None:
-        try:
-            cvals = [Fraction(t) for t in cdiag.split(",")] if cdiag \
-                else [Fraction(0)] * (r // p - 1)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError("--cdiag must be a comma list of rationals "
-                             f"like 1/3,0, got {cdiag!r}") from None
-        point = ParamPoint.from_c(
-            r, p, Fraction(1) if kappa is None else kappa, c0, cvals)
     job = JobConfig(
-        r=r, p=p, n=n, point=point, mus=mus,
+        r=r, p=p, n=n, mus=mus,
         max_deg=getattr(args, "max_deg", None),
         truncation=getattr(args, "truncation", None),
         suite=getattr(args, "suite", None),
@@ -112,7 +100,22 @@ def _build_config(args) -> JobConfig:
         inject_fault=getattr(args, "inject_fault", None),
         as_json=args.json,
     )
-    job.validate()
+    job.validate()  # before the point, which needs a valid group
+    if at_gordon:
+        job.point = gordon_point(r, p, n)
+    elif c0 is not None:
+        m = r // p - 1
+        try:
+            cvals = [Fraction(0)] * m if cdiag is None \
+                else [Fraction(t) for t in cdiag.split(",")]
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("--cdiag must be a comma list of rationals "
+                             f"like 1/3,0, got {cdiag!r}") from None
+        if len(cvals) != m:
+            raise ValueError(f"--cdiag must list {m} values c_p, ..., c_(r-p) "
+                             f"for G({r},{p},{n}), got {len(cvals)}")
+        job.point = ParamPoint.from_c(
+            r, p, Fraction(1) if kappa is None else kappa, c0, cvals)
     return job
 
 
@@ -160,16 +163,17 @@ def cmd_jack(job: JobConfig) -> int:
     return OK
 
 
-def _verify_suites(job: JobConfig) -> dict:
-    fault_dunkl = job.inject_fault == "dunkl-sign"
-    fault_pi = job.inject_fault == "pi-sign"
+def _operator_suites(job: JobConfig) -> dict:
+    """The relation, commutator and PBW suites, on one parameter field
+    that is released (with its scalar memos) when they return."""
     wanted = job.suite
     params = job.params()
     if wanted in ("all", "pbw"):
         # refuse an oversized PBW check before any suite runs
         family = rca_forms(job.r, job.p, job.n, params)
         require_pbw_budget(family)
-    rep = PolyRep(job.r, job.p, job.n, params, fault_dunkl_sign=fault_dunkl)
+    rep = PolyRep(job.r, job.p, job.n, params,
+                  fault_dunkl_sign=job.inject_fault == "dunkl-sign")
     reports = {}
     if wanted in ("all", "relations"):
         reports["relations"] = rep.check_relations(job.max_deg)
@@ -177,11 +181,16 @@ def _verify_suites(job: JobConfig) -> dict:
         reports["commutators"] = rep.commutator_report(job.max_deg)
     if wanted in ("all", "pbw"):
         reports["pbw"] = check_pbw(family)
-    if wanted in ("all", "intertwiners"):
+    return reports
+
+
+def _verify_suites(job: JobConfig) -> dict:
+    reports = _operator_suites(job)
+    if job.suite in ("all", "intertwiners"):
         grid = [mu for mu in monomials_up_to(job.n, min(job.max_deg, 4))]
         clean = PolyRep(job.r, job.p, job.n, job.params())
         reports["intertwiners"] = verify_braid_and_quadratic(
-            clean, grid, fault_pi_sign=fault_pi)
+            clean, grid, fault_pi_sign=job.inject_fault == "pi-sign")
     return reports
 
 

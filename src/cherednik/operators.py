@@ -26,9 +26,7 @@ built once per (nu, s).  Each (nu, j) defect goes into one dict: the
 reflections of a class are summed with their cyclotomic weights
 <alpha_s^vee, y_j> and scaled by the class's c_s once, the y-side
 coefficients are tabulated once per representation, and scales by +-1 are
-skipped.  On the benchmark's ``verify`` workload this took ``RatFunc``
-products per pass from 48,822 to 28,456 and ``wall_s`` from 0.809 s to
-0.575 s (see README, Performance notes).
+skipped (see README, Performance notes).
 """
 
 from __future__ import annotations

@@ -180,13 +180,32 @@ def test_zero_denominator_names_its_flag(capsys, command, flags, reason):
     assert reason in err
 
 
-@pytest.mark.parametrize("cdiag", ["1,a", "1;0", "1,", "1.5.2,0"])
+@pytest.mark.parametrize("cdiag", ["1,a", "1;0", "1,", "1.5.2,0", ""])
 def test_malformed_cdiag_says_what_is_expected(capsys, cdiag):
+    # an empty list is malformed too, not a request for every c_l = 0
     code, out, err = run_cli(capsys, *_point_job(
         "jack", "--c0", "1/3", "--cdiag", cdiag))
     assert code == 2 and out == ""
     assert "--cdiag must be a comma list of rationals like 1/3,0, got " \
         f"{cdiag!r}" in err
+
+
+@pytest.mark.parametrize("command", ["jack", "verify"])
+@pytest.mark.parametrize("cdiag,count", [("1,2,3", 3), ("1/2", 1)])
+def test_wrong_cdiag_count_names_the_flag(capsys, command, cdiag, count):
+    # G(3,1,2) has two diagonal class parameters, c_1 and c_2
+    code, out, err = run_cli(capsys, *_point_job(
+        command, "--c0", "1/3", "--cdiag", cdiag))
+    assert code == 2 and out == ""
+    assert "--cdiag must list 2 values c_p, ..., c_(r-p) for G(3,1,2), " \
+        f"got {count}" in err
+
+
+def test_invalid_group_is_refused_before_the_point(capsys):
+    code, out, err = run_cli(capsys, "jack", "--group", "2,0,2", "--c0", "1",
+                             "--mu", "1,0")
+    assert code == 2 and out == ""
+    assert "invalid group (2,0,2)" in err
 
 
 def test_group_is_required(capsys):

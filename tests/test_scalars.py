@@ -1,6 +1,8 @@
 """Parameter scalars: rational functions, the d/c reparametrization,
 specialization, and canonical forms."""
 
+import contextlib
+import io
 import itertools
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from cherednik import (
     SpecializedParameters, c_from_d, cyc, d_from_c, specialize, weight_of,
 )
 from cherednik import scalars as scalar_layer
+from cherednik.cli import main
 from cherednik.operators import monomials_of_degree
 from cherednik.parsing import parse_scalar
 from cherednik.reptheory import gordon_point
@@ -376,3 +379,108 @@ def test_factored_path_against_sympy_cancel(group):
             num, den = expr(str(got.num)), expr(str(got.den))
             assert sympy.cancel(num / den - expr(str(a)) / expr(str(d))) == 0
             assert sympy.gcd(num, den).is_number
+
+
+# ---------------------------------------------------------------------------
+# the per-field memos of polynomial sums and products
+# ---------------------------------------------------------------------------
+
+
+class _NeverStores(dict):
+    """A memo that forgets every entry, so each operation is computed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _CountingMemo(dict):
+    """A memo that counts its stores, one per miss."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = 0
+
+    def __setitem__(self, key, value):
+        self.stores += 1
+        super().__setitem__(key, value)
+
+
+def _install_memos(monkeypatch, memo_type):
+    """Give every ring built from now on fresh memos of ``memo_type``;
+    returns the list those rings are appended to."""
+    rings = []
+    init = scalar_layer.ParamRing.__init__
+
+    def patched(self, *args):
+        init(self, *args)
+        self.sums, self.products = memo_type(), memo_type()
+        rings.append(self)
+
+    monkeypatch.setattr(scalar_layer.ParamRing, "__init__", patched)
+    return rings
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+MEMO_JOBS = [
+    ["verify", "--group", "2,1,3", "--max-deg", "6", "--json"],
+    ["verify", "--group", "3,1,2", "--max-deg", "6", "--json"],
+    ["verify", "--group", "2,1,3", "--max-deg", "3", "--suite", "relations",
+     "--inject-fault", "dunkl-sign", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", MEMO_JOBS,
+                         ids=["verify-213", "verify-312", "dunkl-sign-213"])
+def test_memo_free_runs_print_the_same_bytes(monkeypatch, argv):
+    memoized = _run(argv)
+    rings = _install_memos(monkeypatch, _NeverStores)
+    assert _run(argv) == memoized
+    assert rings and not any(ring.sums or ring.products for ring in rings)
+
+
+def test_each_field_starts_cold():
+    a = GenericParameters(2, 1)
+    assert a.ring.sums == {} and a.ring.products == {}
+    a.kappa * a.c0 + a.kappa
+    assert len(a.ring.sums) == len(a.ring.products) == 1
+    b = GenericParameters(2, 1)
+    assert b.ring.sums == {} and b.ring.products == {}
+    # the memos go with their field
+    ring = a.ring
+    del a
+    assert ring.sums == {} and ring.products == {}
+
+
+def test_a_repeated_job_misses_as_often_as_the_first(monkeypatch):
+    rings = _install_memos(monkeypatch, _CountingMemo)
+    misses = []
+    for _ in range(2):
+        rings.clear()
+        assert _run(MEMO_JOBS[1])[0] == 0
+        misses.append([(ring.sums.stores, ring.products.stores)
+                       for ring in rings])
+    # one field for the operator suites, one for the intertwiners
+    assert len(misses[0]) == 2 and all(s and p for s, p in misses[0])
+    assert misses[0] == misses[1]
+
+
+def test_values_of_two_fields_of_one_group_mix():
+    a, b = GenericParameters(3, 1), GenericParameters(3, 1)
+    assert a.ring is not b.ring and a.ring == b.ring
+    assert a.kappa == b.kappa and hash(a.kappa) == hash(b.kappa)
+    s = a.kappa / (a.c0 + a.d(1)) + b.c0 * b.d(2)
+    t = b.c0 * b.d(2) + b.kappa / (b.c0 + b.d(1))
+    assert s == t and s - t == a.zero
+    assert a.kappa + b.c0 == b.kappa + a.c0 != a.kappa
+    assert parse_scalar(str(s), a) == parse_scalar(str(s), b) == s
+    # G(2,1) and G(4,2) name the same parameters over different fields
+    other = GenericParameters(2, 1).kappa
+    assert other.num != GenericParameters(4, 2).kappa.num
+    with pytest.raises(ValueError, match="mixed parameter rings"):
+        a.kappa + other
