@@ -120,15 +120,6 @@ class GroupElement:
             k >>= 1
         return out
 
-    def is_identity(self) -> bool:
-        return not any(self.col) and all(p == i for i, p in enumerate(self.perm))
-
-    def in_group(self, p: int) -> bool:
-        """Membership in G(r,p,n): color sum divisible by p."""
-        if self.r % p:
-            raise ValueError(f"p={p} must divide r={self.r}")
-        return sum(self.col) % p == 0
-
     # -- the action ------------------------------------------------------------
 
     def act_on_exponents(self, mu: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

@@ -288,24 +288,6 @@ class PolyRep:
         """z_i = y_i x_i + c0 phi_i; degree preserving, pairwise commuting."""
         return self._apply_by_monomials(self.z_monomial, i, f)
 
-    def phi_class_sum(self, i: int, f: Poly) -> Poly:
-        """phi_i applied literally as a sum of group elements (for tests)."""
-        out = Poly.zero(self.n)
-        for j in range(i):
-            for w in self._conj_transpositions(i, j):
-                out = out + self.t(w, f)
-        return out
-
-    def epsilon(self, i: int, j: int, f: Poly) -> Poly:
-        """The primitive idempotent (1/r) sum_l zeta^{-lj} t_{diag(i,l)} of
-        the cyclic reflection subgroup at slot i: it keeps the monomials
-        whose i-th exponent is congruent to -j mod r."""
-        keep = {}
-        for e, c in f.terms.items():
-            if (e[i] + j) % self.r == 0:
-                keep[e] = c
-        return Poly(self.n, keep)
-
     def h(self, f: Poly) -> Poly:
         """h = sum_i x_i y_i + sum_s c_s (1 - t_s); the grading element."""
         out = Poly.zero(self.n)

@@ -143,11 +143,6 @@ class Poly:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=_key,
                                                    reverse=True)]
 
-    def leading_exponent(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=_key)
-
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -21,19 +21,24 @@ divides is coprime to their product.  A denominator with no known split (the
 inverse of a nonlinear numerator) falls back to the general gcd
 :func:`mp_gcd`.  Both paths give the same canonical form.
 
-Each :class:`GenericParameters` owns its :class:`ParamRing`, and the ring
-memoizes the sums and products of two polynomial values (denominator 1),
-keyed by the operand numerators.  The relation checks combine a few hundred
-small polynomials in k, c0 and the d's tens of thousands of times, so nearly
-every such operation is a repeat.  The memos live and die with the field, so
-every job starts cold.  Fractions are not memoized: memoizing them too raised
-the peak memory of the ``jack`` jobs by half, with no measured speed-up.
+Each :class:`GenericParameters` owns its :class:`ParamRing`, which interns
+the field's polynomial values (denominator 1): one value per numerator, for
+its generators, constants and every polynomial sum, product, negation and
+scaling.  The relation checks repeat these operations on a few hundred
+values tens of thousands of times, so the ring memoizes them keyed by the
+operands' ids, and a repeat hashes and compares no terms.  The keys hold
+ids of interned values only, which the intern table keeps alive, so no id
+is reused while a key holds it; any other operand misses, is interned and
+is looked up again.  The tables live and die with the field, so every job
+starts cold.  Fractions are not memoized: memoizing them too raised the
+peak memory of the ``jack`` jobs by half, with no measured speed-up.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,10 +72,15 @@ class PoleError(ArithmeticError):
 
 class ParamRing:
     """Context for polynomials in named variables over Q(zeta_r), with the
-    memos of polynomial sums and products (see the module docstring).
-    Rings with the same ``r`` and ``names`` are equal, so their values mix."""
+    intern table and memos of its polynomial values (see the module
+    docstring).  Rings with the same ``r`` and ``names`` are equal, so their
+    values mix."""
 
-    __slots__ = ("r", "names", "nvars", "czero", "cone", "sums", "products")
+    # Every table of the ring.  The intern table comes last, so clearing in
+    # this order empties the memos before the values their keys name can go.
+    MEMOS = ("sums", "products", "negations", "scalings", "interned")
+
+    __slots__ = ("r", "names", "nvars", "czero", "cone") + MEMOS
 
     def __init__(self, r: int, names: tuple[str, ...]):
         self.r = r
@@ -78,8 +88,31 @@ class ParamRing:
         self.nvars = len(names)
         self.czero = Cyc.zero(r)
         self.cone = Cyc.one(r)
-        self.sums: dict = {}
-        self.products: dict = {}
+        for name in self.MEMOS:
+            setattr(self, name, {})
+
+    def intern(self, num: "MPoly") -> "RatFunc":
+        """The ring's one polynomial value with numerator ``num``."""
+        got = self.interned.get(num)
+        if got is None:
+            got = self.interned[num] = _polynomial(num)
+        return got
+
+    def memo_miss(self, memo: dict, op, a: "RatFunc", b=None) -> "RatFunc":
+        """``op`` of a's numerator (and b's, or the Cyc b) as an interned
+        value, stored in ``memo`` under the interned operands' ids."""
+        a = self.intern(a.num)
+        if b is None:
+            key, args = id(a), (a.num,)
+        elif isinstance(b, RatFunc):
+            b = self.intern(b.num)
+            key, args = (id(a), id(b)), (a.num, b.num)
+        else:
+            key, args = (id(a), b), (a.num, b)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = self.intern(op(*args))
+        return got
 
     def __eq__(self, other):
         return isinstance(other, ParamRing) and \
@@ -464,9 +497,9 @@ class RatFunc:
             return other
         ring = self.num.ring
         if isinstance(other, Cyc):
-            return _polynomial(ring.const(other))
+            return ring.intern(ring.const(other))
         if isinstance(other, (int, Fraction)):
-            return _polynomial(ring.const(Cyc.from_rational(ring.r, other)))
+            return ring.intern(ring.const(Cyc.from_rational(ring.r, other)))
         return None
 
     # -- arithmetic ------------------------------------------------------------
@@ -476,12 +509,10 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
-            key = (self.num, o.num)
-            sums = self.num.ring.sums
-            num = sums.get(key)
-            if num is None:
-                num = sums[key] = self.num + o.num
-            return _rf(num, self.den, _NO_SPLIT)
+            ring = self.num.ring
+            got = ring.sums.get((id(self), id(o)))
+            return ring.memo_miss(ring.sums, MPoly.__add__, self, o) \
+                if got is None else got
         if self.split is not None and o.split is not None:
             return _add_split(self, o)
         g0 = mp_gcd(self.den, o.den)
@@ -501,6 +532,11 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.split is _NO_SPLIT:
+            ring = self.num.ring
+            got = ring.negations.get(id(self))
+            return ring.memo_miss(ring.negations, MPoly.__neg__, self) \
+                if got is None else got
         return _rf(-self.num, self.den, self.split)
 
     def __sub__(self, other):
@@ -520,12 +556,10 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
-            key = (self.num, o.num)
-            products = self.num.ring.products
-            num = products.get(key)
-            if num is None:
-                num = products[key] = self.num * o.num
-            return _rf(num, self.den, _NO_SPLIT)
+            ring = self.num.ring
+            got = ring.products.get((id(self), id(o)))
+            return ring.memo_miss(ring.products, MPoly.__mul__, self, o) \
+                if got is None else got
         if self.split is not None and o.split is not None:
             return _mul_split(self, o)
         g1 = mp_gcd(self.num, o.den)
@@ -539,6 +573,11 @@ class RatFunc:
 
     def cmul(self, c: Cyc) -> "RatFunc":
         """Fast scale by a cyclotomic unit (or zero)."""
+        if self.split is _NO_SPLIT:
+            ring = self.num.ring
+            got = ring.scalings.get((id(self), c))
+            return ring.memo_miss(ring.scalings, MPoly.mul_cyc, self, c) \
+                if got is None else got
         if not c:
             return _polynomial(self.num.ring.zero())
         return _rf(self.num.mul_cyc(c), self.den, self.split)
@@ -581,6 +620,8 @@ class RatFunc:
         return self.num.is_zero()
 
     def __eq__(self, other):
+        if self is other:
+            return True
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -810,11 +851,11 @@ class _Field:
     def rational(self, a, b=1):
         return self.embed(Cyc.from_rational(self.r, a, b))
 
-    @property
+    @cached_property
     def zero(self):
         return self.embed(Cyc.zero(self.r))
 
-    @property
+    @cached_property
     def one(self):
         return self.embed(Cyc.one(self.r))
 
@@ -832,19 +873,19 @@ class GenericParameters(_Field):
         m = r // p - 1
         names = ("k", "c0") + tuple(f"d{j}" for j in range(1, m + 1))
         self.ring = ParamRing(r, names)
-        self.kappa = _polynomial(self.ring.gen(0))
-        self.c0 = _polynomial(self.ring.gen(1))
+        self.kappa = self.ring.intern(self.ring.gen(0))
+        self.c0 = self.ring.intern(self.ring.gen(1))
         dpolys = [self.ring.gen(2 + j) for j in range(m)]
         d0 = -sum(dpolys, self.ring.zero())
-        self._d = [_polynomial(q) for q in [d0] + dpolys]
+        self._d = [self.ring.intern(q) for q in [d0] + dpolys]
         self._c: dict[int, RatFunc] = {}
 
     def __del__(self):
         # the memos refer back to the ring: clearing them frees the ring
         # with its last value, not at the next cyclic garbage collection
         if hasattr(self, "ring"):  # not if __init__ raised
-            self.ring.sums.clear()
-            self.ring.products.clear()
+            for name in ParamRing.MEMOS:
+                getattr(self.ring, name).clear()
 
     def d(self, j: int) -> RatFunc:
         return self._d[j % (self.r // self.p)]
@@ -857,7 +898,7 @@ class GenericParameters(_Field):
         return got
 
     def embed(self, c: Cyc) -> RatFunc:
-        return _polynomial(self.ring.const(c))
+        return self.ring.intern(self.ring.const(c))
 
     def __repr__(self):
         return f"GenericParameters(r={self.r}, p={self.p})"

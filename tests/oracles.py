@@ -47,7 +47,8 @@ Everything here deliberately avoids the production code paths it checks:
   compare it with the expanded Vandermonde-type products, where the package
   reads the freeness determinants off the row exponents;
 * ``coupling`` and ``class_sum`` write out c_s and the colored
-  transpositions inline;
+  transpositions inline; ``phi_class_sum`` sums the same class through
+  ``GroupElement.colored_transposition``;
 * ``c_from_d_sum``, ``graded_char_series_dense`` and ``int_series_dense``
   are the summation, dense-product and series loops the package replaced by
   one shared definition each;
@@ -94,7 +95,7 @@ def poly_divexact(f: Poly, g: Poly):
     if g.is_zero():
         raise ZeroDivisionError
     rem = dict(f.terms)
-    ge = g.leading_exponent()
+    ge = max(g.terms, key=lambda e: (sum(e), e))
     gc = g.terms[ge]
     quot: dict = {}
 
@@ -234,6 +235,16 @@ def class_sum(rep, i: int, f: Poly) -> Poly:
             w = (GroupElement.diagonal(rep.r, rep.n, i, l)
                  * GroupElement.transposition(rep.r, rep.n, j, i)
                  * GroupElement.diagonal(rep.r, rep.n, i, -l))
+            acc = acc + rep.t(w, f)
+    return acc
+
+
+def phi_class_sum(rep, i: int, f: Poly) -> Poly:
+    """phi_i f as the sum of the colored transpositions of slots j < i."""
+    acc = Poly.zero(rep.n)
+    for j in range(i):
+        for l in range(rep.r):
+            w = GroupElement.colored_transposition(rep.r, rep.n, i, j, l)
             acc = acc + rep.t(w, f)
     return acc
 

@@ -382,7 +382,7 @@ def test_factored_path_against_sympy_cancel(group):
 
 
 # ---------------------------------------------------------------------------
-# the per-field memos of polynomial sums and products
+# the per-field intern table and memos of polynomial values
 # ---------------------------------------------------------------------------
 
 
@@ -405,15 +405,24 @@ class _CountingMemo(dict):
         super().__setitem__(key, value)
 
 
+TABLES = scalar_layer.ParamRing.MEMOS
+
+
+def _tables(ring):
+    return [getattr(ring, name) for name in TABLES]
+
+
 def _install_memos(monkeypatch, memo_type):
-    """Give every ring built from now on fresh memos of ``memo_type``;
-    returns the list those rings are appended to."""
+    """Give every ring built from now on a fresh ``memo_type`` for each of
+    its tables, the intern table included; returns the list those rings
+    are appended to."""
     rings = []
     init = scalar_layer.ParamRing.__init__
 
     def patched(self, *args):
         init(self, *args)
-        self.sums, self.products = memo_type(), memo_type()
+        for name in TABLES:
+            setattr(self, name, memo_type())
         rings.append(self)
 
     monkeypatch.setattr(scalar_layer.ParamRing, "__init__", patched)
@@ -441,7 +450,7 @@ def test_memo_free_runs_print_the_same_bytes(monkeypatch, argv):
     memoized = _run(argv)
     rings = _install_memos(monkeypatch, _NeverStores)
     assert _run(argv) == memoized
-    assert rings and not any(ring.sums or ring.products for ring in rings)
+    assert rings and not any(any(_tables(ring)) for ring in rings)
 
 
 def test_each_field_starts_cold():
@@ -457,16 +466,71 @@ def test_each_field_starts_cold():
     assert ring.sums == {} and ring.products == {}
 
 
+def test_a_dropped_field_leaves_every_table_empty():
+    a = GenericParameters(3, 1)
+    x = (a.kappa - a.c0).cmul(Cyc.root(3, 1)) * a.d(1) + 2
+    x / (a.c0 + a.d(2)) + a.kappa
+    assert all(_tables(a.ring))
+    ring = a.ring
+    del a
+    assert not any(_tables(ring))
+    # a value that outlives its field still computes, and refills the tables
+    assert x * x - x * x == 0 and ring.interned
+
+
+def test_equal_polynomials_of_one_field_are_one_object():
+    par = GenericParameters(3, 1)
+    a, b, c = par.kappa + 1, par.c0.cmul(Cyc.root(3, 1)), par.d(1) - par.d(2)
+    assert (a + b) * c is a * c + b * c
+    assert a - b is -(b - a) is a + (-1) * b
+    assert (a * b).cmul(Cyc.root(3, 2)) is a.cmul(Cyc.root(3, 2)) * b
+    assert a - a is par.zero and (a - a) * c is par.zero
+    # a polynomial reached through a fraction is equal but not interned
+    through = c * c / c
+    assert through == c and through is not c and through * 1 is c
+    # a polynomial built outside the ring's arithmetic is not interned, but
+    # meets the interned one in every memo
+    ring = par.ring
+    outside = RatFunc(a.num + b.num, ring.one())
+    assert outside is not a + b and outside == a + b
+    assert outside * c is (a + b) * c and -outside is -(a + b)
+    assert outside.cmul(Cyc.root(3, 1)) is (a + b).cmul(Cyc.root(3, 1))
+    assert hash(outside) == hash(a + b)
+
+
+def test_the_id_of_a_dropped_operand_never_hits():
+    # values built outside the ring's arithmetic are not interned; each
+    # batch is dropped before the next is built, so their ids get reused
+    par = GenericParameters(2, 1)
+    ring = par.ring
+    for lo in range(2, 200, 40):
+        batch = [RatFunc(ring.const(Cyc.from_rational(2, v)), ring.one())
+                 for v in range(lo, lo + 40)]
+        for v, x in enumerate(batch, start=lo):
+            assert str(x * par.kappa + x) == f"{v}*k + {v}"
+            assert str(-x) == str(x.cmul(Cyc.from_rational(2, -1))) == f"-{v}"
+        del batch
+
+
+def test_fractions_stay_out_of_the_tables():
+    par = GenericParameters(2, 1)
+    x = par.kappa / (par.c0 + par.d(1))
+    sizes = [len(t) for t in _tables(par.ring)]
+    for y in (x + x, x * x, -x, x.cmul(Cyc.root(2, 1)), x * par.kappa, x - x):
+        assert y.split is not scalar_layer._NO_SPLIT or not y
+    assert [len(t) for t in _tables(par.ring)] == sizes
+
+
 def test_a_repeated_job_misses_as_often_as_the_first(monkeypatch):
     rings = _install_memos(monkeypatch, _CountingMemo)
     misses = []
     for _ in range(2):
         rings.clear()
         assert _run(MEMO_JOBS[1])[0] == 0
-        misses.append([(ring.sums.stores, ring.products.stores)
+        misses.append([tuple(t.stores for t in _tables(ring))
                        for ring in rings])
     # one field for the operator suites, one for the intertwiners
-    assert len(misses[0]) == 2 and all(s and p for s, p in misses[0])
+    assert len(misses[0]) == 2 and all(all(m) for m in misses[0])
     assert misses[0] == misses[1]
 
 
