@@ -19,8 +19,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .cyclotomic import Cyc
-from .jack import NonGenericError, jack_by_intertwiners, jack_by_solve
-from .operators import PolyRep, monomials_up_to
+from .jack import (
+    NonGenericError, jack_by_intertwiners, jack_by_solve, require_jack_budget,
+)
+from .operators import PolyRep, monomials_up_to, require_relation_budget
 from .pbw import check_pbw, rca_forms, require_pbw_budget
 from .intertwiners import verify_braid_and_quadratic
 from .reptheory import (
@@ -133,6 +135,8 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 
 
 def cmd_jack(job: JobConfig) -> int:
+    for mu in job.mus:  # refuse an oversized composition before any work
+        require_jack_budget(job.n, mu)
     rep = PolyRep(job.r, job.p, job.n, job.params())
     results = []
     for mu in job.mus:
@@ -167,6 +171,8 @@ def _operator_suites(job: JobConfig) -> dict:
     """The relation, commutator and PBW suites, on one parameter field
     that is released (with its scalar memos) when they return."""
     wanted = job.suite
+    if wanted in ("all", "relations", "commutators"):
+        require_relation_budget(job.n, job.max_deg)
     params = job.params()
     if wanted in ("all", "pbw"):
         # refuse an oversized PBW check before any suite runs

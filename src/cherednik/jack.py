@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from .operators import PolyRep, monomials_of_degree
 from .polynomials import Poly
@@ -27,8 +28,15 @@ __all__ = [
     "Composition", "Weight", "JackVector", "NonGenericError",
     "v_permutation", "bruhat_le", "bruhat_lt", "dominance_lt", "order_lt",
     "order_key", "weight_of", "z_eigenvalue", "zeta_compatible",
-    "jack_by_solve", "jack_by_intertwiners",
+    "jack_by_solve", "jack_by_intertwiners", "require_jack_budget",
 ]
+
+# the most monomials jack_by_solve may scan for one composition: G(1,1,3)
+# at |mu| = 60 scans 1,891 and takes about 5 s with --check-both, at
+# |mu| = 98 4,950 and about 97 s.  The count does not bound the scalar
+# work, which grows with |mu| too: G(1,1,2) at |mu| = 599 scans 600 and
+# ran for over 2 minutes.
+JACK_MONOMIAL_BUDGET = 2_000
 
 
 class NonGenericError(ValueError):
@@ -253,6 +261,22 @@ def _pivot(params, mu, v_mu, zvals, nu):
         if diff:
             return i, diff
     return None
+
+
+def require_jack_budget(n: int, mu) -> int:
+    """C(|mu|+n-1, n-1), the monomials of degree |mu| that
+    :func:`jack_by_solve` scans; a ValueError when that is over
+    ``JACK_MONOMIAL_BUDGET``.  The ``jack`` command checks it; ``gordon``'s
+    singular-vector solve does not, since its one composition k e_n is
+    fixed by the group (G(2,1,6) scans 8,568)."""
+    deg = sum(mu)
+    count = comb(deg + n - 1, n - 1)
+    if count > JACK_MONOMIAL_BUDGET:
+        raise ValueError(
+            f"f_mu for mu={tuple(mu)} scans {count:,} monomials of degree "
+            f"{deg} in {n} variables, over the budget of "
+            f"{JACK_MONOMIAL_BUDGET:,}")
+    return count
 
 
 def jack_by_solve(rep: PolyRep, mu) -> JackVector:

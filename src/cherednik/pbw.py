@@ -65,13 +65,13 @@ class FormFamily:
             del self.forms[w]
 
 
-def _basis_image(w: GroupElement, a: int, n: int) -> tuple[Cyc, int]:
-    """w . e_a for the V-basis (x_0..x_{n-1}, y_0..y_{n-1})."""
+def _basis_image(w: GroupElement, a: int, n: int) -> tuple[int, int]:
+    """(k, j) with w . e_a = zeta^k e_j, for the V-basis
+    (x_0..x_{n-1}, y_0..y_{n-1})."""
     if a < n:
-        k, j = w.x_image(a)
-        return Cyc.root(w.r, k), j
+        return w.x_image(a)
     k, j = w.y_image(a - n)
-    return Cyc.root(w.r, k), n + j
+    return k, n + j
 
 
 def rca_forms(r: int, p: int, n: int, params=None) -> FormFamily:
@@ -114,7 +114,7 @@ def check_pbw(family: FormFamily) -> dict:
     """Check conditions (a) and (b), after :func:`require_pbw_budget`;
     returns a JSON-ready report with the first violated instance as witness."""
     require_pbw_budget(family)
-    n = family.n
+    r, n = family.r, family.n
     dim = 2 * n
     elements = list(group_elements(family.r, family.p, family.n))
     support = list(family.forms)
@@ -124,10 +124,10 @@ def check_pbw(family: FormFamily) -> dict:
         for w in support:
             wc = v * w * vinv
             for a in range(dim):
-                sa, ia = _basis_image(v, a, n)
+                ka, ia = _basis_image(v, a, n)
                 for b in range(a + 1, dim):
-                    sb, ib = _basis_image(v, b, n)
-                    lhs = family.value(wc, ia, ib).cmul(sa * sb)
+                    kb, ib = _basis_image(v, b, n)
+                    lhs = family.value(wc, ia, ib).cmul(Cyc.root(r, ka + kb))
                     rhs = family.value(w, a, b)
                     checked_a += 1
                     if lhs != rhs:
@@ -138,7 +138,8 @@ def check_pbw(family: FormFamily) -> dict:
                                         "lhs": str(lhs), "rhs": str(rhs)},
                         }
     for w in support:
-        images = [_basis_image(w, a, n) for a in range(dim)]
+        images = [(Cyc.root(r, k), j)
+                  for k, j in (_basis_image(w, a, n) for a in range(dim))]
         for a in range(dim):
             for b in range(a + 1, dim):
                 vab = family.value(w, a, b)

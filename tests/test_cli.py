@@ -1,5 +1,6 @@
 """The command-line surface: flags, exit codes, JSON schema, golden files."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -11,6 +12,11 @@ import pytest
 import cherednik
 from cherednik import GenericParameters, jack_by_solve, PolyRep, poly_from_json
 from cherednik.cli import main
+from cherednik.jack import JACK_MONOMIAL_BUDGET, require_jack_budget
+from cherednik.operators import (
+    RELATION_MONOMIAL_BUDGET, monomials_of_degree, monomials_up_to,
+    require_relation_budget,
+)
 
 from oracles import l1_dimension_by_counting, l1_series_by_counting
 
@@ -449,6 +455,62 @@ def test_verify_refuses_an_oversized_pbw_check_at_once(capsys,
     assert "budget of 2,000,000" in err
 
 
+def test_jack_refuses_an_oversized_composition_at_once(capsys, monkeypatch):
+    # C(50+3, 3) = 23,426 monomials of degree 50 in 4 variables
+    def no_rep(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(cherednik.cli, "PolyRep", no_rep)
+    code, out, err = run_cli(capsys, "jack", "--group", "1,1,4",
+                             "--mu", "1,0,0,0", "--mu", "20,10,10,10")
+    assert code == 2 and out == ""
+    assert "mu=(20, 10, 10, 10) scans 23,426 monomials of degree 50" in err
+    assert "budget of 2,000" in err
+
+
+@pytest.mark.parametrize("suite", ["all", "relations", "commutators"])
+def test_verify_refuses_an_oversized_relation_check_at_once(capsys,
+                                                            monkeypatch,
+                                                            suite):
+    # C(40+3, 3) = 12,341 monomials of degree <= 40 in 3 variables
+    def no_construction(*args, **kwargs):
+        raise AssertionError("a suite started")
+
+    for name in ("PolyRep", "GenericParameters", "rca_forms"):
+        monkeypatch.setattr(cherednik.cli, name, no_construction)
+    code, out, err = run_cli(capsys, "verify", "--group", "2,1,3",
+                             "--max-deg", "40", "--suite", suite)
+    assert code == 2 and out == ""
+    assert "up to degree 40 check 12,341 monomials" in err
+    assert "budget of 5,000" in err
+
+
+def test_budget_counts_are_the_monomial_counts():
+    for n in range(1, 5):
+        for d in range(7):
+            assert require_jack_budget(n, [d] + [0] * (n - 1)) \
+                == len(list(monomials_of_degree(n, d)))
+            assert require_relation_budget(n, d) \
+                == len(list(monomials_up_to(n, d)))
+
+
+def test_benchmark_jobs_are_under_the_budgets():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", pathlib.Path(__file__).parents[1] / "bench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for argv in workloads.every_job():
+        args = dict(zip(argv[1::2], argv[2::2]))
+        n = int(args["--group"].split(",")[2])
+        if argv[0] == "jack":
+            mu = [int(v) for v in args["--mu"].split(",")]
+            assert require_jack_budget(n, mu) <= JACK_MONOMIAL_BUDGET
+        elif argv[0] == "verify":
+            assert require_relation_budget(n, int(args["--max-deg"])) \
+                <= RELATION_MONOMIAL_BUDGET
+
+
 def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--group", "2,1,2", "--max-deg", "2",
@@ -476,6 +538,9 @@ GOLDEN_CASES = [
      ["gordon", "--group", "3,1,5", "--json"], 0),
     ("gordon_216.json",
      ["gordon", "--group", "2,1,6", "--json"], 0),
+    # r = 5, phi(r) = 4: the general product loop of Cyc, end to end
+    ("gordon_513.json",
+     ["gordon", "--group", "5,1,3", "--json"], 0),
 ]
 
 

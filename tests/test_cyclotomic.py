@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic, with a numerical shadow on every identity."""
 
+import operator
 import random
 from math import gcd
 
@@ -195,3 +196,68 @@ def test_matches_fraction_oracle(r, data):
     assert (a == q) == (fa == q) and (a == m) == (fa == m)
     if a == b:
         assert hash(a) == hash(b)
+
+
+# -- the kernel's branches, each against the FractionCyc oracle --------------
+
+
+def test_equal_denominators_cancel_to_integers():
+    half = Cyc(3, [Q(1, 2), 0])
+    a = Cyc(4, [Q(1, 6), Q(-5, 6)])
+    fa = FractionCyc(4, [Q(1, 6), Q(-5, 6)])
+    fhalf = FractionCyc(3, [Q(1, 2), 0])
+    cases = [(half + half, fhalf + fhalf), (a - a, fa - fa),
+             (a + (-a), fa + (-fa)),
+             (Cyc(4, [Q(1, 6), Q(1, 6)]) + Cyc(4, [Q(5, 6), Q(-1, 6)]),
+              FractionCyc(4, [1, 0]))]
+    for v, f in cases:
+        assert agrees(v, f) and v.den == 1
+    assert half + half == 1
+    # equal denominators that cancel only in part
+    b = Cyc(4, [Q(1, 6), Q(1, 6)]) + Cyc(4, [Q(1, 6), Q(1, 6)])
+    assert agrees(b, FractionCyc(4, [Q(1, 3), Q(1, 3)])) and b.den == 3
+
+
+PHI2_VALUES = [[0, 0], [1, 0], [0, 1], [Q(1, 2), 0], [0, Q(-3, 4)],
+               [Q(2, 3), Q(-1, 6)], [-5, 7], [Q(7, 2), Q(7, 4)]]
+
+
+@pytest.mark.parametrize("r", [3, 4, 6])
+def test_phi_2_products_match_the_oracle(r):
+    assert euler_phi(r) == 2
+    for ca in PHI2_VALUES:
+        for cb in PHI2_VALUES:
+            v = Cyc(r, ca) * Cyc(r, cb)
+            assert agrees(v, FractionCyc(r, ca) * FractionCyc(r, cb))
+            assert v == Cyc(r, cb) * Cyc(r, ca)
+            assert (Cyc(r, ca) * 0).num == (0, 0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 8])
+def test_roots_are_shared(r):
+    for k in range(-r, 2 * r):
+        z = Cyc.root(r, k)
+        assert z is Cyc.root(r, k + r) and z is cyc(r, k % r)
+        assert agrees(z, FractionCyc.root(r, k))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_operations_leave_shared_roots_unchanged(r):
+    roots = [Cyc.root(r, k) for k in range(r)]
+    before = [(z.r, z.num, z.den) for z in roots]
+    other = Cyc(r, [Q(k + 1, 2) for k in range(euler_phi(r))])
+    for z in roots:
+        for w in (other, Q(1, 3), 2, z):
+            _ = (z + w, w + z, z - w, w - z, z * w, w * z, z / w, w / z)
+        _ = (-z, z ** 3, z ** -2, z.inverse(), z.cmul(other), z == other)
+    assert [(z.r, z.num, z.den) for z in roots] == before
+    assert all(Cyc.root(r, k) is z for k, z in enumerate(roots))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.eq])
+def test_mixed_orders_raise_from_every_operation(op):
+    a, b = Cyc.root(4, 1), Cyc.root(3, 1)
+    for x, y in ((a, b), (b, a), (Cyc.one(6), Cyc.one(3))):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            op(x, y)

@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from cherednik import (
-    FormFamily, GenericParameters, GroupElement, check_pbw, group_elements,
-    rca_forms, reflections,
+    Cyc, FormFamily, GenericParameters, GroupElement, check_pbw,
+    group_elements, rca_forms, reflections,
 )
 from cherednik import pbw
 from cherednik.pbw import PBW_COMPARISON_BUDGET, require_pbw_budget
@@ -92,8 +92,8 @@ def test_invariance_under_simultaneous_conjugation():
                 # transport: B'(v e_a, v e_b) = B(e_a, e_b)
                 ta, ja = _basis_image(v, a, 2)
                 tb, jb = _basis_image(v, b, 2)
-                conj.set(v * w * vinv, ja, jb,
-                         val.cmul((ta * tb).inverse()))
+                scale = (Cyc.root(2, ta) * Cyc.root(2, tb)).inverse()
+                conj.set(v * w * vinv, ja, jb, val.cmul(scale))
         assert check_pbw(conj)["status"] == "pass"
 
 
