@@ -136,7 +136,7 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 
 def cmd_jack(job: JobConfig) -> int:
     for mu in job.mus:  # refuse an oversized composition before any work
-        require_jack_budget(job.n, mu)
+        require_jack_budget(job.n, mu, job.r, job.point is None)
     rep = PolyRep(job.r, job.p, job.n, job.params())
     results = []
     for mu in job.mus:

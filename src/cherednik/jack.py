@@ -33,10 +33,10 @@ __all__ = [
 
 # the most monomials jack_by_solve may scan for one composition: G(1,1,3)
 # at |mu| = 60 scans 1,891 and takes about 5 s with --check-both, at
-# |mu| = 98 4,950 and about 97 s.  The count does not bound the scalar
-# work, which grows with |mu| too: G(1,1,2) at |mu| = 599 scans 600 and
-# ran for over 2 minutes.
+# |mu| = 98 4,950 and about 97 s.
 JACK_MONOMIAL_BUDGET = 2_000
+# G(1,1,2) --check-both: (52,0) estimates 59,617,792, 3.5 s; (60,0) 6.5 s
+JACK_WORK_BUDGET = 60_000_000
 
 
 class NonGenericError(ValueError):
@@ -263,19 +263,30 @@ def _pivot(params, mu, v_mu, zvals, nu):
     return None
 
 
-def require_jack_budget(n: int, mu) -> int:
+def require_jack_budget(n: int, mu, r: int = 1, generic: bool = True) -> int:
     """C(|mu|+n-1, n-1), the monomials of degree |mu| that
     :func:`jack_by_solve` scans; a ValueError when that is over
-    ``JACK_MONOMIAL_BUDGET``.  The ``jack`` command checks it; ``gordon``'s
-    singular-vector solve does not, since its one composition k e_n is
+    ``JACK_MONOMIAL_BUDGET`` or, at generic parameters, the work estimate
+    C(E+n-1, n-1) (nD)^3 is over ``JACK_WORK_BUDGET`` (README, Command
+    line).  E = (|mu| - n min mu) // r bounds the terms of f_mu, whose x^nu
+    have nu_i >= min mu and nu = mu mod r, and D = (max mu - min mu) // r
+    grows with the parameter degree of its coefficients.  ``gordon``'s
+    singular-vector solve does not check it: its one composition k e_n is
     fixed by the group (G(2,1,6) scans 8,568)."""
-    deg = sum(mu)
+    deg, low = sum(mu), min(mu)
     count = comb(deg + n - 1, n - 1)
     if count > JACK_MONOMIAL_BUDGET:
         raise ValueError(
             f"f_mu for mu={tuple(mu)} scans {count:,} monomials of degree "
             f"{deg} in {n} variables, over the budget of "
             f"{JACK_MONOMIAL_BUDGET:,}")
+    e, d = (deg - n * low) // r, (max(mu) - low) // r
+    work = comb(e + n - 1, n - 1) * (n * d) ** 3
+    if generic and work > JACK_WORK_BUDGET:
+        raise ValueError(
+            f"f_mu for mu={tuple(mu)} has the work estimate "
+            f"C(E+n-1, n-1) (nD)^3 = {work:,} with E = {e}, D = {d}, "
+            f"n = {n}, over the budget of {JACK_WORK_BUDGET:,}")
     return count
 
 

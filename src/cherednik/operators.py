@@ -17,16 +17,13 @@ on the reflection and an index (a root power with a sign, or the residue of
 an exponent mod r), so ``PolyRep`` tabulates -c_s <alpha_s, y_i> times each
 such coefficient once, and a monomial image needs no scalar product.
 
-The relation checker builds, per monomial x^mu, one table of the images
-y^ev x^mu and y^ev x_j x^mu for |ev| <= 2 (``y_images``), each entry one
-Dunkl operator away from an entry of lower degree, and reads every check
-from it.  In the x-side check the moved divided difference t_s(acc) for a
-given y-monomial and reflection does not depend on the slot j, so it is
-built once per (nu, s).  Each (nu, j) defect goes into one dict: the
-reflections of a class are summed with their cyclotomic weights
-<alpha_s^vee, y_j> and scaled by the class's c_s once, the y-side
-coefficients are tabulated once per representation, and scales by +-1 are
-skipped (see README, Performance notes).
+The relation checker proves, on each monomial x^mu up to a degree and from
+one table of its y-images (``y_images``), t_w x_j = (w x_j) t_w for each
+reflection w and the x-side formula of ``x_side_defects`` for |nu| = 1 and
+2.  At |nu| = 1 that formula is the defining relation
+
+    [y_i, x_j] = kappa delta_ij
+                 - sum_s c_s <alpha_s, y_i> <x_j, alpha_s^vee> t_s.
 """
 
 from __future__ import annotations
@@ -370,8 +367,8 @@ class PolyRep:
         return plan
 
     def x_side_defects(self, yf: dict, yxf: list[dict]):
-        """Yield ``(nu, j, defect)`` for 1 <= |nu| <= 2 and each slot j, in
-        the order the relation check visits them.
+        """Yield ``(nu, j, defect)`` for 1 <= |nu| <= 2 and each slot j:
+        every |nu| = 1 in (i, j) order for nu = e_i, then |nu| = 2.
 
         ``yf`` and ``yxf[j]`` are :meth:`y_images` of some f and of x_j f
         to degree 2. ``defect`` is [y^nu, x_j] f minus the dual commutator
@@ -426,11 +423,6 @@ class PolyRep:
 
     # -- relation checking ------------------------------------------------------
 
-    def _conj_transpositions(self, i: int, j: int) -> list[GroupElement]:
-        """The r elements conjugating the (i j) transposition by colors at i."""
-        return [GroupElement.colored_transposition(self.r, self.n, i, j, l)
-                for l in range(self.r)]
-
     def _first_failure(self, max_deg: int, check_mono) -> dict:
         """Run ``check_mono`` on each monomial of degree <= max_deg in turn;
         return the first failure it reports, or the pass record."""
@@ -445,58 +437,33 @@ class PolyRep:
                 "monomials": len(monos)}
 
     def check_relations(self, max_deg: int) -> dict:
-        """Verify the defining commutation relations on all monomials of
-        degree <= max_deg; report the first failure with a witness."""
+        """Check t_w x_j = (w x_j) t_w, [y_i, x_j] and the |nu| = 2 x-side
+        formula on x^mu, |mu| <= max_deg; the first failure or a pass."""
         return self._first_failure(max_deg, self._relation_failure)
 
     def _relation_failure(self, mu: tuple[int, ...]) -> dict | None:
-        """The first defining relation that fails on x^mu, or None."""
-        n, r = self.n, self.r
-        # the scalars of the right-hand sides, built once per monomial:
-        # c_t (1 - zeta^{-t}) per diagonal color t, c_0 zeta^{-l} per l
-        diag_cfs = [(t, self.params.c(t).cmul(Cyc.one(r) - Cyc.root(r, -t)))
-                    for t in range(1, r) if not t % self.p]
-        c0_roots = [self.params.c0.cmul(Cyc.root(r, -l)) for l in range(r)]
+        """The first relation that fails on x^mu, or None: t_w x_j, then
+        the x_side_defects in order, [y_i, x_j] (|nu| = 1) before |nu| = 2."""
+        n = self.n
         m = Poly.monomial(mu, self.params.one)
         ym = self.y_images(m, 2)
         yxm = [self.y_images(self.x(j, m), 2) for j in range(n)]
-        for i in range(n):
-            e_i = tuple(1 if t == i else 0 for t in range(n))
-            for j in range(n):
-                lhs = yxm[j][e_i] - self.x(j, ym[e_i])
-                if i == j:
-                    rhs = m.scaled(self.params.kappa)
-                    for t, cf in diag_cfs:
-                        w = GroupElement.diagonal(r, n, i, t)
-                        rhs = rhs - self.t(w, m).scaled(cf)
-                    for jj in range(n):
-                        if jj == i:
-                            continue
-                        for w in self._conj_transpositions(i, jj):
-                            rhs = rhs - self.t(w, m).scaled(self.params.c0)
-                else:
-                    rhs = Poly.zero(n)
-                    for l, w in enumerate(self._conj_transpositions(i, j)):
-                        rhs = rhs + self.t(w, m).scaled(c0_roots[l])
-                if lhs != rhs:
-                    return {"relation": "y_i x_j commutator", "i": i,
-                            "j": j, "mu": list(mu),
-                            "defect": str(lhs - rhs)}
         for s in self.reflections:
             w = s.element
             for j in range(n):
-                k, jj = w.x_image(j)
-                wx = Poly.monomial(
-                    tuple(1 if t == jj else 0 for t in range(n)),
-                    self.params.zeta(k))
+                k, jj = w.x_image(j)  # w x_j = zeta^k x_jj
+                wx = self.x_poly(jj).scaled(self.params.zeta(k))
                 if self.t(w, self.x(j, m)) != wx * self.t(w, m):
                     return {"relation": "t_w x = (wx) t_w", "w": str(w),
                             "j": j, "mu": list(mu)}
         for nu, j, defect in self.x_side_defects(ym, yxm):
-            if defect:
-                return {"relation": "x-side commutator",
-                        "y_monomial": list(nu), "j": j,
-                        "mu": list(mu), "defect": str(defect)}
+            if not defect:
+                continue
+            if sum(nu) == 1:
+                return {"relation": "y_i x_j commutator", "i": nu.index(1),
+                        "j": j, "mu": list(mu), "defect": str(defect)}
+            return {"relation": "x-side commutator", "y_monomial": list(nu),
+                    "j": j, "mu": list(mu), "defect": str(defect)}
         return None
 
     def commutator_report(self, max_deg: int) -> dict:

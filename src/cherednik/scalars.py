@@ -43,6 +43,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import Cyc
+from .polynomials import _key
 
 __all__ = [
     "MPoly", "RatFunc", "ParamRing",
@@ -139,10 +140,6 @@ class ParamRing:
 
     def __repr__(self):
         return f"ParamRing(r={self.r}, names={self.names})"
-
-
-def _key(e: tuple[int, ...]):
-    return (sum(e), e)
 
 
 class MPoly:

@@ -23,6 +23,10 @@ Everything here deliberately avoids the production code paths it checks:
   ``params.embed`` of every cyclotomic factor and by c_s once per
   reflection, where the package sums each class into one accumulator,
   skips the scales by +-1 and scales by c_s once per class;
+* ``yx_commutator_defect_explicit`` is the defining relation
+  [y_i, x_j] = kappa delta_ij - sum_s c_s <alpha_s, y_i> <x_j, alpha_s^vee>
+  t_s written out over colored transpositions and diagonals, the way the
+  relation check coded it before it read the |nu| = 1 x-side defects;
 * ``dense_eigenvector`` finds simultaneous eigenvectors by Gaussian
   elimination on one whole graded piece, with no triangularity, ordering or
   character filtering;
@@ -320,6 +324,38 @@ def x_side_defects_per_reflection(rep, yf: dict, yxf: list[dict]):
                 if b:
                     rhs = rhs - tacc.scaled(cs.cmul(b))
             yield nu, j, lhs - rhs
+
+
+def yx_commutator_defect_explicit(rep, mu: tuple[int, ...], i: int,
+                                  j: int) -> Poly:
+    """[y_i, x_j] x^mu minus kappa delta_ij x^mu - sum_s c_s <alpha_s, y_i>
+    <x_j, alpha_s^vee> t_s x^mu, the sum written out over group elements:
+    for i != j the r colored transpositions of slots i and j, weighted by
+    c_0 zeta^{-l}; for i = j the diagonals of color t at slot i, weighted by
+    c_t (1 - zeta^{-t}), and every colored transposition through slot i,
+    weighted by c_0."""
+    n, r, params = rep.n, rep.r, rep.params
+    m = Poly.monomial(mu, params.one)
+    lhs = rep.dunkl(i, rep.x(j, m)) - rep.x(j, rep.dunkl(i, m))
+    if i == j:
+        rhs = m.scaled(params.kappa)
+        for t in range(1, r):
+            if t % rep.p == 0:
+                w = GroupElement.diagonal(r, n, i, t)
+                rhs = rhs - rep.t(w, m).scaled(
+                    params.c(t).cmul(Cyc.one(r) - Cyc.root(r, -t)))
+        for k in range(n):
+            if k == i:
+                continue
+            for l in range(r):
+                w = GroupElement.colored_transposition(r, n, i, k, l)
+                rhs = rhs - rep.t(w, m).scaled(params.c0)
+    else:
+        rhs = Poly.zero(n)
+        for l in range(r):
+            w = GroupElement.colored_transposition(r, n, i, j, l)
+            rhs = rhs + rep.t(w, m).scaled(params.c0.cmul(Cyc.root(r, -l)))
+    return lhs - rhs
 
 
 def c_from_d_sum(r: int, p: int, l: int, d_of, zero):

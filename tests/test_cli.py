@@ -468,6 +468,52 @@ def test_jack_refuses_an_oversized_composition_at_once(capsys, monkeypatch):
     assert "budget of 2,000" in err
 
 
+# whole-process --check-both times before the work estimate: 6.4 s, 20.4 s,
+# over 60 s and 19.8 s, each under the monomial budget
+@pytest.mark.parametrize("group,mu,work", [
+    ("1,1,2", "60,0", "105,408,000"),
+    ("1,1,2", "80,0", "331,776,000"),
+    ("1,1,2", "120,0", "1,672,704,000"),
+    ("1,1,3", "30,0,0", "361,584,000"),
+])
+def test_jack_refuses_a_slow_composition_at_once(capsys, monkeypatch, group,
+                                                 mu, work):
+    def no_rep(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(cherednik.cli, "PolyRep", no_rep)
+    code, out, err = run_cli(capsys, "jack", "--group", group, "--mu", mu,
+                             "--check-both")
+    assert code == 2 and out == ""
+    assert f"work estimate C(E+n-1, n-1) (nD)^3 = {work}" in err
+    assert "budget of 60,000,000" in err
+
+
+def test_jack_work_estimate_is_for_generic_parameters(capsys):
+    # the same composition at a specialized point has numeric coefficients
+    code, out, err = run_cli(capsys, "jack", "--group", "1,1,2",
+                             "--mu", "60,0", "--c0", "1/3", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["mode"] == "specialized"
+    with pytest.raises(ValueError, match="work estimate"):
+        require_jack_budget(2, (60, 0))
+    assert require_jack_budget(2, (60, 0), generic=False) == 61
+
+
+@pytest.mark.parametrize("r,mu", [
+    (1, (40, 0)),         # 1.5 s
+    (1, (52, 0)),         # 3.5 s, the largest accepted (k, 0) on G(1,1,2)
+    (1, (300, 299)),      # 0.16 s: one rearrangement below it
+    (1, (20, 0, 0)),      # 3.2 s
+    (2, (60, 0)),         # 0.5 s on G(2,1,2)
+    (1, (6, 6, 0, 0, 0)),  # 4.9 s, the slowest accepted case measured
+])
+def test_jack_accepts_the_fast_compositions(r, mu):
+    n = len(mu)
+    assert require_jack_budget(n, mu, r) \
+        == len(list(monomials_of_degree(n, sum(mu))))
+
+
 @pytest.mark.parametrize("suite", ["all", "relations", "commutators"])
 def test_verify_refuses_an_oversized_relation_check_at_once(capsys,
                                                             monkeypatch,
@@ -541,6 +587,9 @@ GOLDEN_CASES = [
     # r = 5, phi(r) = 4: the general product loop of Cyc, end to end
     ("gordon_513.json",
      ["gordon", "--group", "5,1,3", "--json"], 0),
+    # a passing run of every suite; the verify files above pin failures
+    ("verify_213_deg6.json",
+     ["verify", "--group", "2,1,3", "--max-deg", "6", "--json"], 0),
 ]
 
 

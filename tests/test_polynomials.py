@@ -11,7 +11,7 @@ from oracles import (
     act_on_poly_accumulating, apply_y_monomial, class_sum, dd_per_term,
     dd_y_mono_per_term, dunkl_mono_per_term, oracle_dunkl,
     oracle_z, phi_class_sum, poly_divexact, x_side_commutator_defect,
-    x_side_defects_per_reflection,
+    x_side_defects_per_reflection, yx_commutator_defect_explicit,
 )
 
 from cherednik import (
@@ -327,29 +327,30 @@ def test_check_relations_fault_injection():
     assert "mu" in report and "defect" in report
 
 
-def _doubled_dd_y_mono(monkeypatch):
+def _doubled_dd_y_mono(monkeypatch, degrees=(1, 2)):
     """Break the dual commutator formula: every y-side divided difference
-    coefficient doubled."""
+    coefficient doubled for the y-monomials y^nu with |nu| in ``degrees``."""
     true_dd = PolyRep._dd_y_mono
     monkeypatch.setattr(
         PolyRep, "_dd_y_mono",
-        lambda self, nu, s: [(ev, cy + cy) for ev, cy in true_dd(self, nu, s)])
+        lambda self, nu, s: [(ev, cy + cy if sum(nu) in degrees else cy)
+                             for ev, cy in true_dd(self, nu, s)])
 
 
 # generic G(r,p,n), two specialized points, G(4,1,2) with three diagonal
-# classes, and G(2,1,3)
+# classes, and G(2,1,3); each takes PolyRep's keyword arguments
 X_SIDE_CASES = {
-    "G212": lambda: PolyRep(2, 1, 2),
-    "G312": lambda: PolyRep(3, 1, 2),
-    "G422": lambda: PolyRep(4, 2, 2),
-    "G223": lambda: PolyRep(2, 2, 3),
-    "G212-gordon": lambda: PolyRep(2, 1, 2, SpecializedParameters(
-        gordon_point(2, 1, 2))),
-    "G312-c0": lambda: PolyRep(3, 1, 2, SpecializedParameters(
+    "G212": lambda **kw: PolyRep(2, 1, 2, **kw),
+    "G312": lambda **kw: PolyRep(3, 1, 2, **kw),
+    "G422": lambda **kw: PolyRep(4, 2, 2, **kw),
+    "G223": lambda **kw: PolyRep(2, 2, 3, **kw),
+    "G212-gordon": lambda **kw: PolyRep(2, 1, 2, SpecializedParameters(
+        gordon_point(2, 1, 2)), **kw),
+    "G312-c0": lambda **kw: PolyRep(3, 1, 2, SpecializedParameters(
         ParamPoint.from_c(3, 1, 1, Fraction(1, 3),
-                          [Fraction(1, 5), Fraction(1, 7)]))),
-    "G412": lambda: PolyRep(4, 1, 2),
-    "G213": lambda: PolyRep(2, 1, 3),
+                          [Fraction(1, 5), Fraction(1, 7)])), **kw),
+    "G412": lambda **kw: PolyRep(4, 1, 2, **kw),
+    "G213": lambda **kw: PolyRep(2, 1, 3, **kw),
 }
 
 
@@ -377,37 +378,104 @@ def test_x_side_defects_match_oracle(monkeypatch, case, broken):
     assert bool(nonzero) == broken
 
 
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("case", list(X_SIDE_CASES))
+def test_yx_commutator_is_the_first_order_x_side_defect(case, fault):
+    # the defining relation [y_i, x_j] written out over group elements is
+    # the |nu| = 1 entry of x_side_defects, defect for defect
+    rep = X_SIDE_CASES[case](fault_dunkl_sign=fault)
+    n = rep.n
+    nonzero = 0
+    for mu in monomials_up_to(n, 3):
+        m = Poly.monomial(mu, rep.params.one)
+        yf = rep.y_images(m, 2)
+        yxf = [rep.y_images(rep.x(j, m), 2) for j in range(n)]
+        first = [(nu, j, d) for nu, j, d in rep.x_side_defects(yf, yxf)
+                 if sum(nu) == 1]
+        assert [(nu.index(1), j) for nu, j, _ in first] \
+            == [(i, j) for i in range(n) for j in range(n)]
+        for nu, j, defect in first:
+            expected = yx_commutator_defect_explicit(rep, mu, nu.index(1), j)
+            assert defect == expected, (mu, nu, j)
+            assert str(defect) == str(expected)
+            nonzero += bool(defect)
+    assert bool(nonzero) == fault
+
+
+def _first_oracle_failure(rep, max_deg):
+    """The first nonzero x-side defect in check order, by the oracle."""
+    n = rep.n
+    for mu in monomials_up_to(n, max_deg):
+        m = Poly.monomial(mu, rep.params.one)
+        for nu in monomials_up_to(n, 2):
+            for j in range(n):
+                d = sum(nu) and x_side_commutator_defect(rep, nu, j, m)
+                if d:
+                    return mu, nu, j, d
+    return None
+
+
 def test_x_side_branch_reports_its_own_failure(monkeypatch):
-    _doubled_dd_y_mono(monkeypatch)
+    # only |nu| = 2 is broken, so [y_i, x_j] holds and the x-side record
+    # reports the failure
+    _doubled_dd_y_mono(monkeypatch, degrees=(2,))
     rep = PolyRep(2, 1, 2)
     report = rep.check_relations(2)
     assert report["status"] == "fail"
     assert report["relation"] == "x-side commutator"
-
-    def oracle_failures():
-        for mu in monomials_up_to(2, 2):
-            m = Poly.monomial(mu, rep.params.one)
-            for nu in monomials_up_to(2, 2):
-                for j in range(2):
-                    d = sum(nu) and x_side_commutator_defect(rep, nu, j, m)
-                    if d:
-                        yield mu, nu, j, d
-
-    # the witness is the oracle's first nonzero defect in check order
-    mu, nu, j, defect = next(oracle_failures())
+    mu, nu, j, defect = _first_oracle_failure(rep, 2)
+    assert sum(nu) == 2
     assert (report["y_monomial"], report["j"], report["mu"]) \
         == (list(nu), j, list(mu))
     assert report["defect"] == str(defect) != "0"
 
 
+@pytest.mark.parametrize("degrees", [(1,), (1, 2)])
+def test_a_first_order_break_reports_the_yx_commutator(monkeypatch,
+                                                       degrees):
+    _doubled_dd_y_mono(monkeypatch, degrees)
+    rep = PolyRep(2, 1, 2)
+    report = rep.check_relations(2)
+    mu, nu, j, defect = _first_oracle_failure(rep, 2)
+    assert sum(nu) == 1
+    assert list(report) == ["status", "group", "relation", "i", "j", "mu",
+                            "defect"]
+    assert (report["status"], report["relation"]) \
+        == ("fail", "y_i x_j commutator")
+    assert (report["i"], report["j"], report["mu"]) \
+        == (nu.index(1), j, list(mu))
+    assert report["defect"] == str(defect) != "0"
+
+
+def test_the_yx_record_names_y_by_its_slot(monkeypatch):
+    # a lone defect at nu = e_1, j = 2 is reported as i = 1, j = 2
+    rep = PolyRep(2, 1, 3)
+    one = rep.one()
+
+    def one_defect(yf, yxf):
+        for nu in monomials_up_to(3, 2):
+            for j in range(3):
+                if sum(nu):
+                    hit = (nu, j) == ((0, 1, 0), 2)
+                    yield nu, j, one if hit else Poly.zero(3)
+
+    monkeypatch.setattr(rep, "x_side_defects", one_defect)
+    report = rep.check_relations(0)
+    assert (report["relation"], report["i"], report["j"], report["mu"],
+            report["defect"]) \
+        == ("y_i x_j commutator", 1, 2, [0, 0, 0], str(one))
+
+
 def test_x_side_plan_belongs_to_its_representation(monkeypatch):
     # one process checks many representations, as the benchmark does: the
-    # tabulated y-side divided differences of one must not reach another
+    # tabulated y-side divided differences of one must not reach another.
+    # Only |nu| = 2 is doubled, so the failure comes from the x-side branch.
     true_dd = PolyRep._dd_y_mono
     assert PolyRep(2, 1, 3).check_relations(2)["status"] == "pass"
     broken = PolyRep(2, 1, 3)
     monkeypatch.setattr(broken, "_dd_y_mono", lambda nu, s: [
-        (ev, cy + cy) for ev, cy in true_dd(broken, nu, s)])
+        (ev, cy + cy if sum(nu) == 2 else cy)
+        for ev, cy in true_dd(broken, nu, s)])
     report = broken.check_relations(2)
     assert (report["status"], report["relation"]) \
         == ("fail", "x-side commutator")
