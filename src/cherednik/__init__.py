@@ -12,7 +12,7 @@ deformation parameters.
 from .cyclotomic import Cyc, Q, cyclotomic_polynomial, euler_phi
 from .scalars import (
     GenericParameters, MPoly, ParamPoint, PoleError, RatFunc,
-    SpecializedParameters, c_from_d, cyc, d_from_c, specialize,
+    SpecializedParameters, c_from_d, d_from_c, specialize,
 )
 from .groups import (
     GroupElement, Reflection, conjugacy_classes, group_elements, group_order,
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Cyc", "Q", "cyclotomic_polynomial", "euler_phi",
     "GenericParameters", "MPoly", "ParamPoint", "PoleError", "RatFunc",
-    "SpecializedParameters", "c_from_d", "cyc", "d_from_c", "specialize",
+    "SpecializedParameters", "c_from_d", "d_from_c", "specialize",
     "GroupElement", "Reflection", "conjugacy_classes", "group_elements",
     "group_order", "parse_element", "reflections",
     "Poly", "PolyRep", "act_on_poly", "monomials_of_degree",

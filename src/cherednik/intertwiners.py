@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .groups import GroupElement
-from .jack import JackVector, v_permutation, weight_of, z_eigenvalue
+from .jack import (
+    JackVector, NonGenericError, v_permutation, weight_of, z_eigenvalue,
+)
 from .operators import PolyRep
 from .polynomials import Poly
 
@@ -156,7 +158,8 @@ def verify_braid_and_quadratic(rep: PolyRep, mus, *,
                                fault_pi_sign: bool = False) -> dict:
     """On each grid eigenvector check the quadratic relation
     sigma_i^2 = 1 - (c0 pi_i / (z_i - z_{i+1}))^2 and the z-exchange
-    wt(sigma_i v) = s_i . wt(v), as exact scalars."""
+    wt(sigma_i v) = s_i . wt(v), as exact scalars.  A sigma_i that vanishes
+    where that square is 0 marks a non-generic point: NonGenericError."""
     from .jack import jack_by_intertwiners
 
     params = rep.params
@@ -173,7 +176,18 @@ def verify_braid_and_quadratic(rep: PolyRep, mus, *,
                 checked += 1
                 continue
             res1 = apply_sigma(rep, i, jv, fault_pi_sign=fault_pi_sign)
+            delta = jv.weight.zvals[i] - jv.weight.zvals[i + 1]
+            pi = _pi_scalar(rep, mu, i)
+            predicted = params.one
+            if pi:
+                q = params.c0 * params.rational(pi) / delta
+                predicted = predicted - q * q
             if res1.vector is None:
+                if not predicted:
+                    nu = mu[:i] + (mu[i + 1], mu[i]) + mu[i + 2:]
+                    raise NonGenericError(
+                        mu, nu, f"sigma_{i + 1} and its square "
+                        f"1 - (c0 pi_{i + 1}/delta)^2 both vanish")
                 return {"status": "fail", "identity": "sigma vanished",
                         "mu": list(mu), "i": i}
             if res1.vector.weight != jv.weight.swap(i):
@@ -187,12 +201,6 @@ def verify_braid_and_quadratic(rep: PolyRep, mus, *,
             res2 = apply_sigma(rep, i, res1.vector,
                                fault_pi_sign=fault_pi_sign)
             square = res1.scalar * res2.scalar
-            delta = jv.weight.zvals[i] - jv.weight.zvals[i + 1]
-            pi = _pi_scalar(rep, mu, i)
-            predicted = params.one
-            if pi:
-                q = params.c0 * params.rational(pi) / delta
-                predicted = predicted - q * q
             if square != predicted or res2.vector.poly != jv.poly:
                 return {"status": "fail", "identity": "sigma squared",
                         "mu": list(mu), "i": i,

@@ -1,13 +1,32 @@
 """Parsers for the text renderings used across the package.
 
-One recursive-descent grammar covers cyclotomic numbers (``1 - 2*z^3``),
-parameter scalars (``(k - c0)/(k + d1)``) and polynomials
-(``(1 - z) * x1^2 x2 + 5``).  Adjacent variable powers multiply implicitly,
-matching the printed form.  Everything printed by ``str`` parses back equal.
+One grammar covers cyclotomic numbers (``1 - 2*z^3``), parameter scalars
+(``(k - c0)/(k + d1)``) and polynomials (``(1 - z) * x1^2 x2 + 5``): Python
+expression syntax restricted to names, digit-only integers, binary
+``+ - * /``, unary ``+ -`` and parentheses, with ``^`` for powers (the
+exponent an integer literal, optionally negated) and whitespace between two
+factors for products, as printed.  Everything ``str`` prints parses back equal.
+
+>>> from cherednik import GenericParameters
+>>> par = GenericParameters(2, 1)
+>>> print(parse_poly("x1^2 x2 - (k - c0)^2/(k + d1) x2^3 + 5", 2, par))
+x1^2 x2 + ((-k^2 + 2*k*c0 - c0^2)/(k + d1)) * x2^3 + 5
+>>> print(parse_cyc("z^-1 + 1/2", 3))
+-1/2 - z
+>>> for text in ["k**2", "k^(2)", "z^2^3", "f(k)", "1.5"]:
+...     try: parse_scalar(text, par)
+...     except ValueError as exc: print(exc)
+cannot parse 'k**2'
+exponent must be an integer
+exponent must be an integer
+cannot parse 'f(k)'
+cannot parse '1.5'
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 
 from .cyclotomic import Cyc
@@ -15,121 +34,56 @@ from .polynomials import Poly
 
 __all__ = ["parse_cyc", "parse_scalar", "parse_poly", "poly_from_json"]
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
+_ALPHABET = re.compile(r"[\sA-Za-z0-9+\-*/^()]*")
+# whitespace after a name, number or ")" and before a name or "(" multiplies
+_IMPLICIT_PRODUCT = re.compile(r"(?<=[A-Za-z0-9)])\s+(?=[A-Za-z(])")
 
 
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
-        if m.group(1):
-            out.append(("num", int(m.group(1))))
-        elif m.group(2):
-            out.append(("name", m.group(2)))
-        else:
-            out.append(("op", m.group(3)))
-        pos = m.end()
-    out.append(("end", None))
-    return out
+def _evaluate(text: str, lookup, from_int):
+    """Evaluate ``text``: names by ``lookup``, integers by ``from_int``."""
+    if "**" in text or not _ALPHABET.fullmatch(text):
+        raise ValueError(f"cannot parse {text!r}")
+    src = re.sub(r"\s+", " ", _IMPLICIT_PRODUCT.sub("*", text)).strip()
+    src = src.replace("^", "**")
+    try:
+        tree = ast.parse(src, mode="eval").body
+    except SyntaxError:
+        raise ValueError(f"cannot parse {text!r}") from None
 
+    def is_literal(node):
+        return (isinstance(node, ast.Constant) and type(node.value) is int
+                and src[node.col_offset:node.end_col_offset].isdigit())
 
-class _Parser:
-    """Evaluates the expression directly over a value context."""
+    def value(node):
+        # a sum nests one level per term on the left: walk that in a loop
+        spine = []
+        while isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            spine.append(node)
+            node = node.left
+        out = factor(node)
+        for op in reversed(spine):
+            out = _BINARY[type(op.op)](out, value(op.right))
+        return out
 
-    def __init__(self, tokens, lookup, from_int):
-        self.tokens = tokens
-        self.pos = 0
-        self.lookup = lookup
-        self.from_int = from_int
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ValueError(f"expected {op!r}, found {val!r}")
-
-    def parse(self):
-        val = self.expr()
-        kind, tok = self.peek()
-        if kind != "end":
-            raise ValueError(f"trailing input at {tok!r}")
-        return val
-
-    def expr(self):
-        kind, val = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.take()
-            negate = val == "-"
-        out = self.term()
-        if negate:
-            out = -out
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                out = out - rhs if val == "-" else out + rhs
-            else:
-                return out
-
-    def term(self):
-        out = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.factor()
-                out = out * rhs if val == "*" else _divide(out, rhs)
-            elif kind == "name" or (kind == "op" and val == "("):
-                out = out * self.factor()  # implicit product: "x1^2 x2"
-            else:
-                return out
-
-    def factor(self):
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            f = self.factor()
-            return -f if val == "-" else f
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            sign = 1
-            kind, val = self.peek()
-            if kind == "op" and val == "-":
-                self.take()
-                sign = -1
-            kind, val = self.take()
-            if kind != "num":
+    def factor(node):
+        if is_literal(node):
+            return from_int(node.value)
+        if isinstance(node, ast.Name):
+            return lookup(node.id)
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](value(node.operand))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exp, sign = node.right, 1
+            if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+                exp, sign = exp.operand, -1
+            # the literal ends the power, so "k^(2)" and "k^-(1)" are refused
+            if not (is_literal(exp)
+                    and exp.end_col_offset == node.end_col_offset):
                 raise ValueError("exponent must be an integer")
-            return _power(base, sign * val)
-        return base
+            return _power(value(node.left), sign * exp.value)
+        raise ValueError(f"cannot parse {text!r}")
 
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return self.from_int(val)
-        if kind == "name":
-            return self.lookup(val)
-        if kind == "op" and val == "(":
-            out = self.expr()
-            self.expect_op(")")
-            return out
-        raise ValueError(f"unexpected token {val!r}")
+    return value(tree)
 
 
 def _divide(a, b):
@@ -153,6 +107,11 @@ def _power(base, n):
     return base ** n
 
 
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: _divide}
+_UNARY = {ast.UAdd: lambda v: v, ast.USub: operator.neg}
+
+
 def _scalar_env(params):
     def lookup(name):
         if name == "z":
@@ -163,21 +122,16 @@ def _scalar_env(params):
             return params.kappa
         if name == "c0":
             return params.c0
-        m = re.fullmatch(r"d(\d+)", name)
-        if m:
-            return params.d(int(m.group(1)))
+        if name[0] == "d" and name[1:].isdigit():
+            return params.d(int(name[1:]))
         raise ValueError(f"unknown parameter {name!r}")
-    return lookup, lambda v: params.rational(v)
+    return lookup, params.rational
 
 
 def parse_cyc(text: str, r: int) -> Cyc:
     """Parse a cyclotomic number written in powers of ``z``."""
     lookup = lambda name: Cyc.root(r, 1) if name == "z" else _bad(name)
-    p = _Parser(_tokenize(text), lookup, lambda v: Cyc.from_rational(r, v))
-    out = p.parse()
-    if not isinstance(out, Cyc):
-        raise ValueError("expected a cyclotomic value")
-    return out
+    return _evaluate(text, lookup, lambda v: Cyc.from_rational(r, v))
 
 
 def _bad(name):
@@ -186,11 +140,7 @@ def _bad(name):
 
 def parse_scalar(text: str, params):
     """Parse a scalar in the parameter field (generic or specialized)."""
-    lookup, from_int = _scalar_env(params)
-    out = _Parser(_tokenize(text), lookup, from_int).parse()
-    if isinstance(out, Poly):
-        raise ValueError("expected a scalar, found a polynomial")
-    return out
+    return _evaluate(text, *_scalar_env(params))
 
 
 def parse_poly(text: str, n: int, params) -> Poly:
@@ -198,24 +148,20 @@ def parse_poly(text: str, n: int, params) -> Poly:
     slookup, from_int = _scalar_env(params)
 
     def lookup(name):
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            i = int(m.group(1))
+        if name[0] == "x" and name[1:].isdigit():
+            i = int(name[1:])
             if not 1 <= i <= n:
                 raise ValueError(f"variable {name} out of range 1..{n}")
             mu = tuple(1 if j == i - 1 else 0 for j in range(n))
             return Poly.monomial(mu, params.one)
         return slookup(name)
 
-    out = _Parser(_tokenize(text), lookup, from_int).parse()
-    if not isinstance(out, Poly):
-        out = Poly.monomial((0,) * n, out) if out else Poly.zero(n)
-    return out
+    out = _evaluate(text, lookup, from_int)
+    return out if isinstance(out, Poly) else Poly.monomial((0,) * n, out)
 
 
 def poly_from_json(obj: dict, params) -> Poly:
     """Rebuild a polynomial from its JSON term list."""
-    n = obj["n"]
-    return Poly.from_terms(
-        n, ((tuple(t["exp"]), parse_scalar(t["coeff"], params))
-            for t in obj["terms"]))
+    return Poly.from_terms(obj["n"], (
+        (tuple(t["exp"]), parse_scalar(t["coeff"], params))
+        for t in obj["terms"]))

@@ -48,13 +48,8 @@ from .polynomials import _key
 __all__ = [
     "MPoly", "RatFunc", "ParamRing",
     "GenericParameters", "SpecializedParameters", "ParamPoint",
-    "PoleError", "cyc", "d_from_c", "c_from_d", "specialize",
+    "PoleError", "d_from_c", "c_from_d", "specialize",
 ]
-
-
-def cyc(r: int, k: int) -> Cyc:
-    """zeta_r^k in canonical form (periodic in k with period r)."""
-    return Cyc.root(r, k)
 
 
 class PoleError(ArithmeticError):

@@ -103,6 +103,39 @@ def test_verify_fault_injection_prints_witness(capsys):
     assert code == 1
 
 
+# Points where sigma_i f_mu = 0 is what sigma_i^2 = 1 - (c0 pi_i/delta)^2
+# predicts: the factor is exactly 0 at the first mu named.
+NON_GENERIC_VERIFY = [
+    (["--group", "2,1,2", "--c0", "1/2", "--max-deg", "4"], (2, 0)),
+    (["--group", "3,1,2", "--c0", "1/2", "--max-deg", "4"], (3, 0)),
+    (["--group", "3,3,2", "--c0", "1/2", "--max-deg", "4"], (3, 0)),
+    (["--group", "2,1,3", "--c0", "1/3", "--max-deg", "3", "--suite",
+      "intertwiners"], (0, 2, 0)),
+]
+
+
+@pytest.mark.parametrize("argv,mu", NON_GENERIC_VERIFY,
+                         ids=[" ".join(a) for a, _ in NON_GENERIC_VERIFY])
+def test_verify_vanishing_sigma_at_a_non_generic_point_exits_two(
+        capsys, argv, mu):
+    code, out, err = run_cli(capsys, "verify", *argv, "--json")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["status"] == "non-generic"
+    assert f"for mu={mu}" in report["error"]
+    assert report["simple_spectrum_violations"]
+
+
+def test_verify_pi_sign_fault_still_fails_with_its_witness(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--group", "2,1,3",
+                           "--max-deg", "3", "--suite", "intertwiners",
+                           "--inject-fault", "pi-sign", "--json")
+    assert code == 1
+    report = json.loads(out)["reports"]["intertwiners"]
+    assert report == {"status": "fail", "identity": "image eigenvector",
+                      "mu": [2, 0, 0], "i": 0}
+
+
 def test_gordon_main_case(capsys):
     code, out, _ = run_cli(capsys, "gordon", "--group", "2,1,2")
     assert code == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cherednik import Cyc, Q, cyc, cyclotomic_polynomial, euler_phi
+from cherednik import Cyc, Q, cyclotomic_polynomial, euler_phi
 from cherednik.parsing import parse_cyc
 from oracles import FractionCyc
 
@@ -41,26 +41,26 @@ def test_cyclotomic_polynomials():
 
 
 def test_root_of_unity_relations():
-    assert shadow_eq(cyc(4, 4), 1)
-    assert shadow_eq(cyc(2, 1), -1)
+    assert shadow_eq(Cyc.root(4, 4), 1)
+    assert shadow_eq(Cyc.root(2, 1), -1)
     # products of conjugate roots, checked numerically to 12 digits
-    prod = cyc(4, 1) * cyc(4, 3)
+    prod = Cyc.root(4, 1) * Cyc.root(4, 3)
     assert shadow_eq(prod, 1, tol=1e-12)
-    expr = (1 + cyc(4, 1)) * (1 + cyc(4, 3))
+    expr = (1 + Cyc.root(4, 1)) * (1 + Cyc.root(4, 3))
     assert shadow_eq(expr, 2, tol=1e-12)
 
 
 def test_periodicity():
     for r in (1, 2, 3, 4, 6, 8):
         for k in range(-2 * r, 2 * r):
-            assert cyc(r, k) == cyc(r, k + r)
+            assert Cyc.root(r, k) == Cyc.root(r, k + r)
 
 
 def test_power_sums_vanish():
     for r in (2, 3, 4, 5, 6):
         total = Cyc.zero(r)
         for k in range(r):
-            total = total + cyc(r, k)
+            total = total + Cyc.root(r, k)
         assert shadow_eq(total, 0)
 
 
@@ -94,15 +94,15 @@ def test_inverse_of_zero_raises():
 
 def test_mixed_order_rejected():
     with pytest.raises(ValueError):
-        cyc(4, 1) + cyc(3, 1)
+        Cyc.root(4, 1) + Cyc.root(3, 1)
 
 
 def test_rational_predicates():
     v = Cyc.from_rational(4, 3, 2)
     assert v.is_rational() and v.rational_value() == Q(3, 2)
-    assert not cyc(4, 1).is_rational()
+    assert not Cyc.root(4, 1).is_rational()
     with pytest.raises(ValueError):
-        cyc(4, 1).rational_value()
+        Cyc.root(4, 1).rational_value()
 
 
 def test_str_parse_roundtrip():
@@ -113,7 +113,8 @@ def test_str_parse_roundtrip():
         v = Cyc(r, [Q(rng.randint(-9, 9), rng.randint(1, 5))
                     for _ in range(phi)])
         assert parse_cyc(str(v), r) == v
-    assert parse_cyc("z^2 - 1/2", 8) == cyc(8, 2) - Cyc.from_rational(8, 1, 2)
+    assert parse_cyc("z^2 - 1/2", 8) \
+        == Cyc.root(8, 2) - Cyc.from_rational(8, 1, 2)
 
 
 @pytest.mark.parametrize("r, co, error", [
@@ -237,7 +238,7 @@ def test_phi_2_products_match_the_oracle(r):
 def test_roots_are_shared(r):
     for k in range(-r, 2 * r):
         z = Cyc.root(r, k)
-        assert z is Cyc.root(r, k + r) and z is cyc(r, k % r)
+        assert z is Cyc.root(r, k + r) and z is Cyc.root(r, k % r)
         assert agrees(z, FractionCyc.root(r, k))
 
 

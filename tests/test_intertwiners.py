@@ -1,6 +1,7 @@
 """Exchange/raising/lowering operators: closed forms versus raw application."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +9,10 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import dense_eigenvector, oracle_z
 
 from cherednik import (
-    ParamPoint, Poly, PolyRep, SingularIntertwinerError,
+    NonGenericError, ParamPoint, Poly, PolyRep, SingularIntertwinerError,
     SpecializedParameters, apply_phi, apply_psi, apply_sigma,
-    jack_by_solve, phi_psi_scalar, psi_scalar, v_permutation,
-    verify_braid_and_quadratic,
+    jack_by_intertwiners, jack_by_solve, phi_psi_scalar, psi_scalar,
+    v_permutation, verify_braid_and_quadratic,
 )
 from cherednik.operators import monomials_up_to
 from cherednik.reptheory import gordon_point
@@ -158,6 +159,24 @@ def test_verify_braid_and_quadratic():
     bad = verify_braid_and_quadratic(rep, [(2, 0, 0)], fault_pi_sign=True)
     assert bad["status"] == "fail"
     assert "mu" in bad and "i" in bad
+
+
+def test_a_vanishing_sigma_fails_where_its_square_is_not_zero(monkeypatch):
+    from cherednik import intertwiners
+
+    rep = PolyRep(2, 1, 2)
+    jack_by_intertwiners(rep, (2, 0))  # built before sigma is broken
+    monkeypatch.setattr(intertwiners, "apply_sigma", lambda rep, i, jv, **kw:
+                        intertwiners.Scaled(rep.params.zero, None))
+    assert verify_braid_and_quadratic(rep, [(2, 0)]) == {
+        "status": "fail", "identity": "sigma vanished", "mu": [2, 0], "i": 0}
+
+
+def test_a_vanishing_sigma_where_its_square_is_zero_is_non_generic():
+    rep = PolyRep(2, 1, 2, SpecializedParameters(
+        ParamPoint.make(2, 1, 1, Fraction(1, 2), [0])))
+    with pytest.raises(NonGenericError, match=r"mu=\(2, 0\) against nu="):
+        verify_braid_and_quadratic(rep, [(2, 0)])
 
 
 def test_sigma_square_is_one_without_congruence():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from cherednik import (
     Cyc, GenericParameters, ParamPoint, PoleError, RatFunc,
-    SpecializedParameters, c_from_d, cyc, d_from_c, specialize, weight_of,
+    SpecializedParameters, c_from_d, d_from_c, specialize, weight_of,
 )
 from cherednik import scalars as scalar_layer
 from cherednik.cli import main
@@ -35,7 +35,7 @@ def test_d_from_c_zero():
 def test_d_from_c_r4_p2_brute_force():
     # only c_2 is present; d_j = zeta^{2j} c_2, folded mod r/p = 2
     c = Fraction(5)
-    expected = [cyc(4, 2 * j) * Cyc.from_rational(4, 5) for j in range(2)]
+    expected = [Cyc.root(4, 2 * j) * Cyc.from_rational(4, 5) for j in range(2)]
     got = d_from_c(4, 2, [c])
     assert got == expected
     assert not (got[0] + got[1])  # d_0 + d_1 = 0
@@ -85,7 +85,7 @@ def test_specialize_gordon_d_difference():
     pt = gordon_point(2, 1, 2)
     val = specialize(par.d(0) - par.d(-1), pt)
     c1 = pt.c_value(1)
-    assert val == c1 * (Cyc.one(2) - cyc(2, -1))
+    assert val == c1 * (Cyc.one(2) - Cyc.root(2, -1))
     assert val == Cyc.from_rational(2, 5, 2)
     # numerical shadow of the same identity
     assert abs(complex(val) - 2.5) < 1e-9
@@ -129,7 +129,7 @@ def test_no_split_exactly_when_the_denominator_is_one(data):
     par = GenericParameters(4, 2)
     a = data.draw(scalars(par))
     b = data.draw(scalars(par))
-    c = data.draw(st.sampled_from([Cyc.zero(4), Cyc.one(4), cyc(4, 1),
+    c = data.draw(st.sampled_from([Cyc.zero(4), Cyc.one(4), Cyc.root(4, 1),
                                    Cyc.from_rational(4, -2, 3)]))
     results = [a, b, a + b, a - b, a * b, -a, a.cmul(c), a + 1, 2 * b,
                RatFunc(a.num, b.den), RatFunc(a.num * b.num, a.den)]
