@@ -24,6 +24,7 @@ from .jack import (
 )
 from .operators import PolyRep, monomials_up_to, require_relation_budget
 from .pbw import check_pbw, rca_forms, require_pbw_budget
+from .polynomials import render_terms
 from .intertwiners import verify_braid_and_quadratic
 from .reptheory import (
     catalan_series, coxeter_number, exponents_and_freeness, genericity_guard,
@@ -141,8 +142,9 @@ def cmd_jack(job: JobConfig) -> int:
     results = []
     for mu in job.mus:
         jv = jack_by_solve(rep, mu)
-        entry = jv.to_json()
-        entry["polynomial"] = str(jv.poly)
+        entry = jv.to_json()  # prints each coefficient once, for both keys
+        entry["polynomial"] = render_terms(
+            (t["exp"], t["coeff"]) for t in entry["terms"])
         if job.check_both:
             other = jack_by_intertwiners(rep, mu)
             agree = other.poly == jv.poly and other.weight == jv.weight

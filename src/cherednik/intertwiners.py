@@ -74,13 +74,26 @@ def apply_sigma(rep: PolyRep, i: int, jv: JackVector, *,
         coeff = params.c0 * params.rational(pi) / delta
         if fault_pi_sign:
             coeff = -coeff
-        out = out + jv.poly.scaled(coeff)
+        out = _plus_scaled(params, out, coeff, jv.poly)
     if out.is_zero():
         return Scaled(params.zero, None)
     smu = list(mu)
     smu[i], smu[i + 1] = smu[i + 1], smu[i]
     return _as_scaled_eigenvector(params, out, tuple(smu),
                                   f"sigma_{i + 1} output on f_{mu}")
+
+
+def _plus_scaled(params, g: Poly, s, f: Poly) -> Poly:
+    """g + s f; a coefficient that both have is one ``params.dot``."""
+    out = dict(g.terms)
+    for e, c in f.terms.items():
+        got = out.get(e)
+        v = s * c if got is None else params.dot(((params.one, got), (s, c)))
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return Poly(g.n, out)
 
 
 def _as_scaled_eigenvector(params, poly: Poly, nu, what: str) -> Scaled:
@@ -158,8 +171,9 @@ def verify_braid_and_quadratic(rep: PolyRep, mus, *,
                                fault_pi_sign: bool = False) -> dict:
     """On each grid eigenvector check the quadratic relation
     sigma_i^2 = 1 - (c0 pi_i / (z_i - z_{i+1}))^2 and the z-exchange
-    wt(sigma_i v) = s_i . wt(v), as exact scalars.  A sigma_i that vanishes
-    where that square is 0 marks a non-generic point: NonGenericError."""
+    wt(sigma_i v) = s_i . wt(v), as exact scalars.  A sigma_i or a sigma_i^2
+    that vanishes where that square is 0 marks a non-generic point:
+    NonGenericError."""
     from .jack import jack_by_intertwiners
 
     params = rep.params
@@ -182,9 +196,9 @@ def verify_braid_and_quadratic(rep: PolyRep, mus, *,
             if pi:
                 q = params.c0 * params.rational(pi) / delta
                 predicted = predicted - q * q
+            nu = mu[:i] + (mu[i + 1], mu[i]) + mu[i + 2:]
             if res1.vector is None:
                 if not predicted:
-                    nu = mu[:i] + (mu[i + 1], mu[i]) + mu[i + 2:]
                     raise NonGenericError(
                         mu, nu, f"sigma_{i + 1} and its square "
                         f"1 - (c0 pi_{i + 1}/delta)^2 both vanish")
@@ -200,8 +214,13 @@ def verify_braid_and_quadratic(rep: PolyRep, mus, *,
                         "mu": list(mu), "i": i}
             res2 = apply_sigma(rep, i, res1.vector,
                                fault_pi_sign=fault_pi_sign)
+            if res2.vector is None and not predicted:
+                raise NonGenericError(
+                    mu, nu, f"the square of sigma_{i + 1} and "
+                    f"1 - (c0 pi_{i + 1}/delta)^2 both vanish")
             square = res1.scalar * res2.scalar
-            if square != predicted or res2.vector.poly != jv.poly:
+            if square != predicted or res2.vector is None \
+                    or res2.vector.poly != jv.poly:
                 return {"status": "fail", "identity": "sigma squared",
                         "mu": list(mu), "i": i,
                         "got": str(square), "expected": str(predicted)}

@@ -197,10 +197,8 @@ class Weight:
 
 def z_eigenvalue(params, m: int, v: int):
     """The z_i eigenvalue kappa(m+1) - (d_0 - d_{-m-1}) - r v c0 of a
-    composition with mu_i = m and v[i] = v."""
-    return params.kappa * params.rational(m + 1) \
-        - (params.d(0) - params.d(-m - 1)) \
-        - params.c0 * params.rational(params.r * v)
+    composition with mu_i = m and v[i] = v, memoized per field."""
+    return params.z_eigenvalue(m, v)
 
 
 def weight_of(mu, params) -> Weight:
@@ -293,10 +291,20 @@ def require_jack_budget(n: int, mu, r: int = 1, generic: bool = True) -> int:
 def jack_by_solve(rep: PolyRep, mu) -> JackVector:
     """Construct f_mu by back-substitution in one graded piece.
 
-    Within span{x^nu : |nu| = |mu|, nu below mu, same diagonal character} the
+    Within span{x^nu : |nu| = |mu|, nu below mu, nu = mu mod r} the
     z-operators are triangular; visiting nu in decreasing order determines
     each coefficient from the already-known ones.  At a specialized point a
     collision wt(nu) = wt(mu) raises :class:`NonGenericError` naming nu.
+
+    The candidates are the nu = mu mod r; when p > 1 some zeta-compatible
+    nu are not.  Let T be the diagonal subgroup of G(r,1,n).  Conjugation by
+    t in T keeps the parameter of every reflection of G(r,p,n): it permutes
+    the colored transpositions, which all carry c0, and fixes the diagonal
+    reflections.  So t y_i t^{-1} is a multiple of y_i, and y_i x_i, the
+    class sums phi_i and every z_i commute with T.  T acts on x^nu by the
+    character nu mod r, so each z_i keeps the span of the x^nu with
+    nu = mu mod r, and f_mu lies in it: any other candidate would get
+    coefficient zero.
     """
     mu = tuple(int(v) for v in mu)
     if len(mu) != rep.n or any(v < 0 for v in mu):
@@ -305,7 +313,7 @@ def jack_by_solve(rep: PolyRep, mu) -> JackVector:
     wt = weight_of(mu, params)
     deg = sum(mu)
     cands = [nu for nu in monomials_of_degree(rep.n, deg)
-             if nu != mu and zeta_compatible(nu, mu, rep.r, rep.p)
+             if nu != mu and all((a - b) % rep.r == 0 for a, b in zip(nu, mu))
              and order_lt(nu, mu)]
     v_mu = v_permutation(mu)
     coeffs: dict[tuple[int, ...], object] = {mu: params.one}
@@ -314,11 +322,9 @@ def jack_by_solve(rep: PolyRep, mu) -> JackVector:
         if pivot is None:
             raise NonGenericError(mu, nu)
         i, diff = pivot
-        resid = params.zero
-        for eta, c_eta in coeffs.items():
-            hit = rep.z_monomial(i, eta).terms.get(nu)
-            if hit is not None:
-                resid = resid + c_eta * hit
+        resid = params.dot(
+            (c_eta, hit) for eta, c_eta in coeffs.items()
+            if (hit := rep.z_monomial(i, eta).terms.get(nu)) is not None)
         c_nu = resid / diff
         if c_nu:
             coeffs[nu] = c_nu

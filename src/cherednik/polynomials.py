@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["Poly", "accumulate"]
+__all__ = ["Poly", "accumulate", "render_terms"]
 
 
 def accumulate(out: dict, items) -> dict:
@@ -26,6 +26,35 @@ def accumulate(out: dict, items) -> dict:
         else:
             out.pop(e, None)
     return out
+
+
+def render_terms(terms) -> str:
+    """The text of a polynomial from its (exponent, coefficient text) pairs,
+    in the order they are printed."""
+    chunks = []
+    for e, cs in terms:
+        mono = " ".join(
+            (f"x{i + 1}" if a == 1 else f"x{i + 1}^{a}")
+            for i, a in enumerate(e) if a)
+        simple = "+" not in cs[1:] and "-" not in cs[1:] and "/" not in cs \
+            and "*" not in cs and " " not in cs
+        if not mono:
+            body = cs if simple else f"({cs})"
+        elif cs == "1":
+            body = mono
+        elif cs == "-1":
+            body = "-" + mono
+        elif simple:
+            body = f"{cs} * {mono}"
+        else:
+            body = f"({cs}) * {mono}"
+        if not chunks:
+            chunks.append(body)
+        elif body.startswith("-"):
+            chunks.append(" - " + body[1:])
+        else:
+            chunks.append(" + " + body)
+    return "".join(chunks) if chunks else "0"
 
 
 def _key(e: tuple[int, ...]):
@@ -146,33 +175,7 @@ class Poly:
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self.sorted_terms():
-            mono = " ".join(
-                (f"x{i + 1}" if a == 1 else f"x{i + 1}^{a}")
-                for i, a in enumerate(e) if a)
-            cs = str(c)
-            simple = "+" not in cs[1:] and "-" not in cs[1:] and "/" not in cs \
-                and "*" not in cs and " " not in cs
-            if not mono:
-                body = cs if simple else f"({cs})"
-            elif cs == "1":
-                body = mono
-            elif cs == "-1":
-                body = "-" + mono
-            elif simple:
-                body = f"{cs} * {mono}"
-            else:
-                body = f"({cs}) * {mono}"
-            if not chunks:
-                chunks.append(body)
-            elif body.startswith("-"):
-                chunks.append(" - " + body[1:])
-            else:
-                chunks.append(" + " + body)
-        return "".join(chunks)
+        return render_terms((e, str(c)) for e, c in self.sorted_terms())
 
     def __repr__(self):
         return f"Poly({self})"

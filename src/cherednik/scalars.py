@@ -21,6 +21,14 @@ divides is coprime to their product.  A denominator with no known split (the
 inverse of a nonlinear numerator) falls back to the general gcd
 :func:`mp_gcd`.  Both paths give the same canonical form.
 
+A sum of products, such as a residual of the eigenbasis solve or a
+coefficient of an exchange image, is one call of ``params.dot``.  At
+generic parameters :func:`_dot` puts every product over the lcm of the
+split denominators, adds the numerators once and trial-divides the sum once
+by the lcm's forms, where pairwise ``+`` and ``*`` would strip and build a
+value per term.  A pair with an operand whose split is unknown falls back
+to ``*`` and ``+``.  At a specialized point ``dot`` is the plain sum.
+
 Each :class:`GenericParameters` owns its :class:`ParamRing`, which interns
 the field's polynomial values (denominator 1): one value per numerator, for
 its generators, constants and every polynomial sum, product, negation and
@@ -43,7 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import Cyc
-from .polynomials import _key
+from .polynomials import _key, accumulate
 
 __all__ = [
     "MPoly", "RatFunc", "ParamRing",
@@ -709,6 +717,11 @@ def _div_linear(p: MPoly, f: MPoly):
         return p
     lead, _ = f.lead()
     v = lead.index(1)
+    # p(x_v = -g) = p when p is free of x_v, and a single term has only
+    # variables for linear factors
+    if all(not e[v] for e in p.terms) or (len(p.terms) == 1
+                                          and len(f.terms) > 1):
+        return None
     g = [(e, c) for e, c in f.terms.items() if e != lead]
     layers: dict[int, dict] = {}
     for e, c in p.terms.items():
@@ -811,6 +824,44 @@ def _mul_split(a: RatFunc, b: RatFunc) -> RatFunc:
     return _factored(na * nb, _adjust(fa, fb, {**off_a, **off_b}))
 
 
+def _dot(pairs, field: "GenericParameters") -> RatFunc:
+    """The sum of a * b over pairs of values, over one common denominator.
+
+    The lcm takes each linear form as often as the product that has it most
+    often.  Each product's numerator is scaled up to the lcm, the numerators
+    are added once, and the sum is trial-divided by the lcm's forms once.  A
+    linear form is prime, so the quotient over what is left of the lcm is
+    reduced, as in :func:`_add_split`.  A pair with an operand whose split is
+    unknown is added by ``*`` and ``+``; the field's ``one`` multiplies
+    nothing.
+    """
+    one = field.one
+    rest = None
+    terms = []
+    lcm: dict = {}
+    for a, b in pairs:
+        if a.split is None or b.split is None:
+            rest = a * b if rest is None else rest + a * b
+            continue
+        if not a.num.terms or not b.num.terms:
+            continue
+        fa, fb = a.split.forms, b.split.forms
+        forms = _adjust(fa, fb, {}) if fa and fb else fa or fb
+        for f, m in forms.items():
+            if m > lcm.get(f, 0):
+                lcm[f] = m
+        terms.append((b.num if a is one else a.num if b is one
+                      else a.num * b.num, forms))
+    acc: dict = {}
+    for num, forms in terms:
+        accumulate(acc, _times(num, _adjust(lcm, {}, forms)).terms.items())
+    if not acc:
+        return field.zero if rest is None else rest
+    num, off = _strip(MPoly(field.ring, acc), lcm, {})
+    got = _factored(num, _adjust(lcm, {}, off))
+    return got if rest is None else rest + got
+
+
 # ---------------------------------------------------------------------------
 # parameter fields
 # ---------------------------------------------------------------------------
@@ -850,6 +901,27 @@ class _Field:
     @cached_property
     def one(self):
         return self.embed(Cyc.one(self.r))
+
+    def dot(self, pairs):
+        """The sum of a * b over the pairs (a, b)."""
+        out = self.zero
+        for a, b in pairs:
+            out = out + a * b
+        return out
+
+    def z_eigenvalue(self, m: int, v: int):
+        """kappa(m+1) - (d_0 - d_{-m-1}) - r v c0, memoized on (m, v): the
+        z_i eigenvalue of a composition with mu_i = m and v[i] = v."""
+        got = self._z.get((m, v))
+        if got is None:
+            got = self._z[m, v] = self.kappa * self.rational(m + 1) \
+                - (self.d(0) - self.d(-m - 1)) \
+                - self.c0 * self.rational(self.r * v)
+        return got
+
+    @cached_property
+    def _z(self) -> dict:
+        return {}
 
 
 class GenericParameters(_Field):
@@ -891,6 +963,10 @@ class GenericParameters(_Field):
 
     def embed(self, c: Cyc) -> RatFunc:
         return self.ring.intern(self.ring.const(c))
+
+    def dot(self, pairs) -> RatFunc:
+        """The sum of a * b over the pairs (a, b), built by :func:`_dot`."""
+        return _dot(pairs, self)
 
     def __repr__(self):
         return f"GenericParameters(r={self.r}, p={self.p})"

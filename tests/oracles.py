@@ -30,6 +30,13 @@ Everything here deliberately avoids the production code paths it checks:
 * ``dense_eigenvector`` finds simultaneous eigenvectors by Gaussian
   elimination on one whole graded piece, with no triangularity, ordering or
   character filtering;
+* ``dot_pairwise`` sums a * b with one ``*`` and one ``+`` per pair, where
+  ``params.dot`` puts every product over one common denominator and
+  trial-divides the sum once; ``jack_by_solve_zeta_compatible`` is the
+  triangular solve with these sums over every zeta-compatible candidate,
+  where the package keeps only the nu = mu mod r; ``div_linear_synthetic``
+  is synthetic division by a linear form without the shortcuts that return
+  None for an x_v-free or single-term dividend;
 * ``bruhat_le_cover`` computes Bruhat order by transitive closure of the
   covering relation;
 * ``linear_extension_desc_pairwise`` orders the candidates of an
@@ -70,8 +77,9 @@ import itertools
 from fractions import Fraction
 
 from cherednik import (
-    Cyc, GroupElement, Poly, PolyRep, Q, SpecializedParameters,
-    graded_char_L1, group_elements, jack_by_solve, order_lt,
+    Cyc, GroupElement, NonGenericError, Poly, PolyRep, Q,
+    SpecializedParameters, graded_char_L1, group_elements, jack_by_solve,
+    order_lt, weight_of, zeta_compatible,
 )
 from cherednik.cyclotomic import cyclotomic_polynomial
 from cherednik.operators import monomials_of_degree, monomials_up_to
@@ -548,6 +556,66 @@ def linear_extension_desc_pairwise(candidates: list) -> list:
             out.append(nu)
             remaining.discard(nu)
     return out
+
+
+def dot_pairwise(params, pairs):
+    """The sum of a * b over pairs, one ``*`` and one ``+`` per pair."""
+    out = params.zero
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
+def jack_by_solve_zeta_compatible(rep, mu):
+    """f_mu by back-substitution over every zeta-compatible candidate nu,
+    each residual summed by ``dot_pairwise``; the polynomial and the number
+    of candidates off the lattice mu + (rZ)^n."""
+    params = rep.params
+    mu = tuple(mu)
+    zmu = weight_of(mu, params).zvals
+    cands = [nu for nu in monomials_of_degree(rep.n, sum(mu))
+             if nu != mu and zeta_compatible(nu, mu, rep.r, rep.p)
+             and order_lt(nu, mu)]
+    coeffs = {mu: params.one}
+    for nu in linear_extension_desc_pairwise(cands):
+        znu = weight_of(nu, params).zvals
+        i = next((i for i, (a, b) in enumerate(zip(zmu, znu)) if a != b),
+                 None)
+        if i is None:
+            raise NonGenericError(mu, nu)
+        images = [(c, rep.z_monomial(i, eta).terms) for eta, c in
+                  coeffs.items()]
+        resid = dot_pairwise(params, [(c, img[nu]) for c, img in images
+                                      if nu in img])
+        c_nu = resid / (zmu[i] - znu[i])
+        if c_nu:
+            coeffs[nu] = c_nu
+    off = sum(1 for nu in cands
+              if any((a - b) % rep.r for a, b in zip(nu, mu)))
+    return Poly(rep.n, coeffs), off
+
+
+def div_linear_synthetic(p, f):
+    """p / f for a monic linear form f = x_v + g, or None: synthetic division
+    in x_v over every x_v-degree of p, with no shortcut."""
+    lead = max(f.terms, key=lambda e: (sum(e), e))
+    v = lead.index(1)
+    g = [(e, c) for e, c in f.terms.items() if e != lead]
+    layers: dict = {}
+    for e, c in p.terms.items():
+        layers.setdefault(e[v], {})[e] = c
+    quot: dict = {}
+    for d in range(max(layers, default=0), 0, -1):
+        for e, c in layers.pop(d, {}).items():
+            qe = e[:v] + (d - 1,) + e[v + 1:]
+            quot[qe] = c
+            below = layers.setdefault(d - 1, {})
+            for ge, gc in g:
+                t = tuple(a + b for a, b in zip(qe, ge))
+                accumulate(below, [(t, -(c * gc))])
+    if layers.get(0):
+        return None
+    return type(p)(p.ring, quot)
 
 
 def max_length_sorting_permutation(mu) -> tuple[int, ...]:

@@ -623,6 +623,13 @@ GOLDEN_CASES = [
     # a passing run of every suite; the verify files above pin failures
     ("verify_213_deg6.json",
      ["verify", "--group", "2,1,3", "--max-deg", "6", "--json"], 0),
+    # the heaviest benchmark composition and one with p > 1, both ways
+    ("jack_114_5031.json",
+     ["jack", "--group", "1,1,4", "--mu", "5,0,3,1", "--check-both",
+      "--json"], 0),
+    ("jack_334_6150.json",
+     ["jack", "--group", "3,3,4", "--mu", "6,1,5,0", "--check-both",
+      "--json"], 0),
 ]
 
 

@@ -179,6 +179,36 @@ def test_a_vanishing_sigma_where_its_square_is_zero_is_non_generic():
         verify_braid_and_quadratic(rep, [(2, 0)])
 
 
+def test_a_vanishing_sigma_square_where_it_is_predicted_zero_is_non_generic():
+    # sigma_1 f_(0,2) is nonzero, but sigma_1 of it vanishes, as predicted
+    rep = PolyRep(2, 1, 2, SpecializedParameters(
+        ParamPoint.make(2, 1, 1, Fraction(1, 2), [0])))
+    with pytest.raises(NonGenericError,
+                       match=r"mu=\(0, 2\) against nu=\(2, 0\)"):
+        verify_braid_and_quadratic(rep, [(0, 2)])
+
+
+def test_a_vanishing_sigma_square_fails_where_it_is_not_predicted_zero(
+        monkeypatch):
+    from cherednik import intertwiners
+
+    rep = PolyRep(2, 1, 2)
+    jack_by_intertwiners(rep, (2, 0))  # built before sigma is broken
+    real = intertwiners.apply_sigma
+
+    def image_killed(rep, i, jv, **kw):
+        if jv.mu == (0, 2):
+            return intertwiners.Scaled(rep.params.zero, None)
+        return real(rep, i, jv, **kw)
+
+    monkeypatch.setattr(intertwiners, "apply_sigma", image_killed)
+    got = verify_braid_and_quadratic(rep, [(2, 0)])
+    assert {k: got[k] for k in ("status", "identity", "mu", "i", "got")} \
+        == {"status": "fail", "identity": "sigma squared", "mu": [2, 0],
+            "i": 0, "got": "0"}
+    assert got["expected"] != "0"
+
+
 def test_sigma_square_is_one_without_congruence():
     # pi kills the eigenvector when entries differ mod r: coefficient one
     rep = PolyRep(3, 1, 2)

@@ -3,13 +3,14 @@
 import itertools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import (
-    bruhat_le_cover, dense_eigenvector, linear_extension_desc_pairwise,
-    max_length_sorting_permutation,
+    bruhat_le_cover, dense_eigenvector, jack_by_solve_zeta_compatible,
+    linear_extension_desc_pairwise, max_length_sorting_permutation,
 )
 
 from cherednik import (
@@ -143,6 +144,37 @@ def test_eigenbasis_does_not_depend_on_the_extension(monkeypatch, group,
         slow = jack_by_solve(rep, mu)
         assert (jv.poly, jv.weight) == (slow.poly, slow.weight)
         assert jv.poly.to_json() == slow.poly.to_json()
+
+
+def _rational_point(r, p):
+    return ParamPoint.make(r, p, Fraction(7, 3), Fraction(2, 5),
+                           [Fraction(j + 1, 7) for j in range(r // p - 1)])
+
+
+@pytest.mark.parametrize("group", [(4, 2, 2), (3, 3, 3), (2, 2, 3),
+                                   (6, 2, 2)])
+@pytest.mark.parametrize("generic", [True, False])
+def test_solve_on_the_lattice_matches_the_zeta_compatible_scan(group,
+                                                               generic):
+    r, p, n = group
+    params = None if generic else SpecializedParameters(_rational_point(r, p))
+    rep = PolyRep(r, p, n, params)
+    off = 0
+    for mu in monomials_up_to(n, 12 if n == 2 else 7):
+        want, skipped = jack_by_solve_zeta_compatible(rep, mu)
+        assert jack_by_solve(rep, mu).poly == want, mu
+        off += skipped
+    # the scan saw candidates that the solve skips, except on G(2,2,3):
+    # there nu = mu + (1,1,1) mod 2 would change the parity of the degree
+    assert (off > 0) == (group != (2, 2, 3))
+
+
+def test_off_lattice_candidates_of_the_g422_example():
+    rep = PolyRep(4, 2, 2)
+    want, off = jack_by_solve_zeta_compatible(rep, (20, 0))
+    assert off == 5
+    assert jack_by_solve(rep, (20, 0)).poly == want
+    assert all(a % 4 == 0 for nu in want.terms for a in nu)
 
 
 @pytest.mark.parametrize("group,point", [

@@ -2,6 +2,7 @@
 specialization, and canonical forms."""
 
 import contextlib
+import functools
 import io
 import itertools
 from fractions import Fraction
@@ -379,6 +380,116 @@ def test_factored_path_against_sympy_cancel(group):
             num, den = expr(str(got.num)), expr(str(got.den))
             assert sympy.cancel(num / den - expr(str(a)) / expr(str(d))) == 0
             assert sympy.gcd(num, den).is_number
+
+
+# ---------------------------------------------------------------------------
+# params.dot: sums of products over one common denominator
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _dot_pool(group):
+    """A field, its pool of split values and a value with no known split."""
+    par, diffs = _weight_differences(*group, count=3)
+    d0, d1 = diffs[:2]
+    pool = _factored_pool(par, diffs) + [
+        par.zero, par.one, par.zeta(1), par.kappa, -(par.c0 + par.kappa),
+        d0 * d1, par.one / d0 / d0 / d1, (d0 - d1) / d0 / d0]
+    return par, pool, par.one / (par.kappa * par.kappa + par.c0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dot_matches_the_pairwise_sum(data):
+    par, pool, unknown = _dot_pool(
+        data.draw(st.sampled_from([(1, 1, 4), (2, 1, 3), (3, 3, 3)])))
+    value = st.sampled_from(pool)
+    pairs = data.draw(st.lists(st.tuples(value, value), max_size=6))
+    # cancel some products exactly: all of them gives a zero sum
+    if pairs:
+        pairs += [(-a, b) for a, b in
+                  data.draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    has_unknown = data.draw(st.booleans())
+    if has_unknown:
+        pairs.append((data.draw(value), unknown))
+    pairs = data.draw(st.permutations(pairs))
+    got = par.dot(pairs)
+    _assert_same(got, oracles.dot_pairwise(par, pairs))
+    _assert_same(got, _oracle(got.num, got.den))  # reduced
+    if got.split is not None or not has_unknown:
+        _assert_split(got)
+
+
+def test_dot_cancels_without_gcd(gcd_calls):
+    par = GenericParameters(2, 1)
+    k, c0, one = par.kappa, par.c0, par.one
+    f, g = k - c0, k + par.d(1)
+    cases = [
+        ([], par.zero),
+        ([(one / f, f)], one),
+        ([(k / f, one), (-c0 / f, one)], one),  # the sum sheds f
+        ([(one / f / f, g), (one / f / g, f * g)], g / f / f + one),
+        ([(one / f, g / f), (-g / f, one / f)], par.zero),
+        ([(one / f / g, f), (one / g, one)], (one + one) / g),
+    ]
+    got = [par.dot(pairs) for pairs, _ in cases]
+    assert gcd_calls == []
+    for x, (pairs, want) in zip(got, cases, strict=True):
+        _assert_split(x)
+        _assert_same(x, want)
+        _assert_same(x, oracles.dot_pairwise(par, pairs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(
+    st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(0, 3)),
+    st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(0, 3))),
+    max_size=6))
+def test_specialized_dot_is_the_pairwise_sum(raw):
+    par = SpecializedParameters(ParamPoint.make(4, 2, 1, Fraction(1, 2),
+                                                [Fraction(1, 3)]))
+    pairs = [tuple(Cyc.from_rational(4, a, b) * Cyc.root(4, k)
+                   for a, b, k in pair) for pair in raw]
+    assert par.dot(pairs) == oracles.dot_pairwise(par, pairs)
+
+
+@st.composite
+def _mpolys(draw, ring, max_terms=4):
+    exps = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    coeffs = st.sampled_from([Cyc.from_rational(ring.r, v) for v in
+                              (1, -1, 2, Fraction(-1, 3))]
+                             + [Cyc.root(ring.r, 1)])
+    return scalar_layer.MPoly(ring, draw(st.dictionaries(
+        exps, coeffs, min_size=1, max_size=max_terms)))
+
+
+@st.composite
+def _linear_forms(draw, ring):
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=ring.nvars + 1,
+                           max_size=ring.nvars + 1))
+    if not any(coeffs[1:]):
+        coeffs[1] = 1
+    terms = {}
+    for i, c in enumerate(coeffs):
+        if c:
+            e = tuple(int(j == i - 1) for j in range(ring.nvars))
+            terms[e] = Cyc.from_rational(ring.r, c)
+    return scalar_layer.MPoly(ring, terms).monic()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_div_linear_shortcuts_agree_with_synthetic_division(data):
+    ring = GenericParameters(3, 1).ring
+    f = data.draw(_linear_forms(ring))
+    p = data.draw(_mpolys(ring))
+    single = data.draw(_mpolys(ring, max_terms=1))
+    for q in (p, p * f, single, single * f, f):
+        got = scalar_layer._div_linear(q, f)
+        assert got == oracles.div_linear_synthetic(q, f)
+        assert got == q.divexact(f)
+    assert scalar_layer._div_linear(p * f, f) == p
+    assert scalar_layer._div_linear(single * f, f) == single
 
 
 # ---------------------------------------------------------------------------
