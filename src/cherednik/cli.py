@@ -252,14 +252,11 @@ def cmd_gordon(job: JobConfig) -> int:
     inv_series = invariant_char_series(r, p, n, k, job.truncation)
     expf = exponents_and_freeness(r, p, n, k)
     # the q-Catalan identity is only asserted for well-generated groups
-    if is_well_generated(r, p, n):
-        catalan_match = [int(v) for v in inv_series] == cat["coefficients"]
-        catalan_ok = catalan_match
-    else:
-        catalan_match = None
-        catalan_ok = True
+    catalan_match = [int(v) for v in inv_series] == cat["coefficients"] \
+        if is_well_generated(r, p, n) else None
     dims_agree = dim_char == Cyc.from_rational(r, dim_count)
-    ok = (singular["status"] == "pass" and dims_agree and catalan_ok
+    ok = (singular["status"] == "pass" and dims_agree
+          and catalan_match is not False
           and expf["det_identity"] and expf["multiset_match"])
     payload = {
         "status": "pass" if ok else "fail",

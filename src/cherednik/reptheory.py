@@ -87,8 +87,12 @@ def is_well_generated(r: int, p: int, n: int) -> bool:
 
 
 def gordon_point(r: int, p: int, n: int) -> ParamPoint:
-    """kappa = 1 and c_s = (h+1)/h for every reflection class."""
+    """kappa = 1 and c_s = (h+1)/h for every reflection class; a
+    ValueError on the trivial group G(r,r,1), where h = 0."""
     h = coxeter_number(r, p, n)
+    if h == 0:
+        raise ValueError(f"G({r},{p},{n}) is the trivial group: h = 0, so "
+                         "c = (h+1)/h is undefined")
     c = Fraction(h + 1, h)
     return ParamPoint.from_c(r, p, 1, c, [c] * (r // p - 1))
 

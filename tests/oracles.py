@@ -23,6 +23,10 @@ Everything here deliberately avoids the production code paths it checks:
   ``params.embed`` of every cyclotomic factor and by c_s once per
   reflection, where the package sums each class into one accumulator,
   skips the scales by +-1 and scales by c_s once per class;
+* ``relation_failure`` and ``check_relations_per_monomial`` build, per
+  monomial x^mu, the y-image tables of x^mu and of every x_j x^mu and each
+  t_w x^mu and w x_j afresh, where ``PolyRep.check_relations`` builds each
+  monomial's table once in one sweep and each w x_j once per call;
 * ``yx_commutator_defect_explicit`` is the defining relation
   [y_i, x_j] = kappa delta_ij - sum_s c_s <alpha_s, y_i> <x_j, alpha_s^vee>
   t_s written out over colored transpositions and diagonals, the way the
@@ -364,6 +368,43 @@ def yx_commutator_defect_explicit(rep, mu: tuple[int, ...], i: int,
             w = GroupElement.colored_transposition(r, n, i, j, l)
             rhs = rhs + rep.t(w, m).scaled(params.c0.cmul(Cyc.root(r, -l)))
     return lhs - rhs
+
+
+def relation_failure(rep, mu: tuple[int, ...]) -> dict | None:
+    """The first relation that fails on x^mu, or None: t_w x_j, then the
+    x_side_defects in order, [y_i, x_j] (|nu| = 1) before |nu| = 2.
+
+    Builds the y-image table of x^mu and of each x_j x^mu afresh, and
+    t_w x^mu and w x_j for every (w, j), where ``PolyRep.check_relations``
+    builds each monomial's table once per sweep and each w x_j once.
+    """
+    n = rep.n
+    m = Poly.monomial(mu, rep.params.one)
+    ym = rep.y_images(m, 2)
+    yxm = [rep.y_images(rep.x(j, m), 2) for j in range(n)]
+    for s in rep.reflections:
+        w = s.element
+        for j in range(n):
+            k, jj = w.x_image(j)  # w x_j = zeta^k x_jj
+            wx = rep.x_poly(jj).scaled(rep.params.zeta(k))
+            if rep.t(w, rep.x(j, m)) != wx * rep.t(w, m):
+                return {"relation": "t_w x = (wx) t_w", "w": str(w),
+                        "j": j, "mu": list(mu)}
+    for nu, j, defect in rep.x_side_defects(ym, yxm):
+        if not defect:
+            continue
+        if sum(nu) == 1:
+            return {"relation": "y_i x_j commutator", "i": nu.index(1),
+                    "j": j, "mu": list(mu), "defect": str(defect)}
+        return {"relation": "x-side commutator", "y_monomial": list(nu),
+                "j": j, "mu": list(mu), "defect": str(defect)}
+    return None
+
+
+def check_relations_per_monomial(rep, max_deg: int) -> dict:
+    """``PolyRep.check_relations`` with :func:`relation_failure` on each
+    monomial in turn: the same records, every table rebuilt per monomial."""
+    return rep._first_failure(max_deg, lambda mu: relation_failure(rep, mu))
 
 
 def c_from_d_sum(r: int, p: int, l: int, d_of, zero):

@@ -184,6 +184,21 @@ def test_gordon_r_one_unsupported(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_trivial_group_at_the_gordon_point_exits_two(capsys, r, json_flag):
+    # G(r,r,1) is trivial, so h = 0 and the Gordon point (h+1)/h is
+    # undefined; gordon refuses the same group with a caveat
+    group = f"{r},{r},1"
+    code, out, err = run_cli(capsys, "verify", "--group", group,
+                             "--gordon-point", *json_flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: G({group}) is the trivial group: h = 0, so " \
+        "c = (h+1)/h is undefined\n"
+    code, out, _ = run_cli(capsys, "gordon", "--group", group, *json_flag)
+    assert code == 2 and "does not act irreducibly" in out
+
+
 def test_bad_group_rejected(capsys):
     code, _, err = run_cli(capsys, "verify", "--group", "4,3,2")
     assert code == 2 and "error" in err

@@ -1,23 +1,28 @@
 """Sparse polynomials, divided differences and the operator layer."""
 
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import (
-    act_on_poly_accumulating, apply_y_monomial, class_sum, dd_per_term,
-    dd_y_mono_per_term, dunkl_mono_per_term, oracle_dunkl,
+    act_on_poly_accumulating, apply_y_monomial, check_relations_per_monomial,
+    class_sum, dd_per_term, dd_y_mono_per_term, dunkl_mono_per_term,
+    oracle_dunkl,
     oracle_z, phi_class_sum, poly_divexact, x_side_commutator_defect,
     x_side_defects_per_reflection, yx_commutator_defect_explicit,
 )
 
 from cherednik import (
-    GenericParameters, GroupElement, ParamPoint, Poly, PolyRep,
+    Cyc, GenericParameters, GroupElement, ParamPoint, Poly, PolyRep,
     SpecializedParameters, act_on_poly, group_elements, order_lt, weight_of,
 )
+from cherednik import operators
 from cherednik.operators import monomials_up_to
 from cherednik.parsing import parse_poly, poly_from_json
 from cherednik.reptheory import gordon_point
@@ -480,6 +485,172 @@ def test_x_side_plan_belongs_to_its_representation(monkeypatch):
     assert (report["status"], report["relation"]) \
         == ("fail", "x-side commutator")
     assert PolyRep(2, 1, 3).check_relations(2)["status"] == "pass"
+
+
+def _shifted_y1(monkeypatch):
+    """Replace y_1 by y_1 + 3 kappa: every [y_i, x_j] and [y_i, y_j] = 0
+    still holds, so no first-order check sees it."""
+    true_mono = PolyRep._dunkl_mono
+
+    def shifted(self, i, mu):
+        img = true_mono(self, i, mu)
+        if i:
+            return img
+        return img + Poly.monomial(mu, self.params.kappa
+                                   * self.params.rational(3))
+
+    monkeypatch.setattr(PolyRep, "_dunkl_mono", shifted)
+
+
+def _conjugate_x_image(monkeypatch):
+    """w x_i read with the inverse color: zeta^-k x_j for zeta^k x_j."""
+    monkeypatch.setattr(GroupElement, "x_image",
+                        lambda self, i: ((-self.col[i]) % self.r,
+                                         self.perm[i]))
+
+
+def _broken_action(monkeypatch, sign):
+    """t_w acting by zeta^(sign k) where the group acts by zeta^k."""
+    def action(w, f):
+        out = {}
+        for e, c in f.terms.items():
+            k, nu = w.act_on_exponents(e)
+            out[nu] = c.cmul(Cyc.root(w.r, sign * k)) if sign * k else c
+        return Poly(f.n, out)
+
+    monkeypatch.setattr(operators, "act_on_poly", action)
+
+
+def _conjugate_action(monkeypatch):
+    """Still an automorphism of the polynomial ring, but not the one
+    x_image names."""
+    _broken_action(monkeypatch, -1)
+
+
+def _colorless_action(monkeypatch):
+    """Forgets the colors."""
+    _broken_action(monkeypatch, 0)
+
+
+# fault -> (how to inject it, the relation its first failure names)
+RELATION_FAULTS = {
+    None: (None, None),
+    "dunkl-sign": (None, "y_i x_j commutator"),
+    "dd-y-nu2": (lambda mp: _doubled_dd_y_mono(mp, degrees=(2,)),
+                 "x-side commutator"),
+}
+
+
+def _assert_same_record(rep_of, max_deg):
+    """check_relations and the per-monomial oracle give equal records, key
+    order included, each on its own fresh representation."""
+    got = rep_of().check_relations(max_deg)
+    expected = check_relations_per_monomial(rep_of(), max_deg)
+    assert list(got.items()) == list(expected.items())
+    return got
+
+
+@pytest.mark.parametrize("fault", list(RELATION_FAULTS))
+@pytest.mark.parametrize("case", list(X_SIDE_CASES))
+def test_relation_sweep_matches_per_monomial_oracle(monkeypatch, case,
+                                                    fault):
+    inject, relation = RELATION_FAULTS[fault]
+    if inject:
+        inject(monkeypatch)
+    kw = {"fault_dunkl_sign": fault == "dunkl-sign"}
+    rep_of = lambda: X_SIDE_CASES[case](**kw)
+    record = _assert_same_record(rep_of, 4 if rep_of().n == 2 else 3)
+    assert record["status"] == ("pass" if fault is None else "fail")
+    assert record.get("relation") == relation
+
+
+def test_relation_sweep_reports_a_shifted_y1_like_the_oracle(monkeypatch):
+    _shifted_y1(monkeypatch)
+    record = _assert_same_record(lambda: PolyRep(2, 1, 2), 3)
+    assert (record["relation"], record["y_monomial"], record["mu"]) \
+        == ("x-side commutator", [2, 0], [0, 0])
+
+
+@pytest.mark.parametrize("inject", [
+    _conjugate_x_image, _conjugate_action, _colorless_action,
+], ids=["x_image", "act_on_poly", "colorless"])
+def test_relation_sweep_reports_a_broken_group_action(monkeypatch, inject):
+    inject(monkeypatch)
+    record = _assert_same_record(lambda: PolyRep(3, 1, 2), 3)
+    assert list(record) == ["status", "group", "relation", "w", "j", "mu"]
+    assert record["relation"] == "t_w x = (wx) t_w"
+
+
+def test_t_w_x_is_checked_before_the_x_side_on_each_monomial(monkeypatch):
+    # both checks fail on x^0, and the record names the one that runs first
+    _conjugate_x_image(monkeypatch)
+    record = _assert_same_record(
+        lambda: PolyRep(3, 1, 2, fault_dunkl_sign=True), 2)
+    assert (record["relation"], record["mu"]) == ("t_w x = (wx) t_w", [0, 0])
+    monkeypatch.undo()
+    record = PolyRep(3, 1, 2, fault_dunkl_sign=True).check_relations(2)
+    assert (record["relation"], record["mu"]) \
+        == ("y_i x_j commutator", [0, 0])
+
+
+def _count_tables(monkeypatch, rep) -> list:
+    """Wrap ``rep.y_images`` so each table it builds is recorded."""
+    built = []
+    true_images = rep.y_images
+
+    def images(f, d):
+        built.append(f)
+        return true_images(f, d)
+
+    monkeypatch.setattr(rep, "y_images", images)
+    return built
+
+
+@pytest.mark.parametrize("r,p,n,d", [
+    (2, 1, 2, 4), (3, 1, 2, 3), (4, 2, 2, 3), (2, 1, 3, 3), (3, 3, 3, 2),
+])
+def test_check_relations_builds_one_table_per_monomial(monkeypatch, r, p,
+                                                       n, d):
+    rep = PolyRep(r, p, n)
+    built = _count_tables(monkeypatch, rep)
+    assert rep.check_relations(d)["status"] == "pass"
+    assert len(built) == comb(d + 1 + n, n)
+    assert sorted(e for f in built for e in f.terms) \
+        == sorted(monomials_up_to(n, d + 1))
+    # a second call rebuilds every table: nothing carries over
+    built.clear()
+    assert rep.check_relations(d)["status"] == "pass"
+    assert len(built) == comb(d + 1 + n, n)
+    # the per-monomial oracle builds the tables of x^mu and each x_j x^mu
+    oracle = PolyRep(r, p, n)
+    built = _count_tables(monkeypatch, oracle)
+    check_relations_per_monomial(oracle, d)
+    assert len(built) == (n + 1) * comb(d + n, n)
+
+
+class _Table(dict):
+    """A y-image table that a weak reference can follow."""
+
+
+def test_relation_tables_span_two_degrees_and_die_with_the_call(
+        monkeypatch):
+    rep = PolyRep(2, 1, 3)
+    true_images = rep.y_images
+    tables = []  # (degree, weak reference) per table built
+    live_degrees = []
+
+    def images(f, d):
+        table = _Table(true_images(f, d))
+        tables.append((sum(next(iter(f.terms))), weakref.ref(table)))
+        live_degrees.append({deg for deg, ref in tables if ref() is not None})
+        return table
+
+    monkeypatch.setattr(rep, "y_images", images)
+    assert rep.check_relations(4)["status"] == "pass"
+    assert max(len(degs) for degs in live_degrees) == 2
+    assert all(max(degs) - min(degs) <= 1 for degs in live_degrees)
+    gc.collect()
+    assert [deg for deg, ref in tables if ref() is not None] == []
 
 
 @pytest.mark.parametrize("rep", [

@@ -58,6 +58,13 @@ def test_gordon_point_on_target_hyperplane():
         assert on_hyperplane(gordon_point(r, p, n), Hjk(h + 1, 1), n)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_gordon_point_refuses_the_trivial_group(r):
+    assert coxeter_number(r, r, 1) == 0
+    with pytest.raises(ValueError, match="trivial group"):
+        gordon_point(r, r, 1)
+
+
 def test_hx_membership():
     pt = ParamPoint.make(2, 1, 1, 0, [Fraction(1, 2)])
     for m in range(1, 7):
