@@ -17,10 +17,13 @@ The operators are the package's innermost loop, so each takes fast paths:
   coerced, and a Cyc of another order raises ``ValueError``;
 * operands with equal denominators add their numerators directly, a result
   with ``den == 1`` is built without a gcd, and so is a negation;
-* for phi(r) <= 2 a product is written out: phi = 1 is one integer product,
-  and phi = 2 folds z^2 = f0 + f1 z with the one row x^2 mod Phi_r.  Larger
-  phi runs the general convolution and fold.  phi(r) <= 2 exactly for
-  r in {1, 2, 3, 4, 6}, which covers every group the benchmark runs;
+* for phi(r) <= 2 a sum, difference or product is written out on the one
+  or two integer coordinates and its result built in place, with one gcd
+  only when the denominator is not 1 (``_rat``, ``_pair``): phi = 1 is
+  integer arithmetic, and a phi = 2 product folds z^2 = f0 + f1 z with the
+  one row x^2 mod Phi_r.  Larger phi runs the general convolution and fold.
+  phi(r) <= 2 exactly for r in {1, 2, 3, 4, 6}, which covers every group
+  the benchmark runs;
 * ``Cyc.root(r, k)`` returns one shared value per (r, k mod r), so a memo
   key holding a root matches by identity.  Values are never mutated.
 
@@ -131,6 +134,37 @@ def _cyc(r: int, num: tuple[int, ...], den: int = 1) -> "Cyc":
     return v
 
 
+def _rat(r: int, n: int, d: int) -> "Cyc":
+    """The Cyc n/d (d > 0) of a field with phi(r) = 1, built in place: one
+    gcd, and only when d != 1."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    v = _new(Cyc)
+    v.r = r
+    v.num = (n,)
+    v.den = d
+    return v
+
+
+def _pair(r: int, n0: int, n1: int, d: int) -> "Cyc":
+    """The Cyc (n0 + n1 zeta)/d (d > 0) of a field with phi(r) = 2, built
+    in place as :func:`_rat` is."""
+    if d != 1:
+        g = gcd(n0, n1, d)
+        if g != 1:
+            n0 //= g
+            n1 //= g
+            d //= g
+    v = _new(Cyc)
+    v.r = r
+    v.num = (n0, n1)
+    v.den = d
+    return v
+
+
 def _rational(r: int, q) -> "Cyc":
     """The rational q (an int or a Fraction) as an element of Q(zeta_r)."""
     phi = _ctx(r)[0]
@@ -215,6 +249,16 @@ class Cyc:
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
+        if len(self.num) == 1:
+            if da == db:
+                return _rat(self.r, self.num[0] + o.num[0], da)
+            return _rat(self.r, self.num[0] * db + o.num[0] * da, da * db)
+        if len(self.num) == 2:
+            (a0, a1), (b0, b1) = self.num, o.num
+            if da == db:
+                return _pair(self.r, a0 + b0, a1 + b1, da)
+            return _pair(self.r, a0 * db + b0 * da, a1 * db + b1 * da,
+                         da * db)
         if da == db:
             return _cyc(self.r, tuple(map(add, self.num, o.num)), da)
         return _cyc(self.r, tuple([a * db + b * da
@@ -233,6 +277,16 @@ class Cyc:
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
+        if len(self.num) == 1:
+            if da == db:
+                return _rat(self.r, self.num[0] - o.num[0], da)
+            return _rat(self.r, self.num[0] * db - o.num[0] * da, da * db)
+        if len(self.num) == 2:
+            (a0, a1), (b0, b1) = self.num, o.num
+            if da == db:
+                return _pair(self.r, a0 - b0, a1 - b1, da)
+            return _pair(self.r, a0 * db - b0 * da, a1 * db - b1 * da,
+                         da * db)
         if da == db:
             return _cyc(self.r, tuple(map(sub, self.num, o.num)), da)
         return _cyc(self.r, tuple([a * db - b * da
@@ -252,28 +306,27 @@ class Cyc:
         a, b = self.num, o.num
         phi = len(a)
         if phi == 1:
-            num = (a[0] * b[0],)
-        elif phi == 2:
+            return _rat(self.r, a[0] * b[0], self.den * o.den)
+        if phi == 2:
             # (a0 + a1 z)(b0 + b1 z), folding z^2 = f0 + f1 z (mod Phi_r)
             a0, a1 = a
             b0, b1 = b
             top = a1 * b1
             f0, f1 = _ctx(self.r)[1][2]
-            num = (a0 * b0 + top * f0, a0 * b1 + a1 * b0 + top * f1)
-        else:
-            conv = [0] * (2 * phi - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            conv[i + j] += ai * bj
-            out = conv[:phi]
-            for c, fold in zip(conv[phi:], _ctx(self.r)[2]):
-                if c:
-                    for m, t in fold:
-                        out[m] += c * t
-            num = tuple(out)
-        return _cyc(self.r, num, self.den * o.den)
+            return _pair(self.r, a0 * b0 + top * f0,
+                         a0 * b1 + a1 * b0 + top * f1, self.den * o.den)
+        conv = [0] * (2 * phi - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        out = conv[:phi]
+        for c, fold in zip(conv[phi:], _ctx(self.r)[2]):
+            if c:
+                for m, t in fold:
+                    out[m] += c * t
+        return _cyc(self.r, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 

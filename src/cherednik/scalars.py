@@ -19,7 +19,11 @@ monic linear forms whenever it knows it; sums and products of such values
 reduce by trial division by those factors, since a numerator that no factor
 divides is coprime to their product.  A denominator with no known split (the
 inverse of a nonlinear numerator) falls back to the general gcd
-:func:`mp_gcd`.  Both paths give the same canonical form.
+:func:`mp_gcd`.  Both paths give the same canonical form.  Each monic linear
+form x_v + g carries its plan, v and the terms of g, built the first time
+it is used (:func:`_plan`): multiplying by the form (:func:`_times`) shifts
+in x_v and adds the g-terms, and dividing by it (:func:`_div_linear`) reads
+the plan instead of finding the form's leading term on every try.
 
 A sum of products, such as a residual of the eigenbasis solve or a
 coefficient of an exchange image, is one call of ``params.dot``.  At
@@ -48,6 +52,7 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .cyclotomic import Cyc
@@ -148,12 +153,13 @@ class ParamRing:
 class MPoly:
     """Sparse multivariate polynomial over Q(zeta_r); no zero terms stored."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "plan")
 
     def __init__(self, ring: ParamRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self.plan = None  # set by _plan on a monic linear form
 
     # construction keeps terms canonical; internal helpers strip zeros
     def is_zero(self) -> bool:
@@ -219,7 +225,7 @@ class MPoly:
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 c = ca * cb
                 s = out.get(e)
                 if s is None:
@@ -707,6 +713,15 @@ def _linear_split(den: MPoly):
     return None
 
 
+def _plan(f: MPoly) -> tuple:
+    """The monic linear form f = x_v + g as (v, the terms of g), stored on f
+    the first time it is asked for, so it lives and dies with f."""
+    lead, _ = f.lead()
+    f.plan = (lead.index(1),
+              tuple((e, c) for e, c in f.terms.items() if e != lead))
+    return f.plan
+
+
 def _div_linear(p: MPoly, f: MPoly):
     """p / f for a monic linear form f, or None when f does not divide p.
 
@@ -715,14 +730,11 @@ def _div_linear(p: MPoly, f: MPoly):
     """
     if not p.terms:
         return p
-    lead, _ = f.lead()
-    v = lead.index(1)
+    v, g = f.plan or _plan(f)
     # p(x_v = -g) = p when p is free of x_v, and a single term has only
     # variables for linear factors
-    if all(not e[v] for e in p.terms) or (len(p.terms) == 1
-                                          and len(f.terms) > 1):
+    if all(not e[v] for e in p.terms) or (len(p.terms) == 1 and g):
         return None
-    g = [(e, c) for e, c in f.terms.items() if e != lead]
     layers: dict[int, dict] = {}
     for e, c in p.terms.items():
         layers.setdefault(e[v], {})[e] = c
@@ -736,7 +748,7 @@ def _div_linear(p: MPoly, f: MPoly):
             qe = e[:v] + (d - 1,) + e[v + 1:]
             quot[qe] = c
             for ge, gc in g:
-                t = tuple(a + b for a, b in zip(qe, ge))
+                t = tuple(map(add, qe, ge))
                 s = below.get(t)
                 s = -(c * gc) if s is None else s - c * gc
                 if s:
@@ -749,10 +761,17 @@ def _div_linear(p: MPoly, f: MPoly):
 
 
 def _times(p: MPoly, forms: dict) -> MPoly:
-    """p times the product of f^k for f, k in forms."""
+    """p times the product of f^k for f, k in forms.  Each factor x_v + g
+    shifts p up in x_v and adds p times each term of g."""
     for f, k in forms.items():
+        v, g = f.plan or _plan(f)
         for _ in range(k):
-            p = p * f
+            terms = p.terms
+            out = {e[:v] + (e[v] + 1,) + e[v + 1:]: c for e, c in terms.items()}
+            for ge, gc in g:
+                accumulate(out, ((tuple(map(add, e, ge)), c * gc)
+                                 for e, c in terms.items()))
+            p = MPoly(p.ring, out)
     return p
 
 

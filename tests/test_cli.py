@@ -1,13 +1,18 @@
 """The command-line surface: flags, exit codes, JSON schema, golden files."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cherednik
 from cherednik import GenericParameters, jack_by_solve, PolyRep, poly_from_json
@@ -656,3 +661,69 @@ def test_golden_files(capsys, name, argv, exit_code):
     assert code == exit_code
     expected = (GOLDEN / name).read_text()
     assert out == expected
+
+
+# -- random small requests ---------------------------------------------------
+
+FUZZ_RATIONALS = ["0", "1", "-1", "1/2", "-1/2", "1/3", "2/3", "1/4", "3/5",
+                  "-2/7", "1/6"]
+
+
+@st.composite
+def cli_requests(draw):
+    """A well-formed argv of a small request, valid or not: p need not
+    divide r, a composition may have the wrong length, a point may be
+    non-generic."""
+    command = draw(st.sampled_from(["jack", "verify", "gordon"]))
+    r = draw(st.integers(1, 4))
+    p = draw(st.integers(1, r))
+    n = draw(st.integers(1, 3))
+    argv = [command, "--group", f"{r},{p},{n}"]
+    if command == "gordon":
+        if draw(st.booleans()):
+            argv.append(f"--truncation={draw(st.integers(1, 8))}")
+    else:
+        rational = st.sampled_from(FUZZ_RATIONALS)
+        point = draw(st.sampled_from(["generic", "gordon", "c0"]))
+        if point == "gordon":
+            argv.append("--gordon-point")
+        elif point == "c0":
+            argv.append(f"--c0={draw(rational)}")
+            if draw(st.booleans()):
+                argv.append(f"--kappa={draw(rational)}")
+            if draw(st.booleans()) and r % p == 0:
+                cdiag = draw(st.lists(rational, min_size=r // p - 1,
+                                      max_size=r // p - 1))
+                argv.append(f"--cdiag={','.join(cdiag)}")
+    if command == "jack":
+        for _ in range(draw(st.integers(1, 2))):
+            size = draw(st.sampled_from([n, n, n, n + 1]))
+            mu = draw(st.lists(st.integers(0, 4), min_size=size,
+                               max_size=size))
+            argv.append(f"--mu={','.join(map(str, mu))}")
+        if draw(st.booleans()):
+            argv.append("--check-both")
+    if command == "verify":
+        argv += [f"--max-deg={draw(st.integers(1, 3))}", "--suite",
+                 draw(st.sampled_from(["all", "relations", "commutators",
+                                       "pbw", "intertwiners"]))]
+        fault = draw(st.sampled_from([None, None, "dunkl-sign", "pi-sign"]))
+        if fault:
+            argv.append(f"--inject-fault={fault}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=20), derandomize=True)
+@given(cli_requests())
+def test_random_small_requests_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2), argv
+    # exit 1 is a failed verification, which only a fault can cause
+    assert code != 1 or any(a.startswith("--inject-fault") for a in argv), \
+        (argv, out.getvalue(), err.getvalue())
+    # main turns any other exception into "internal error" and exit 1
+    assert "internal error" not in err.getvalue(), (argv, err.getvalue())

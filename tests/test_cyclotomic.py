@@ -2,13 +2,14 @@
 
 import operator
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cherednik import Cyc, Q, cyclotomic_polynomial, euler_phi
+from cherednik.cyclotomic import _ctx, _cyc
 from cherednik.parsing import parse_cyc
 from oracles import FractionCyc
 
@@ -262,3 +263,74 @@ def test_mixed_orders_raise_from_every_operation(op):
     for x, y in ((a, b), (b, a), (Cyc.one(6), Cyc.one(3))):
         with pytest.raises(ValueError, match="mixed cyclotomic orders"):
             op(x, y)
+
+
+
+# -- the phi(r) <= 2 paths, built in place, against the bodies they replace -
+
+
+def _general_add(a: Cyc, b: Cyc) -> Cyc:
+    """Cyc.__add__ before phi(r) <= 2 built its result in place."""
+    da, db = a.den, b.den
+    if da == db:
+        return _cyc(a.r, tuple(map(operator.add, a.num, b.num)), da)
+    return _cyc(a.r, tuple([x * db + y * da for x, y in zip(a.num, b.num)]),
+                da * db)
+
+
+def _general_sub(a: Cyc, b: Cyc) -> Cyc:
+    """Cyc.__sub__ before phi(r) <= 2 built its result in place."""
+    da, db = a.den, b.den
+    if da == db:
+        return _cyc(a.r, tuple(map(operator.sub, a.num, b.num)), da)
+    return _cyc(a.r, tuple([x * db - y * da for x, y in zip(a.num, b.num)]),
+                da * db)
+
+
+def _general_mul(a: Cyc, b: Cyc) -> Cyc:
+    """Cyc.__mul__ at phi(r) <= 2 before it built its result in place."""
+    if len(a.num) == 1:
+        return _cyc(a.r, (a.num[0] * b.num[0],), a.den * b.den)
+    (a0, a1), (b0, b1) = a.num, b.num
+    top = a1 * b1
+    f0, f1 = _ctx(a.r)[1][2]
+    return _cyc(a.r, (a0 * b0 + top * f0, a0 * b1 + a1 * b0 + top * f1),
+                a.den * b.den)
+
+
+def _num_den(f: FractionCyc) -> tuple[tuple[int, ...], int]:
+    """The oracle value as (num, den) in the canonical form of Cyc."""
+    den = lcm(*(c.denominator for c in f.co))
+    return tuple(int(c * den) for c in f.co), den
+
+
+IN_PLACE_COORDS = [Q(0), Q(1), Q(-3), Q(1, 2), Q(-1, 2), Q(5, 6), Q(-7, 6),
+                   Q(2, 3), Q(-4, 9)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 8])
+def test_in_place_kernels_match_the_oracles_exactly(r):
+    """Sums, differences and products, rational and not, with zero results,
+    negative numerators and equal and unequal denominators."""
+    phi = euler_phi(r)
+    coords = [[q] + [0] * (phi - 1) for q in IN_PLACE_COORDS]
+    if phi > 1:
+        coords += [[Q(1, 2)] * phi, [-2] + [Q(-1, 3)] * (phi - 1),
+                   [0] * (phi - 1) + [Q(-5, 6)]]
+    values = [Cyc(r, co) for co in coords]
+    ops = [(operator.add, _general_add), (operator.sub, _general_sub),
+           (operator.mul, _general_mul)]
+    for a in values:
+        for b in values + [-a]:
+            for op, general in ops:
+                got = op(a, b)
+                assert (got.num, got.den) == \
+                    _num_den(op(FractionCyc(r, a._coordinates()),
+                                FractionCyc(r, b._coordinates())))
+                if phi <= 2:
+                    want = general(a, b)
+                    assert (got.num, got.den) == (want.num, want.den)
+    # a zero result is 0/1
+    half = values[3]
+    assert (half - half).num == (0,) * phi and (half - half).den == 1
+    assert (values[4] + half).num == (0,) * phi and (values[4] + half).den == 1

@@ -3,8 +3,9 @@
 ``GenericParameters`` builds operator images over ``RatFunc`` in kappa, c0
 and the d_j; ``SpecializedParameters`` builds them over ``Cyc`` at one
 point.  Substituting the point into every generic coefficient
-(``scalars.specialize``) must give the image built at the point, and a
-relation suite that passes generically must pass at the point.
+(``scalars.specialize``) must give the image built at the point, a
+relation suite that passes generically must pass at the point, and so must
+the eigenvectors f_mu of both constructions and their weights.
 """
 
 import random
@@ -14,6 +15,9 @@ import pytest
 
 from cherednik import (
     GenericParameters, ParamPoint, Poly, PolyRep, SpecializedParameters,
+)
+from cherednik.jack import (
+    NonGenericError, Weight, jack_by_intertwiners, jack_by_solve,
 )
 from cherednik.operators import monomials_up_to
 from cherednik.reptheory import gordon_point
@@ -75,3 +79,49 @@ def test_a_generic_relation_pass_holds_at_every_point(r, p, n):
     for kind, point in _points(r, p, n):
         at = PolyRep(r, p, n, SpecializedParameters(point))
         assert at.check_relations(3) == generic, (kind, str(point))
+
+
+# the largest |mu| per group: 559 eigenvectors in all
+JACK_GROUPS = {(2, 1, 3): 5, (3, 1, 2): 6, (4, 2, 2): 6, (2, 2, 3): 5,
+               (3, 3, 3): 4}
+
+
+@pytest.mark.parametrize("r,p,n", list(JACK_GROUPS),
+                         ids=[f"G{r}{p}{n}" for r, p, n in JACK_GROUPS])
+def test_generic_eigenvectors_specialize_to_the_ones_at_the_point(r, p, n):
+    generic = PolyRep(r, p, n, GenericParameters(r, p))
+    vectors = []
+    for mu in monomials_up_to(n, JACK_GROUPS[r, p, n]):
+        f = jack_by_solve(generic, mu)
+        g = jack_by_intertwiners(generic, mu)
+        assert g.poly == f.poly and g.weight == f.weight, mu
+        vectors.append(f)
+    checked, skipped, poles = 0, [], []
+    for kind, point in _points(r, p, n)[:3]:  # the seeded rational points
+        at = PolyRep(r, p, n, SpecializedParameters(point))
+        for f in vectors:
+            try:
+                built = jack_by_solve(at, f.mu)
+            except NonGenericError:
+                built = None
+            try:
+                poly = _specialized(f.poly, point)
+            except PoleError as exc:
+                poles.append((f.mu, exc.factor, built is None))
+                continue
+            if built is None:
+                skipped.append((str(point), f.mu))
+                continue
+            weight = Weight(r, p, tuple(specialize(z, point)
+                                        for z in f.weight.zvals),
+                            f.weight.zeta_exps)
+            assert built.poly == poly and built.weight == weight, \
+                (kind, str(point), f.mu)
+            checked += 1
+    # at these points a solve meets a weight collision exactly where some
+    # generic coefficient has a pole; G(3,1,2) has one, (6, 0) at
+    # k = c0/2 = 3/4
+    assert skipped == []
+    assert all(collided for _, _, collided in poles)
+    assert len(poles) == ((r, p, n) == (3, 1, 2))
+    assert checked + len(poles) == 3 * len(vectors)

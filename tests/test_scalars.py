@@ -492,6 +492,67 @@ def test_div_linear_shortcuts_agree_with_synthetic_division(data):
     assert scalar_layer._div_linear(single * f, f) == single
 
 
+def _times_by_products(p, forms):
+    """p times the product of f^k for f, k in forms: the body of
+    ``scalars._times`` before it read each form's plan."""
+    for f, k in forms.items():
+        for _ in range(k):
+            p = p * f
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 3, 4]), st.data())
+def test_times_by_plan_matches_repeated_products(r, data):
+    ring = GenericParameters(r, 1).ring
+    p = data.draw(_mpolys(ring))
+    forms = {data.draw(_linear_forms(ring)): data.draw(st.integers(1, 3))
+             for _ in range(data.draw(st.integers(1, 3)))}
+    got = scalar_layer._times(p, forms)
+    assert got == _times_by_products(p, forms)
+    assert all(c for c in got.terms.values())
+    # the forms' plans, now stored, serve a second call and a zero
+    assert scalar_layer._times(p, forms) == got
+    assert scalar_layer._times(ring.zero(), forms) == ring.zero()
+
+
+def test_each_form_keeps_its_own_plan():
+    par = GenericParameters(2, 1)
+    f = (par.kappa + par.c0 * 2 + 1).num  # x_v = k, g = 2 c0 + 1
+    g = (par.c0 + par.d(1)).num  # x_v = c0, g = d1
+    assert f.plan is None
+    assert scalar_layer._plan(f) is f.plan
+    assert f.plan[0] == 0 and dict(f.plan[1]) == {
+        (0, 1, 0): Cyc.from_rational(2, 2), (0, 0, 0): Cyc.one(2)}
+    # a plan answers for its own form only: dividing by g after f, and by f
+    # after g, each reads the right one
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert scalar_layer._div_linear(a * b, b) == a
+        assert scalar_layer._div_linear(a * b, a) == b
+        assert scalar_layer._times(a, {b: 2}) == a * b * b
+    assert g.plan == (1, (((0, 0, 1), Cyc.one(2)),))
+
+
+DIV_LINEAR_CASES = [
+    # (numerator, form): single-variable forms, a form with a constant term
+    ("k^2 - 1", "k + 1"), ("k^2 - 1", "k - 1"), ("k^3", "k"),
+    ("c0^2*k - k", "c0 + 1"), ("k*c0 + c0", "k + 1"),
+    # not divisible
+    ("k^2 + 1", "k + 1"), ("c0", "k + 1"), ("k", "k + 1"), ("2", "k"),
+    ("k*c0", "k + c0"), ("k^2*c0 + 1", "k"), ("c0^2 + k", "c0 + k"),
+]
+
+
+@pytest.mark.parametrize("num,form", DIV_LINEAR_CASES)
+def test_div_linear_cases_match_synthetic_division(num, form):
+    par = GenericParameters(2, 1)
+    p = parse_scalar(num, par).num
+    f = parse_scalar(f"1/({form})", par).den
+    got = scalar_layer._div_linear(p, f)
+    assert got == oracles.div_linear_synthetic(p, f) == p.divexact(f)
+    assert scalar_layer._div_linear(p * f, f) == p
+
+
 # ---------------------------------------------------------------------------
 # the per-field intern table and memos of polynomial values
 # ---------------------------------------------------------------------------
