@@ -172,7 +172,8 @@ def verify_braid_and_quadratic(rep: PolyRep, mus, *,
     """On each grid eigenvector check the quadratic relation
     sigma_i^2 = 1 - (c0 pi_i / (z_i - z_{i+1}))^2 and the z-exchange
     wt(sigma_i v) = s_i . wt(v), as exact scalars.  A sigma_i or a sigma_i^2
-    that vanishes where that square is 0 marks a non-generic point:
+    that vanishes where that square is 0, or a sigma_i whose weight
+    difference vanishes while pi_i does not, marks a non-generic point:
     NonGenericError."""
     from .jack import jack_by_intertwiners
 
@@ -189,14 +190,17 @@ def verify_braid_and_quadratic(rep: PolyRep, mus, *,
                             "mu": list(mu), "i": i}
                 checked += 1
                 continue
-            res1 = apply_sigma(rep, i, jv, fault_pi_sign=fault_pi_sign)
+            nu = mu[:i] + (mu[i + 1], mu[i]) + mu[i + 2:]
+            try:
+                res1 = apply_sigma(rep, i, jv, fault_pi_sign=fault_pi_sign)
+            except SingularIntertwinerError as exc:
+                raise NonGenericError(mu, nu, str(exc)) from exc
             delta = jv.weight.zvals[i] - jv.weight.zvals[i + 1]
             pi = _pi_scalar(rep, mu, i)
             predicted = params.one
             if pi:
                 q = params.c0 * params.rational(pi) / delta
                 predicted = predicted - q * q
-            nu = mu[:i] + (mu[i + 1], mu[i]) + mu[i + 2:]
             if res1.vector is None:
                 if not predicted:
                     raise NonGenericError(

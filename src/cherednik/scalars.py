@@ -17,13 +17,16 @@ The eigenbasis and the intertwiners divide only by weight differences, which
 are linear forms.  A :class:`RatFunc` keeps the split of its denominator into
 monic linear forms whenever it knows it; sums and products of such values
 reduce by trial division by those factors, since a numerator that no factor
-divides is coprime to their product.  A denominator with no known split (the
-inverse of a nonlinear numerator) falls back to the general gcd
-:func:`mp_gcd`.  Both paths give the same canonical form.  Each monic linear
-form x_v + g carries its plan, v and the terms of g, built the first time
-it is used (:func:`_plan`): multiplying by the form (:func:`_times`) shifts
-in x_v and adds the g-terms, and dividing by it (:func:`_div_linear`) reads
-the plan instead of finding the form's leading term on every try.
+divides is coprime to their product.  Only a denominator with no known split
+(the inverse of a nonlinear numerator) goes through the general gcd
+:func:`mp_gcd`: in a product, just the other operand's numerator meets it,
+while the other operand's forms are shed by trial division and carry over
+to the product (:func:`_mul_general`).  Both ways give the same canonical
+form.  Each monic linear form x_v + g carries its plan, v and the terms of
+g, built the first time it is used (:func:`_plan`): multiplying by the form
+(:func:`_times`) shifts in x_v and adds the g-terms, and dividing by it
+(:func:`_div_linear`) reads the plan instead of finding the form's leading
+term on every try.
 
 A sum of products, such as a residual of the eigenbasis solve or a
 coefficient of an exchange image, is one call of ``params.dot``.  At
@@ -475,8 +478,10 @@ class RatFunc:
     it is known (a :class:`_Split`), or None.  It is ``_NO_SPLIT`` exactly
     when ``den`` is 1, so ``+`` and ``*`` spot two polynomials by identity.
     When both operands know their splits, ``+`` and ``*`` reduce by trial
-    division by those factors; any other operand takes the general
-    ``mp_gcd`` path.
+    division by those factors.  Otherwise ``+`` takes the general ``mp_gcd``
+    path, and ``*`` reduces each numerator against the other operand's
+    denominator, by trial division where its split is known and by
+    ``mp_gcd`` where it is not.
     """
 
     __slots__ = ("num", "den", "split")
@@ -568,12 +573,7 @@ class RatFunc:
                 if got is None else got
         if self.split is not None and o.split is not None:
             return _mul_split(self, o)
-        g1 = mp_gcd(self.num, o.den)
-        g2 = mp_gcd(o.num, self.den)
-        num = self.num.divexact(g1) * o.num.divexact(g2)
-        den = self.den.divexact(g2) * o.den.divexact(g1)
-        num, den = _normal_form(num, den)
-        return _rf(num, den, _linear_split(den))
+        return _mul_general(self, o)
 
     __rmul__ = __mul__
 
@@ -841,6 +841,37 @@ def _mul_split(a: RatFunc, b: RatFunc) -> RatFunc:
     na, off_b = _strip(a.num, fb, fa)
     nb, off_a = _strip(b.num, fa, fb)
     return _factored(na * nb, _adjust(fa, fb, {**off_a, **off_b}))
+
+
+def _mul_general(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a * b when a split is unknown.  Each numerator sheds what it shares
+    with the other operand's denominator: by :func:`_strip` where that split
+    is known, by :func:`mp_gcd` otherwise (none for a constant numerator).
+    The known forms carry over, and so does what is left of an unknown
+    denominator: the product's split is unknown only if that is nonlinear."""
+    if a.num.is_zero() or b.num.is_zero():
+        return _polynomial(a.num.ring.zero())
+    nums, forms, rest = [], {}, []
+    for x, y in ((a, b), (b, a)):
+        num = x.num
+        if y.split is not None:
+            num, off = _strip(num, y.split.forms, {})
+            forms = _adjust(y.split.forms, {}, off)
+        else:
+            g = None if num.is_constant() else mp_gcd(num, y.den)
+            if g is None or g.is_one():
+                rest.append(y.den)
+            else:
+                rest.append(y.den.divexact(g))
+                num = num.divexact(g)
+        nums.append(num)
+    num = nums[0] * nums[1]
+    den = rest[0] * rest[1] if len(rest) == 2 else rest[0]
+    if den.total_degree() == 1:
+        forms = _adjust(forms, {den: 1}, {})
+    elif not den.is_one():
+        return _rf(num, _times(den, forms), None)
+    return _factored(num, forms)
 
 
 def _dot(pairs, field: "GenericParameters") -> RatFunc:

@@ -16,8 +16,9 @@ import pytest
 from cherednik import (
     GenericParameters, ParamPoint, Poly, PolyRep, SpecializedParameters,
 )
+from cherednik.intertwiners import psi_scalar, verify_braid_and_quadratic
 from cherednik.jack import (
-    NonGenericError, Weight, jack_by_intertwiners, jack_by_solve,
+    NonGenericError, Weight, jack_by_intertwiners, jack_by_solve, weight_of,
 )
 from cherednik.operators import monomials_up_to
 from cherednik.reptheory import gordon_point
@@ -125,3 +126,56 @@ def test_generic_eigenvectors_specialize_to_the_ones_at_the_point(r, p, n):
     assert all(collided for _, _, collided in poles)
     assert len(poles) == ((r, p, n) == (3, 1, 2))
     assert checked + len(poles) == 3 * len(vectors)
+
+
+# the largest |mu| of the intertwiner grid per group
+SIGMA_GROUPS = {(2, 1, 2): 9, (3, 1, 2): 9, (2, 1, 3): 5, (4, 2, 2): 9}
+
+
+def _exchange_factor(params, mu, i, pi):
+    """1 - (c0 pi_i/delta)^2 from mu's weight, built as
+    ``verify_braid_and_quadratic`` builds it."""
+    zvals = weight_of(mu, params).zvals
+    q = params.c0 * params.rational(pi) / (zvals[i] - zvals[i + 1])
+    return params.one - q * q
+
+
+@pytest.mark.parametrize("r,p,n", list(SIGMA_GROUPS),
+                         ids=[f"G{r}{p}{n}" for r, p, n in SIGMA_GROUPS])
+def test_a_generic_intertwiner_pass_holds_at_every_point(r, p, n):
+    generic = PolyRep(r, p, n, GenericParameters(r, p))
+    grid = list(monomials_up_to(n, SIGMA_GROUPS[r, p, n]))
+    reports = {mu: verify_braid_and_quadratic(generic, [mu]) for mu in grid}
+    assert all(rep["status"] == "pass" for rep in reports.values())
+    exchanges = [(mu, i) for mu in grid for i in range(n - 1)
+                 if mu[i] != mu[i + 1] and (mu[i] - mu[i + 1]) % r == 0]
+    passed, non_generic, poles = 0, set(), set()
+    for _, point in _points(r, p, n):
+        at = PolyRep(r, p, n, SpecializedParameters(point))
+        for mu in grid:
+            # psi_scalar is polynomial in the parameters: no pole
+            assert specialize(psi_scalar(generic, mu), point) \
+                == psi_scalar(at, mu), (str(point), mu)
+            try:
+                got = verify_braid_and_quadratic(at, [mu])
+            except NonGenericError:
+                non_generic.add((str(point), mu))
+                continue
+            assert got == reports[mu], (str(point), mu)
+            passed += 1
+        for mu, i in exchanges:
+            try:  # pi_i acts by r on these
+                factor = specialize(_exchange_factor(generic.params, mu, i, r),
+                                    point)
+            except PoleError:  # recorded: delta_i vanishes at the point
+                poles.add((str(point), mu))
+                continue
+            assert factor == _exchange_factor(at.params, mu, i, r), \
+                (str(point), mu, i)
+    # every pole of an exchange factor comes with NonGenericError, which is
+    # raised only at points where some factor has a pole; here that is
+    # G(3,1,2) at k = c0/2 = 3/4, as in the eigenvector test above
+    assert poles <= non_generic
+    assert {pt for pt, _ in non_generic} == {pt for pt, _ in poles}
+    assert bool(poles) == ((r, p, n) == (3, 1, 2))
+    assert passed + len(non_generic) == 4 * len(grid)

@@ -188,6 +188,20 @@ def test_a_vanishing_sigma_square_where_it_is_predicted_zero_is_non_generic():
         verify_braid_and_quadratic(rep, [(0, 2)])
 
 
+def test_a_singular_sigma_on_a_built_eigenvector_is_non_generic():
+    # f_(0,6) is built at k = c0/2 = 3/4, but its weight difference at slot
+    # 1 vanishes there while pi_1 acts by 3, so sigma_1 is singular on it
+    rep = PolyRep(3, 1, 2, SpecializedParameters(ParamPoint.make(
+        3, 1, Fraction(3, 4), Fraction(3, 2),
+        [Fraction(8, 3), Fraction(-2, 7)])))
+    jv = jack_by_intertwiners(rep, (0, 6))
+    with pytest.raises(SingularIntertwinerError):
+        apply_sigma(rep, 0, jv)
+    with pytest.raises(NonGenericError, match=r"sigma_1 singular on "
+                       r"f_\(0, 6\).* for mu=\(0, 6\) against nu=\(6, 0\)"):
+        verify_braid_and_quadratic(rep, [(0, 6)])
+
+
 def test_a_vanishing_sigma_square_fails_where_it_is_not_predicted_zero(
         monkeypatch):
     from cherednik import intertwiners

@@ -346,17 +346,23 @@ def test_factored_path_cancels_and_falls_back(gcd_calls):
     for x, w in zip(got, want, strict=True):
         _assert_split(x)
         _assert_same(x, w)
-    # an operand with no known split takes the general path
+    # with an operand whose split is unknown, a product sheds the known
+    # forms by trial division and meets that denominator by mp_gcd only
+    # with a non-constant numerator (here 1); a sum takes the general path
     a, b = one / (k * k + c0), one / f
     assert a.split is None
     gcd_calls.clear()
-    got = [a + b, a * b, b / a]
+    got = [a * b, b * a, b / a]
+    assert gcd_calls == []
+    got.append(a + b)
     assert gcd_calls
-    want = [_oracle(a.num * b.den + b.num * a.den, a.den * b.den),
-            _oracle(a.num * b.num, a.den * b.den),
-            _oracle(b.num * a.den, b.den * a.num)]
+    want = [_oracle(a.num * b.num, a.den * b.den)] * 2 + [
+        _oracle(b.num * a.den, b.den * a.num),
+        _oracle(a.num * b.den + b.num * a.den, a.den * b.den)]
     for x, w in zip(got, want, strict=True):
         _assert_same(x, w)
+    assert got[0].split is None
+    _assert_split(got[2])
 
 
 @pytest.mark.parametrize("group", [(1, 1, 4), (2, 1, 3)])
@@ -380,6 +386,123 @@ def test_factored_path_against_sympy_cancel(group):
             num, den = expr(str(got.num)), expr(str(got.den))
             assert sympy.cancel(num / den - expr(str(a)) / expr(str(d))) == 0
             assert sympy.gcd(num, den).is_number
+
+
+# ---------------------------------------------------------------------------
+# products with exactly one known split
+# ---------------------------------------------------------------------------
+
+
+def _mul_by_gcds(a, b):
+    """a * b by the replaced general branch of ``RatFunc.__mul__``: each
+    numerator against the other denominator by ``mp_gcd``, then the split
+    that shows on the product's denominator."""
+    g1 = scalar_layer.mp_gcd(a.num, b.den)
+    g2 = scalar_layer.mp_gcd(b.num, a.den)
+    num = a.num.divexact(g1) * b.num.divexact(g2)
+    den = a.den.divexact(g2) * b.den.divexact(g1)
+    num, den = scalar_layer._normal_form(num, den)
+    return scalar_layer._rf(num, den, scalar_layer._linear_split(den))
+
+
+@contextlib.contextmanager
+def _top_gcd_calls():
+    """The top-level ``mp_gcd`` calls made inside the block (not the ones
+    mp_gcd makes itself)."""
+    calls = []
+    depth = 0
+    real = scalar_layer.mp_gcd
+
+    def counting(f, g):
+        nonlocal depth
+        if not depth:
+            calls.append((f, g))
+        depth += 1
+        try:
+            return real(f, g)
+        finally:
+            depth -= 1
+
+    scalar_layer.mp_gcd = counting
+    try:
+        yield calls
+    finally:
+        scalar_layer.mp_gcd = real
+
+
+def _exchange_factor(par, delta, pi):
+    """1 - (c0 pi/delta)^2, built as ``verify_braid_and_quadratic`` does."""
+    q = par.c0 * par.rational(pi) / delta
+    return par.one - q * q
+
+
+@functools.cache
+def _mixed_pool(group):
+    """A field, values with known splits, and values whose split is
+    unknown: 1/(k^2 + c0), (k + 1)/(k^2 - c0^2) and inverses of
+    exchange factors."""
+    par, diffs = _weight_differences(*group, count=3)
+    k, c0, one = par.kappa, par.c0, par.one
+    split = _factored_pool(par, diffs) + [
+        par.zero, one, par.zeta(1), k, _exchange_factor(par, diffs[0], 2)]
+    unsplit = [one / (k * k + c0), _oracle((k + one).num, (k * k - c0 * c0).num)]
+    unsplit += [lead.inverse() for lead in
+                (_exchange_factor(par, d, group[0]) for d in diffs) if lead]
+    return par, split, unsplit
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(1, 1, 4), (2, 1, 3), (3, 3, 3)]), st.data())
+def test_products_with_one_unknown_split_match_the_gcd_path(group, data):
+    par, split, unsplit = _mixed_pool(group)
+    a, u = data.draw(st.sampled_from(split)), data.draw(st.sampled_from(unsplit))
+    assert a.split is not None and u.split is None
+    with _top_gcd_calls() as calls:
+        for x, y in ((a, u), (u, a)):
+            calls.clear()
+            got = x * y
+            # only the split operand's numerator meets the unknown
+            # denominator by mp_gcd, and not when it is a unit
+            assert len(calls) <= (0 if a.num.is_constant() else 1)
+            _assert_same(got, _oracle(x.num * y.num, x.den * y.den))
+            _assert_same(got, _mul_by_gcds(x, y))
+            if got.split is not None:
+                _assert_split(got)
+            else:  # unknown only for a nonlinear leftover
+                assert got.den.total_degree() >= 2
+        quotients = [(a, u)] + ([(u, a)] if a else [])
+        for x, y in quotients:
+            got = x / y
+            _assert_same(got, _oracle(x.num * y.den, x.den * y.num))
+            _assert_same(got, _mul_by_gcds(x, y.inverse()))
+            if got.split is not None:
+                _assert_split(got)
+
+
+def test_a_product_whose_unknown_factor_cancels_comes_back_split():
+    par, diffs = _weight_differences(2, 1, 3, count=2)
+    k, c0, one = par.kappa, par.c0, par.one
+    d, e = diffs
+    u = _oracle((k + one).num, (k * k - c0 * c0).num)
+    lead = _exchange_factor(par, d, 2)
+    assert u.split is None and lead.inverse().split is None
+    cases = [
+        ((k - c0) * (k + c0) / d, u),     # all of u's denominator cancels
+        ((k - c0) / d / e, u),            # a linear form k + c0 is left
+        (lead, lead.inverse()),           # 1
+        (lead * e / d, lead.inverse()),   # e/d
+        ((k + c0) / (k - c0), u),         # k - c0 is left, and doubles
+    ]
+    with _top_gcd_calls() as calls:
+        for a, b in cases:
+            for x, y in ((a, b), (b, a)):
+                calls.clear()
+                got = x * y
+                assert len(calls) <= 1
+                _assert_split(got)
+                _assert_same(got, _oracle(x.num * y.num, x.den * y.den))
+                _assert_same(got, _mul_by_gcds(x, y))
+    assert (lead * lead.inverse()).split is scalar_layer._NO_SPLIT
 
 
 # ---------------------------------------------------------------------------
