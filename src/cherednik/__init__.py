@@ -15,8 +15,8 @@ from .scalars import (
     SpecializedParameters, c_from_d, d_from_c, specialize,
 )
 from .groups import (
-    GroupElement, Reflection, conjugacy_classes, group_elements, group_order,
-    parse_element, reflections,
+    GroupElement, Reflection, group_elements, group_order, parse_element,
+    reflections,
 )
 from .polynomials import Poly
 from .operators import (
@@ -47,8 +47,8 @@ __all__ = [
     "Cyc", "Q", "cyclotomic_polynomial", "euler_phi",
     "GenericParameters", "MPoly", "ParamPoint", "PoleError", "RatFunc",
     "SpecializedParameters", "c_from_d", "d_from_c", "specialize",
-    "GroupElement", "Reflection", "conjugacy_classes", "group_elements",
-    "group_order", "parse_element", "reflections",
+    "GroupElement", "Reflection", "group_elements", "group_order",
+    "parse_element", "reflections",
     "Poly", "PolyRep", "act_on_poly", "monomials_of_degree",
     "monomials_up_to",
     "Composition", "JackVector", "NonGenericError", "Weight",

@@ -29,7 +29,8 @@ from .intertwiners import verify_braid_and_quadratic
 from .reptheory import (
     catalan_series, coxeter_number, exponents_and_freeness, genericity_guard,
     gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
-    is_well_generated, simple_spectrum_violations, singular_vector_check,
+    is_well_generated, require_truncation_budget, simple_spectrum_violations,
+    singular_vector_check,
 )
 from .scalars import GenericParameters, ParamPoint, SpecializedParameters
 from .groups import GroupElement
@@ -221,6 +222,7 @@ def cmd_verify(job: JobConfig) -> int:
 
 
 def cmd_gordon(job: JobConfig) -> int:
+    require_truncation_budget(job.truncation)
     r, p, n = job.r, job.p, job.n
     if r == 1:
         _emit({"status": "unsupported", "reason": "r must exceed 1"},

@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
-from math import factorial, gcd
 from typing import Iterator, Optional
 
 from .cyclotomic import Cyc
 
 __all__ = [
     "GroupElement", "Reflection", "reflections", "group_order",
-    "group_elements", "conjugacy_classes", "parse_element",
+    "group_elements", "parse_element",
 ]
 
 
@@ -291,83 +289,3 @@ def group_elements(r: int, p: int, n: int) -> Iterator[GroupElement]:
         for col in itertools.product(range(r), repeat=n):
             if sum(col) % p == 0:
                 yield GroupElement(r, perm, col)
-
-
-# ---------------------------------------------------------------------------
-# conjugacy classes
-# ---------------------------------------------------------------------------
-
-
-def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into parts of at most ``largest``, descending."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _colored_cycle_types(r: int, n: int) -> Iterator[tuple]:
-    """Every multiset of (cycle length, color sum mod r) with lengths summing
-    to n, as a tuple sorted by descending length, then ascending color."""
-    for lam in _partitions(n, n):
-        per_length = [
-            [tuple((length, c) for c in colors)
-             for colors in itertools.combinations_with_replacement(range(r), m)]
-            for length, m in Counter(lam).items()]
-        for choice in itertools.product(*per_length):
-            yield tuple(itertools.chain.from_iterable(choice))
-
-
-def _cycle_type_element(r: int, n: int, ctype) -> GroupElement:
-    """Consecutive cycles on slots 0..n-1, each carrying its color sum on
-    its first slot."""
-    perm = list(range(n))
-    col = [0] * n
-    start = 0
-    for length, c in ctype:
-        for i in range(start, start + length - 1):
-            perm[i] = i + 1
-        perm[start + length - 1] = start
-        col[start] = c
-        start += length
-    return GroupElement(r, tuple(perm), tuple(col))
-
-
-def conjugacy_classes(r: int, p: int,
-                      n: int) -> list[tuple[GroupElement, int]]:
-    """One representative and the size of every conjugacy class of G(r,p,n).
-
-    Closed form with integer arithmetic; W is never enumerated.  A class of
-    the wreath product G(r,1,n) is a colored cycle type, the multiset of
-    pairs (l, c) of a cycle length l and the color sum c mod r along that
-    cycle (Macdonald, Symmetric Functions, App. B), of size
-
-        n! r^n / prod_{(l,c)} m_{l,c}! (r l)^{m_{l,c}}.
-
-    The types inside G(r,p,n) are those of total color sum 0 mod p.  Such a
-    type splits into d = gcd(p, every l, every c) classes of G(r,p,n) of
-    equal size: the image of its centralizer under the color sum mod p is
-    dZ/pZ.  Their representatives are delta^j w delta^{-j} for j < d, with
-    delta the diagonal element of color 1 in slot 0.
-    """
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    wreath_order = group_order(r, 1, n)
-    delta = GroupElement(r, tuple(range(n)), (1,) + (0,) * (n - 1))
-    out = []
-    for ctype in _colored_cycle_types(r, n):
-        if sum(c for _, c in ctype) % p:
-            continue
-        centralizer = 1
-        for (length, _), m in Counter(ctype).items():
-            centralizer *= factorial(m) * (r * length) ** m
-        d = gcd(p, *(length for length, _ in ctype), *(c for _, c in ctype))
-        w = _cycle_type_element(r, n, ctype)
-        for j in range(d):
-            out.append((delta ** j * w * delta ** -j,
-                        wreath_order // (centralizer * d)))
-    return out

@@ -22,16 +22,20 @@ needs k != 0 mod r, so the class sum pi_i kills f over k e_{i+1} and the
 exchange operator sigma_i is t_{s_i} there.  Their span is tested for
 stability on the reflections through slot 1, which generate W; its character
 then equals that of V by a unitriangular comparison of leading terms; and y_1
-alone tests annihilation (see :func:`singular_vector_check`).
+alone tests annihilation, through y_1 and y_n applied to f over k e_n (see
+:func:`singular_vector_check`).  The invariant part of the character is
+summed by the cycle index of the wreath product (see
+:func:`invariant_char_series`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .cyclotomic import Cyc
-from .groups import GroupElement, conjugacy_classes, group_order
+from .groups import GroupElement
 from .jack import jack_by_solve, order_key
 from .operators import PolyRep
 from .scalars import ParamPoint, SpecializedParameters
@@ -42,8 +46,12 @@ __all__ = [
     "simple_spectrum_violations", "span_stability_check",
     "singular_vector_check", "GradedChar", "graded_char_L1",
     "invariant_char_series", "catalan_series", "coinvariant_series",
-    "exponents_and_freeness",
+    "exponents_and_freeness", "require_truncation_budget",
 ]
+
+# the largest truncation of the series `gordon` prints: at 20,000 it takes
+# about 1.3 s on G(2,1,6) and 0.6 s on G(2,1,4), and prints 0.4 MB of JSON
+TRUNCATION_BUDGET = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +133,13 @@ class Hx:
         return f"H_{{c0={self.x}}}"
 
 
+def _hjk_lhs(point: ParamPoint, j: int, k: int, n: int) -> Cyc:
+    """The left side d_0 - d_{-j} + r c_0 (n - k) of H_{j,k}; it depends on
+    j only mod r/p, since d is r/p-periodic."""
+    return point.d_value(0) - point.d_value(-j) \
+        + point.c0 * (point.r * (n - k))
+
+
 def on_hyperplane(point: ParamPoint, hid, n: int) -> bool:
     """Exact membership test (kappa = 1 assumed for the H_{j,k} family)."""
     if isinstance(hid, Hx):
@@ -133,9 +148,8 @@ def on_hyperplane(point: ParamPoint, hid, n: int) -> bool:
         raise ValueError(f"H_{{j,k}} requires j != 0 mod r, got j={hid.j}")
     if not 1 <= hid.k <= n:
         raise ValueError(f"k={hid.k} out of range 1..{n}")
-    lhs = point.d_value(0) - point.d_value(-hid.j) \
-        + point.c0 * (point.r * (n - hid.k))
-    return lhs == Cyc.from_rational(point.r, hid.j)
+    return _hjk_lhs(point, hid.j, hid.k, n) \
+        == Cyc.from_rational(point.r, hid.j)
 
 
 def simple_spectrum_violations(point: ParamPoint, n: int) -> list[str]:
@@ -157,26 +171,34 @@ def genericity_guard(point: ParamPoint, k: int, n: int,
     """Certify the submodule-structure hypotheses up to a scanning bound.
 
     Verifies membership in H_{k,1}, absence from every other H_{l,j} with
-    l <= bound, and the simple-spectrum condition on c_0.
+    l <= bound, and the simple-spectrum condition on c_0.  The left side of
+    H_{l,j} (``_hjk_lhs``) is built once per (l mod r/p, j) and compared
+    with each l of that residue, in the order l, then j.
     """
     if point.kappa != Cyc.one(point.r):
         raise ValueError("the hyperplane arrangement lives at kappa = 1")
     if k <= 0 or k % point.r == 0:
         raise ValueError("k must be positive and nonzero mod r")
     r = point.r
+    period = r // point.p
     if bound is None:
         h = coxeter_number(r, point.p, n) if r > 1 else 1
         bound = max(2 * k, 4 * h)
     violations = []
     if not on_hyperplane(point, Hjk(k, 1), n):
         violations.append(f"point is not on H_{{{k},1}}")
+    lhs = {}
     for l in range(1, bound + 1):
         if l % r == 0:
             continue
+        value = Cyc.from_rational(r, l)
         for j in range(1, n + 1):
             if (l, j) == (k, 1):
                 continue
-            if on_hyperplane(point, Hjk(l, j), n):
+            key = (l % period, j)
+            if key not in lhs:
+                lhs[key] = _hjk_lhs(point, l, j, n)
+            if lhs[key] == value:
                 violations.append(f"point lies on H_{{{l},{j}}}")
     violations.extend(simple_spectrum_violations(point, n))
     return {"ok": not violations, "k": k, "bound": bound,
@@ -251,24 +273,36 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     w = (1 j), y_j U = t_w y_1 t_w^{-1} U = t_w y_1 U.  A span failure is
     therefore reported before an annihilation failure, whose witness always
     has ``y_index`` 0.
+
+    y_1 U is in turn read off two images of f = f over k e_n.  With
+    w_i = s_i ... s_{n-1}, f over k e_i is t_{w_i} f; w_i fixes slot 1 for
+    i >= 2 and w_1 sends n to 1, so y_1 t_{w_i} f = t_{w_i} y_1 f for
+    i >= 2 and y_1 t_{w_1} f = t_{w_1} y_n f.  Hence y_1 U = 0 iff
+    y_1 f = 0 and y_n f = 0 (y_1 alone when n = 1).  A nonzero image is
+    carried back by t_{w_i} to the witness that y_1 on each f over k e_i,
+    in order, would find: mu = k e_1 with t_{w_1} y_n f if y_n f != 0, else
+    mu = k e_2 with t_{w_2} y_1 f.
     """
     if k <= 0 or k % r == 0:
         raise ValueError("k must be positive and nonzero mod r")
     rep = PolyRep(r, p, n, SpecializedParameters(point))
     tops = [tuple(k if j == i else 0 for j in range(n)) for i in range(n)]
+    swaps = [GroupElement.transposition(r, n, i, i + 1) for i in range(n - 1)]
     polys = [jack_by_solve(rep, tops[-1]).poly]
     for i in reversed(range(n - 1)):
-        s_i = GroupElement.transposition(r, n, i, i + 1)
-        polys.insert(0, rep.t(s_i, polys[0]))
-    basis = list(zip(tops, polys))
-    failure = span_stability_check(rep, basis)
+        polys.insert(0, rep.t(swaps[i], polys[0]))
+    failure = span_stability_check(rep, list(zip(tops, polys)))
     if failure is not None:
         return failure
-    for mu, f in basis:
-        img = rep.dunkl(0, f)
+    f = polys[-1]
+    y1 = rep.dunkl(0, f)
+    yn = rep.dunkl(n - 1, f) if n > 1 else y1
+    for i, img in ((0, yn), (1, y1)):
         if not img.is_zero():
+            for j in reversed(range(i, n - 1)):  # t_{w_i}
+                img = rep.t(swaps[j], img)
             return {"status": "fail", "reason": "not annihilated",
-                    "mu": list(mu), "y_index": 0, "image": str(img)}
+                    "mu": list(tops[i]), "y_index": 0, "image": str(img)}
     return {"status": "pass", "k": k, "dimension": n,
             "annihilated": True, "group_stable": True,
             "character_match": True}
@@ -376,31 +410,54 @@ def graded_char_L1(r: int, p: int, n: int, w: GroupElement,
 
 def invariant_char_series(r: int, p: int, n: int, k: int,
                           truncation: int) -> list:
-    """(1/|W|) sum_w det(1 - t^k w_V)/det(1 - t w), coefficientwise.
+    """(1/|W|) sum_w det(1 - t^k w_V)/det(1 - t w), coefficientwise, by the
+    cycle index of the wreath product G(r,1,n) (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, App. B).
 
-    The summand is a class function, so the sum runs over the conjugacy
-    classes, each representative weighted by its class size.
+    A cycle of w of length l and color sum c contributes the factor
+    (1 - zeta^{ck} t^{kl})/(1 - zeta^c t^l) = sum_{m<k} zeta^{cm} t^{lm}.
+    It has r^{l-1} colorings of each color sum, so the exponential formula
+    sums the product over G(r,1,n); the characters omega^{a (total color)},
+    omega = zeta^{r/p} and a = 0..p-1, cut out G(r,p,n).  That gives
+
+        (1/|W|) sum_{w in W} = sum_{a<p} [u^n] exp(sum_{l<=n} A_{a,l} u^l / l)
+
+    with A_{a,l}(t) = sum of t^{lm} over 0 <= m < k, m = -a r/p (mod r).
+    The coefficients are integers: with G_0 = 1 and
+    G_j = sum_{l<=j} ((j-1)!/(j-l)!) A_{a,l} G_{j-l}, cut at t^truncation,
+    the series is sum_a G_n / n!.
     """
-    total = [Cyc.zero(r)] * (truncation + 1)
-    count = 0
-    for w, size in conjugacy_classes(r, p, n):
-        s = graded_char_L1(r, p, n, w, k).series(truncation)
-        total = [a + b * size for a, b in zip(total, s)]
-        count += size
-    if count != group_order(r, p, n):
-        raise ArithmeticError(f"class sizes sum to {count}, not |W|")
-    out = []
-    for c in total:
-        v = c / count
-        if not v.is_rational():
-            raise ArithmeticError("invariant series is not rational")
-        out.append(v.rational_value())
-    return out
+    if r % p:
+        raise ValueError(f"p={p} must divide r={r}")
+    total = [0] * (truncation + 1)
+    for a in range(p):
+        residue = -a * (r // p) % r
+        g = [[1] + [0] * truncation]
+        for j in range(1, n + 1):
+            gj = [0] * (truncation + 1)
+            for l in range(1, j + 1):
+                weight = factorial(j - 1) // factorial(j - l)
+                for m in range(residue, min(k - 1, truncation // l) + 1, r):
+                    shift = l * m
+                    for i, c in enumerate(g[j - l][:truncation + 1 - shift]):
+                        gj[i + shift] += weight * c
+            g.append(gj)
+        total = [x + y for x, y in zip(total, g[n])]
+    return [Fraction(c, factorial(n)) for c in total]
 
 
 # ---------------------------------------------------------------------------
 # Catalan and coinvariant series
 # ---------------------------------------------------------------------------
+
+
+def require_truncation_budget(truncation: int) -> None:
+    """A ValueError when ``truncation`` is over ``TRUNCATION_BUDGET``; each
+    series `gordon` prints has truncation + 1 coefficients."""
+    if truncation > TRUNCATION_BUDGET:
+        raise ValueError(
+            f"a truncation of {truncation:,} is over the budget of "
+            f"{TRUNCATION_BUDGET:,}")
 
 
 def _int_series(num_factors, den_factors, truncation: int) -> list[int]:

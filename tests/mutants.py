@@ -32,6 +32,10 @@ SCALARS = "src/cherednik/scalars.py"
 CYCLOTOMIC = "src/cherednik/cyclotomic.py"
 PBW = "src/cherednik/pbw.py"
 INTERTWINERS = "src/cherednik/intertwiners.py"
+REPTHEORY = "src/cherednik/reptheory.py"
+OPERATORS = "src/cherednik/operators.py"
+JACK = "src/cherednik/jack.py"
+PARSING = "src/cherednik/parsing.py"
 
 T_MIXED = "tests/test_scalars.py::test_products_with_one_unknown_split_match_the_gcd_path"
 T_CANCEL = "tests/test_scalars.py::test_a_product_whose_unknown_factor_cancels_comes_back_split"
@@ -47,6 +51,43 @@ T_DIV_PROP = "tests/test_scalars.py::test_div_linear_shortcuts_agree_with_synthe
 T_JACK_PTS = "tests/test_generic_vs_specialized.py::test_generic_eigenvectors_specialize_to_the_ones_at_the_point"
 T_SIGMA_PTS = "tests/test_generic_vs_specialized.py::test_a_generic_intertwiner_pass_holds_at_every_point"
 T_SINGULAR = "tests/test_intertwiners.py::test_a_singular_sigma_on_a_built_eigenvector_is_non_generic"
+T_SQUARE = "tests/test_intertwiners.py::test_a_vanishing_sigma_square_where_it_is_predicted_zero_is_non_generic"
+T_SPY = "tests/test_reptheory.py::test_y1_and_yn_are_applied_to_the_last_vector"
+T_ANN_PTS = "tests/test_reptheory.py::test_annihilation_matches_the_per_vector_oracle_at_seeded_points"
+T_ANN_Y1 = "tests/test_reptheory.py::test_annihilation_matches_the_oracle_where_only_y1_acts"
+T_NON_GORDON = "tests/test_reptheory.py::test_singular_check_flags_a_non_gordon_point"
+T_SERIES = "tests/test_reptheory.py::test_cycle_index_matches_the_class_sum"
+T_SERIES_W = "tests/test_reptheory.py::test_cycle_index_matches_all_of_w"
+T_GUARD_PTS = "tests/test_reptheory.py::test_guard_matches_the_scan_at_seeded_points"
+T_TRIVIAL = "tests/test_reptheory.py::test_gordon_point_refuses_the_trivial_group"
+T_GOLDEN = "tests/test_cli.py::test_golden_files"
+T_TRUNC = "tests/test_cli.py::test_gordon_accepts_the_truncation_budget"
+T_TRIVIAL_CLI = "tests/test_cli.py::test_trivial_group_at_the_gordon_point_exits_two"
+T_WORK_GENERIC = "tests/test_cli.py::test_jack_work_estimate_is_for_generic_parameters"
+T_WORK_FAST = "tests/test_cli.py::test_jack_accepts_the_fast_compositions"
+T_XSIDE = "tests/test_polynomials.py::test_x_side_defects_match_oracle"
+T_YX = "tests/test_polynomials.py::test_yx_commutator_is_the_first_order_x_side_defect"
+T_REL_PASS = "tests/test_polynomials.py::test_check_relations_passes"
+T_REL_FAULT = "tests/test_polynomials.py::test_check_relations_fault_injection"
+T_REL_ORACLE = "tests/test_polynomials.py::test_relation_sweep_matches_per_monomial_oracle"
+T_FIRST_ORDER = "tests/test_polynomials.py::test_a_first_order_break_reports_the_yx_commutator"
+T_YX_SLOT = "tests/test_polynomials.py::test_the_yx_record_names_y_by_its_slot"
+T_PLAN_OWN = "tests/test_polynomials.py::test_x_side_plan_belongs_to_its_representation"
+T_TABLES_LIVE = "tests/test_polynomials.py::test_relation_tables_span_two_degrees_and_die_with_the_call"
+T_TABLES_ONCE = "tests/test_polynomials.py::test_check_relations_builds_one_table_per_monomial"
+T_MEMO_FREE = "tests/test_scalars.py::test_memo_free_runs_print_the_same_bytes"
+T_ONE_OBJECT = "tests/test_scalars.py::test_equal_polynomials_of_one_field_are_one_object"
+T_DROPPED_ID = "tests/test_scalars.py::test_the_id_of_a_dropped_operand_never_hits"
+T_DOT = "tests/test_scalars.py::test_dot_matches_the_pairwise_sum"
+T_DOT_CANCEL = "tests/test_scalars.py::test_dot_cancels_without_gcd"
+T_CYC_AXIOMS = "tests/test_cyclotomic.py::test_field_axioms"
+T_ROOTS = "tests/test_cyclotomic.py::test_roots_are_shared"
+T_ROOTS_KEPT = "tests/test_cyclotomic.py::test_operations_leave_shared_roots_unchanged"
+T_MIXED_ORDERS = "tests/test_cyclotomic.py::test_mixed_orders_raise_from_every_operation"
+T_PHI2 = "tests/test_cyclotomic.py::test_phi_2_products_match_the_oracle"
+T_GRAMMAR = "tests/test_parsing.py::test_grammar_table"
+T_IMPLICIT = "tests/test_parsing.py::test_implicit_products_match_printed_monomials"
+T_DOCTESTS = "tests/test_doctests.py::test_docstring_examples"
 
 
 @dataclass(frozen=True)
@@ -151,6 +192,166 @@ MUTANTS = [
            "(len(p.terms) == 1 and g)",
            "(len(p.terms) == 1)",
            (T_DIV_CASES, T_DIV_PROP, T_JACK_PTS)),
+    # gordon: annihilation from two images of f over k e_n
+    Mutant("annihilation: y_2 in place of y_n", REPTHEORY,
+           "yn = rep.dunkl(n - 1, f) if n > 1 else y1",
+           "yn = rep.dunkl(1, f) if n > 1 else y1",
+           (T_SPY, T_ANN_PTS, T_ANN_Y1)),
+    Mutant("annihilation: no y_n test", REPTHEORY,
+           "for i, img in ((0, yn), (1, y1)):",
+           "for i, img in ((1, y1),):",
+           (T_ANN_PTS, T_NON_GORDON)),
+    # gordon: the invariant series by the cycle index.  The residue +a r/p
+    # is an equivalent mutant: a r/p and -a r/p run over the same residues
+    # as a runs over 0..p-1, so the sum over a is unchanged; -a is not.
+    Mutant("series: residue -a for -a r/p", REPTHEORY,
+           "residue = -a * (r // p) % r",
+           "residue = -a % r",
+           (T_SERIES, T_SERIES_W)),
+    Mutant("series: only a = 0", REPTHEORY,
+           "for a in range(p):",
+           "for a in range(1):",
+           (T_SERIES, T_SERIES_W, T_GOLDEN)),
+    Mutant("series: (j-1)!/(j-l+1)! in the recurrence", REPTHEORY,
+           "weight = factorial(j - 1) // factorial(j - l)",
+           "weight = factorial(j - 1) // factorial(j - l + 1)",
+           (T_SERIES, T_SERIES_W, T_GOLDEN)),
+    Mutant("guard: left sides keyed by j alone", REPTHEORY,
+           "key = (l % period, j)",
+           "key = j",
+           (T_GUARD_PTS,)),
+    Mutant("budget: the budget's own truncation refused", REPTHEORY,
+           "if truncation > TRUNCATION_BUDGET:",
+           "if truncation >= TRUNCATION_BUDGET:",
+           (T_TRUNC,)),
+    # the x-side relation check (operators.x_side_defects)
+    Mutant("x-side: reflections grouped by kind, not class", OPERATORS,
+           "cls = classes.get(s.cclass)\n                if cls is None:\n"
+           "                    cls = classes[s.cclass] =",
+           "cls = classes.get(s.kind)\n                if cls is None:\n"
+           "                    cls = classes[s.kind] =",
+           (T_XSIDE, T_YX)),
+    Mutant("x-side: the -1 scale left unnegated", OPERATORS,
+           "return [(e, -c) for e, c in terms.items()]",
+           "return [(e, c) for e, c in terms.items()]",
+           (T_REL_PASS, T_XSIDE)),
+    Mutant("x-side: one plan per group, shared by representations", OPERATORS,
+           "        self._x_plan = plan\n        return plan",
+           "        self._x_plan = PolyRep._x_side_plan.__dict__.setdefault(\n"
+           "            (self.r, self.p, self.n), plan)\n"
+           "        return self._x_plan",
+           (T_PLAN_OWN,)),
+    Mutant("x-side: +kappa nu_j for nu_j = 1", OPERATORS,
+           "kappa_nu = [None, -self.params.kappa,",
+           "kappa_nu = [None, self.params.kappa,",
+           (T_YX, T_REL_PASS)),
+    # the relation records and the rolling tables (operators.check_relations)
+    Mutant("relations: the y_i x_j record names i by j", OPERATORS,
+           '"i": nu.index(1), "j": j,',
+           '"i": j, "j": j,',
+           (T_YX_SLOT,)),
+    Mutant("relations: no |nu| = 1 record", OPERATORS,
+           "if defect and sum(nu) == 1:",
+           "if defect and sum(nu) == 0:",
+           (T_REL_FAULT, T_FIRST_ORDER, T_GOLDEN)),
+    Mutant("relations: every table kept", OPERATORS,
+           "ym, tm = tables.pop(mu, None) or table(mu)",
+           "ym, tm = tables.get(mu) or table(mu)",
+           (T_TABLES_LIVE,)),
+    Mutant("relations: a table built per lookup", OPERATORS,
+           "yxm = [tables.get(e) or tables.setdefault(e, table(e))",
+           "yxm = [tables.setdefault(e, table(e))",
+           (T_TABLES_ONCE,)),
+    Mutant("relations: w x_1 for every j", OPERATORS,
+           "if yxm[j][1][a] != wx[j] * tm[a]:",
+           "if yxm[j][1][a] != wx[0] * tm[a]:",
+           (T_REL_PASS, T_REL_ORACLE)),
+    Mutant("gordon point: no h = 0 check", REPTHEORY,
+           "    if h == 0:\n        raise ValueError(",
+           "    if False:\n        raise ValueError(",
+           (T_TRIVIAL, T_TRIVIAL_CLI)),
+    # memos of polynomial RatFunc values (scalars.ParamRing.memo_miss)
+    Mutant("memo: a binary op keyed by its first operand alone", SCALARS,
+           "key, args = (id(a), id(b)), (a.num, b.num)",
+           "key, args = id(a), (a.num, b.num)",
+           (T_MEMO_FREE, T_ONE_OBJECT)),
+    Mutant("memo: operands keyed before they are interned", SCALARS,
+           "        a = self.intern(a.num)\n        if b is None:",
+           "        if b is None:",
+           (T_DROPPED_ID,)),
+    # Cyc kernels: the general order and the shared roots
+    Mutant("cyc: general equal-denominator add without its gcd", CYCLOTOMIC,
+           "        if da == db:\n"
+           "            return _cyc(self.r, tuple(map(add, self.num, o.num)), "
+           "da)",
+           "        if da == db:\n"
+           "            v = _new(Cyc); v.r, v.num, v.den = self.r, "
+           "tuple(map(add, self.num, o.num)), da; return v",
+           (T_CYC, T_CYC_AXIOMS)),
+    Mutant("cyc: a fresh Cyc per Cyc.root call", CYCLOTOMIC,
+           "return _roots(r)[k % r]",
+           "v = _roots(r)[k % r]; return _cyc(r, v.num, v.den)",
+           (T_ROOTS, T_ROOTS_KEPT)),
+    Mutant("cyc: no order check in the * fast path", CYCLOTOMIC,
+           "        o = (other if other.__class__ is Cyc and other.r == "
+           "self.r\n             else self._coerce(other))\n"
+           "        if o is None:\n            return NotImplemented\n"
+           "        a, b = self.num, o.num",
+           "        o = (other if other.__class__ is Cyc\n"
+           "             else self._coerce(other))\n"
+           "        if o is None:\n            return NotImplemented\n"
+           "        a, b = self.num, o.num",
+           (T_MIXED_ORDERS,)),
+    Mutant("cyc: phi = 2 mul folding with -f1", CYCLOTOMIC,
+           "a0 * b1 + a1 * b0 + top * f1",
+           "a0 * b1 + a1 * b0 - top * f1",
+           (T_CYC, T_PHI2)),
+    # jack's budgets
+    Mutant("jack budget: the work estimate at specialized points too", JACK,
+           "if generic and work > JACK_WORK_BUDGET:",
+           "if work > JACK_WORK_BUDGET:",
+           (T_WORK_GENERIC,)),
+    Mutant("jack budget: E and D without // r", JACK,
+           "e, d = (deg - n * low) // r, (max(mu) - low) // r",
+           "e, d = deg - n * low, max(mu) - low",
+           (T_WORK_FAST,)),
+    # params.dot over one common denominator (scalars._dot)
+    Mutant("dot: no final strip", SCALARS,
+           "num, off = _strip(MPoly(field.ring, acc), lcm, {})",
+           "num, off = MPoly(field.ring, acc), {}",
+           (T_DOT, T_DOT_CANCEL)),
+    Mutant("dot: the lcm keeps the last multiplicity", SCALARS,
+           "            if m > lcm.get(f, 0):\n                lcm[f] = m",
+           "            if True:\n                lcm[f] = m",
+           (T_DOT, T_DOT_CANCEL)),
+    Mutant("sigma: a vanishing square where 1 - q^2 = 0 is a fail", INTERTWINERS,
+           "if res2.vector is None and not predicted:",
+           "if False:",
+           (T_SQUARE,)),
+    # the parser (parsing._evaluate)
+    Mutant("parse: `**` accepted", PARSING,
+           'if "**" in text or not _ALPHABET.fullmatch(text):',
+           'if not _ALPHABET.fullmatch(text):',
+           (T_GRAMMAR, T_DOCTESTS)),
+    Mutant("parse: no alphabet check", PARSING,
+           'if "**" in text or not _ALPHABET.fullmatch(text):',
+           'if "**" in text:',
+           (T_GRAMMAR,)),
+    Mutant("parse: the literal need not end the power", PARSING,
+           "            if not (is_literal(exp)\n"
+           "                    and exp.end_col_offset == node.end_col_offset):",
+           "            if not is_literal(exp):",
+           (T_GRAMMAR, T_DOCTESTS)),
+    Mutant("parse: integers need not be digit-only", PARSING,
+           "                and src[node.col_offset:node.end_col_offset]"
+           ".isdigit())",
+           ")",
+           (T_GRAMMAR,)),
+    Mutant("parse: no whitespace products", PARSING,
+           'src = re.sub(r"\\s+", " ", _IMPLICIT_PRODUCT.sub("*", text))'
+           '.strip()',
+           'src = re.sub(r"\\s+", " ", text).strip()',
+           (T_GRAMMAR, T_IMPLICIT, T_DOCTESTS)),
 ]
 
 

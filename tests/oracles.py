@@ -48,8 +48,8 @@ Everything here deliberately avoids the production code paths it checks:
   maximal ones layer by layer, where the package sorts by ``order_key``;
 * ``span_character_check_all_of_w``, ``singular_vector_check_all_of_w`` and
   ``invariant_char_series_all_of_w`` walk every element of W where the
-  package uses the reflections through slot 1 or one representative per
-  conjugacy class; the first also compares characters, which the package
+  package uses the reflections through slot 1 or the cycle index of the
+  wreath product; the first also compares characters, which the package
   derives from stability; the second also solves for each of the n
   singular vectors, where the package solves for one and applies
   transpositions;

@@ -22,6 +22,7 @@ from cherednik.operators import (
     RELATION_MONOMIAL_BUDGET, monomials_of_degree, monomials_up_to,
     require_relation_budget,
 )
+from cherednik.reptheory import TRUNCATION_BUDGET
 
 from oracles import l1_dimension_by_counting, l1_series_by_counting
 
@@ -584,6 +585,35 @@ def test_verify_refuses_an_oversized_relation_check_at_once(capsys,
     assert "budget of 5,000" in err
 
 
+def test_gordon_accepts_the_truncation_budget(capsys):
+    # about 0.3 s on G(2,1,2); each printed series has 20,001 coefficients
+    code, out, err = run_cli(capsys, "gordon", "--group", "2,1,2",
+                             "--truncation", str(TRUNCATION_BUDGET), "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert TRUNCATION_BUDGET == 20_000
+    assert len(payload["catalan"]["coefficients"]) == TRUNCATION_BUDGET + 1
+    assert len(payload["identity_character"]["series"]) \
+        == TRUNCATION_BUDGET + 1
+    assert payload["catalan_invariant_match"] is True
+
+
+@pytest.mark.parametrize("truncation", [TRUNCATION_BUDGET + 1, 2_000_000])
+def test_gordon_refuses_an_oversized_truncation_at_once(capsys, monkeypatch,
+                                                        truncation):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage started")
+
+    for name in ("gordon_point", "genericity_guard", "singular_vector_check",
+                 "invariant_char_series", "catalan_series"):
+        monkeypatch.setattr(cherednik.cli, name, no_stage)
+    code, out, err = run_cli(capsys, "gordon", "--group", "2,1,4",
+                             "--truncation", str(truncation), "--json")
+    assert code == 2 and out == ""
+    assert f"truncation of {truncation:,} is over the budget of 20,000" \
+        in err
+
+
 def test_budget_counts_are_the_monomial_counts():
     for n in range(1, 5):
         for d in range(7):
@@ -650,6 +680,11 @@ GOLDEN_CASES = [
     ("jack_334_6150.json",
      ["jack", "--group", "3,3,4", "--mu", "6,1,5,0", "--check-both",
       "--json"], 0),
+    # p > 1 at n >= 3, where the invariant series sums characters a >= 1
+    ("gordon_334.json", ["gordon", "--group", "3,3,4", "--json"], 0),
+    ("gordon_423.json", ["gordon", "--group", "4,2,3", "--json"], 0),
+    ("gordon_633.json", ["gordon", "--group", "6,3,3", "--json"], 0),
+    ("gordon_224.json", ["gordon", "--group", "2,2,4", "--json"], 0),
 ]
 
 

@@ -9,9 +9,10 @@ import pytest
 import oracles
 from cherednik import (
     Cyc, GenericParameters, GroupElement, ParamPoint, Poly, PolyRep,
-    SpecializedParameters, conjugacy_classes, group_elements, group_order,
-    parse_element, reflections,
+    SpecializedParameters, group_elements, group_order, parse_element,
+    reflections,
 )
+from class_sums import conjugacy_classes
 
 
 def random_element(rng, r, n):

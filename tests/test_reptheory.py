@@ -1,6 +1,7 @@
 """Hyperplanes, the guard, singular vectors, characters and Catalan series."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from cherednik import (
     Cyc, GroupElement, Hjk, Hx, ParamPoint, Poly, PolyRep,
     SpecializedParameters, catalan_series, coinvariant_series,
-    conjugacy_classes, coxeter_number, degrees, exponents_and_freeness, genericity_guard,
+    coxeter_number, degrees, exponents_and_freeness, genericity_guard,
     gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
     group_order, jack_by_solve, on_hyperplane, order_key, parse_element,
     singular_vector_check,
@@ -18,6 +19,10 @@ from cherednik.operators import monomials_up_to
 from cherednik.reptheory import span_stability_check
 
 import oracles
+from class_sums import (
+    conjugacy_classes, genericity_guard_scan,
+    invariant_char_series_by_classes, singular_vector_check_per_vector,
+)
 from oracles import (
     graded_char_series_dense, int_series_dense,
     invariant_char_series_all_of_w, l1_dimension_by_counting,
@@ -319,6 +324,7 @@ def test_singular_check_flags_a_non_gordon_point():
     assert (report["status"], report["reason"]) == ("fail", "not annihilated")
     # the span is W-stable here, so only y_1 is applied
     assert (report["mu"], report["y_index"]) == ([5, 0], 0)
+    assert report == singular_vector_check_per_vector(2, 1, 2, pt, 5)
     oracle = singular_vector_check_all_of_w(2, 1, 2, pt, 5)
     assert (oracle["status"], oracle["reason"]) == ("fail", "not annihilated")
 
@@ -334,8 +340,10 @@ def test_singular_check_needs_k_nonzero_mod_r(r, p, k):
         singular_vector_check(r, p, 2, pt, k)
 
 
-def test_y1_is_applied_to_every_vector(monkeypatch):
-    r, p, n = 2, 1, 3
+@pytest.mark.parametrize("r,p,n", [(2, 1, 3), (3, 3, 4), (4, 2, 2), (3, 1, 1)])
+def test_y1_and_yn_are_applied_to_the_last_vector(monkeypatch, r, p, n):
+    # the annihilation test reads y_1 f and y_n f for f over k e_n alone
+    # (y_1 alone at n = 1); the other f over k e_i are t_{w_i} f
     k = coxeter_number(r, p, n) + 1
     point = gordon_point(r, p, n)
     applied = []
@@ -349,8 +357,76 @@ def test_y1_is_applied_to_every_vector(monkeypatch):
     assert singular_vector_check(r, p, n, point, k)["status"] == "pass"
     monkeypatch.undo()
     rep = PolyRep(r, p, n, SpecializedParameters(point))
-    tops = [tuple(k if j == i else 0 for j in range(n)) for i in range(n)]
-    assert applied == [(0, jack_by_solve(rep, mu).poly) for mu in tops]
+    f = jack_by_solve(rep, (0,) * (n - 1) + (k,)).poly
+    assert applied == [(0, f), (n - 1, f)][:min(n, 2)]
+
+
+# the groups of the gordon golden files in tests/golden
+GOLDEN_GORDON_GROUPS = [(3, 3, 2), (2, 1, 5), (3, 1, 4), (3, 1, 5), (2, 1, 6),
+                        (5, 1, 3), (3, 3, 4), (4, 2, 3), (6, 3, 3), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("r,p,n", GOLDEN_GORDON_GROUPS)
+def test_annihilation_matches_the_per_vector_oracle_on_golden_groups(r, p, n):
+    k = coxeter_number(r, p, n) + 1
+    point = gordon_point(r, p, n)
+    report = singular_vector_check(r, p, n, point, k)
+    assert report["status"] == "pass"
+    assert report == singular_vector_check_per_vector(r, p, n, point, k)
+
+
+def _seeded_points(seed, groups, count):
+    """``count`` points with kappa = 1 per group and small random c's."""
+    rng = random.Random(seed)
+    values = [Fraction(a, b) for a in range(-5, 6) for b in (2, 3, 5, 7)
+              if a]
+    for r, p, n in groups:
+        for _ in range(count):
+            yield (r, p, n), ParamPoint.from_c(
+                r, p, 1, rng.choice(values),
+                [rng.choice(values) for _ in range(r // p - 1)])
+
+
+ANNIHILATION_GROUPS = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (4, 2, 2),
+                       (2, 1, 3), (2, 2, 3), (3, 3, 3), (3, 1, 3), (4, 2, 3)]
+
+
+def test_annihilation_matches_the_per_vector_oracle_at_seeded_points():
+    # off H_{k,1} y_1 U != 0: the witness, carried back from y_1 f or y_n f
+    # by t_{w_i}, is the one y_1 on each vector finds
+    failures = 0
+    for (r, p, n), point in _seeded_points(2451, ANNIHILATION_GROUPS, 3):
+        for k in (kk for kk in (1, 2, 4, 5) if kk % r):
+            report = singular_vector_check(r, p, n, point, k)
+            assert report == singular_vector_check_per_vector(
+                r, p, n, point, k), (r, p, n, point, k)
+            failures += report["status"] == "fail"
+    assert failures == 90, failures
+
+
+def test_annihilation_matches_the_oracle_where_only_y1_acts(monkeypatch):
+    # y_1 f is 0 at every seeded point, so y_1 f != 0 = y_n f is staged with
+    # an S_n-equivariant stand-in for y_i: 0 on any f with a term of degree
+    # >= k in slot i, else the sum of the true y_j over j != i.  Then the
+    # witness is mu = k e_2 with t_{w_2} y_1 f
+    r, p, k = 2, 1, 5
+    real = PolyRep.dunkl
+
+    def sideways(rep, i, f):
+        out = Poly.zero(f.n)
+        if all(e[i] < k for e in f.terms):
+            for j in range(f.n):
+                if j != i:
+                    out = out + real(rep, j, f)
+        return out
+
+    monkeypatch.setattr(PolyRep, "dunkl", sideways)
+    point = ParamPoint.from_c(r, p, 1, Fraction(1, 3), [Fraction(1, 3)])
+    for n in (2, 3, 4):
+        report = singular_vector_check(r, p, n, point, k)
+        assert (report["status"], report["mu"]) \
+            == ("fail", [0, k] + [0] * (n - 2))
+        assert report == singular_vector_check_per_vector(r, p, n, point, k)
 
 
 def test_span_failure_is_reported_before_annihilation(monkeypatch):
@@ -426,6 +502,71 @@ def test_class_pipeline_matches_all_of_w(r, p, n):
     assert report == singular_vector_check_all_of_w(r, p, n, point, k)
     assert invariant_char_series(r, p, n, k, 12) \
         == invariant_char_series_all_of_w(r, p, n, k, 12)
+
+
+# every r <= 6, p | r and n <= 5 with r^n <= 216 (50 groups), where the
+# class sum takes about 1.6 s in all; the cycle index matched it on every
+# r^n <= 20,000 as well, which takes the class sum about 20 s
+SERIES_GROUPS = [(r, p, n) for r in range(1, 7) for p in range(1, r + 1)
+                 if r % p == 0 for n in range(1, 6) if r ** n <= 216]
+SERIES_KS = (1, 2, 3, 5, 7, 11, 13)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_cycle_index_matches_the_class_sum(r):
+    for rr, p, n in SERIES_GROUPS:
+        if rr != r:
+            continue
+        for k in SERIES_KS:
+            full = invariant_char_series_by_classes(r, p, n, k, 20)
+            for truncation in (0, 5, 12, 20):
+                assert invariant_char_series(r, p, n, k, truncation) \
+                    == full[:truncation + 1], (r, p, n, k, truncation)
+
+
+def test_cycle_index_matches_all_of_w():
+    cases = [(r, p, n) for r, p, n in SERIES_GROUPS
+             if group_order(r, p, n) <= 24]
+    assert {(4, 2, 2), (2, 2, 3), (6, 3, 2), (3, 3, 2)} <= set(cases)
+    for r, p, n in cases:
+        for k in SERIES_KS:
+            assert invariant_char_series(r, p, n, k, 20) \
+                == invariant_char_series_all_of_w(r, p, n, k, 20), \
+                (r, p, n, k)
+
+
+def test_guard_matches_the_scan_on_golden_groups():
+    for r, p, n in GOLDEN_GORDON_GROUPS:
+        point = gordon_point(r, p, n)
+        k = coxeter_number(r, p, n) + 1
+        for bound in (None, 3 * k):
+            assert genericity_guard(point, k, n, bound) \
+                == genericity_guard_scan(point, k, n, bound)
+
+
+GUARD_GROUPS = [(2, 1, 2), (3, 1, 2), (4, 1, 2), (4, 2, 3), (6, 2, 2),
+                (6, 1, 3), (3, 3, 3), (6, 3, 2)]
+
+
+def test_guard_matches_the_scan_at_seeded_points():
+    # half the points are moved onto a chosen H_{l,j} with j < n by solving
+    # for c0, so that violation lists are long and their order counts
+    rng = random.Random(2452)
+    lists = 0
+    for (r, p, n), point in _seeded_points(2452, GUARD_GROUPS, 6):
+        if rng.random() < 0.5:
+            l = rng.choice([v for v in range(1, 4 * r) if v % r])
+            j = rng.randrange(1, n)
+            shift = Cyc.from_rational(r, l) - reptheory._hjk_lhs(point, l, j, n)
+            point = dataclasses.replace(
+                point, c0=point.c0 + shift / (r * (n - j)))
+            assert on_hyperplane(point, Hjk(l, j), n)
+        for k in (kk for kk in range(1, 2 * r + 2) if kk % r):
+            report = genericity_guard(point, k, n)
+            assert report == genericity_guard_scan(point, k, n), \
+                (r, p, n, k, point)
+            lists += len(report["violations"]) >= 3
+    assert lists >= 20, lists
 
 
 def test_graded_character_identity_element():
