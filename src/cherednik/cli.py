@@ -29,8 +29,8 @@ from .intertwiners import verify_braid_and_quadratic
 from .reptheory import (
     catalan_series, coxeter_number, exponents_and_freeness, genericity_guard,
     gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
-    is_well_generated, require_truncation_budget, simple_spectrum_violations,
-    singular_vector_check,
+    is_well_generated, require_gordon_budget, require_truncation_budget,
+    simple_spectrum_violations, singular_vector_check,
 )
 from .scalars import GenericParameters, ParamPoint, SpecializedParameters
 from .groups import GroupElement
@@ -237,6 +237,7 @@ def cmd_gordon(job: JobConfig) -> int:
         return PRECONDITION
     h = coxeter_number(r, p, n)
     k = h + 1
+    require_gordon_budget(n, k)
     point = gordon_point(r, p, n)
     guard = genericity_guard(point, k, n)
     if not guard["ok"]:

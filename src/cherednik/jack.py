@@ -269,8 +269,8 @@ def require_jack_budget(n: int, mu, r: int = 1, generic: bool = True) -> int:
     line).  E = (|mu| - n min mu) // r bounds the terms of f_mu, whose x^nu
     have nu_i >= min mu and nu = mu mod r, and D = (max mu - min mu) // r
     grows with the parameter degree of its coefficients.  ``gordon``'s
-    singular-vector solve does not check it: its one composition k e_n is
-    fixed by the group (G(2,1,6) scans 8,568)."""
+    solve over k e_n checks ``reptheory.GORDON_MONOMIAL_BUDGET`` instead
+    (G(2,1,6) scans 8,568 monomials, G(2,1,7) 54,264)."""
     deg, low = sum(mu), min(mu)
     count = comb(deg + n - 1, n - 1)
     if count > JACK_MONOMIAL_BUDGET:

@@ -19,39 +19,44 @@ prod (1 - t^{h+d_i})/(1 - t^{d_i}).
 
 The singular vectors f over k e_i come from one eigenvector solve: H_{k,1}
 needs k != 0 mod r, so the class sum pi_i kills f over k e_{i+1} and the
-exchange operator sigma_i is t_{s_i} there.  Their span is tested for
-stability on the reflections through slot 1, which generate W; its character
-then equals that of V by a unitriangular comparison of leading terms; and y_1
-alone tests annihilation, through y_1 and y_n applied to f over k e_n (see
-:func:`singular_vector_check`).  The invariant part of the character is
-summed by the cycle index of the wreath product (see
-:func:`invariant_char_series`).
+exchange operator sigma_i is t_{s_i} there.  Their span is W-stable when
+the stabilizer of slot n fixes the line of f = f over k e_n; its character
+then equals that of V by a unitriangular comparison of leading terms; and
+y_1 f and y_n f test annihilation (see :func:`singular_vector_check`).  The
+invariant part of the character is summed by the cycle index of the wreath
+product (see :func:`invariant_char_series`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from itertools import accumulate
+from math import comb, factorial
 
 from .cyclotomic import Cyc
 from .groups import GroupElement
-from .jack import jack_by_solve, order_key
+from .jack import jack_by_solve
 from .operators import PolyRep
 from .scalars import ParamPoint, SpecializedParameters
 
 __all__ = [
     "Hjk", "Hx", "coxeter_number", "degrees", "is_irreducible",
     "gordon_point", "on_hyperplane", "genericity_guard",
-    "simple_spectrum_violations", "span_stability_check",
+    "simple_spectrum_violations", "slot_n_stabilizer_generators",
     "singular_vector_check", "GradedChar", "graded_char_L1",
     "invariant_char_series", "catalan_series", "coinvariant_series",
-    "exponents_and_freeness", "require_truncation_budget",
+    "exponents_and_freeness", "require_gordon_budget",
+    "require_truncation_budget",
 ]
 
 # the largest truncation of the series `gordon` prints: at 20,000 it takes
 # about 1.3 s on G(2,1,6) and 0.6 s on G(2,1,4), and prints 0.4 MB of JSON
 TRUNCATION_BUDGET = 20_000
+# the most monomials of degree k = h+1 the solve over k e_n may scan: G(2,1,7)
+# scans 54,264 in 2.1 s, G(2,2,8) 170,544 in 6.0 s, G(2,1,8) 346,104 in 19 s
+GORDON_MONOMIAL_BUDGET = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -210,36 +215,23 @@ def genericity_guard(point: ParamPoint, k: int, n: int,
 # ---------------------------------------------------------------------------
 
 
-def span_stability_check(rep: PolyRep, basis) -> dict | None:
-    """Check that the span of ``basis`` is W-stable; None when it is.
+def slot_n_stabilizer_generators(r: int, p: int,
+                                 n: int) -> list[GroupElement]:
+    """Generators of the stabilizer H of slot n in G(r,p,n), of order |W|/n.
 
-    ``basis`` is a list of pairs (mu, f) with f monic at x^mu and
-    triangular like the eigenvectors f_mu, so that coordinates are read off
-    at each mu, peeling from the top of the triangularity order down:
-    descending by :func:`~cherednik.jack.order_key`, a linear extension, so
-    every f above mu is subtracted before the coordinate at mu is read.
-    Stability is checked on the reflections through slot 1 (``s.i == 0``),
-    which generate W: the colorless (1 j) generate S_n; (1 j) of color l
-    times (1 j) is diagonal with colors l and -l (in some order) at slots 1
-    and j, and with S_n these give G(r,r,n); the diagonal reflections at slot 1, of colors
-    p, 2p, .., give the rest of G(r,p,n).  A failure is a record naming the
-    witness reflection.
-    """
-    peel = sorted(basis, key=lambda pair: order_key(pair[0]), reverse=True)
-    for s in rep.reflections:
-        if s.i != 0:
-            continue
-        for mu, f in basis:
-            g = rep.t(s.element, f)
-            for nu, h in peel:
-                c = g.coeff(nu)
-                if c:
-                    g = g - h.scaled(c)
-            if not g.is_zero():
-                return {"status": "fail", "reason": "span not group-stable",
-                        "w": str(s.element), "mu": list(mu),
-                        "residual": str(g)}
-    return None
+    The colorless s_i (i < n-1) give S_{n-1} on slots 1..n-1.  Conjugated
+    by them, the diagonal element of colors 1 and -1 at slots 1 and n (not
+    a reflection) carries colors 1 and -1 at slots i and n, and these
+    generate the color vectors of sum 0 mod r (the colored (1 2) is one
+    product).  For p < r the diagonal element of color p at slot 1 gives
+    the rest."""
+    gens = [GroupElement.transposition(r, n, i, i + 1) for i in range(n - 2)]
+    if n >= 2:
+        gens.append(GroupElement.from_perm_col(
+            r, range(n), (1,) + (0,) * (n - 2) + (-1,)))
+    if p < r:
+        gens.append(GroupElement.diagonal(r, n, 0, p))
+    return gens
 
 
 def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
@@ -248,9 +240,9 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     is group-stable with the same character as the span V_k of the k-th
     powers of the variables, and that every Dunkl operator kills U.
 
-    Only f over k e_n is solved for (``jack_by_solve``); f over k e_i is
-    t_{s_i} applied to f over k e_{i+1}, with s_i the colorless (i i+1).
-    This needs k != 0 mod r, as H_{k,1} does, and a ValueError says so
+    Only f = f over k e_n is solved for (``jack_by_solve``); f over k e_i is
+    t_{w_i} f with w_i = s_i ... s_{n-1}, s_i the colorless (i i+1).  This
+    needs k != 0 mod r, as H_{k,1} does, and a ValueError says so
     otherwise.  The exchange operator
     sigma_i = t_{s_i} + c_0 pi_i/(z_i - z_{i+1}) sends f_mu to a multiple of
     f_{s_i mu}, and the class sum pi_i acts on f_mu by 0 unless
@@ -258,15 +250,21 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     0 and k of k e_{i+1} differ mod r, so sigma_i is t_{s_i} on f over
     k e_{i+1}, and its image is monic at x^{k e_i}: it is f over k e_i.
 
-    Stability runs over the reflections through slot 1, which generate W
-    (``span_stability_check``), not over all of W.  The character follows
-    from stability, so ``"character_match"`` is reported without a further
-    check: let P read off the coefficients at the monomials x_j^k.  Every w
-    sends x_j^k to a multiple of x_{w(j)}^k and every other monomial to
-    another monomial, so P commutes with t_w; each f over k e_i is x_i^k
-    plus terms below k e_i, so P maps U onto V_k by a unitriangular matrix.
-    Once U is W-stable, P is therefore an isomorphism of W-modules from U
-    onto V_k.
+    Stability is read off f alone.  w_i sends slot n to slot i, so the w_i
+    represent the cosets of the stabilizer H of slot n.  If each generator
+    h of H (:func:`slot_n_stabilizer_generators`) has t_h f in C f, so has
+    all of H, since t is an action; and for g in W, g w_i = w_m h with h in
+    H, so t_g t_{w_i} f = t_{w_m} t_h f lies in U.  Conversely, let P read
+    off the coefficients at the monomials x_j^k.  Every w sends x_j^k to a
+    multiple of x_{w(j)}^k and every other monomial to another monomial, so
+    P commutes with t_w.  f has no x_j^k term with j != n, since its support
+    lies below k e_n, and h fixes slot n, so P t_h f = c P f with c the
+    coefficient of t_h f at x^{k e_n}.  Each f over k e_i is x_i^k plus
+    lower terms, so P maps U onto V_k by a unitriangular matrix.  If U is
+    W-stable, t_h f - c f lies in U and P kills it, so t_h f = c f.  A
+    failure names h, mu = k e_n and the residual t_h f - c f.  Once U is
+    W-stable, P is a W-isomorphism from U onto V_k, so
+    ``"character_match"`` needs no check of its own.
 
     Once U is W-stable, y_1 alone decides the annihilation: S_n lies in
     G(r,p,n) and t_w y_1 t_w^{-1} = y_{w(1)} for w in S_n, so with
@@ -274,8 +272,7 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     therefore reported before an annihilation failure, whose witness always
     has ``y_index`` 0.
 
-    y_1 U is in turn read off two images of f = f over k e_n.  With
-    w_i = s_i ... s_{n-1}, f over k e_i is t_{w_i} f; w_i fixes slot 1 for
+    y_1 U is in turn read off two images of f: w_i fixes slot 1 for
     i >= 2 and w_1 sends n to 1, so y_1 t_{w_i} f = t_{w_i} y_1 f for
     i >= 2 and y_1 t_{w_1} f = t_{w_1} y_n f.  Hence y_1 U = 0 iff
     y_1 f = 0 and y_n f = 0 (y_1 alone when n = 1).  A nonzero image is
@@ -287,20 +284,19 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
         raise ValueError("k must be positive and nonzero mod r")
     rep = PolyRep(r, p, n, SpecializedParameters(point))
     tops = [tuple(k if j == i else 0 for j in range(n)) for i in range(n)]
-    swaps = [GroupElement.transposition(r, n, i, i + 1) for i in range(n - 1)]
-    polys = [jack_by_solve(rep, tops[-1]).poly]
-    for i in reversed(range(n - 1)):
-        polys.insert(0, rep.t(swaps[i], polys[0]))
-    failure = span_stability_check(rep, list(zip(tops, polys)))
-    if failure is not None:
-        return failure
-    f = polys[-1]
+    f = jack_by_solve(rep, tops[-1]).poly
+    for h in slot_n_stabilizer_generators(r, p, n):
+        g = rep.t(h, f)
+        g = g - f.scaled(g.coeff(tops[-1]))
+        if not g.is_zero():
+            return {"status": "fail", "reason": "span not group-stable",
+                    "w": str(h), "mu": list(tops[-1]), "residual": str(g)}
     y1 = rep.dunkl(0, f)
     yn = rep.dunkl(n - 1, f) if n > 1 else y1
     for i, img in ((0, yn), (1, y1)):
         if not img.is_zero():
             for j in reversed(range(i, n - 1)):  # t_{w_i}
-                img = rep.t(swaps[j], img)
+                img = rep.t(GroupElement.transposition(r, n, j, j + 1), img)
             return {"status": "fail", "reason": "not annihilated",
                     "mu": list(tops[i]), "y_index": 0, "image": str(img)}
     return {"status": "pass", "k": k, "dimension": n,
@@ -368,35 +364,26 @@ class GradedChar:
     num: tuple
     den: tuple
 
+    @cached_property
+    def reduced(self) -> tuple[tuple, tuple]:
+        """num and den with their common powers of (1 - t) cancelled: while
+        both vanish at t = 1, p(t) = (1 - t) q(t), q the partial sums of p."""
+        zero = Cyc.zero(self.r)
+        num, den = list(self.num), list(self.den)
+        while not sum(num, zero) and not sum(den, zero):
+            num, den = list(accumulate(num[:-1])), list(accumulate(den[:-1]))
+        return tuple(num), tuple(den)
+
     def series(self, truncation: int) -> list[Cyc]:
-        return _series_quotient(self.num, self.den, truncation,
-                                Cyc.zero(self.r))
+        num, den = self.reduced
+        return _series_quotient(num, den, truncation, Cyc.zero(self.r))
 
     def at_one(self) -> Cyc:
-        """Limit at t = 1, cancelling matching powers of (1 - t)."""
-        num, den = list(self.num), list(self.den)
-
-        def try_divide(poly):
-            # divide by (1 - t) if possible: p(t) = (1 - t) q(t)
-            q = []
-            carry = Cyc.zero(self.r)
-            for c in poly[:-1]:
-                carry = carry + c
-                q.append(carry)
-            if sum(poly, Cyc.zero(self.r)):
-                return None
-            return q
-
-        while True:
-            qn, qd = try_divide(num), try_divide(den)
-            if qn is None or qd is None:
-                break
-            num, den = qn, qd
-        nv = sum(num, Cyc.zero(self.r))
-        dv = sum(den, Cyc.zero(self.r))
-        if not dv:
+        """Limit at t = 1, read off the reduced num and den."""
+        num, den = (sum(poly, Cyc.zero(self.r)) for poly in self.reduced)
+        if not den:
             raise ZeroDivisionError("pole at t = 1")
-        return nv / dv
+        return num / den
 
 
 def graded_char_L1(r: int, p: int, n: int, w: GroupElement,
@@ -458,6 +445,18 @@ def require_truncation_budget(truncation: int) -> None:
         raise ValueError(
             f"a truncation of {truncation:,} is over the budget of "
             f"{TRUNCATION_BUDGET:,}")
+
+
+def require_gordon_budget(n: int, k: int) -> int:
+    """C(k+n-1, n-1), the monomials of degree k that the solve over k e_n
+    scans; a ValueError when that is over ``GORDON_MONOMIAL_BUDGET``."""
+    count = comb(k + n - 1, n - 1)
+    if count > GORDON_MONOMIAL_BUDGET:
+        raise ValueError(
+            f"the singular vector over {k} e_{n} scans {count:,} monomials "
+            f"of degree {k} in {n} variables, over the budget of "
+            f"{GORDON_MONOMIAL_BUDGET:,}")
+    return count
 
 
 def _int_series(num_factors, den_factors, truncation: int) -> list[int]:

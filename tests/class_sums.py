@@ -9,7 +9,10 @@ forms.
   singular vectors, where the package applies y_1 and y_n to f over k e_n
   and carries a nonzero image back by a permutation;
 * ``genericity_guard_scan`` builds the left side of every H_{l,j} it scans,
-  where the package builds one per (l mod r/p, j).
+  where the package builds one per (l mod r/p, j);
+* ``span_stability_check`` applies the reflections through slot 1 to each
+  of the n singular vectors and peels off coordinates, where the package
+  applies the generators of the stabilizer of slot n to f over k e_n.
 
 They live apart from ``oracles.py``, which the benchmark harness imports.
 """
@@ -21,11 +24,13 @@ from collections import Counter
 from math import factorial, gcd
 from typing import Iterator
 
-from cherednik import Cyc, GroupElement, PolyRep, SpecializedParameters
+from cherednik import (
+    Cyc, GroupElement, PolyRep, SpecializedParameters, order_key,
+)
 from cherednik.groups import group_order
 from cherednik.reptheory import (
     Hjk, coxeter_number, graded_char_L1, jack_by_solve, on_hyperplane,
-    simple_spectrum_violations, span_stability_check,
+    simple_spectrum_violations,
 )
 
 
@@ -122,9 +127,42 @@ def invariant_char_series_by_classes(r: int, p: int, n: int, k: int,
     return out
 
 
+def span_stability_check(rep: PolyRep, basis) -> dict | None:
+    """Check that the span of ``basis`` is W-stable; None when it is.
+
+    ``basis`` is a list of pairs (mu, f) with f monic at x^mu and
+    triangular like the eigenvectors f_mu, so that coordinates are read off
+    at each mu, peeling from the top of the triangularity order down:
+    descending by :func:`~cherednik.jack.order_key`, a linear extension, so
+    every f above mu is subtracted before the coordinate at mu is read.
+    Stability is checked on the reflections through slot 1 (``s.i == 0``),
+    which generate W: the colorless (1 j) generate S_n; (1 j) of color l
+    times (1 j) is diagonal with colors l and -l (in some order) at slots 1
+    and j, and with S_n these give G(r,r,n); the diagonal reflections at
+    slot 1, of colors p, 2p, .., give the rest of G(r,p,n).  A failure is a
+    record naming the witness reflection.
+    """
+    peel = sorted(basis, key=lambda pair: order_key(pair[0]), reverse=True)
+    for s in rep.reflections:
+        if s.i != 0:
+            continue
+        for mu, f in basis:
+            g = rep.t(s.element, f)
+            for nu, h in peel:
+                c = g.coeff(nu)
+                if c:
+                    g = g - h.scaled(c)
+            if not g.is_zero():
+                return {"status": "fail", "reason": "span not group-stable",
+                        "w": str(s.element), "mu": list(mu),
+                        "residual": str(g)}
+    return None
+
+
 def singular_vector_check_per_vector(r: int, p: int, n: int, point,
                                      k: int) -> dict:
-    """``singular_vector_check`` with y_1 applied to each f over k e_i."""
+    """``singular_vector_check`` with the span checked by
+    ``span_stability_check`` and y_1 applied to each f over k e_i."""
     if k <= 0 or k % r == 0:
         raise ValueError("k must be positive and nonzero mod r")
     rep = PolyRep(r, p, n, SpecializedParameters(point))

@@ -58,6 +58,11 @@ T_ANN_Y1 = "tests/test_reptheory.py::test_annihilation_matches_the_oracle_where_
 T_NON_GORDON = "tests/test_reptheory.py::test_singular_check_flags_a_non_gordon_point"
 T_SERIES = "tests/test_reptheory.py::test_cycle_index_matches_the_class_sum"
 T_SERIES_W = "tests/test_reptheory.py::test_cycle_index_matches_all_of_w"
+T_CLOSURE = "tests/test_reptheory.py::test_stabilizer_generators_close_to_the_slot_n_stabilizer"
+T_ACTIONS = "tests/test_reptheory.py::test_a_passing_check_acts_once_per_stabilizer_generator"
+T_SKEWED = "tests/test_reptheory.py::test_span_failure_is_reported_before_annihilation"
+T_PERTURBED = "tests/test_reptheory.py::test_span_verdict_matches_both_oracles_on_perturbed_vectors"
+T_GOLDEN_SPAN = "tests/test_reptheory.py::test_span_check_matches_all_of_w_on_golden_groups"
 T_GUARD_PTS = "tests/test_reptheory.py::test_guard_matches_the_scan_at_seeded_points"
 T_TRIVIAL = "tests/test_reptheory.py::test_gordon_point_refuses_the_trivial_group"
 T_GOLDEN = "tests/test_cli.py::test_golden_files"
@@ -201,6 +206,24 @@ MUTANTS = [
            "for i, img in ((0, yn), (1, y1)):",
            "for i, img in ((1, y1),):",
            (T_ANN_PTS, T_NON_GORDON)),
+    # gordon: the span's stability on f over k e_n under the generators of
+    # the stabilizer of slot n (reptheory.singular_vector_check)
+    Mutant("stability: no s_{n-2}", REPTHEORY,
+           "for i in range(n - 2)]",
+           "for i in range(n - 3)]",
+           (T_CLOSURE, T_ACTIONS, T_PERTURBED)),
+    Mutant("stability: no balanced diagonal", REPTHEORY,
+           "    if n >= 2:\n        gens.append(GroupElement.from_perm_col(",
+           "    if False:\n        gens.append(GroupElement.from_perm_col(",
+           (T_CLOSURE, T_ACTIONS, T_SKEWED, T_PERTURBED)),
+    Mutant("stability: diagonal of color 1 for color p", REPTHEORY,
+           "gens.append(GroupElement.diagonal(r, n, 0, p))",
+           "gens.append(GroupElement.diagonal(r, n, 0, 1))",
+           (T_CLOSURE,)),
+    Mutant("stability: t_h f compared with f, not c f", REPTHEORY,
+           "g = g - f.scaled(g.coeff(tops[-1]))",
+           "g = g - f",
+           (T_GOLDEN, T_ANN_PTS, T_PERTURBED, T_GOLDEN_SPAN)),
     # gordon: the invariant series by the cycle index.  The residue +a r/p
     # is an equivalent mutant: a r/p and -a r/p run over the same residues
     # as a runs over 0..p-1, so the sum over a is unchanged; -a is not.

@@ -22,7 +22,10 @@ from cherednik.operators import (
     RELATION_MONOMIAL_BUDGET, monomials_of_degree, monomials_up_to,
     require_relation_budget,
 )
-from cherednik.reptheory import TRUNCATION_BUDGET
+from cherednik.reptheory import (
+    GORDON_MONOMIAL_BUDGET, TRUNCATION_BUDGET, coxeter_number,
+    require_gordon_budget,
+)
 
 from oracles import l1_dimension_by_counting, l1_series_by_counting
 
@@ -614,6 +617,39 @@ def test_gordon_refuses_an_oversized_truncation_at_once(capsys, monkeypatch,
         in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_gordon_refuses_an_oversized_group_at_once(capsys, monkeypatch,
+                                                   json_flag):
+    # G(2,1,9): k = 19, C(27, 8) = 2,220,075 monomials of degree 19; the
+    # solve over k e_n would run for minutes
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage started")
+
+    for name in ("gordon_point", "genericity_guard", "singular_vector_check",
+                 "invariant_char_series", "catalan_series"):
+        monkeypatch.setattr(cherednik.cli, name, no_stage)
+    code, out, err = run_cli(capsys, "gordon", "--group", "2,1,9",
+                             *json_flag)
+    assert code == 2 and out == ""
+    assert err == ("error: the singular vector over 19 e_9 scans 2,220,075 "
+                   "monomials of degree 19 in 9 variables, over the budget "
+                   "of 100,000\n")
+
+
+def test_gordon_budget_admits_the_golden_and_benchmark_groups():
+    # G(2,1,7) scans 54,264 monomials in about 2 s; G(2,2,8) 170,544 in 6 s
+    groups = [(2, 1, 7), (3, 3, 2), (2, 1, 5), (3, 1, 4), (3, 1, 5),
+              (2, 1, 6), (5, 1, 3), (3, 3, 4), (4, 2, 3), (6, 3, 3),
+              (2, 2, 4), (2, 1, 4), (3, 1, 3)]
+    assert GORDON_MONOMIAL_BUDGET == 100_000
+    for r, p, n in groups:
+        assert require_gordon_budget(n, coxeter_number(r, p, n) + 1) \
+            <= GORDON_MONOMIAL_BUDGET
+    for r, p, n in [(2, 2, 8), (2, 1, 8), (3, 3, 7)]:
+        with pytest.raises(ValueError, match="over the budget of 100,000"):
+            require_gordon_budget(n, coxeter_number(r, p, n) + 1)
+
+
 def test_budget_counts_are_the_monomial_counts():
     for n in range(1, 5):
         for d in range(7):
@@ -621,6 +657,9 @@ def test_budget_counts_are_the_monomial_counts():
                 == len(list(monomials_of_degree(n, d)))
             assert require_relation_budget(n, d) \
                 == len(list(monomials_up_to(n, d)))
+            if d:
+                assert require_gordon_budget(n, d) \
+                    == len(list(monomials_of_degree(n, d)))
 
 
 def test_benchmark_jobs_are_under_the_budgets():

@@ -142,6 +142,23 @@ def test_action_on_polynomials():
     assert rep.t(w, f * g) == rep.t(w, f) * rep.t(w, g)
 
 
+@pytest.mark.parametrize("r,p,n", [(2, 1, 2), (3, 1, 2), (4, 2, 2),
+                                   (2, 1, 3), (3, 3, 3), (2, 2, 3)])
+def test_t_is_an_action(r, p, n):
+    # t_{gh} f = t_g(t_h f) for every pair of elements, on a polynomial
+    # whose terms have mixed degrees, colors and supports
+    rep = PolyRep(r, p, n)
+    par = rep.params
+    f = Poly.zero(n)
+    for i, mu in enumerate([(1, 0, 2), (0, 3, 1), (2, 2, 0), (1, 1, 1),
+                            (4, 0, 0), (0, 0, 0)], start=1):
+        f = f + Poly.monomial(mu[:n], par.rational(i) if i % 2 else par.c0)
+    images = {h: rep.t(h, f) for h in group_elements(r, p, n)}
+    for g in images:
+        for h, th in images.items():
+            assert rep.t(g * h, f) == rep.t(g, th), (g, h)
+
+
 def test_conjugation_preserves_reflection_classes():
     for (r, p, n) in [(2, 1, 2), (3, 3, 2), (4, 2, 2)]:
         refl = reflections(r, p, n)

@@ -2,26 +2,30 @@
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cherednik import (
-    Cyc, GroupElement, Hjk, Hx, ParamPoint, Poly, PolyRep,
+    Cyc, GroupElement, Hjk, Hx, NonGenericError, ParamPoint, Poly, PolyRep,
     SpecializedParameters, catalan_series, coinvariant_series,
     coxeter_number, degrees, exponents_and_freeness, genericity_guard,
-    gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
-    group_order, jack_by_solve, on_hyperplane, order_key, parse_element,
+    gordon_point, graded_char_L1, group_elements, group_order,
+    invariant_char_series, is_irreducible, jack_by_solve,
+    monomials_of_degree, on_hyperplane, order_key, parse_element,
     singular_vector_check,
 )
 from cherednik import reptheory
 from cherednik.operators import monomials_up_to
-from cherednik.reptheory import span_stability_check
+from cherednik.reptheory import slot_n_stabilizer_generators
 
+import class_sums
 import oracles
 from class_sums import (
     conjugacy_classes, genericity_guard_scan,
     invariant_char_series_by_classes, singular_vector_check_per_vector,
+    span_stability_check,
 )
 from oracles import (
     graded_char_series_dense, int_series_dense,
@@ -274,6 +278,44 @@ def test_stability_check_visits_generators_of_w(r, p, n, monkeypatch):
     assert set(visited) <= {s.element for s in rep.reflections if s.i == 0}
 
 
+@pytest.mark.parametrize("r,p,n", SLOT_ONE_GROUPS)
+def test_stabilizer_generators_close_to_the_slot_n_stabilizer(r, p, n):
+    # the generators singular_vector_check applies to f over k e_n close
+    # to |W|/n elements of W, each fixing slot n: the whole stabilizer,
+    # since S_n moves slot n to every slot
+    closure = _closure(r, n, slot_n_stabilizer_generators(r, p, n))
+    assert len(closure) * n == group_order(r, p, n)
+    assert all(w.perm[n - 1] == n - 1 and sum(w.col) % p == 0
+               for w in closure)
+
+
+# the four groups of the benchmark's gordon workload
+BENCH_GORDON_GROUPS = [(2, 1, 4), (3, 3, 4), (3, 1, 3), (4, 2, 3)]
+
+
+def test_a_passing_check_acts_once_per_stabilizer_generator(monkeypatch):
+    # on the pass path the group acts only through the generators of the
+    # stabilizer of slot n: 13 actions per benchmark pass, 125 with the
+    # slot-1 reflections on each of the n vectors
+    calls = []
+    real = PolyRep.t
+
+    def spy(rep, w, f):
+        calls.append(w)
+        return real(rep, w, f)
+
+    monkeypatch.setattr(PolyRep, "t", spy)
+    total = 0
+    for r, p, n in BENCH_GORDON_GROUPS:
+        calls.clear()
+        k = coxeter_number(r, p, n) + 1
+        assert singular_vector_check(r, p, n, gordon_point(r, p, n), k) \
+            ["status"] == "pass"
+        assert calls == slot_n_stabilizer_generators(r, p, n)
+        total += len(calls)
+    assert total == 13
+
+
 @pytest.mark.parametrize("r,p,n", DIFFERENTIAL_GROUPS)
 def test_stable_span_has_the_character_of_its_leading_monomials(r, p, n):
     # the lemma behind dropping the character check: a W-stable span of
@@ -434,7 +476,10 @@ def test_span_failure_is_reported_before_annihilation(monkeypatch):
     # failure comes first; the oracle still reports the Dunkl image first.
     # No point of G(2,1,2) or G(3,1,2) with small rational c and k <= 9 made
     # the span of the eigenvectors fail, so the one solved vector is
-    # perturbed: its transposition no longer lies in the span.
+    # perturbed to f + g, g = f over 4 e_2.  The first generator of the
+    # stabilizer of slot 2, colors 1 and -1, acts on G(2,1,2) by
+    # (-1)^degree: it sends f + g to -f + g, so c = -1 and the residual
+    # is 2g
     pt = ParamPoint.from_c(2, 1, 1, Fraction(1, 3), [Fraction(1, 3)])
     real = reptheory.jack_by_solve
 
@@ -444,14 +489,106 @@ def test_span_failure_is_reported_before_annihilation(monkeypatch):
             return jv
         return dataclasses.replace(jv, poly=jv.poly + real(rep, (0, 4)).poly)
 
-    monkeypatch.setattr(reptheory, "jack_by_solve", skewed)
-    monkeypatch.setattr(oracles, "jack_by_solve", skewed)
-    report = singular_vector_check(2, 1, 2, pt, 5)
-    assert (report["status"], report["reason"], report["mu"]) \
+    rep = PolyRep(2, 1, 2, SpecializedParameters(pt))
+    g = real(rep, (0, 4)).poly
+    for module in (reptheory, oracles, class_sums):
+        monkeypatch.setattr(module, "jack_by_solve", skewed)
+    assert slot_n_stabilizer_generators(2, 1, 2)[0] \
+        == parse_element("()[1,1]", 2)
+    assert singular_vector_check(2, 1, 2, pt, 5) == {
+        "status": "fail", "reason": "span not group-stable",
+        "w": "()[1,1]", "mu": [0, 5],
+        "residual": str(g.scaled(rep.params.rational(2)))}
+    # the slot-1 peel finds the same verdict with its own witness
+    oracle = singular_vector_check_per_vector(2, 1, 2, pt, 5)
+    assert (oracle["status"], oracle["reason"], oracle["mu"]) \
         == ("fail", "span not group-stable", [5, 0])
     oracle = singular_vector_check_all_of_w(2, 1, 2, pt, 5)
     assert (oracle["status"], oracle["reason"], oracle["y_index"]) \
         == ("fail", "not annihilated", 0)
+
+
+def _tops(n, k):
+    return [tuple(k if j == i else 0 for j in range(n)) for i in range(n)]
+
+
+def _transported(rep, f):
+    """t_{w_i} f for i = 1..n, with w_i = s_i ... s_{n-1} colorless."""
+    out = [f]
+    for i in reversed(range(rep.n - 1)):
+        s_i = GroupElement.transposition(rep.r, rep.n, i, i + 1)
+        out.insert(0, rep.t(s_i, out[0]))
+    return out
+
+
+def _verdict(report):
+    return report["status"], report.get("reason")
+
+
+@pytest.mark.parametrize("r,p,n", [(r, p, n)
+                                   for r, p, n in GOLDEN_GORDON_GROUPS
+                                   if group_order(r, p, n) <= 1000])
+def test_span_check_matches_all_of_w_on_golden_groups(r, p, n):
+    # the slot-1 oracle is compared on all ten groups above; the walk over
+    # all of W takes about 2 s on G(3,1,4) and more on the larger three
+    k = coxeter_number(r, p, n) + 1
+    point = gordon_point(r, p, n)
+    assert singular_vector_check(r, p, n, point, k) \
+        == singular_vector_check_all_of_w(r, p, n, point, k)
+
+
+def test_span_verdict_matches_both_oracles_at_seeded_points():
+    # some points meet an eigenvalue collision in the solve over k e_n, or,
+    # in the all-of-W oracle, which solves over each k e_i, in another
+    # solve; those cases are skipped
+    verdicts = Counter()
+    for (r, p, n), point in _seeded_points(2551, ANNIHILATION_GROUPS, 2):
+        for k in (kk for kk in (1, 2, 4, 5) if kk % r):
+            case = (r, p, n, point, k)
+            try:
+                verdict = _verdict(singular_vector_check(*case))
+                oracle = singular_vector_check_all_of_w(*case)
+            except NonGenericError:
+                continue
+            assert verdict == _verdict(
+                singular_vector_check_per_vector(*case)), case
+            assert verdict == _verdict(oracle), case
+            verdicts[verdict] += 1
+    assert verdicts == {("fail", "not annihilated"): 56, ("pass", None): 1}
+
+
+@pytest.mark.parametrize("r,p,n", [(2, 1, 2), (3, 1, 2), (4, 2, 2),
+                                   (2, 1, 3), (2, 2, 3), (3, 3, 3)])
+def test_span_verdict_matches_both_oracles_on_perturbed_vectors(
+        monkeypatch, r, p, n):
+    # f + x^nu, for nu of degree k - 1 or k other than k e_i, keeps what
+    # the argument needs (coefficient 1 at x^{k e_n}, no other x_j^k); on
+    # it the generators of the stabilizer of slot n decide stability as
+    # the slot-1 peel and the walk over all of W do
+    k = coxeter_number(r, p, n) + 1
+    point = gordon_point(r, p, n)
+    rep = PolyRep(r, p, n, SpecializedParameters(point))
+    tops = _tops(n, k)
+    f = jack_by_solve(rep, tops[-1]).poly
+    real = reptheory.jack_by_solve
+    stable = []
+    for nu in [nu for d in (k - 1, k) for nu in monomials_of_degree(n, d)
+               if nu not in tops]:
+        def perturbed(rep_, mu, nu=nu):
+            jv = real(rep_, mu)
+            return dataclasses.replace(
+                jv, poly=jv.poly + Poly.monomial(nu, rep_.params.one))
+
+        monkeypatch.setattr(reptheory, "jack_by_solve", perturbed)
+        report = singular_vector_check(r, p, n, point, k)
+        found = report.get("reason") != "span not group-stable"
+        basis = list(zip(tops, _transported(
+            rep, f + Poly.monomial(nu, rep.params.one))))
+        assert (span_stability_check(rep, basis) is None) == found, nu
+        assert (span_character_check_all_of_w(rep, basis, k) is None) \
+            == found, nu
+        stable.append(found)
+    assert any(stable) and not all(stable)
 
 
 _TRANSPOSED_CASES = (
@@ -463,33 +600,27 @@ _TRANSPOSED_CASES = (
 @pytest.mark.parametrize("r,p,n,c,k", _TRANSPOSED_CASES)
 def test_transposed_singular_vectors_match_separate_solves(
         monkeypatch, r, p, n, c, k):
-    # one solve per check; the vectors it builds by transpositions are the
-    # ones jack_by_solve finds over each k e_i
+    # one solve per check, over k e_n; the other vectors of the span,
+    # t_{w_i} f, are the ones jack_by_solve finds over each k e_i
     if c is None:
         point, k = gordon_point(r, p, n), coxeter_number(r, p, n) + 1
     else:
         point = ParamPoint.from_c(r, p, 1, c, [c] * (r // p - 1))
-    seen = {"basis": None, "solves": 0}
-    real_span, real_solve = reptheory.span_stability_check, \
-        reptheory.jack_by_solve
-
-    def span_spy(rep, basis):
-        seen["basis"] = list(basis)
-        return real_span(rep, basis)
+    solves = []
+    real_solve = reptheory.jack_by_solve
 
     def solve_spy(rep, mu):
-        seen["solves"] += 1
+        solves.append(mu)
         return real_solve(rep, mu)
 
-    monkeypatch.setattr(reptheory, "span_stability_check", span_spy)
     monkeypatch.setattr(reptheory, "jack_by_solve", solve_spy)
     singular_vector_check(r, p, n, point, k)
     monkeypatch.undo()
-    assert seen["solves"] == 1
+    tops = _tops(n, k)
+    assert solves == [tops[-1]]
     rep = PolyRep(r, p, n, SpecializedParameters(point))
-    tops = [tuple(k if j == i else 0 for j in range(n)) for i in range(n)]
-    assert [mu for mu, _ in seen["basis"]] == tops
-    for mu, f in seen["basis"]:
+    images = _transported(rep, jack_by_solve(rep, tops[-1]).poly)
+    for mu, f in zip(tops, images):
         assert f == jack_by_solve(rep, mu).poly, mu
 
 
@@ -578,6 +709,22 @@ def test_graded_character_identity_element():
     assert gc.at_one() == Cyc.from_rational(2, 25)
     # matches the eigenbasis count coefficientwise through the top degree
     assert l1_series_by_counting(2, 5, 8) == expect[:9]
+
+
+@pytest.mark.parametrize("r,p,n", [(2, 1, 3), (3, 1, 2), (3, 3, 3),
+                                   (4, 2, 2)])
+def test_reduced_character_keeps_the_series_of_num_over_den(r, p, n):
+    # series and at_one read num and den with the powers of (1 - t) they
+    # share cancelled; the series is the one of the uncancelled quotient
+    k = coxeter_number(r, p, n) + 1
+    zero = Cyc.zero(r)
+    for w in group_elements(r, p, n):
+        char = graded_char_L1(r, p, n, w, k)
+        assert char.series(3 * k) \
+            == reptheory._series_quotient(char.num, char.den, 3 * k, zero), w
+    ident = graded_char_L1(r, p, n, GroupElement.identity(r, n), k)
+    assert ident.reduced[1] == (Cyc.one(r),)
+    assert ident.at_one() == Cyc.from_rational(r, k ** n)
 
 
 def test_graded_character_nonidentity():
