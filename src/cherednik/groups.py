@@ -217,8 +217,10 @@ class Reflection:
     ``alpha`` / ``alpha_check`` are the coefficient vectors of alpha_s on the
     x-basis and of alpha_s^vee on the y-basis, normalized so that
     s.x = x - <x, alpha_s^vee> alpha_s on every x in the dual space.
-    ``cclass`` is the conjugacy-class label carrying the coupling constant:
-    "c0" for the order-two class, "c{l}" for the diagonal class of color l.
+    ``cclass`` labels the coupling constant, a union of conjugacy classes:
+    "c0" for the colored transpositions, "c{l}" for the diagonal class of
+    color l.  For n = 2 and even p, "c0" covers two classes, the even and
+    odd colors, so "generic" there means c_even = c_odd.
     """
 
     element: GroupElement

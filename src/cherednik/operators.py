@@ -12,10 +12,10 @@ the standard operators to sparse polynomials:
 together with exact divided differences and a relation checker.  Divided
 differences are evaluated per monomial by the geometric-series expansion along
 the reflecting line, which is always an exact division.  Monomial images of
-y_i and z_i are memoized.  Each term's coefficient in y_i x^mu depends only
-on the reflection and an index (a root power with a sign, or the residue of
-an exponent mod r), so ``PolyRep`` tabulates -c_s <alpha_s, y_i> times each
-such coefficient once, and a monomial image needs no scalar product.
+y_i and z_i are memoized.  Summed over the r colors, the colored
+transpositions of a pair of slots leave r c0 or nothing on each term of
+y_i x^mu, so the images need no root of unity (``PolyRep._dunkl_mono``); the
+class sum in z_i collapses the same way.
 
 The relation checker proves on each monomial x^mu up to a degree, in this
 order, t_w x_j = (w x_j) t_w for each reflection w and slot j and the x-side
@@ -156,32 +156,9 @@ class PolyRep:
         if self.params.r != r or self.params.p != p:
             raise ValueError("parameter field does not match the group")
         self.reflections: list[Reflection] = reflections(r, p, n)
-        # per slot i, each reflection with <alpha_s, y_i> != 0 and its table:
-        # index k of _dd_terms -> -c_s <alpha_s, y_i> _dd_coefficient(s, k).
-        # The injected fault flips the sign on the transpositions.  A table
-        # depends only on the class of s and alpha_s[i], so those share it.
-        self._dunkl_tables: list[list[tuple[Reflection, list]]] = []
-        shared: dict = {}
-        for i in range(n):
-            lst = []
-            for s in self.reflections:
-                a = s.alpha[i]
-                if not a:
-                    continue
-                table = shared.get((s.cclass, a))
-                if table is None:
-                    factor = s.coupling(self.params)
-                    if not (fault_dunkl_sign and s.kind == "transposition"):
-                        factor = -factor
-                    # a diagonal's index is a residue e, with no term at l e = 0
-                    diag = s.kind == "diagonal"
-                    table = [None if diag and (s.l * k) % r == 0 else
-                             factor.cmul(a * _dd_coefficient(s, k, r))
-                             for k in range(r if diag else 2 * r)]
-                    shared[s.cclass, a] = table
-                lst.append((s, table))
-            self._dunkl_tables.append(lst)
-        self._c0r = self.params.c0 * self.params.rational(r)
+        c0r = self._c0r = self.params.c0 * self.params.rational(r)
+        # -r c0 and +r c0 for _dunkl_mono, swapped by the injected fault
+        self._pair_coeffs = (c0r, -c0r) if fault_dunkl_sign else (-c0r, c0r)
         self._dunkl_memo: dict = {}
         self._z_memo: dict = {}
         self._x_plan = None
@@ -217,6 +194,18 @@ class PolyRep:
     # -- Dunkl operators ------------------------------------------------------
 
     def _dunkl_mono(self, i: int, mu: tuple[int, ...]) -> Poly:
+        """y_i x^mu, memoized per (i, mu), with the colors summed out.
+
+        kappa d/dx_i and the diagonal reflections put the z-eigenvalue
+        kappa mu_i - (d_0 - d_{-mu_i}) on x^{mu - e_i}.  For j != i (j = i
+        adds nothing), the r colored transpositions of (a, b) = (min(i, j),
+        max(i, j)) weight x^nu, nu_a = hi - 1 - t and nu_b = lo + t for
+        0 <= t < hi - lo with {lo, hi} = {mu_a, mu_b}, by zeta^{l m}, where
+        m = t + [i = b], plus mu_a - mu_b if mu_a < mu_b.  Summed over l, r c0
+        is left where m = 0 mod r, negated when (mu_a > mu_b) == (i = a) and
+        again under the fault.  For n = 2 and even p, c0 covers two conjugacy
+        classes (even and odd colors), so "generic" there means c_even = c_odd.
+        """
         key = (i, mu)
         got = self._dunkl_memo.get(key)
         if got is not None:
@@ -224,12 +213,17 @@ class PolyRep:
         out: dict = {}
         if mu[i]:
             accumulate(out, [(mu[:i] + (mu[i] - 1,) + mu[i + 1:],
-                              self.params.kappa * mu[i])])
-        r = self.r
-        for s, table in self._dunkl_tables[i]:
-            terms = _dd_terms(mu, s, s.l, r)
-            if terms:
-                accumulate(out, [(nu, table[k]) for nu, k in terms])
+                              self.params.z_eigenvalue(mu[i] - 1, 0))])
+        for j in range(self.n):
+            a, b = min(i, j), max(i, j)
+            down = mu[a] > mu[b]
+            m = int(i == b) + (0 if down else mu[a] - mu[b])
+            c = self._pair_coeffs[down != (i == a)]
+            lo, hi = sorted((mu[a], mu[b]))
+            nu = list(mu)
+            for t in range(-m % self.r, hi - lo, self.r):
+                nu[a], nu[b] = hi - 1 - t, lo + t
+                accumulate(out, [(tuple(nu), c)])
         poly = Poly(self.n, out)
         self._dunkl_memo[key] = poly
         return poly

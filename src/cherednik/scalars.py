@@ -1050,9 +1050,13 @@ class ParamPoint:
         ds = d_from_c(r, p, cdiag)
         return cls(r, p, _as_cyc(r, kappa), _as_cyc(r, c0), tuple(ds[1:]))
 
+    @cached_property
+    def _d0(self) -> Cyc:  # d_0 = -(d_1 + ... + d_{r/p-1}), built once
+        return -sum(self.d, Cyc.zero(self.r))
+
     def d_value(self, j: int) -> Cyc:
         j %= self.r // self.p
-        return self.d[j - 1] if j else -sum(self.d, Cyc.zero(self.r))
+        return self.d[j - 1] if j else self._d0
 
     def c_value(self, l: int) -> Cyc:
         return _c_value(self.r, self.p, l, self.d_value)

@@ -78,6 +78,7 @@ T_REL_ORACLE = "tests/test_polynomials.py::test_relation_sweep_matches_per_monom
 T_FIRST_ORDER = "tests/test_polynomials.py::test_a_first_order_break_reports_the_yx_commutator"
 T_YX_SLOT = "tests/test_polynomials.py::test_the_yx_record_names_y_by_its_slot"
 T_PLAN_OWN = "tests/test_polynomials.py::test_x_side_plan_belongs_to_its_representation"
+T_DUNKL_ORACLE = "tests/test_polynomials.py::test_dunkl_mono_matches_per_term_oracle"
 T_TABLES_LIVE = "tests/test_polynomials.py::test_relation_tables_span_two_degrees_and_die_with_the_call"
 T_TABLES_ONCE = "tests/test_polynomials.py::test_check_relations_builds_one_table_per_monomial"
 T_MEMO_FREE = "tests/test_scalars.py::test_memo_free_runs_print_the_same_bytes"
@@ -351,6 +352,20 @@ MUTANTS = [
            "if res2.vector is None and not predicted:",
            "if False:",
            (T_SQUARE,)),
+    # y_i x^mu with the colors summed out (operators.PolyRep._dunkl_mono)
+    Mutant("dunkl: no [i = b] residue shift", OPERATORS,
+           "m = int(i == b) + (0 if down else mu[a] - mu[b])",
+           "m = 0 if down else mu[a] - mu[b]",
+           (T_DUNKL_ORACLE,)),
+    Mutant("dunkl: c0 for r c0 on the pair terms", OPERATORS,
+           "else (-c0r, c0r)",
+           "else (-self.params.c0, self.params.c0)",
+           (T_DUNKL_ORACLE,)),
+    Mutant("dunkl: d_0 - d_{-mu_i} for d_{-mu_i} - d_0", OPERATORS,
+           "self.params.z_eigenvalue(mu[i] - 1, 0))])",
+           "self.params.kappa * mu[i] + self.params.d(0) "
+           "- self.params.d(-mu[i]))])",
+           (T_DUNKL_ORACLE,)),
     # the parser (parsing._evaluate)
     Mutant("parse: `**` accepted", PARSING,
            'if "**" in text or not _ALPHABET.fullmatch(text):',

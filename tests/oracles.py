@@ -11,9 +11,9 @@ Everything here deliberately avoids the production code paths it checks:
 * ``dd_transposition_terms``, ``dd_diagonal_terms`` and
   ``dunkl_mono_per_term`` build each term of a divided difference and of
   y_i x^mu with a fresh root of unity and its own products by
-  <alpha_s, y_i> and -c_s, where the package reads per-reflection
-  coefficient tables built once per representation; ``dd_y_mono_per_term``
-  is the y-side divided difference built the same way;
+  <alpha_s, y_i> and -c_s, where the package sums the r colors of each
+  pair of slots out in closed form; ``dd_y_mono_per_term`` is the y-side
+  divided difference built the same way;
 * ``apply_y_monomial`` and ``x_side_commutator_defect`` rebuild y^nu f and
   the x-side commutator defect of one (nu, j) from scratch, where the
   package reads one table of y-images per monomial and moves each y-side

@@ -267,3 +267,26 @@ def test_coupling_matches_the_inline_class_constant():
         assert {s.kind for s in refl} == {"transposition", "diagonal"}
         for s in refl:
             assert s.coupling(params) == oracles.coupling(params, s)
+
+
+def test_each_coupling_label_is_a_union_of_conjugacy_classes():
+    # every colored transposition carries c0; for n = 2 and even p the even
+    # and odd colors are two classes, so "generic" there means c_even = c_odd
+    split = []
+    for r in range(1, 7):
+        for p in (q for q in range(1, r + 1) if r % q == 0):
+            for n in range(1, 4):
+                if group_order(r, p, n) > 400:
+                    continue
+                class_of, _ = _orbits_by_enumeration(r, p, n)
+                size = {class_of[w]: s for w, s in conjugacy_classes(r, p, n)}
+                labels: dict = {}
+                for s in reflections(r, p, n):
+                    labels.setdefault(s.cclass, set()).add(s.element)
+                for label, members in labels.items():
+                    spanned = {class_of[w] for w in members}
+                    assert sum(size[c] for c in spanned) == len(members)
+                    if len(spanned) > 1:
+                        split.append((r, p, n, label, len(spanned)))
+    assert split == [(r, p, 2, "c0", 2) for r in range(2, 7)
+                     for p in range(2, r + 1, 2) if r % p == 0]

@@ -150,9 +150,11 @@ def test_dunkl_matches_literal_reflection_sum():
 
 
 # G(4,1,2) and G(6,2,2) have diagonal reflections with l e = 0 mod r for a
-# residue e != 0, where the divided difference of x_i^e vanishes
+# residue e != 0, where the divided difference of x_i^e vanishes; G(2,2,3),
+# G(6,3,2) and G(4,4,3) have p > 1 (G(4,4,3) no diagonal reflection), and
+# G(5,1,2) an r with phi(r) > 2
 TABLE_GROUPS = [(1, 1, 3), (2, 1, 2), (3, 1, 2), (4, 1, 2), (6, 2, 2),
-                (3, 3, 3)]
+                (3, 3, 3), (2, 2, 3), (5, 1, 2), (6, 3, 2), (4, 4, 3)]
 
 
 def table_params(r, p, n, point):
@@ -175,7 +177,7 @@ def table_params(r, p, n, point):
 def test_dunkl_mono_matches_per_term_oracle(r, p, n, point, fault):
     rep = PolyRep(r, p, n, table_params(r, p, n, point),
                   fault_dunkl_sign=fault)
-    for mu in monomials_up_to(n, 5 if n == 2 else 4):
+    for mu in monomials_up_to(n, 6 if n == 2 else 4):
         for i in range(n):
             assert rep._dunkl_mono(i, mu) == \
                 dunkl_mono_per_term(rep, i, mu, fault), (i, mu)
@@ -193,21 +195,6 @@ def test_divided_differences_match_per_term_oracle(r, p, n):
             assert rep.divided_difference(Poly.monomial(mu, one), s) \
                 == expected
             assert rep._dd_y_mono(mu, s) == dd_y_mono_per_term(rep, mu, s)
-
-
-@pytest.mark.parametrize("r,p,n", [(4, 1, 2), (6, 2, 2)])
-def test_diagonal_tables_skip_vanishing_residues(r, p, n):
-    rep = PolyRep(r, p, n)
-    diagonals = [(s, table) for s, table in rep._dunkl_tables[0]
-                 if s.kind == "diagonal"]
-    assert diagonals
-    skipped = set()
-    for s, table in diagonals:
-        for e, entry in enumerate(table):
-            assert (entry is None) == ((s.l * e) % r == 0)
-            if entry is None and e:
-                skipped.add((s.l, e))
-    assert skipped
 
 
 def test_dunkl_lowers_degree_and_leibniz():
