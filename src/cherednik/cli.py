@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 internal error or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -329,7 +330,10 @@ def _add_point(sp):
                     help="specialize at c_s = (h+1)/h")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a build costs about ten
+    parses, and parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="cherednik",
         description="Exact rational Cherednik computations for G(r,p,n)",
@@ -358,8 +362,11 @@ def main(argv=None) -> int:
     sp = sub.add_parser("gordon", help="reproduce the coinvariant quotient")
     _add_common(sp)
     sp.add_argument("--truncation", type=int, default=12)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         job = _build_config(args)
     except ValueError as exc:

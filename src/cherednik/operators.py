@@ -28,6 +28,11 @@ It sweeps the monomials in degree order over rolling tables: per x^e, its
 ``y_images`` to degree 2 and t_w x^e per reflection.  The table of x^{mu+e_j}
 is built when x^mu first reaches it and read again on its own turn, then
 dropped, so each table is built once and at most two degrees are live.
+On each monomial the x-side right sides read one table of t_s(y^ev f), an
+image per reflection s and |ev| <= 1 built on first use, instead of one
+moved divided difference per (nu, s).  Every relation and commutator is
+checked by building its two sides and comparing them; their difference is
+formed only for a failure record.
 """
 
 from __future__ import annotations
@@ -316,12 +321,11 @@ class PolyRep:
                 for ev, e in terms]
 
     def _x_side_plan(self) -> list:
-        """Per y-monomial nu with 1 <= |nu| <= 2, in check order: each
-        conjugacy class's coupling constant and, per reflection s of the
-        class with a nonzero y-side divided difference, the group element,
-        the ``_dd_y_mono(nu, s)`` pairs and the weights <alpha_s^vee, y_j>
-        per slot j (None where zero).  Each scale factor is stored as
-        ``(cy, sign)``, with sign +-1 when cy = +-1 and 0 otherwise.
+        """Per y-monomial nu with 1 <= |nu| <= 2, in check order, and per
+        slot j: each coupling class's -c_s and its terms (reflection index,
+        ev, lam, sign), one per pair (ev, cy) of ``_dd_y_mono(nu, s)``, with
+        lam = <alpha_s^vee, y_j> cy and every zero lam dropped; sign is +-1
+        when lam = +-1, which skips the scale, and 0 otherwise.
 
         Built on first use and kept on this representation: it depends only
         on the group, the parameters and ``_dd_y_mono``.
@@ -329,25 +333,29 @@ class PolyRep:
         if self._x_plan is not None:
             return self._x_plan
         one = Cyc.one(self.r)
-
-        def tag(cy):
-            return cy, (1 if cy == one else -1 if cy == -one else 0)
-
         plan = []
         for nu in monomials_up_to(self.n, 2):
             if sum(nu) == 0:
                 continue
-            classes: dict = {}
-            for s in self.reflections:
-                pairs = [(ev, *tag(cy)) for ev, cy in self._dd_y_mono(nu, s)]
-                if not pairs:
-                    continue
-                weights = [tag(b) if b else None for b in s.alpha_check]
-                cls = classes.get(s.cclass)
-                if cls is None:
-                    cls = classes[s.cclass] = (s.coupling(self.params), [])
-                cls[1].append((s.element, pairs, weights))
-            plan.append((nu, list(classes.values())))
+            dds = [(a, s, self._dd_y_mono(nu, s))
+                   for a, s in enumerate(self.reflections)]
+            slots = []
+            for j in range(self.n):
+                classes: dict = {}
+                for a, s, pairs in dds:
+                    b = s.alpha_check[j]
+                    terms = [(a, ev, lam, 1 if lam == one else
+                              -1 if lam == -one else 0)
+                             for ev, cy in pairs if (lam := b * cy)]
+                    if not terms:
+                        continue
+                    cls = classes.get(s.cclass)
+                    if cls is None:
+                        cls = classes[s.cclass] = (
+                            -s.coupling(self.params), [])
+                    cls[1].extend(terms)
+                slots.append(list(classes.values()))
+            plan.append((nu, slots))
         self._x_plan = plan
         return plan
 
@@ -359,52 +367,46 @@ class PolyRep:
         to degree 2. ``defect`` is [y^nu, x_j] f minus the dual commutator
         formula, zero iff it holds:
 
-            [y^nu, x_j] f = kappa d(y^nu)/d(y_j) f
-                            - sum_s c_s <alpha_s^vee, y_j> t_s(D_s y^nu f)
+            y^nu x_j f = x_j y^nu f + kappa d(y^nu)/d(y_j) f
+                         - sum_s c_s <alpha_s^vee, y_j> t_s(D_s y^nu f)
 
         with D_s y^nu = (y^nu - s^{-1} y^nu)/alpha_s^vee, the divided
         difference in the y's applied first and the group element after it.
-        The moved divided difference t_s(D_s y^nu f) does not depend on j,
-        so it is built once per (nu, s).  Per (nu, j) the reflections of one
-        class are summed with their cyclotomic weights and the sum is scaled
-        by the class's c_s once; every scale by +-1 is skipped.
+        The right side is built from the images t_s(y^ev f), one per
+        (s, ev) on first use in this call, weighted by the plan's lam and
+        summed per class before the class's -c_s scales the sum.  It is
+        compared with the left side as a dict, and the difference is formed
+        only when they differ.  The comparison is exact: every coefficient
+        is in normal form (a reduced ``RatFunc`` with a monic denominator,
+        or a canonical ``Cyc``) and a ``Poly`` stores no zeros.
         """
-        n = self.n
-        # -kappa nu_j for nu_j = 1, 2
-        kappa_nu = [None, -self.params.kappa,
-                    self.params.kappa * self.params.rational(-2)]
-        for nu, classes in self._x_side_plan():
-            moved = []
-            for cs, members in classes:
-                group = []
-                for w, pairs, weights in members:
-                    acc: dict = {}
-                    for ev, cy, sign in pairs:
-                        accumulate(acc, _scaled(yf[ev].terms, cy, sign))
-                    if acc:
-                        group.append((self.t(w, Poly(n, acc)).terms,
-                                      weights))
-                if group:
-                    moved.append((cs, group))
-            for j in range(n):
-                # y^nu x_j f - x_j y^nu f
-                out = accumulate(dict(yxf[j][nu].terms), [
-                    (e[:j] + (e[j] + 1,) + e[j + 1:], -c)
-                    for e, c in yf[nu].terms.items()])
-                # - kappa nu_j y^(nu - e_j) f
+        n, refl = self.n, self.reflections
+        # kappa nu_j for nu_j = 1, 2
+        kappa_nu = [None, self.params.kappa,
+                    self.params.kappa * self.params.rational(2)]
+        moved: dict = {}  # (reflection index, ev) -> t_s(y^ev f).terms
+        for nu, slots in self._x_side_plan():
+            for j, classes in enumerate(slots):
+                # x_j y^nu f + kappa nu_j y^(nu - e_j) f
+                rhs = self.x(j, yf[nu]).terms
                 if nu[j]:
                     k = kappa_nu[nu[j]]
                     dn = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
-                    accumulate(out, [(e, c * k)
+                    accumulate(rhs, [(e, c * k)
                                      for e, c in yf[dn].terms.items()])
-                # + c_s sum_{s in the class} <alpha_s^vee, y_j> t_s(...)
-                for cs, group in moved:
+                # - c_s sum_{s in the class} lam t_s(y^ev f)
+                for neg_cs, terms in classes:
                     tot: dict = {}
-                    for terms, weights in group:
-                        if weights[j] is not None:
-                            accumulate(tot, _scaled(terms, *weights[j]))
-                    accumulate(out, [(e, c * cs) for e, c in tot.items()])
-                yield nu, j, Poly(n, out)
+                    for a, ev, lam, sign in terms:
+                        img = moved.get((a, ev))
+                        if img is None:
+                            img = moved[a, ev] = self.t(refl[a].element,
+                                                        yf[ev]).terms
+                        accumulate(tot, _scaled(img, lam, sign))
+                    accumulate(rhs, [(e, c * neg_cs) for e, c in tot.items()])
+                lhs = yxf[j][nu]
+                yield nu, j, (Poly(n, {}) if lhs.terms == rhs
+                              else lhs - Poly(n, rhs))
 
     # -- relation checking ------------------------------------------------------
 
@@ -465,17 +467,19 @@ class PolyRep:
 
     def _commutator_failure(self, mu: tuple[int, ...]) -> dict | None:
         """The first pair i < j whose y or z operators fail to commute on
-        x^mu, or None."""
+        x^mu, or None.  The two orders are compared as polynomials, which
+        is exact (see :meth:`x_side_defects`); the defect a - b is built
+        only for the failure record."""
         m = Poly.monomial(mu, self.params.one)
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                d = self.dunkl(i, self.dunkl(j, m)) \
-                    - self.dunkl(j, self.dunkl(i, m))
-                if d:
+                a = self.dunkl(i, self.dunkl(j, m))
+                b = self.dunkl(j, self.dunkl(i, m))
+                if a != b:
                     return {"commutator": "[y_i,y_j]", "i": i, "j": j,
-                            "mu": list(mu), "defect": str(d)}
-                d = self.z(i, self.z(j, m)) - self.z(j, self.z(i, m))
-                if d:
+                            "mu": list(mu), "defect": str(a - b)}
+                a, b = self.z(i, self.z(j, m)), self.z(j, self.z(i, m))
+                if a != b:
                     return {"commutator": "[z_i,z_j]", "i": i, "j": j,
-                            "mu": list(mu), "defect": str(d)}
+                            "mu": list(mu), "defect": str(a - b)}
         return None

@@ -101,13 +101,17 @@ def is_well_generated(r: int, p: int, n: int) -> bool:
 
 def gordon_point(r: int, p: int, n: int) -> ParamPoint:
     """kappa = 1 and c_s = (h+1)/h for every reflection class; a
-    ValueError on the trivial group G(r,r,1), where h = 0."""
+    ValueError on the trivial group G(r,r,1), where h = 0.
+
+    With every c_l equal to c, d_j = c sum_{t=1}^{r/p-1} zeta^{tpj} is
+    (r/p - 1) c for j = 0 and -c otherwise, so no ``Cyc`` product is
+    needed (``ParamPoint.from_c`` makes (r/p)^2)."""
     h = coxeter_number(r, p, n)
     if h == 0:
         raise ValueError(f"G({r},{p},{n}) is the trivial group: h = 0, so "
                          "c = (h+1)/h is undefined")
     c = Fraction(h + 1, h)
-    return ParamPoint.from_c(r, p, 1, c, [c] * (r // p - 1))
+    return ParamPoint.make(r, p, 1, c, [-c] * (r // p - 1))
 
 
 # ---------------------------------------------------------------------------

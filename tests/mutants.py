@@ -78,6 +78,8 @@ T_REL_ORACLE = "tests/test_polynomials.py::test_relation_sweep_matches_per_monom
 T_FIRST_ORDER = "tests/test_polynomials.py::test_a_first_order_break_reports_the_yx_commutator"
 T_YX_SLOT = "tests/test_polynomials.py::test_the_yx_record_names_y_by_its_slot"
 T_PLAN_OWN = "tests/test_polynomials.py::test_x_side_plan_belongs_to_its_representation"
+T_COMM_ORACLE = "tests/test_polynomials.py::test_commutator_report_matches_the_difference_oracle"
+T_COMM_FAULT = "tests/test_polynomials.py::test_commutator_report_fault_injection"
 T_DUNKL_ORACLE = "tests/test_polynomials.py::test_dunkl_mono_matches_per_term_oracle"
 T_TABLES_LIVE = "tests/test_polynomials.py::test_relation_tables_span_two_degrees_and_die_with_the_call"
 T_TABLES_ONCE = "tests/test_polynomials.py::test_check_relations_builds_one_table_per_monomial"
@@ -250,10 +252,10 @@ MUTANTS = [
            (T_TRUNC,)),
     # the x-side relation check (operators.x_side_defects)
     Mutant("x-side: reflections grouped by kind, not class", OPERATORS,
-           "cls = classes.get(s.cclass)\n                if cls is None:\n"
-           "                    cls = classes[s.cclass] =",
-           "cls = classes.get(s.kind)\n                if cls is None:\n"
-           "                    cls = classes[s.kind] =",
+           "cls = classes.get(s.cclass)\n                    if cls is None:\n"
+           "                        cls = classes[s.cclass] =",
+           "cls = classes.get(s.kind)\n                    if cls is None:\n"
+           "                        cls = classes[s.kind] =",
            (T_XSIDE, T_YX)),
     Mutant("x-side: the -1 scale left unnegated", OPERATORS,
            "return [(e, -c) for e, c in terms.items()]",
@@ -266,9 +268,35 @@ MUTANTS = [
            "        return self._x_plan",
            (T_PLAN_OWN,)),
     Mutant("x-side: +kappa nu_j for nu_j = 1", OPERATORS,
-           "kappa_nu = [None, -self.params.kappa,",
            "kappa_nu = [None, self.params.kappa,",
+           "kappa_nu = [None, -self.params.kappa,",
            (T_YX, T_REL_PASS)),
+    Mutant("x-side: lam without <alpha_s^vee, y_j>", OPERATORS,
+           "for ev, cy in pairs if (lam := b * cy)]",
+           "for ev, cy in pairs if b and (lam := cy)]",
+           (T_REL_PASS, T_XSIDE)),
+    Mutant("x-side: t_s images kept across monomials", OPERATORS,
+           "moved: dict = {}  # (reflection index, ev)",
+           "moved = self.__dict__.setdefault(\"_moved\", {})  #",
+           (T_REL_PASS, T_XSIDE)),
+    Mutant("x-side: the left side compared with itself", OPERATORS,
+           "yield nu, j, (Poly(n, {}) if lhs.terms == rhs",
+           "yield nu, j, (Poly(n, {}) if lhs.terms == lhs.terms",
+           (T_REL_FAULT, T_XSIDE)),
+    Mutant("commutators: [y_i, y_j]'s first order compared with itself",
+           OPERATORS,
+           "                if a != b:\n"
+           "                    return {\"commutator\": \"[y_i,y_j]\"",
+           "                if a != a:\n"
+           "                    return {\"commutator\": \"[y_i,y_j]\"",
+           (T_COMM_ORACLE,)),
+    Mutant("commutators: [z_i, z_j]'s first order compared with itself",
+           OPERATORS,
+           "                if a != b:\n"
+           "                    return {\"commutator\": \"[z_i,z_j]\"",
+           "                if a != a:\n"
+           "                    return {\"commutator\": \"[z_i,z_j]\"",
+           (T_COMM_FAULT, T_COMM_ORACLE)),
     # the relation records and the rolling tables (operators.check_relations)
     Mutant("relations: the y_i x_j record names i by j", OPERATORS,
            '"i": nu.index(1), "j": j,',

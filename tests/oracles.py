@@ -16,13 +16,17 @@ Everything here deliberately avoids the production code paths it checks:
   divided difference built the same way;
 * ``apply_y_monomial`` and ``x_side_commutator_defect`` rebuild y^nu f and
   the x-side commutator defect of one (nu, j) from scratch, where the
-  package reads one table of y-images per monomial and moves each y-side
-  divided difference once for all j;
+  package reads one table of y-images and one of t_s(y^ev f) per monomial;
 * ``x_side_defects_per_reflection`` reads the same y-image tables as the
-  package but builds each defect from ``Poly`` temporaries, scaling by
-  ``params.embed`` of every cyclotomic factor and by c_s once per
-  reflection, where the package sums each class into one accumulator,
-  skips the scales by +-1 and scales by c_s once per class;
+  package but builds each defect as the difference of ``Poly``
+  temporaries, moving each y-side divided difference by t_s and scaling
+  by ``params.embed`` of every cyclotomic factor and by c_s once per
+  reflection, where the package weights the images t_s(y^ev f) by the
+  plan's <alpha_s^vee, y_j> cy, sums each class into one accumulator,
+  skips the scales by +-1, scales by c_s once per class and compares the
+  two sides before it subtracts;
+* ``commutator_failure_by_difference`` tests each commutator's difference
+  for zero, where the package compares the two orders;
 * ``relation_failure`` and ``check_relations_per_monomial`` build, per
   monomial x^mu, the y-image tables of x^mu and of every x_j x^mu and each
   t_w x^mu and w x_j afresh, where ``PolyRep.check_relations`` builds each
@@ -405,6 +409,19 @@ def check_relations_per_monomial(rep, max_deg: int) -> dict:
     """``PolyRep.check_relations`` with :func:`relation_failure` on each
     monomial in turn: the same records, every table rebuilt per monomial."""
     return rep._first_failure(max_deg, lambda mu: relation_failure(rep, mu))
+
+
+def commutator_failure_by_difference(rep, mu: tuple[int, ...]):
+    """``PolyRep._commutator_failure`` by the difference of the two
+    orders: the same first failure on x^mu, or None."""
+    m = Poly.monomial(mu, rep.params.one)
+    for i, j in itertools.combinations(range(rep.n), 2):
+        for name, op in (("[y_i,y_j]", rep.dunkl), ("[z_i,z_j]", rep.z)):
+            d = op(i, op(j, m)) - op(j, op(i, m))
+            if d:
+                return {"commutator": name, "i": i, "j": j, "mu": list(mu),
+                        "defect": str(d)}
+    return None
 
 
 def c_from_d_sum(r: int, p: int, l: int, d_of, zero):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import cherednik
 from cherednik import GenericParameters, jack_by_solve, PolyRep, poly_from_json
+from cherednik import cli
 from cherednik.cli import main
 from cherednik.jack import JACK_MONOMIAL_BUDGET, require_jack_budget
 from cherednik.operators import (
@@ -40,6 +41,21 @@ def run_cli(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_a_refused_argv_leaves_the_parser_as_it_was(capsys):
+    # main builds its parser once per process; a refusal after a --mu has
+    # been read must not reach the next call
+    bad = ["jack", "--group", "2,1,2", "--mu", "1,0", "--kappa", "1/0"]
+    good = ["jack", "--group", "2,1,2", "--mu", "0,1", "--json"]
+    warm = [run_cli(capsys, *bad), run_cli(capsys, *good)]
+    fresh = []
+    for argv in (bad, good):
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert warm == fresh
+    assert [code for code, _, _ in warm] == [2, 0]
+    assert cli._parser() is cli._parser()
 
 
 def test_jack_text_output(capsys):

@@ -12,8 +12,8 @@ import pytest
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import (
     act_on_poly_accumulating, apply_y_monomial, check_relations_per_monomial,
-    class_sum, dd_per_term, dd_y_mono_per_term, dunkl_mono_per_term,
-    oracle_dunkl,
+    class_sum, commutator_failure_by_difference, dd_per_term,
+    dd_y_mono_per_term, dunkl_mono_per_term, oracle_dunkl,
     oracle_z, phi_class_sum, poly_divexact, x_side_commutator_defect,
     x_side_defects_per_reflection, yx_commutator_defect_explicit,
 )
@@ -330,11 +330,14 @@ def _doubled_dd_y_mono(monkeypatch, degrees=(1, 2)):
 
 
 # generic G(r,p,n), two specialized points, G(4,1,2) with three diagonal
-# classes, and G(2,1,3); each takes PolyRep's keyword arguments
+# classes, G(2,1,3), G(4,2,2), where the label c0 covers two conjugacy
+# classes, and G(3,3,3), with no diagonal class; each takes PolyRep's
+# keyword arguments
 X_SIDE_CASES = {
     "G212": lambda **kw: PolyRep(2, 1, 2, **kw),
     "G312": lambda **kw: PolyRep(3, 1, 2, **kw),
     "G422": lambda **kw: PolyRep(4, 2, 2, **kw),
+    "G333": lambda **kw: PolyRep(3, 3, 3, **kw),
     "G223": lambda **kw: PolyRep(2, 2, 3, **kw),
     "G212-gordon": lambda **kw: PolyRep(2, 1, 2, SpecializedParameters(
         gordon_point(2, 1, 2)), **kw),
@@ -691,6 +694,41 @@ def test_commutator_report_fault_injection():
     assert report["commutator"] == "[z_i,z_j]"
     assert (report["i"], report["j"], report["mu"]) == (0, 1, [2, 0])
     assert report["defect"] != "0"
+
+
+def _y1_skewed_by_xn(monkeypatch):
+    """Add kappa x^mu to y_1 x^mu wherever mu_n > 0; y_n moves mu_n, so
+    y_1 and y_n stop commuting."""
+    true_mono = PolyRep._dunkl_mono
+
+    def skewed(self, i, mu):
+        img = true_mono(self, i, mu)
+        if i or not mu[-1]:
+            return img
+        return img + Poly.monomial(mu, self.params.kappa)
+
+    monkeypatch.setattr(PolyRep, "_dunkl_mono", skewed)
+
+
+@pytest.mark.parametrize("fault", [None, "dunkl-sign", "y1-skew"])
+@pytest.mark.parametrize("case", ["G212", "G312", "G213", "G212-gordon",
+                                  "G312-c0"])
+def test_commutator_report_matches_the_difference_oracle(monkeypatch, case,
+                                                         fault):
+    # generic, Gordon and rational points; clean, with the flipped sign
+    # (the z's fail) and with a skewed y_1 (the y's fail)
+    if fault == "y1-skew":
+        _y1_skewed_by_xn(monkeypatch)
+    rep_of = lambda: X_SIDE_CASES[case](
+        fault_dunkl_sign=fault == "dunkl-sign")
+    max_deg = 4 if rep_of().n == 2 else 3
+    got = rep_of().commutator_report(max_deg)
+    oracle = rep_of()
+    expected = oracle._first_failure(
+        max_deg, lambda mu: commutator_failure_by_difference(oracle, mu))
+    assert list(got.items()) == list(expected.items())
+    assert got.get("commutator") == {
+        None: None, "dunkl-sign": "[z_i,z_j]", "y1-skew": "[y_i,y_j]"}[fault]
 
 
 def test_act_on_exponents_is_injective():

@@ -74,6 +74,19 @@ def test_gordon_point_refuses_the_trivial_group(r):
         gordon_point(r, r, 1)
 
 
+def test_gordon_point_is_the_one_from_its_class_parameters():
+    # d_0 = (r/p - 1) c and d_j = -c, against d_from_c at c_l = c for every l
+    for r in range(2, 13):
+        for p in (p for p in range(1, r + 1) if r % p == 0):
+            for n in range(1, 4):
+                h = coxeter_number(r, p, n)
+                if h == 0:
+                    continue
+                c = Fraction(h + 1, h)
+                assert gordon_point(r, p, n) == ParamPoint.from_c(
+                    r, p, 1, c, [c] * (r // p - 1)), (r, p, n)
+
+
 def test_hx_membership():
     pt = ParamPoint.make(2, 1, 1, 0, [Fraction(1, 2)])
     for m in range(1, 7):
