@@ -34,10 +34,10 @@ from .intertwiners import (
 )
 from .pbw import FormFamily, check_pbw, rca_forms
 from .reptheory import (
-    GradedChar, Hjk, Hx, catalan_series, coinvariant_series, coxeter_number,
-    degrees, exponents_and_freeness, genericity_guard, gordon_point,
-    graded_char_L1, invariant_char_series, is_irreducible, on_hyperplane,
-    singular_vector_check,
+    Hjk, Hx, catalan_series, coinvariant_series, coxeter_number, degrees,
+    exponents_and_freeness, genericity_guard, gordon_point,
+    invariant_char_series, is_irreducible, l1_graded_dimension,
+    on_hyperplane, singular_vector_check,
 )
 from .parsing import parse_cyc, parse_poly, parse_scalar, poly_from_json
 
@@ -59,10 +59,10 @@ __all__ = [
     "apply_sigma", "phi_on_poly", "phi_psi_scalar", "psi_on_poly",
     "psi_scalar", "verify_braid_and_quadratic",
     "FormFamily", "check_pbw", "rca_forms",
-    "GradedChar", "Hjk", "Hx", "catalan_series", "coinvariant_series",
+    "Hjk", "Hx", "catalan_series", "coinvariant_series",
     "coxeter_number", "degrees", "exponents_and_freeness",
-    "genericity_guard", "gordon_point", "graded_char_L1",
-    "invariant_char_series", "is_irreducible", "on_hyperplane",
+    "genericity_guard", "gordon_point", "invariant_char_series",
+    "is_irreducible", "l1_graded_dimension", "on_hyperplane",
     "singular_vector_check",
     "parse_cyc", "parse_poly", "parse_scalar", "poly_from_json",
 ]

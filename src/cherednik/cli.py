@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cyclotomic import Cyc
 from .jack import (
     NonGenericError, jack_by_intertwiners, jack_by_solve, require_jack_budget,
 )
@@ -29,12 +28,11 @@ from .polynomials import render_terms
 from .intertwiners import verify_braid_and_quadratic
 from .reptheory import (
     catalan_series, coxeter_number, exponents_and_freeness, genericity_guard,
-    gordon_point, graded_char_L1, invariant_char_series, is_irreducible,
-    is_well_generated, require_gordon_budget, require_truncation_budget,
+    gordon_point, invariant_char_series, is_irreducible, is_well_generated,
+    l1_graded_dimension, require_gordon_budget, require_truncation_budget,
     simple_spectrum_violations, singular_vector_check,
 )
 from .scalars import GenericParameters, ParamPoint, SpecializedParameters
-from .groups import GroupElement
 
 OK, INTERNAL, PRECONDITION = 0, 1, 2
 
@@ -248,17 +246,17 @@ def cmd_gordon(job: JobConfig) -> int:
         return PRECONDITION
     singular = singular_vector_check(r, p, n, point, k)
     dim_count = k ** n
-    ident = graded_char_L1(r, p, n, GroupElement.identity(r, n), k)
-    dim_char = ident.at_one()
     # ((1 - t^k)/(1 - t))^n, the graded dimension of the quotient
-    by_degree = [int(c.rational_value()) for c in ident.series(n * (k - 1))]
+    ident = l1_graded_dimension(n, k, job.truncation)
+    by_degree = ident[:n * (k - 1) + 1]
+    dim_char = sum(by_degree)
     cat = catalan_series(r, p, n, job.truncation)
     inv_series = invariant_char_series(r, p, n, k, job.truncation)
     expf = exponents_and_freeness(r, p, n, k)
     # the q-Catalan identity is only asserted for well-generated groups
-    catalan_match = [int(v) for v in inv_series] == cat["coefficients"] \
+    catalan_match = inv_series == cat["coefficients"] \
         if is_well_generated(r, p, n) else None
-    dims_agree = dim_char == Cyc.from_rational(r, dim_count)
+    dims_agree = dim_char == dim_count
     ok = (singular["status"] == "pass" and dims_agree
           and catalan_match is not False
           and expf["det_identity"] and expf["multiset_match"])
@@ -272,7 +270,7 @@ def cmd_gordon(job: JobConfig) -> int:
                    "character_limit": str(dim_char),
                    "by_degree": by_degree},
         "identity_character": {
-            "series": [str(c) for c in ident.series(job.truncation)]},
+            "series": [str(c) for c in ident[:job.truncation + 1]]},
         "catalan": cat,
         "catalan_invariant_match": catalan_match,
         "exponents": expf,

@@ -91,6 +91,8 @@ class GroupElement:
         """Composition: (self*other).f = self.(other.f); other acts first."""
         if self.r != other.r:
             raise ValueError("mixed color orders")
+        if len(self.perm) != len(other.perm):
+            raise ValueError("mixed ranks")
         sp, sc = self.perm, self.col
         op, oc = other.perm, other.col
         perm = tuple(sp[op[i]] for i in range(len(op)))

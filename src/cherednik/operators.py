@@ -469,16 +469,20 @@ class PolyRep:
         """The first pair i < j whose y or z operators fail to commute on
         x^mu, or None.  The two orders are compared as polynomials, which
         is exact (see :meth:`x_side_defects`); the defect a - b is built
-        only for the failure record."""
+        only for the failure record.  The inner images y_i x^mu and
+        z_i x^mu are built once per i, and none for n = 1."""
+        if self.n == 1:
+            return None
         m = Poly.monomial(mu, self.params.one)
+        ym = [self.dunkl(i, m) for i in range(self.n)]
+        zm = [self.z(i, m) for i in range(self.n)]
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                a = self.dunkl(i, self.dunkl(j, m))
-                b = self.dunkl(j, self.dunkl(i, m))
+                a, b = self.dunkl(i, ym[j]), self.dunkl(j, ym[i])
                 if a != b:
                     return {"commutator": "[y_i,y_j]", "i": i, "j": j,
                             "mu": list(mu), "defect": str(a - b)}
-                a, b = self.z(i, self.z(j, m)), self.z(j, self.z(i, m))
+                a, b = self.z(i, zm[j]), self.z(j, zm[i])
                 if a != b:
                     return {"commutator": "[z_i,z_j]", "i": i, "j": j,
                             "mu": list(mu), "defect": str(a - b)}

@@ -29,9 +29,10 @@ from cherednik import (
 )
 from cherednik.groups import group_order
 from cherednik.reptheory import (
-    Hjk, coxeter_number, graded_char_L1, jack_by_solve, on_hyperplane,
+    Hjk, coxeter_number, jack_by_solve, on_hyperplane,
     simple_spectrum_violations,
 )
+from oracles import graded_char_series_dense
 
 
 def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -115,7 +116,7 @@ def invariant_char_series_by_classes(r: int, p: int, n: int, k: int,
     total = [Cyc.zero(r)] * (truncation + 1)
     count = 0
     for w, size in conjugacy_classes(r, p, n):
-        s = graded_char_L1(r, p, n, w, k).series(truncation)
+        s = graded_char_series_dense(w, k, truncation)
         total = [a + b * size for a, b in zip(total, s)]
         count += size
     assert count == group_order(r, p, n), "class sizes do not sum to |W|"

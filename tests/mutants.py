@@ -36,6 +36,7 @@ REPTHEORY = "src/cherednik/reptheory.py"
 OPERATORS = "src/cherednik/operators.py"
 JACK = "src/cherednik/jack.py"
 PARSING = "src/cherednik/parsing.py"
+CLI = "src/cherednik/cli.py"
 
 T_MIXED = "tests/test_scalars.py::test_products_with_one_unknown_split_match_the_gcd_path"
 T_CANCEL = "tests/test_scalars.py::test_a_product_whose_unknown_factor_cancels_comes_back_split"
@@ -66,6 +67,10 @@ T_GOLDEN_SPAN = "tests/test_reptheory.py::test_span_check_matches_all_of_w_on_go
 T_GUARD_PTS = "tests/test_reptheory.py::test_guard_matches_the_scan_at_seeded_points"
 T_TRIVIAL = "tests/test_reptheory.py::test_gordon_point_refuses_the_trivial_group"
 T_GOLDEN = "tests/test_cli.py::test_golden_files"
+T_L1_COUNTING = "tests/test_cli.py::test_gordon_quotient_series_matches_counting"
+T_CATALAN_EXACT = "tests/test_cli.py::test_a_non_integral_invariant_coefficient_fails_the_catalan_match"
+T_L1_SWEEP = "tests/test_reptheory.py::test_l1_graded_dimension_matches_the_oracles"
+T_L1_IDENT = "tests/test_reptheory.py::test_graded_character_identity_element"
 T_TRUNC = "tests/test_cli.py::test_gordon_accepts_the_truncation_budget"
 T_TRIVIAL_CLI = "tests/test_cli.py::test_trivial_group_at_the_gordon_point_exits_two"
 T_WORK_GENERIC = "tests/test_cli.py::test_jack_work_estimate_is_for_generic_parameters"
@@ -246,6 +251,20 @@ MUTANTS = [
            "key = (l % period, j)",
            "key = j",
            (T_GUARD_PTS,)),
+    # gordon: the graded dimension of the quotient as one integer series
+    Mutant("graded dimension: (1 - t)^(n-1) for (1 - t)^n", REPTHEORY,
+           "_int_series([k] * n, [1] * n,",
+           "_int_series([k] * n, [1] * (n - 1),",
+           (T_L1_SWEEP, T_L1_IDENT, T_L1_COUNTING, T_GOLDEN)),
+    Mutant("graded dimension: by_degree one coefficient short", CLI,
+           "by_degree = ident[:n * (k - 1) + 1]",
+           "by_degree = ident[:n * (k - 1)]",
+           (T_L1_COUNTING, T_GOLDEN)),
+    Mutant("catalan: the invariant series rounded down", CLI,
+           "catalan_match = inv_series == cat[\"coefficients\"]",
+           "catalan_match = [int(v) for v in inv_series] == "
+           "cat[\"coefficients\"]",
+           (T_CATALAN_EXACT,)),
     Mutant("budget: the budget's own truncation refused", REPTHEORY,
            "if truncation > TRUNCATION_BUDGET:",
            "if truncation >= TRUNCATION_BUDGET:",

@@ -68,9 +68,11 @@ Everything here deliberately avoids the production code paths it checks:
 * ``coupling`` and ``class_sum`` write out c_s and the colored
   transpositions inline; ``phi_class_sum`` sums the same class through
   ``GroupElement.colored_transposition``;
-* ``c_from_d_sum``, ``graded_char_series_dense`` and ``int_series_dense``
-  are the summation, dense-product and series loops the package replaced by
-  one shared definition each;
+* ``c_from_d_sum`` and ``int_series_dense`` are the summation and series
+  loops the package replaced by one shared definition each;
+  ``graded_char_series_dense`` is the graded character at any element of W
+  as a dense product, where the package builds only its value at the
+  identity, as one integer series;
 * ``FractionCyc`` is the cyclotomic number with one ``Fraction`` per
   coordinate, which the package replaced by integer coordinates over one
   common denominator.  It keeps the reduction rows, the Gauss-Jordan
@@ -86,8 +88,8 @@ from fractions import Fraction
 
 from cherednik import (
     Cyc, GroupElement, NonGenericError, Poly, PolyRep, Q,
-    SpecializedParameters, graded_char_L1, group_elements, jack_by_solve,
-    order_lt, weight_of, zeta_compatible,
+    SpecializedParameters, group_elements, jack_by_solve, order_lt,
+    weight_of, zeta_compatible,
 )
 from cherednik.cyclotomic import cyclotomic_polynomial
 from cherednik.operators import monomials_of_degree, monomials_up_to
@@ -758,7 +760,7 @@ def invariant_char_series_all_of_w(r: int, p: int, n: int, k: int,
     total = [Cyc.zero(r)] * (truncation + 1)
     count = 0
     for w in group_elements(r, p, n):
-        s = graded_char_L1(r, p, n, w, k).series(truncation)
+        s = graded_char_series_dense(w, k, truncation)
         total = [a + b for a, b in zip(total, s)]
         count += 1
     out = []

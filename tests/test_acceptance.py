@@ -12,12 +12,11 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import dense_eigenvector, l1_dimension_by_counting, oracle_z
 
 from cherednik import (
-    Cyc, GroupElement, Poly, PolyRep, apply_phi, apply_psi, apply_sigma,
-    catalan_series, check_pbw, coxeter_number, exponents_and_freeness,
-    genericity_guard, gordon_point, graded_char_L1, invariant_char_series,
-    jack_by_intertwiners, jack_by_solve, order_lt, phi_psi_scalar,
-    psi_scalar, rca_forms, singular_vector_check, weight_of,
-    SpecializedParameters,
+    Poly, PolyRep, apply_phi, apply_psi, apply_sigma, catalan_series,
+    check_pbw, coxeter_number, exponents_and_freeness, genericity_guard,
+    gordon_point, invariant_char_series, jack_by_intertwiners, jack_by_solve,
+    l1_graded_dimension, order_lt, phi_psi_scalar, psi_scalar, rca_forms,
+    singular_vector_check, weight_of, SpecializedParameters,
 )
 from cherednik.operators import monomials_up_to
 
@@ -160,10 +159,8 @@ def test_criterion_5_gordon_g212():
         for j in range(n):
             ok = ok and rep.dunkl(j, jv.poly).is_zero()
     ok = ok and l1_dimension_by_counting(n, k) == 25 == k ** n
-    ident = graded_char_L1(r, p, n, GroupElement.identity(r, n), k)
     expected = [1, 2, 3, 4, 5, 4, 3, 2, 1] + [0] * 4
-    ok = ok and ident.series(12) == [Cyc.from_rational(r, v)
-                                     for v in expected]
+    ok = ok and l1_graded_dimension(n, k, 12) == expected
     elapsed = time.time() - t0
     ok = ok and elapsed < 120.0
     _announce(5, ok, "G(2,1,2) at c = 5/4: guard, singular vectors killed "
@@ -183,8 +180,7 @@ def test_criterion_6_gordon_g332_g213():
         ok = ok and singular_vector_check(r, p, n, point, k)["status"] \
             == "pass"
         ok = ok and l1_dimension_by_counting(n, k) == k ** n
-        ident = graded_char_L1(r, p, n, GroupElement.identity(r, n), k)
-        ok = ok and ident.at_one() == Cyc.from_rational(r, k ** n)
+        ok = ok and sum(l1_graded_dimension(n, k, 0)) == k ** n
         ok = ok and time.time() - t1 < 600.0
     _announce(6, ok, "G(3,3,2) and G(2,1,3): dim L(1) = (h+1)^n with "
               "verified singular-vector annihilation, <10 min each",

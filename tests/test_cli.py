@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,25 @@ def test_gordon_not_well_generated(capsys):
     assert code == 0
     assert "dim L(1) = 49" in out
     assert "not asserted" in out and "PASS" in out
+
+
+def test_a_non_integral_invariant_coefficient_fails_the_catalan_match(
+        capsys, monkeypatch):
+    # the invariant series is compared with the Catalan one exactly: a
+    # coefficient of 1/2 over the right one must not be rounded away
+    real = cherednik.cli.invariant_char_series
+
+    def off_by_a_half(*args):
+        series = real(*args)
+        series[3] += Fraction(1, 2)
+        return series
+
+    monkeypatch.setattr(cherednik.cli, "invariant_char_series", off_by_a_half)
+    code, out, _ = run_cli(capsys, "gordon", "--group", "2,1,3", "--json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["status"] == "fail"
+    assert payload["catalan_invariant_match"] is False
 
 
 def test_jack_at_gordon_point(capsys):

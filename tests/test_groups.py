@@ -55,6 +55,18 @@ def test_group_axioms_and_inverses():
         assert (a * b).inverse() == b.inverse() * a.inverse()
 
 
+@pytest.mark.parametrize("left,right", [
+    (GroupElement.transposition(2, 3, 0, 2),
+     GroupElement.transposition(2, 2, 0, 1)),
+    (GroupElement.transposition(2, 2, 0, 1),
+     GroupElement.transposition(2, 3, 0, 2)),
+    (GroupElement.identity(3, 1), GroupElement.diagonal(3, 2, 1, 1)),
+])
+def test_products_of_mixed_ranks_are_refused(left, right):
+    with pytest.raises(ValueError, match="mixed ranks"):
+        left * right
+
+
 def test_group_orders_by_enumeration():
     for r in (1, 2, 3):
         for p in (q for q in (1, 2, 3) if r % q == 0):

@@ -686,6 +686,24 @@ def test_degree_bookkeeping():
     assert rep.t(w, f).degree() == 3
 
 
+@pytest.mark.parametrize("group,calls", [((2, 1, 3), 756), ((3, 1, 1), 0)])
+def test_commutator_report_builds_each_inner_image_once(monkeypatch, group,
+                                                        calls):
+    # per monomial: n inner images y_i x^mu and two outer ones per pair
+    # i < j, and likewise for z; 84 monomials of degree <= 6 in 3 variables
+    counts = {"dunkl": 0, "z": 0}
+    for name in counts:
+        real = getattr(PolyRep, name)
+
+        def counted(self, i, f, real=real, name=name):
+            counts[name] += 1
+            return real(self, i, f)
+
+        monkeypatch.setattr(PolyRep, name, counted)
+    assert PolyRep(*group).commutator_report(6)["status"] == "pass"
+    assert counts == {"dunkl": calls, "z": calls}
+
+
 def test_commutator_report_fault_injection():
     # the flipped transposition sign still gives commuting y's (it is c0 ->
     # -c0), but z_i keeps +c0 in its class sum, so the z's stop commuting

@@ -11,10 +11,9 @@ from cherednik import (
     Cyc, GroupElement, Hjk, Hx, NonGenericError, ParamPoint, Poly, PolyRep,
     SpecializedParameters, catalan_series, coinvariant_series,
     coxeter_number, degrees, exponents_and_freeness, genericity_guard,
-    gordon_point, graded_char_L1, group_elements, group_order,
-    invariant_char_series, is_irreducible, jack_by_solve,
-    monomials_of_degree, on_hyperplane, order_key, parse_element,
-    singular_vector_check,
+    gordon_point, group_elements, group_order, invariant_char_series,
+    is_irreducible, jack_by_solve, l1_graded_dimension, monomials_of_degree,
+    on_hyperplane, order_key, parse_element, singular_vector_check,
 )
 from cherednik import reptheory
 from cherednik.operators import monomials_up_to
@@ -23,9 +22,8 @@ from cherednik.reptheory import slot_n_stabilizer_generators
 import class_sums
 import oracles
 from class_sums import (
-    conjugacy_classes, genericity_guard_scan,
-    invariant_char_series_by_classes, singular_vector_check_per_vector,
-    span_stability_check,
+    genericity_guard_scan, invariant_char_series_by_classes,
+    singular_vector_check_per_vector, span_stability_check,
 )
 from oracles import (
     graded_char_series_dense, int_series_dense,
@@ -714,40 +712,21 @@ def test_guard_matches_the_scan_at_seeded_points():
 
 
 def test_graded_character_identity_element():
-    ident = GroupElement.identity(2, 2)
-    gc = graded_char_L1(2, 1, 2, ident, 5)
-    series = gc.series(10)
+    series = l1_graded_dimension(2, 5, 10)
     expect = [1, 2, 3, 4, 5, 4, 3, 2, 1, 0, 0]
-    assert series == [Cyc.from_rational(2, v) for v in expect]
-    assert gc.at_one() == Cyc.from_rational(2, 25)
+    assert series == expect
+    assert sum(series) == 25
     # matches the eigenbasis count coefficientwise through the top degree
     assert l1_series_by_counting(2, 5, 8) == expect[:9]
-
-
-@pytest.mark.parametrize("r,p,n", [(2, 1, 3), (3, 1, 2), (3, 3, 3),
-                                   (4, 2, 2)])
-def test_reduced_character_keeps_the_series_of_num_over_den(r, p, n):
-    # series and at_one read num and den with the powers of (1 - t) they
-    # share cancelled; the series is the one of the uncancelled quotient
-    k = coxeter_number(r, p, n) + 1
-    zero = Cyc.zero(r)
-    for w in group_elements(r, p, n):
-        char = graded_char_L1(r, p, n, w, k)
-        assert char.series(3 * k) \
-            == reptheory._series_quotient(char.num, char.den, 3 * k, zero), w
-    ident = graded_char_L1(r, p, n, GroupElement.identity(r, n), k)
-    assert ident.reduced[1] == (Cyc.one(r),)
-    assert ident.at_one() == Cyc.from_rational(r, k ** n)
 
 
 def test_graded_character_nonidentity():
     # the transposition in G(2,1,2): V-matrix swaps the two k-th powers
     s = GroupElement.transposition(2, 2, 0, 1)
-    gc = graded_char_L1(2, 1, 2, s, 5)
     # det(1 - t^5 w_V) = 1 - t^10, det(1 - t w) = 1 - t^2
-    assert list(gc.num) == [Cyc.from_rational(2, v)
-                            for v in [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1]]
-    assert list(gc.den) == [Cyc.from_rational(2, v) for v in [1, 0, -1]]
+    assert graded_char_series_dense(s, 5, 12) \
+        == [Cyc.from_rational(2, v)
+            for v in [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0]]
 
 
 def test_catalan_series_values():
@@ -854,22 +833,45 @@ def test_freeness_dets_at_rank_twelve():
 def test_dim_three_ways_g332():
     r, p, n = 3, 3, 2
     k = coxeter_number(r, p, n) + 1
-    ident = GroupElement.identity(r, n)
     assert l1_dimension_by_counting(n, k) == k ** n
-    assert graded_char_L1(r, p, n, ident, k).at_one() \
-        == Cyc.from_rational(r, k ** n)
+    assert sum(l1_graded_dimension(n, k, 0)) == k ** n
     assert sum(l1_series_by_counting(n, k, n * (k - 1))) == k ** n
 
 
 @pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3)])
 def test_series_match_the_dense_product_oracles(r, p, n):
     h = coxeter_number(r, p, n)
-    for w, _ in conjugacy_classes(r, p, n):
-        for k in (1, 2, h + 1):
-            assert graded_char_L1(r, p, n, w, k).series(20) \
-                == graded_char_series_dense(w, k, 20)
     degs = degrees(r, p, n)
     assert catalan_series(r, p, n, 20)["coefficients"] \
         == int_series_dense([h + d for d in degs], degs, 20)
     assert coinvariant_series(r, p, n, 20) \
         == int_series_dense(degs, [1] * n, 20)
+
+
+def _gordon_budget_admits(n, k):
+    try:
+        reptheory.require_gordon_budget(n, k)
+    except ValueError:
+        return False
+    return True
+
+
+L1_SWEEP = [(r, p, n) for r in range(2, 7) for p in range(1, r + 1)
+            for n in range(1, 5) if r % p == 0 and is_irreducible(r, p, n)
+            and _gordon_budget_admits(n, coxeter_number(r, p, n) + 1)]
+
+
+@pytest.mark.parametrize("r,p,n", L1_SWEEP)
+def test_l1_graded_dimension_matches_the_oracles(r, p, n):
+    k = coxeter_number(r, p, n) + 1
+    top = n * (k - 1)
+    ident = GroupElement.identity(r, n)
+    for truncation in (3, top, top + 5):
+        got = l1_graded_dimension(n, k, truncation)
+        assert len(got) == max(top, truncation) + 1
+        assert got[:truncation + 1] \
+            == int_series_dense([k] * n, [1] * n, truncation)
+        assert got[:truncation + 1] \
+            == graded_char_series_dense(ident, k, truncation)
+    assert got[:top + 1] == l1_series_by_counting(n, k, top)
+    assert sum(got) == k ** n
