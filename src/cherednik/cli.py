@@ -22,6 +22,7 @@ from typing import Optional
 from .jack import (
     NonGenericError, jack_by_intertwiners, jack_by_solve, require_jack_budget,
 )
+from .groups import check_group
 from .operators import PolyRep, monomials_up_to, require_relation_budget
 from .pbw import check_pbw, rca_forms, require_pbw_budget
 from .polynomials import render_terms
@@ -55,8 +56,7 @@ class JobConfig:
     as_json: bool = False
 
     def validate(self):
-        if self.r < 1 or self.p < 1 or self.r % self.p or self.n < 1:
-            raise ValueError(f"invalid group ({self.r},{self.p},{self.n})")
+        check_group(self.r, self.p, self.n)
         if any(v is not None and v <= 0
                for v in (self.max_deg, self.truncation)):
             raise ValueError("degree caps and truncations must be positive")

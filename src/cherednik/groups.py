@@ -28,8 +28,15 @@ from .cyclotomic import Cyc
 
 __all__ = [
     "GroupElement", "Reflection", "reflections", "group_order",
-    "group_elements", "parse_element",
+    "group_elements", "parse_element", "check_group",
 ]
+
+
+def check_group(r: int, p: int, n: int | None = None) -> None:
+    """A ValueError unless r, p and the rank n (if given) are at least 1
+    and p divides r: the parameters of a group G(r,p,n)."""
+    if r < 1 or p < 1 or r % p or (n is not None and n < 1):
+        raise ValueError(f"invalid group ({r},{p},{'n' if n is None else n})")
 
 
 class GroupElement:
@@ -244,10 +251,7 @@ def reflections(r: int, p: int, n: int) -> list[Reflection]:
     """All reflections of G(r,p,n): r*n(n-1)/2 of transposition type plus
     n(r/p - 1) diagonal ones.
     """
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    check_group(r, p, n)
     zero = Cyc.zero(r)
     out: list[Reflection] = []
     for i in range(n):
@@ -276,8 +280,7 @@ def reflections(r: int, p: int, n: int) -> list[Reflection]:
 
 
 def group_order(r: int, p: int, n: int) -> int:
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
+    check_group(r, p, n)
     out = r ** n
     for k in range(2, n + 1):
         out *= k
@@ -287,8 +290,7 @@ def group_order(r: int, p: int, n: int) -> int:
 def group_elements(r: int, p: int, n: int) -> Iterator[GroupElement]:
     """All r^n n!/p elements of G(r,p,n).  The package walks them only in
     ``pbw.check_pbw``, within ``pbw.PBW_COMPARISON_BUDGET``."""
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
+    check_group(r, p, n)
     for perm in itertools.permutations(range(n)):
         for col in itertools.product(range(r), repeat=n):
             if sum(col) % p == 0:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from math import comb
 
 from .cyclotomic import Cyc
-from .groups import GroupElement, Reflection, reflections
+from .groups import GroupElement, Reflection, check_group, reflections
 from .polynomials import Poly, accumulate
 from .scalars import GenericParameters
 
@@ -154,8 +154,7 @@ class PolyRep:
 
     def __init__(self, r: int, p: int, n: int, params=None, *,
                  fault_dunkl_sign: bool = False):
-        if r < 1 or n < 1 or r % p:
-            raise ValueError(f"invalid group parameters ({r},{p},{n})")
+        check_group(r, p, n)
         self.r, self.p, self.n = r, p, n
         self.params = params if params is not None else GenericParameters(r, p)
         if self.params.r != r or self.params.p != p:
@@ -286,7 +285,7 @@ class PolyRep:
                 t = tuple(nu)
                 s = extra.get(t)
                 extra[t] = self._c0r if s is None else s + self._c0r
-        if extra:
+        if extra and self._c0r:  # at c0 = 0 they would be stored zeros
             poly = poly + Poly(self.n, extra)
         self._z_memo[key] = poly
         return poly

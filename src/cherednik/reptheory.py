@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .cyclotomic import Cyc
-from .groups import GroupElement
+from .groups import GroupElement, check_group
 from .jack import jack_by_solve
 from .operators import PolyRep
 from .scalars import ParamPoint, SpecializedParameters
@@ -67,8 +67,7 @@ GORDON_MONOMIAL_BUDGET = 100_000
 
 def coxeter_number(r: int, p: int, n: int) -> int:
     """r(n-1) + r/p for p < r, r(n-1) for p = r; undefined at r = 1."""
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
+    check_group(r, p, n)
     if r == 1:
         raise ValueError("the Coxeter number is only used for r > 1")
     return r * (n - 1) + (r // p if p < r else 0)
@@ -77,8 +76,7 @@ def coxeter_number(r: int, p: int, n: int) -> int:
 def degrees(r: int, p: int, n: int) -> list[int]:
     """Degrees of the basic invariants: r, 2r, .., (n-1)r, n*r/p (p < r)
     or r, 2r, .., (n-1)r, n (p = r)."""
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
+    check_group(r, p, n)
     out = [i * r for i in range(1, n)]
     out.append(n * (r // p) if p < r else n)
     return sorted(out)
@@ -86,8 +84,7 @@ def degrees(r: int, p: int, n: int) -> list[int]:
 
 def is_irreducible(r: int, p: int, n: int) -> bool:
     """Whether G(r,p,n) acts irreducibly on C^n (standard classification)."""
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
+    check_group(r, p, n)
     if n == 1:
         return r > p
     return r > 1 and (r, p, n) != (2, 2, 2)
@@ -284,6 +281,16 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     carried back by t_{w_i} to the witness that y_1 on each f over k e_i,
     in order, would find: mu = k e_1 with t_{w_1} y_n f if y_n f != 0, else
     mu = k e_2 with t_{w_2} y_1 f.
+
+    In fact y_1 f = 0 (generically, so wherever f specializes): w_1 is
+    colorless with w_1(n) = 1, so y_1 f = t_{w_1} y_n t_{w_1}^{-1} f, and
+    t_{w_1}^{-1} f = t_{s_{n-1}} ... t_{s_1} f.  For i <= n-2, sigma_i f
+    has the weight of k e_n with two entries swapped, which no composition
+    has, so sigma_i f = 0 and t_{s_i} f is a multiple of f, monic at
+    x^{k e_n}: f.  The last step is the exchange step above, to f over
+    k e_{n-1}, and y_n kills f_nu when nu_n = 0 (so does the lowering
+    operator y_1 t_{w_1} = t_{w_1} y_n, as ``apply_psi`` asserts).  The
+    y_1 check stays; ROADMAP records the decision on dropping it.
     """
     if k <= 0 or k % r == 0:
         raise ValueError("k must be positive and nonzero mod r")
@@ -373,8 +380,7 @@ def invariant_char_series(r: int, p: int, n: int, k: int,
     G_j = sum_{l<=j} ((j-1)!/(j-l)!) A_{a,l} G_{j-l}, cut at t^truncation,
     the series is sum_a G_n / n!.
     """
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
+    check_group(r, p, n)
     total = [0] * (truncation + 1)
     for a in range(p):
         residue = -a * (r // p) % r
@@ -476,8 +482,7 @@ def exponents_and_freeness(r: int, p: int, n: int, m: int) -> dict:
     determinant identities behind freeness (signs from
     :func:`_alternant_sign`, 0 where one fails), and, at m = h+1, the
     multiset equality {m - e_i} = {degrees}."""
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
+    check_group(r, p, n)
     if m % r == 0:
         raise ValueError(f"m={m} must not be divisible by r={r}")
     mbar = m % r

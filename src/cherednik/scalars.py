@@ -15,26 +15,23 @@ eigenvalue comparisons decidable, which the eigenbasis construction relies on.
 
 The eigenbasis and the intertwiners divide only by weight differences, which
 are linear forms.  A :class:`RatFunc` keeps the split of its denominator into
-monic linear forms whenever it knows it; sums and products of such values
-reduce by trial division by those factors, since a numerator that no factor
-divides is coprime to their product.  Only a denominator with no known split
-(the inverse of a nonlinear numerator) goes through the general gcd
-:func:`mp_gcd`: in a product, just the other operand's numerator meets it,
-while the other operand's forms are shed by trial division and carry over
-to the product (:func:`_mul_general`).  Both ways give the same canonical
-form.  Each monic linear form x_v + g carries its plan, v and the terms of
-g, built the first time it is used (:func:`_plan`): multiplying by the form
+monic linear forms whenever it knows it, and such values reduce by trial
+division by those factors, since a numerator that no factor divides is
+coprime to their product.  A sum of such values, and a sum of products
+such as a residual of the eigenbasis solve (one call of ``params.dot``), go
+through one kernel, :func:`_lcm_sum`: every term over the lcm of the
+forms, the numerators added once, the sum trial-divided once by the lcm's
+forms.  A sum with an operand whose split is unknown (the inverse of a
+nonlinear numerator) is cross-multiplied and reduced by the general gcd
+:func:`mp_gcd` in the constructor; in a product, just the other operand's
+numerator meets that denominator, while its forms are shed by trial
+division and carry over (:func:`_mul_general`).  Every way gives the same
+canonical form.  At a specialized point ``dot`` is the plain sum.  Each
+monic linear form x_v + g carries its plan, v and the terms of g, built the
+first time it is used (:func:`_plan`): multiplying by the form
 (:func:`_times`) shifts in x_v and adds the g-terms, and dividing by it
 (:func:`_div_linear`) reads the plan instead of finding the form's leading
 term on every try.
-
-A sum of products, such as a residual of the eigenbasis solve or a
-coefficient of an exchange image, is one call of ``params.dot``.  At
-generic parameters :func:`_dot` puts every product over the lcm of the
-split denominators, adds the numerators once and trial-divides the sum once
-by the lcm's forms, where pairwise ``+`` and ``*`` would strip and build a
-value per term.  A pair with an operand whose split is unknown falls back
-to ``*`` and ``+``.  At a specialized point ``dot`` is the plain sum.
 
 Each :class:`GenericParameters` owns its :class:`ParamRing`, which interns
 the field's polynomial values (denominator 1): one value per numerator, for
@@ -59,7 +56,8 @@ from operator import add
 from typing import Sequence
 
 from .cyclotomic import Cyc
-from .polynomials import _key, accumulate
+from .groups import check_group
+from .polynomials import SparseTerms, _key, accumulate
 
 __all__ = [
     "MPoly", "RatFunc", "ParamRing",
@@ -153,10 +151,12 @@ class ParamRing:
         return f"ParamRing(r={self.r}, names={self.names})"
 
 
-class MPoly:
-    """Sparse multivariate polynomial over Q(zeta_r); no zero terms stored."""
+class MPoly(SparseTerms):
+    """Sparse multivariate polynomial over Q(zeta_r); no zero terms stored.
+    ``+``, ``-`` and ``*`` (by an MPoly, or by a Cyc through ``scaled``)
+    are the loops of :class:`~cherednik.polynomials.SparseTerms`."""
 
-    __slots__ = ("ring", "terms", "_hash", "plan")
+    __slots__ = ("ring", "plan")
 
     def __init__(self, ring: ParamRing, terms: dict):
         self.ring = ring
@@ -164,9 +164,8 @@ class MPoly:
         self._hash = None
         self.plan = None  # set by _plan on a monic linear form
 
-    # construction keeps terms canonical; internal helpers strip zeros
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict) -> "MPoly":
+        return MPoly(self.ring, terms)
 
     def is_one(self) -> bool:
         if len(self.terms) != 1:
@@ -185,9 +184,6 @@ class MPoly:
             raise ValueError("not a constant polynomial")
         return c
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, MPoly)
                 and (self.ring is other.ring or self.ring == other.ring)
@@ -197,58 +193,6 @@ class MPoly:
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
-
-    # Term loops below stay inline: polynomials.accumulate measured no faster.
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MPoly(self.ring, out)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return MPoly(self.ring, {})
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
-                c = ca * cb
-                s = out.get(e)
-                if s is None:
-                    if c:
-                        out[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return MPoly(self.ring, out)
-
-    def mul_cyc(self, c: Cyc) -> "MPoly":
-        if not c:
-            return MPoly(self.ring, {})
-        return MPoly(self.ring, {e: v * c for e, v in self.terms.items()})
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def lead(self) -> tuple[tuple[int, ...], Cyc]:
         e = max(self.terms, key=_key)
@@ -303,7 +247,7 @@ class MPoly:
         _, c = self.lead()
         if c == self.ring.cone:
             return self
-        return self.mul_cyc(c.inverse())
+        return self.scaled(c.inverse())
 
     def __str__(self) -> str:
         return _poly_str(self)
@@ -476,12 +420,12 @@ class RatFunc:
 
     ``split`` is the factorisation of ``den`` into monic linear forms when
     it is known (a :class:`_Split`), or None.  It is ``_NO_SPLIT`` exactly
-    when ``den`` is 1, so ``+`` and ``*`` spot two polynomials by identity.
-    When both operands know their splits, ``+`` and ``*`` reduce by trial
-    division by those factors.  Otherwise ``+`` takes the general ``mp_gcd``
-    path, and ``*`` reduces each numerator against the other operand's
-    denominator, by trial division where its split is known and by
-    ``mp_gcd`` where it is not.
+    when ``den`` is 1, so ``+`` and ``*`` spot two polynomials by identity
+    and take the ring's memos.  ``+`` takes :func:`_lcm_sum` when both
+    splits are known, and otherwise cross-multiplies and lets the
+    constructor reduce by ``mp_gcd``.  ``*`` reduces each numerator against
+    the other operand's denominator, by trial division where its split is
+    known (:func:`_mul_split`) and by ``mp_gcd`` where it is not.
     """
 
     __slots__ = ("num", "den", "split")
@@ -525,20 +469,10 @@ class RatFunc:
             return ring.memo_miss(ring.sums, MPoly.__add__, self, o) \
                 if got is None else got
         if self.split is not None and o.split is not None:
-            return _add_split(self, o)
-        g0 = mp_gcd(self.den, o.den)
-        if g0.is_one():
-            num = self.num * o.den + o.num * self.den
-            den = self.den * o.den
-        else:
-            d2r = o.den.divexact(g0)
-            num = self.num * d2r + o.num * self.den.divexact(g0)
-            den = self.den * d2r
-            g = mp_gcd(num, g0)
-            if not g.is_one():
-                num, den = num.divexact(g), den.divexact(g)
-        num, den = _normal_form(num, den)
-        return _rf(num, den, _linear_split(den))
+            return _lcm_sum(((self.num, self.split.forms),
+                             (o.num, o.split.forms)), self.num.ring) \
+                or _polynomial(self.num.ring.zero())
+        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
@@ -582,11 +516,11 @@ class RatFunc:
         if self.split is _NO_SPLIT:
             ring = self.num.ring
             got = ring.scalings.get((id(self), c))
-            return ring.memo_miss(ring.scalings, MPoly.mul_cyc, self, c) \
+            return ring.memo_miss(ring.scalings, MPoly.scaled, self, c) \
                 if got is None else got
         if not c:
             return _polynomial(self.num.ring.zero())
-        return _rf(self.num.mul_cyc(c), self.den, self.split)
+        return _rf(self.num.scaled(c), self.den, self.split)
 
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
@@ -699,7 +633,7 @@ def _normal_form(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     _, lc = den.lead()
     if lc != den.ring.cone:
         inv = lc.inverse()
-        num, den = num.mul_cyc(inv), den.mul_cyc(inv)
+        num, den = num.scaled(inv), den.scaled(inv)
     return num, den
 
 
@@ -708,7 +642,7 @@ def _linear_split(den: MPoly):
     for 1, itself for a linear form, None (unknown) for anything else."""
     if den.is_one():
         return _NO_SPLIT
-    if den.total_degree() == 1:
+    if den.degree() == 1:
         return _intern({den: 1}, den.ring)
     return None
 
@@ -807,31 +741,6 @@ def _strip(num: MPoly, forms: dict, skip: dict) -> tuple[MPoly, dict]:
     return num, off
 
 
-def _add_split(a: RatFunc, b: RatFunc) -> RatFunc:
-    """a + b over the lcm of two factored denominators.
-
-    A linear factor is prime, and a reduced numerator has none of its
-    denominator's factors.  So a factor one denominator has more often than
-    the other divides exactly one of the two scaled numerators and not their
-    sum: only factors of equal multiplicity in both can cancel.
-    """
-    fa, fb = a.split.forms, b.split.forms
-    up_a: dict = {}  # lcm / a.den as a multiset
-    even: dict = {}
-    for f, m in fb.items():
-        ma = fa.get(f, 0)
-        if m > ma:
-            up_a[f] = m - ma
-        elif m == ma:
-            even[f] = m
-    up_b = {f: m - fb.get(f, 0) for f, m in fa.items() if m > fb.get(f, 0)}
-    num = _times(a.num, up_a) + _times(b.num, up_b)
-    if num.is_zero():
-        return _polynomial(num)
-    num, off = _strip(num, even, {})
-    return _factored(num, _adjust(fa, up_a, off))
-
-
 def _mul_split(a: RatFunc, b: RatFunc) -> RatFunc:
     """a * b for factored denominators: each numerator sheds the other's
     factors (a reduced numerator has none of its own)."""
@@ -867,28 +776,45 @@ def _mul_general(a: RatFunc, b: RatFunc) -> RatFunc:
         nums.append(num)
     num = nums[0] * nums[1]
     den = rest[0] * rest[1] if len(rest) == 2 else rest[0]
-    if den.total_degree() == 1:
+    if den.degree() == 1:
         forms = _adjust(forms, {den: 1}, {})
     elif not den.is_one():
         return _rf(num, _times(den, forms), None)
     return _factored(num, forms)
 
 
-def _dot(pairs, field: "GenericParameters") -> RatFunc:
-    """The sum of a * b over pairs of values, over one common denominator.
+def _lcm_sum(terms, ring: ParamRing):
+    """The sum of num / (product of forms) over the (num, forms) terms, over
+    one common denominator; None when the sum is zero.
 
-    The lcm takes each linear form as often as the product that has it most
-    often.  Each product's numerator is scaled up to the lcm, the numerators
-    are added once, and the sum is trial-divided by the lcm's forms once.  A
-    linear form is prime, so the quotient over what is left of the lcm is
-    reduced, as in :func:`_add_split`.  A pair with an operand whose split is
-    unknown is added by ``*`` and ``+``; the field's ``one`` multiplies
-    nothing.
+    The lcm takes each linear form as often as the term that has it most
+    often.  Each numerator is scaled up to the lcm, the numerators are added
+    once, and the sum is trial-divided by the lcm's forms once.  A linear
+    form is prime, so a form that stops dividing is coprime to the sum, and
+    the quotient over what is left of the lcm is reduced.
     """
+    lcm: dict = {}
+    for _, forms in terms:
+        for f, m in forms.items():
+            if m > lcm.get(f, 0):
+                lcm[f] = m
+    acc: dict = {}
+    for num, forms in terms:
+        accumulate(acc, _times(num, _adjust(lcm, {}, forms)).terms.items())
+    if not acc:
+        return None
+    num, off = _strip(MPoly(ring, acc), lcm, {})
+    return _factored(num, _adjust(lcm, {}, off))
+
+
+def _dot(pairs, field: "GenericParameters") -> RatFunc:
+    """The sum of a * b over pairs of values: :func:`_lcm_sum` of the terms
+    (a.num * b.num, the forms of a.den * b.den) of the pairs whose splits
+    are known, plus the other pairs by ``*`` and ``+``.  The field's ``one``
+    multiplies nothing."""
     one = field.one
     rest = None
     terms = []
-    lcm: dict = {}
     for a, b in pairs:
         if a.split is None or b.split is None:
             rest = a * b if rest is None else rest + a * b
@@ -896,19 +822,12 @@ def _dot(pairs, field: "GenericParameters") -> RatFunc:
         if not a.num.terms or not b.num.terms:
             continue
         fa, fb = a.split.forms, b.split.forms
-        forms = _adjust(fa, fb, {}) if fa and fb else fa or fb
-        for f, m in forms.items():
-            if m > lcm.get(f, 0):
-                lcm[f] = m
         terms.append((b.num if a is one else a.num if b is one
-                      else a.num * b.num, forms))
-    acc: dict = {}
-    for num, forms in terms:
-        accumulate(acc, _times(num, _adjust(lcm, {}, forms)).terms.items())
-    if not acc:
+                      else a.num * b.num,
+                      _adjust(fa, fb, {}) if fa and fb else fa or fb))
+    got = _lcm_sum(terms, field.ring)
+    if got is None:
         return field.zero if rest is None else rest
-    num, off = _strip(MPoly(field.ring, acc), lcm, {})
-    got = _factored(num, _adjust(lcm, {}, off))
     return got if rest is None else rest + got
 
 
@@ -980,8 +899,7 @@ class GenericParameters(_Field):
     specialized = False
 
     def __init__(self, r: int, p: int):
-        if r < 1 or p < 1 or r % p:
-            raise ValueError(f"p={p} must divide r={r}")
+        check_group(r, p)
         self.r = r
         self.p = p
         m = r // p - 1
@@ -1033,14 +951,14 @@ class ParamPoint:
     d: tuple[Cyc, ...]
 
     def __post_init__(self):
-        if self.r % self.p:
-            raise ValueError(f"p={self.p} must divide r={self.r}")
+        check_group(self.r, self.p)
         if len(self.d) != self.r // self.p - 1:
             raise ValueError(
                 f"expected {self.r // self.p - 1} d-values, got {len(self.d)}")
 
     @classmethod
     def make(cls, r: int, p: int, kappa, c0, d=()) -> "ParamPoint":
+        check_group(r, p)  # before the values are read in Q(zeta_r)
         return cls(r, p, _as_cyc(r, kappa), _as_cyc(r, c0),
                    tuple(_as_cyc(r, v) for v in d))
 
@@ -1107,8 +1025,7 @@ def d_from_c(r: int, p: int, cvals: Sequence) -> list[Cyc]:
 
     ``cvals`` lists c_p, c_{2p}, ..., c_{r-p}; all other c_l vanish.
     """
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
+    check_group(r, p)
     m = r // p
     if len(cvals) != m - 1:
         raise ValueError(f"expected {m - 1} c-values, got {len(cvals)}")
@@ -1127,8 +1044,7 @@ def c_from_d(r: int, p: int, dvals: Sequence) -> list[Cyc]:
 
     ``dvals`` lists d_0..d_{r/p-1}; d is r/p-periodic in j.
     """
-    if r % p:
-        raise ValueError(f"p={p} must divide r={r}")
+    check_group(r, p)
     m = r // p
     ds = [_as_cyc(r, v) for v in dvals]
     if len(ds) != m:

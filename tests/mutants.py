@@ -37,6 +37,7 @@ OPERATORS = "src/cherednik/operators.py"
 JACK = "src/cherednik/jack.py"
 PARSING = "src/cherednik/parsing.py"
 CLI = "src/cherednik/cli.py"
+POLYNOMIALS = "src/cherednik/polynomials.py"
 
 T_MIXED = "tests/test_scalars.py::test_products_with_one_unknown_split_match_the_gcd_path"
 T_CANCEL = "tests/test_scalars.py::test_a_product_whose_unknown_factor_cancels_comes_back_split"
@@ -101,6 +102,12 @@ T_PHI2 = "tests/test_cyclotomic.py::test_phi_2_products_match_the_oracle"
 T_GRAMMAR = "tests/test_parsing.py::test_grammar_table"
 T_IMPLICIT = "tests/test_parsing.py::test_implicit_products_match_printed_monomials"
 T_DOCTESTS = "tests/test_doctests.py::test_docstring_examples"
+T_CORE_CYC = "tests/test_sparse_terms.py::test_poly_with_cyc_coefficients_matches_the_replaced_loops"
+T_CORE_MPOLY = "tests/test_sparse_terms.py::test_mpoly_matches_the_replaced_loops"
+T_CORE_SIBLINGS = "tests/test_sparse_terms.py::test_poly_and_mpoly_are_siblings_on_one_core"
+T_UNSPLIT = "tests/test_sparse_terms.py::test_unsplit_sums_are_reduced_and_split_exactly_when_linear"
+T_UNSPLIT_SYMPY = "tests/test_sparse_terms.py::test_unsplit_sums_against_sympy_cancel"
+T_TRACER = "tests/test_bench_contract.py::test_tracer_targets_exist"
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,8 @@ MUTANTS = [
            "off = {}",
            (T_MIXED, T_CANCEL)),
     Mutant("mul: keep a split for a nonlinear leftover", SCALARS,
-           "if den.total_degree() == 1:\n        forms = _adjust(",
-           "if den.total_degree() >= 1:\n        forms = _adjust(",
+           "if den.degree() == 1:\n        forms = _adjust(",
+           "if den.degree() >= 1:\n        forms = _adjust(",
            (T_MIXED,)),
     Mutant("mul: mp_gcd against the wrong denominator", SCALARS,
            "else mp_gcd(num, y.den)",
@@ -388,8 +395,8 @@ MUTANTS = [
            (T_WORK_FAST,)),
     # params.dot over one common denominator (scalars._dot)
     Mutant("dot: no final strip", SCALARS,
-           "num, off = _strip(MPoly(field.ring, acc), lcm, {})",
-           "num, off = MPoly(field.ring, acc), {}",
+           "num, off = _strip(MPoly(ring, acc), lcm, {})",
+           "num, off = MPoly(ring, acc), {}",
            (T_DOT, T_DOT_CANCEL)),
     Mutant("dot: the lcm keeps the last multiplicity", SCALARS,
            "            if m > lcm.get(f, 0):\n                lcm[f] = m",
@@ -437,6 +444,19 @@ MUTANTS = [
            '.strip()',
            'src = re.sub(r"\\s+", " ", text).strip()',
            (T_GRAMMAR, T_IMPLICIT, T_DOCTESTS)),
+    # the sparse-polynomial core (polynomials.SparseTerms) and unsplit sums
+    Mutant("core: the shared - adds", POLYNOMIALS,
+           "                s = s - c\n",
+           "                s = s + c\n",
+           (T_CORE_CYC, T_CORE_MPOLY)),
+    Mutant("add: the unsplit sum over self.den * self.den", SCALARS,
+           "o.num * self.den, self.den * o.den)",
+           "o.num * self.den, self.den * self.den)",
+           (T_UNSPLIT, T_UNSPLIT_SYMPY, T_FALLBACK)),
+    Mutant("core: Poly without its own __mul__ entry", POLYNOMIALS,
+           "    __mul__ = SparseTerms.__mul__\n",
+           "",
+           (T_TRACER, T_CORE_SIBLINGS)),
 ]
 
 

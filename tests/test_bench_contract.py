@@ -63,3 +63,28 @@ def test_bench_imports_exist(path, module, name):
     # ``from cherednik import cli`` may name a submodule not yet imported
     assert hasattr(importlib.import_module(module), name) \
         or importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+def test_the_tracer_counts_poly_arithmetic_apart_from_the_shared_core():
+    # Poly and MPoly share their term loops (polynomials.SparseTerms).  The
+    # tracer rebinds Poly's own entries, so MPoly work must not count as
+    # Poly work, and the shared functions must come back unwrapped.
+    from cherednik import GenericParameters, polynomials, scalars
+
+    tracer = _load_tracer()
+    shared_add = polynomials.SparseTerms.__add__
+    ring = GenericParameters(2, 1).ring
+    k, c0 = ring.gen(0), ring.gen(1)
+    with tracer.Tracer() as trace:
+        assert scalars.MPoly.__add__ is shared_add
+        (k + c0) * (k - c0) + -k
+    assert trace.counts["polynomials.Poly.add.calls"] == 0
+    assert trace.counts["polynomials.Poly.mul.calls"] == 0
+    assert scalars.MPoly.__add__ is shared_add
+    assert polynomials.Poly.__add__ is shared_add
+    # the same tracer does count Poly's own arithmetic
+    x = polynomials.Poly.monomial((1,), 1)
+    with tracer.Tracer() as trace:
+        x * x + x
+    assert trace.counts["polynomials.Poly.add.calls"] == 1
+    assert trace.counts["polynomials.Poly.mul.calls"] == 1

@@ -13,6 +13,11 @@ from cherednik import (
     reflections,
 )
 from class_sums import conjugacy_classes
+from cherednik import (
+    c_from_d, catalan_series, coinvariant_series, coxeter_number, d_from_c,
+    degrees, exponents_and_freeness, gordon_point, invariant_char_series,
+    is_irreducible,
+)
 
 
 def random_element(rng, r, n):
@@ -66,6 +71,47 @@ def test_products_of_mixed_ranks_are_refused(left, right):
     with pytest.raises(ValueError, match="mixed ranks"):
         left * right
 
+
+
+# entry points that take a group: with a rank, and without one
+RANKED_ENTRY_POINTS = {
+    "group_order": group_order,
+    "coxeter_number": coxeter_number,
+    "degrees": degrees,
+    "is_irreducible": is_irreducible,
+    "reflections": reflections,
+    "group_elements": lambda r, p, n: list(group_elements(r, p, n)),
+    "PolyRep": PolyRep,
+    "invariant_char_series": lambda r, p, n: invariant_char_series(
+        r, p, n, 3, 4),
+    "exponents_and_freeness": lambda r, p, n: exponents_and_freeness(
+        r, p, n, 1),
+    "gordon_point": gordon_point,
+    "coinvariant_series": lambda r, p, n: coinvariant_series(r, p, n, 3),
+    "catalan_series": lambda r, p, n: catalan_series(r, p, n, 3),
+}
+RANKLESS_ENTRY_POINTS = {
+    "ParamPoint.make": lambda r, p: ParamPoint.make(r, p, 1, 2),
+    "d_from_c": lambda r, p: d_from_c(r, p, []),
+    "c_from_d": lambda r, p: c_from_d(r, p, [1]),
+    "GenericParameters": GenericParameters,
+}
+BAD_GROUPS = [(2, 0, 2), (0, 1, 2), (-2, 1, 2), (2, -1, 2), (3, 2, 2)]
+BAD_RANKS = [(2, 1, 0), (3, 3, -1)]
+
+
+@pytest.mark.parametrize("name", sorted(RANKED_ENTRY_POINTS))
+@pytest.mark.parametrize("r,p,n", BAD_GROUPS + BAD_RANKS)
+def test_invalid_groups_are_refused_with_a_value_error(name, r, p, n):
+    with pytest.raises(ValueError, match=rf"invalid group \({r},{p},{n}\)"):
+        RANKED_ENTRY_POINTS[name](r, p, n)
+
+
+@pytest.mark.parametrize("name", sorted(RANKLESS_ENTRY_POINTS))
+@pytest.mark.parametrize("r,p", [(r, p) for r, p, _ in BAD_GROUPS])
+def test_invalid_groups_without_a_rank_are_refused(name, r, p):
+    with pytest.raises(ValueError, match=rf"invalid group \({r},{p},n\)"):
+        RANKLESS_ENTRY_POINTS[name](r, p)
 
 def test_group_orders_by_enumeration():
     for r in (1, 2, 3):

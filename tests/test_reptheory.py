@@ -414,6 +414,25 @@ def test_y1_and_yn_are_applied_to_the_last_vector(monkeypatch, r, p, n):
     assert applied == [(0, f), (n - 1, f)][:min(n, 2)]
 
 
+
+Y1_CASES = [(r, p, n, k) for r, p, n in [(2, 1, 2), (2, 2, 2), (3, 1, 2),
+                                         (3, 3, 2), (4, 2, 2)]
+            for k in range(1, 6)] \
+    + [(r, p, n, k) for r, p, n in [(2, 1, 3), (2, 2, 3), (3, 3, 3)]
+       for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("r,p,n,k", Y1_CASES)
+def test_y1_kills_the_vector_over_k_en_exactly_when_k_is_nonzero_mod_r(
+        r, p, n, k):
+    # the identity in singular_vector_check's docstring, at generic
+    # parameters: y_1 f = 0 iff k != 0 mod r, while y_n f != 0
+    rep = PolyRep(r, p, n)
+    f = jack_by_solve(rep, (0,) * (n - 1) + (k,)).poly
+    assert rep.dunkl(0, f).is_zero() == (k % r != 0)
+    assert not rep.dunkl(n - 1, f).is_zero()
+
+
 # the groups of the gordon golden files in tests/golden
 GOLDEN_GORDON_GROUPS = [(3, 3, 2), (2, 1, 5), (3, 1, 4), (3, 1, 5), (2, 1, 6),
                         (5, 1, 3), (3, 3, 4), (4, 2, 3), (6, 3, 3), (2, 2, 4)]
