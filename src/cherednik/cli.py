@@ -25,7 +25,7 @@ from .jack import (
 from .groups import check_group
 from .operators import PolyRep, monomials_up_to, require_relation_budget
 from .pbw import check_pbw, rca_forms, require_pbw_budget
-from .polynomials import render_terms
+from .polynomials import render_terms, x_monomial
 from .intertwiners import verify_braid_and_quadratic
 from .reptheory import (
     catalan_series, coxeter_number, exponents_and_freeness, genericity_guard,
@@ -144,7 +144,7 @@ def cmd_jack(job: JobConfig) -> int:
         jv = jack_by_solve(rep, mu)
         entry = jv.to_json()  # prints each coefficient once, for both keys
         entry["polynomial"] = render_terms(
-            (t["exp"], t["coeff"]) for t in entry["terms"])
+            ((x_monomial(t["exp"]), t["coeff"]) for t in entry["terms"]), True)
         if job.check_both:
             other = jack_by_intertwiners(rep, mu)
             agree = other.poly == jv.poly and other.weight == jv.weight

@@ -27,6 +27,10 @@ The operators are the package's innermost loop, so each takes fast paths:
 * ``Cyc.root(r, k)`` returns one shared value per (r, k mod r), so a memo
   key holding a root matches by identity.  Values are never mutated.
 
+A value prints as the sum of its coordinates through
+``polynomials.render_terms``, the package's one renderer of a sum:
+``1/2 - z + 3*z^2``.
+
 >>> z = Cyc.root(4, 1)
 >>> z * z
 Cyc(4, [-1, 0])
@@ -45,6 +49,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, neg, sub
+
+from .polynomials import render_terms
 
 __all__ = ["Q", "Cyc", "cyclotomic_polynomial", "euler_phi"]
 
@@ -427,26 +433,9 @@ class Cyc:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self._coordinates()):
-            if not c:
-                continue
-            mono = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            if k == 0:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = "-" + mono
-            else:
-                body = f"{c}*{mono}"
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append(" - " + body[1:])
-            else:
-                parts.append(" + " + body)
-        return "".join(parts) if parts else "0"
+        return render_terms([
+            ("" if k == 0 else "z" if k == 1 else f"z^{k}", str(c))
+            for k, c in enumerate(self._coordinates()) if c])
 
     def __repr__(self):
         return f"Cyc({self.r}, [{', '.join(str(c) for c in self._coordinates())}])"

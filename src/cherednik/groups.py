@@ -203,6 +203,7 @@ def parse_element(text: str, r: int) -> GroupElement:
     col = tuple(int(t) % r for t in col_part.split(",")) if col_part.strip() else ()
     n = len(col)
     perm = list(range(n))
+    seen = set()
     for grp in re.findall(r"\(([^)]*)\)", cyc_part):
         entries = [int(t) - 1 for t in grp.split()]
         if not entries:
@@ -210,6 +211,10 @@ def parse_element(text: str, r: int) -> GroupElement:
         for a, b in zip(entries, entries[1:] + entries[:1]):
             if not 0 <= a < n:
                 raise ValueError(f"cycle entry {a + 1} out of range 1..{n}")
+            if a in seen:
+                raise ValueError(f"cycle entry {a + 1} appears twice; "
+                                 "the cycles must be disjoint")
+            seen.add(a)
             perm[a] = b
     return GroupElement.from_perm_col(r, perm, col)
 

@@ -9,6 +9,10 @@ Two modes behind one arithmetic interface:
   boundary, so arbitrary integer indices (d_{-mu_i-1} and friends) are fine.
 * specialized -- plain Q(zeta_r) values attached to a :class:`ParamPoint`.
 
+An ``MPoly`` prints through ``polynomials.render_terms``, the package's one
+renderer of a sum, as ``k*c0^2 + (-1 - z)*d1``; a :class:`RatFunc` prints as
+``(num)/(den)``.
+
 Rational functions are kept gcd-reduced with the denominator normalized to
 leading coefficient 1 (graded-lex), so equality is structural.  That makes
 eigenvalue comparisons decidable, which the eigenbasis construction relies on.
@@ -207,6 +211,8 @@ class MPoly(SparseTerms):
         return out
 
     def evaluate(self, vals: Sequence[Cyc]) -> Cyc:
+        if len(vals) != self.ring.nvars:
+            raise ValueError(f"expected {self.ring.nvars} values, got {len(vals)}")
         out = self.ring.czero
         for e, c in self.terms.items():
             for v, x in zip(vals, e):
@@ -249,49 +255,15 @@ class MPoly(SparseTerms):
             return self
         return self.scaled(c.inverse())
 
-    def __str__(self) -> str:
-        return _poly_str(self)
+    SPACED = False
 
-    def __repr__(self):
-        return f"MPoly({self})"
-
-
-def _mono_str(e: tuple[int, ...], names: tuple[str, ...]) -> str:
-    parts = []
-    for i, x in enumerate(e):
-        if x == 1:
-            parts.append(names[i])
-        elif x:
-            parts.append(f"{names[i]}^{x}")
-    return "*".join(parts)
+    def _mono(self, e: tuple[int, ...]) -> str:
+        names = self.ring.names
+        return "*".join(names[i] if x == 1 else f"{names[i]}^{x}"
+                        for i, x in enumerate(e) if x)
 
 
-def _poly_str(p: MPoly) -> str:
-    if not p.terms:
-        return "0"
-    chunks = []
-    for e in sorted(p.terms, key=_key, reverse=True):
-        c = p.terms[e]
-        mono = _mono_str(e, p.ring.names)
-        cs = str(c)
-        simple = "+" not in cs[1:] and "-" not in cs[1:] and "*" not in cs
-        if not mono:
-            body = cs if simple else f"({cs})"
-        elif c == p.ring.cone:
-            body = mono
-        elif c == -p.ring.cone:
-            body = "-" + mono
-        elif simple:
-            body = f"{cs}*{mono}"
-        else:
-            body = f"({cs})*{mono}"
-        if not chunks:
-            chunks.append(body)
-        elif body.startswith("-"):
-            chunks.append(" - " + body[1:])
-        else:
-            chunks.append(" + " + body)
-    return "".join(chunks)
+MPoly.space = MPoly.ring  # the operands' space, which the core compares
 
 
 # ---------------------------------------------------------------------------
@@ -893,6 +865,10 @@ class _Field:
         return {}
 
 
+def _param_names(m: int) -> tuple[str, ...]:  # the ring with m d-values
+    return ("k", "c0") + tuple(f"d{j}" for j in range(1, m + 1))
+
+
 class GenericParameters(_Field):
     """Symbolic parameters k, c0, d1..d_{r/p-1} for G(r,p,n)."""
 
@@ -903,8 +879,7 @@ class GenericParameters(_Field):
         self.r = r
         self.p = p
         m = r // p - 1
-        names = ("k", "c0") + tuple(f"d{j}" for j in range(1, m + 1))
-        self.ring = ParamRing(r, names)
+        self.ring = ParamRing(r, _param_names(m))
         self.kappa = self.ring.intern(self.ring.gen(0))
         self.c0 = self.ring.intern(self.ring.gen(1))
         dpolys = [self.ring.gen(2 + j) for j in range(m)]
@@ -1053,11 +1028,17 @@ def c_from_d(r: int, p: int, dvals: Sequence) -> list[Cyc]:
 
 
 def specialize(s, point: ParamPoint) -> Cyc:
-    """Exact substitution of the point into a scalar; poles raise PoleError."""
+    """Exact substitution of the point into a scalar; poles raise PoleError.
+    A scalar of another field (another r, or other variables than k, c0,
+    d1..d_{r/p-1}) raises ``ValueError``."""
     if isinstance(s, Cyc):
         if s.r != point.r:
             raise ValueError("cyclotomic order mismatch")
         return s
+    ring = s.num.ring
+    if ring.r != point.r or ring.names != _param_names(len(point.d)):
+        raise ValueError(f"a scalar over {ring.names} of Q(zeta_{ring.r}) "
+                         f"cannot be specialized at {point}")
     vals = (point.kappa, point.c0) + point.d
     den = s.den.evaluate(vals)
     if not den:

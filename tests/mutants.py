@@ -108,6 +108,11 @@ T_CORE_SIBLINGS = "tests/test_sparse_terms.py::test_poly_and_mpoly_are_siblings_
 T_UNSPLIT = "tests/test_sparse_terms.py::test_unsplit_sums_are_reduced_and_split_exactly_when_linear"
 T_UNSPLIT_SYMPY = "tests/test_sparse_terms.py::test_unsplit_sums_against_sympy_cancel"
 T_TRACER = "tests/test_bench_contract.py::test_tracer_targets_exist"
+T_RENDER_CYC = "tests/test_render.py::test_cyc_text_of_each_order_matches_the_old_loop"
+T_RENDER_MPOLY = "tests/test_render.py::test_mpoly_text_matches_the_old_renderer"
+T_RENDER_POLY = "tests/test_render.py::test_poly_text_with_cyc_coefficients_matches_the_old_renderer"
+T_RENDER_RAT = "tests/test_render.py::test_poly_text_with_ratfunc_coefficients_matches_the_old_renderer"
+T_RENDER_COMPOUND = "tests/test_render.py::test_compound_ratfunc_coefficients_are_parenthesized_as_before"
 
 
 @dataclass(frozen=True)
@@ -457,6 +462,20 @@ MUTANTS = [
            "    __mul__ = SparseTerms.__mul__\n",
            "",
            (T_TRACER, T_CORE_SIBLINGS)),
+    # the one text renderer (polynomials.render_terms)
+    Mutant("render: a compound coefficient without its parentheses",
+           POLYNOMIALS,
+           'cs = f"({cs})"',
+           "cs = cs",
+           (T_RENDER_MPOLY, T_RENDER_RAT, T_RENDER_COMPOUND, T_GOLDEN)),
+    Mutant("render: Poly's / or space rule dropped", POLYNOMIALS,
+           '"*" in cs \\\n                    or spaced and ("/" in cs or " " in cs):',
+           '"*" in cs:',
+           (T_RENDER_POLY, T_RENDER_COMPOUND)),
+    Mutant("render: ' + -' for ' - '", POLYNOMIALS,
+           'chunks.append(" - " + body[1:])',
+           'chunks.append(" + " + body)',
+           (T_RENDER_CYC, T_RENDER_MPOLY, T_RENDER_POLY, T_GOLDEN)),
 ]
 
 

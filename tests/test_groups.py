@@ -255,6 +255,15 @@ def test_parse_print_roundtrip():
         parse_element("(1 5)[0,0]", 2)
 
 
+@pytest.mark.parametrize("text, slot", [
+    ("(1 2)(1 2)[0,0]", 1), ("(1 2 3)(1 3 2)[0,0,0]", 1),
+    ("(1 2)(3 2)[0,0,0]", 2), ("(1 2 1)[0,0]", 1),
+])
+def test_cycles_that_share_a_slot_are_refused(text, slot):
+    with pytest.raises(ValueError, match=f"cycle entry {slot} appears twice"):
+        parse_element(text, 2)
+
+
 def _orbits_by_enumeration(r, p, n):
     """Map each element of G(r,p,n) to the index of its conjugacy class,
     and list the class sizes, by brute-force conjugation."""

@@ -80,6 +80,20 @@ def test_specialize_examples():
     assert "k - c0" in str(err.value)
 
 
+def test_specialize_refuses_a_scalar_of_another_field():
+    # a point of G(4,2) has one d-value; G(4,1)'s ring has d1, d2, d3, and
+    # G(2,1)'s ring the same names over another r
+    pt = ParamPoint.make(4, 2, 1, Fraction(1, 3), [5])
+    g41, g21 = GenericParameters(4, 1), GenericParameters(2, 1)
+    for s in (g41.d(3), g41.d(2) + g41.d(3), g41.kappa, g21.kappa):
+        with pytest.raises(ValueError, match="cannot be specialized"):
+            specialize(s, pt)
+    with pytest.raises(ValueError, match="expected 5 values, got 3"):
+        g41.kappa.num.evaluate((pt.kappa, pt.c0) + pt.d)
+    g42 = GenericParameters(4, 2)
+    assert specialize(g42.kappa + g42.d(1), pt) == Cyc.from_rational(4, 6)
+
+
 def test_specialize_gordon_d_difference():
     # d_0 - d_{-1} at the Gordon point of G(2,1,2) equals c_1 (1 - zeta^{-1})
     par = GenericParameters(2, 1)

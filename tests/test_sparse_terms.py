@@ -8,12 +8,15 @@ to zero included.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from cherednik import Cyc, GenericParameters, MPoly, Poly, RatFunc
+from cherednik import (
+    Cyc, GenericParameters, MPoly, Poly, RatFunc, parse_poly,
+)
 from cherednik.polynomials import SparseTerms, accumulate
 
 # ---------------------------------------------------------------------------
@@ -226,7 +229,8 @@ def test_poly_and_mpoly_are_siblings_on_one_core():
     assert issubclass(Poly, SparseTerms) and issubclass(MPoly, SparseTerms)
     assert not issubclass(MPoly, Poly) and not issubclass(Poly, MPoly)
     shared = ("__add__", "__sub__", "__neg__", "__mul__", "is_zero",
-              "__bool__", "degree", "scaled")
+              "__bool__", "degree", "scaled", "sorted_terms", "__str__",
+              "__repr__")
     assert not set(shared) & set(vars(MPoly))
     for name in shared:
         assert getattr(MPoly, name) is getattr(SparseTerms, name)
@@ -235,6 +239,20 @@ def test_poly_and_mpoly_are_siblings_on_one_core():
         is SparseTerms.__add__
     assert vars(Poly)["__mul__"] is SparseTerms.__mul__
     assert vars(Poly)["__rmul__"] is SparseTerms.scaled
+
+
+def test_arithmetic_across_ranks_is_refused():
+    par = GenericParameters(2, 1)
+    a, b = parse_poly("x1 + x2", 2, par), parse_poly("x3", 3, par)
+    for left, right in ((a, b), (b, a)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="mixed ranks"):
+                op(left, right)
+    # MPoly values combine within one ring; equal rings are one space
+    x, y = GenericParameters(2, 1).kappa.num, GenericParameters(4, 1).kappa.num
+    with pytest.raises(ValueError, match="mixed ranks"):
+        x + y
+    assert (x * par.kappa.num).ring == par.ring
 
 
 # ---------------------------------------------------------------------------
