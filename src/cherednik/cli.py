@@ -15,9 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .jack import (
     NonGenericError, jack_by_intertwiners, jack_by_solve, require_jack_budget,
@@ -38,88 +36,58 @@ from .scalars import GenericParameters, ParamPoint, SpecializedParameters
 OK, INTERNAL, PRECONDITION = 0, 1, 2
 
 
-@dataclass
-class JobConfig:
-    """Validated knobs shared by the subcommands.  An option the subcommand
-    lacks is ``None``; every default lives in the argument parser."""
-
-    r: int
-    p: int
-    n: int
-    point: Optional[ParamPoint] = None
-    mus: list[tuple[int, ...]] = field(default_factory=list)
-    max_deg: Optional[int] = None
-    truncation: Optional[int] = None
-    suite: Optional[str] = None
-    check_both: bool = False
-    inject_fault: Optional[str] = None
-    as_json: bool = False
-
-    def validate(self):
-        check_group(self.r, self.p, self.n)
-        if any(v is not None and v <= 0
-               for v in (self.max_deg, self.truncation)):
-            raise ValueError("degree caps and truncations must be positive")
-        for mu in self.mus:
-            if len(mu) != self.n or any(v < 0 for v in mu):
-                raise ValueError(f"bad composition {mu} for rank {self.n}")
-
-    def params(self):
-        if self.point is not None:
-            return SpecializedParameters(self.point)
-        return GenericParameters(self.r, self.p)
-
-
-def _build_config(args) -> JobConfig:
+def _request(args) -> None:
+    """Check the parsed arguments, then set ``args.r``, ``args.p`` and
+    ``args.n``, ``args.mu`` to integer tuples and ``args.point`` to the
+    ParamPoint or None.  A refusal raises ValueError."""
     try:
         r, p, n = (int(t) for t in args.group.split(","))
     except ValueError:
         raise ValueError(f"--group must be r,p,n, got {args.group!r}") \
             from None
     mus = []
-    for mu in getattr(args, "mu", []):
+    for mu in args.mu:
         try:
             mus.append(tuple(int(t) for t in mu.split(",")))
         except ValueError:
             raise ValueError("--mu must be a comma list of integers like "
                              f"1,0, got {mu!r}") from None
-    c0 = getattr(args, "c0", None)
-    kappa = getattr(args, "kappa", None)
-    cdiag = getattr(args, "cdiag", None)
-    at_gordon = getattr(args, "gordon_point", False)
     # a point flag that would be ignored is an error
-    for name, val in (("kappa", kappa), ("cdiag", cdiag)):
-        if c0 is None and val is not None:
+    for name in ("kappa", "cdiag"):
+        if args.c0 is None and getattr(args, name) is not None:
             raise ValueError(f"--{name} specializes only together with --c0")
-    if at_gordon and c0 is not None:
+    if args.gordon_point and args.c0 is not None:
         raise ValueError("--gordon-point and --c0 pick different points; "
                          "give one")
-    job = JobConfig(
-        r=r, p=p, n=n, mus=mus,
-        max_deg=getattr(args, "max_deg", None),
-        truncation=getattr(args, "truncation", None),
-        suite=getattr(args, "suite", None),
-        check_both=getattr(args, "check_both", False),
-        inject_fault=getattr(args, "inject_fault", None),
-        as_json=args.json,
-    )
-    job.validate()  # before the point, which needs a valid group
-    if at_gordon:
-        job.point = gordon_point(r, p, n)
-    elif c0 is not None:
+    check_group(r, p, n)  # before the point, which needs a valid group
+    if any(v is not None and v <= 0 for v in (args.max_deg, args.truncation)):
+        raise ValueError("degree caps and truncations must be positive")
+    for mu in mus:
+        if len(mu) != n or any(v < 0 for v in mu):
+            raise ValueError(f"bad composition {mu} for rank {n}")
+    args.r, args.p, args.n, args.mu, args.point = r, p, n, mus, None
+    if args.gordon_point:
+        args.point = gordon_point(r, p, n)
+    elif args.c0 is not None:
         m = r // p - 1
         try:
-            cvals = [Fraction(0)] * m if cdiag is None \
-                else [Fraction(t) for t in cdiag.split(",")]
+            cvals = [Fraction(0)] * m if args.cdiag is None \
+                else [Fraction(t) for t in args.cdiag.split(",")]
         except (ValueError, ZeroDivisionError):
             raise ValueError("--cdiag must be a comma list of rationals "
-                             f"like 1/3,0, got {cdiag!r}") from None
+                             f"like 1/3,0, got {args.cdiag!r}") from None
         if len(cvals) != m:
             raise ValueError(f"--cdiag must list {m} values c_p, ..., c_(r-p) "
                              f"for G({r},{p},{n}), got {len(cvals)}")
-        job.point = ParamPoint.from_c(
-            r, p, Fraction(1) if kappa is None else kappa, c0, cvals)
-    return job
+        args.point = ParamPoint.from_c(
+            r, p, Fraction(1) if args.kappa is None else args.kappa, args.c0,
+            cvals)
+
+
+def _params(args):
+    if args.point is not None:
+        return SpecializedParameters(args.point)
+    return GenericParameters(args.r, args.p)
 
 
 def _emit(payload: dict, as_json: bool, text_lines) -> None:
@@ -135,27 +103,27 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_jack(job: JobConfig) -> int:
-    for mu in job.mus:  # refuse an oversized composition before any work
-        require_jack_budget(job.n, mu, job.r, job.point is None)
-    rep = PolyRep(job.r, job.p, job.n, job.params())
+def cmd_jack(args) -> int:
+    for mu in args.mu:  # refuse an oversized composition before any work
+        require_jack_budget(args.n, mu, args.r, args.point is None)
+    rep = PolyRep(args.r, args.p, args.n, _params(args))
     results = []
-    for mu in job.mus:
+    for mu in args.mu:
         jv = jack_by_solve(rep, mu)
         entry = jv.to_json()  # prints each coefficient once, for both keys
         entry["polynomial"] = render_terms(
             ((x_monomial(t["exp"]), t["coeff"]) for t in entry["terms"]), True)
-        if job.check_both:
+        if args.check_both:
             other = jack_by_intertwiners(rep, mu)
             agree = other.poly == jv.poly and other.weight == jv.weight
             entry["constructions_agree"] = agree
             if not agree:
-                _emit({"status": "fail", "mu": list(mu)}, job.as_json,
+                _emit({"status": "fail", "mu": list(mu)}, args.json,
                       [f"constructions disagree at mu={mu}"])
                 return INTERNAL
         results.append(entry)
-    mode = "generic" if job.point is None else "specialized"
-    payload = {"group": [job.r, job.p, job.n], "mode": mode,
+    mode = "generic" if args.point is None else "specialized"
+    payload = {"group": [args.r, args.p, args.n], "mode": mode,
                "eigenvectors": results}
     lines = []
     for entry in results:
@@ -165,50 +133,50 @@ def cmd_jack(job: JobConfig) -> int:
         lines.append(f"  zeta-exponents: {entry['weight']['zeta']}")
         if "constructions_agree" in entry:
             lines.append("  constructions agree")
-    _emit(payload, job.as_json, lines)
+    _emit(payload, args.json, lines)
     return OK
 
 
-def _operator_suites(job: JobConfig) -> dict:
+def _operator_suites(args) -> dict:
     """The relation, commutator and PBW suites, on one parameter field
     that is released (with its scalar memos) when they return."""
-    wanted = job.suite
+    wanted = args.suite
     if wanted in ("all", "relations", "commutators"):
-        require_relation_budget(job.n, job.max_deg)
-    params = job.params()
+        require_relation_budget(args.n, args.max_deg)
+    params = _params(args)
     if wanted in ("all", "pbw"):
         # refuse an oversized PBW check before any suite runs
-        family = rca_forms(job.r, job.p, job.n, params)
+        family = rca_forms(args.r, args.p, args.n, params)
         require_pbw_budget(family)
-    rep = PolyRep(job.r, job.p, job.n, params,
-                  fault_dunkl_sign=job.inject_fault == "dunkl-sign")
+    rep = PolyRep(args.r, args.p, args.n, params,
+                  fault_dunkl_sign=args.inject_fault == "dunkl-sign")
     reports = {}
     if wanted in ("all", "relations"):
-        reports["relations"] = rep.check_relations(job.max_deg)
+        reports["relations"] = rep.check_relations(args.max_deg)
     if wanted in ("all", "commutators"):
-        reports["commutators"] = rep.commutator_report(job.max_deg)
+        reports["commutators"] = rep.commutator_report(args.max_deg)
     if wanted in ("all", "pbw"):
         reports["pbw"] = check_pbw(family)
     return reports
 
 
-def _verify_suites(job: JobConfig) -> dict:
-    reports = _operator_suites(job)
-    if job.suite in ("all", "intertwiners"):
-        grid = [mu for mu in monomials_up_to(job.n, min(job.max_deg, 4))]
-        clean = PolyRep(job.r, job.p, job.n, job.params())
+def _verify_suites(args) -> dict:
+    reports = _operator_suites(args)
+    if args.suite in ("all", "intertwiners"):
+        grid = [mu for mu in monomials_up_to(args.n, min(args.max_deg, 4))]
+        clean = PolyRep(args.r, args.p, args.n, _params(args))
         reports["intertwiners"] = verify_braid_and_quadratic(
-            clean, grid, fault_pi_sign=job.inject_fault == "pi-sign")
+            clean, grid, fault_pi_sign=args.inject_fault == "pi-sign")
     return reports
 
 
-def cmd_verify(job: JobConfig) -> int:
-    reports = _verify_suites(job)
+def cmd_verify(args) -> int:
+    reports = _verify_suites(args)
     ok = all(rep.get("status") == "pass" for rep in reports.values())
-    payload = {"group": [job.r, job.p, job.n], "suite": job.suite,
-               "max_degree": job.max_deg,
+    payload = {"group": [args.r, args.p, args.n], "suite": args.suite,
+               "max_degree": args.max_deg,
                "status": "pass" if ok else "fail", "reports": reports}
-    lines = [f"group G({job.r},{job.p},{job.n}), suite {job.suite}:"]
+    lines = [f"group G({args.r},{args.p},{args.n}), suite {args.suite}:"]
     for name, rep in reports.items():
         lines.append(f"  {name}: {rep['status']}")
         if rep["status"] != "pass":
@@ -216,23 +184,23 @@ def cmd_verify(job: JobConfig) -> int:
                       if k not in ("status", "group")}
             lines.append(f"    witness: {detail}")
     lines.append("PASS" if ok else "FAIL")
-    _emit(payload, job.as_json, lines)
+    _emit(payload, args.json, lines)
     return OK if ok else INTERNAL
 
 
-def cmd_gordon(job: JobConfig) -> int:
-    require_truncation_budget(job.truncation)
-    r, p, n = job.r, job.p, job.n
+def cmd_gordon(args) -> int:
+    require_truncation_budget(args.truncation)
+    r, p, n = args.r, args.p, args.n
     if r == 1:
         _emit({"status": "unsupported", "reason": "r must exceed 1"},
-              job.as_json, ["r must exceed 1"])
+              args.json, ["r must exceed 1"])
         return PRECONDITION
     if not is_irreducible(r, p, n):
         caveat = ("G(2,2,2) is reducible: the rank-2 case with p = r = 2 "
                   "is outside the diagonal-coinvariant theorems"
                   if (r, p, n) == (2, 2, 2)
                   else f"G({r},{p},{n}) does not act irreducibly")
-        _emit({"status": "caveat", "caveat": caveat}, job.as_json, [caveat])
+        _emit({"status": "caveat", "caveat": caveat}, args.json, [caveat])
         return PRECONDITION
     h = coxeter_number(r, p, n)
     k = h + 1
@@ -241,17 +209,17 @@ def cmd_gordon(job: JobConfig) -> int:
     guard = genericity_guard(point, k, n)
     if not guard["ok"]:
         _emit({"status": "guard-failure", "h": h, "k": k, "guard": guard},
-              job.as_json,
+              args.json,
               [f"guard failed: {guard['violations']}"])
         return PRECONDITION
     singular = singular_vector_check(r, p, n, point, k)
     dim_count = k ** n
     # ((1 - t^k)/(1 - t))^n, the graded dimension of the quotient
-    ident = l1_graded_dimension(n, k, job.truncation)
+    ident = l1_graded_dimension(n, k, args.truncation)
     by_degree = ident[:n * (k - 1) + 1]
     dim_char = sum(by_degree)
-    cat = catalan_series(r, p, n, job.truncation)
-    inv_series = invariant_char_series(r, p, n, k, job.truncation)
+    cat = catalan_series(r, p, n, args.truncation)
+    inv_series = invariant_char_series(r, p, n, k, args.truncation)
     expf = exponents_and_freeness(r, p, n, k)
     # the q-Catalan identity is only asserted for well-generated groups
     catalan_match = inv_series == cat["coefficients"] \
@@ -270,7 +238,7 @@ def cmd_gordon(job: JobConfig) -> int:
                    "character_limit": str(dim_char),
                    "by_degree": by_degree},
         "identity_character": {
-            "series": [str(c) for c in ident[:job.truncation + 1]]},
+            "series": [str(c) for c in ident[:args.truncation + 1]]},
         "catalan": cat,
         "catalan_invariant_match": catalan_match,
         "exponents": expf,
@@ -289,7 +257,7 @@ def cmd_gordon(job: JobConfig) -> int:
         f"(multiset match: {expf['multiset_match']})",
         "PASS" if ok else "FAIL",
     ]
-    _emit(payload, job.as_json, lines)
+    _emit(payload, args.json, lines)
     return OK if ok else INTERNAL
 
 
@@ -337,6 +305,9 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact rational Cherednik computations for G(r,p,n)",
         fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the value of each option that a subcommand lacks
+    parser.set_defaults(mu=(), c0=None, kappa=None, cdiag=None,
+                        gordon_point=False, max_deg=None, truncation=None)
 
     sp = sub.add_parser("jack", help="construct eigenvectors f_mu")
     _add_common(sp)
@@ -366,22 +337,22 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        job = _build_config(args)
+        _request(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION
     try:
         if args.command == "jack":
-            return cmd_jack(job)
+            return cmd_jack(args)
         if args.command == "verify":
-            return cmd_verify(job)
-        return cmd_gordon(job)
+            return cmd_verify(args)
+        return cmd_gordon(args)
     except NonGenericError as exc:
         report = {"status": "non-generic", "error": str(exc)}
-        if job.point is not None:
+        if args.point is not None:
             report["simple_spectrum_violations"] = \
-                simple_spectrum_violations(job.point, job.n)
-        print(json.dumps(report, indent=2) if job.as_json
+                simple_spectrum_violations(args.point, args.n)
+        print(json.dumps(report, indent=2) if args.json
               else f"non-generic point: {exc}", file=sys.stderr)
         return PRECONDITION
     except ValueError as exc:

@@ -84,8 +84,9 @@ class SparseTerms:
     """``terms`` maps exponent tuples to nonzero coefficients of a field;
     each result is built by the subclass's ``_like(terms)``.  ``*`` by a
     non-polynomial scales by it, and ``+`` and ``-`` lift it by ``_lift``
-    (which only :class:`Poly` defines).  Two polynomials combine only in
-    one ``space`` (a :class:`Poly`'s rank, an ``MPoly``'s ring).  A
+    (which only :class:`Poly` defines).  Two polynomials combine, or are
+    equal, only in one ``space`` (a :class:`Poly`'s rank, an ``MPoly``'s
+    ring); each subclass hashes its terms its own way.  A
     subclass prints with its ``_mono`` spelling and its ``SPACED`` flag."""
 
     __slots__ = ("terms", "_hash")
@@ -158,6 +159,11 @@ class SparseTerms:
                         del out[e]
         return self._like(out)
 
+    def __eq__(self, other):
+        return (isinstance(other, type(self))
+                and (other.space is self.space or other.space == self.space)
+                and self.terms == other.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -225,10 +231,6 @@ class Poly(SparseTerms):
         return self._lift(other) - self
 
     # -- queries ------------------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.n == other.n \
-            and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:

@@ -188,11 +188,6 @@ class MPoly(SparseTerms):
             raise ValueError("not a constant polynomial")
         return c
 
-    def __eq__(self, other):
-        return (isinstance(other, MPoly)
-                and (self.ring is other.ring or self.ring == other.ring)
-                and self.terms == other.terms)
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))

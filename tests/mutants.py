@@ -11,17 +11,40 @@ Then, for each mutant (or each one named), it applies the edit to the copy,
 runs only that mutant's tests, and restores the file.  A mutant is caught
 when each of its tests fails (a parametrized test in at least one case).
 One line per mutant is printed; the exit status is 0 when every mutant is
-caught.  The file's name does not start with ``test_``, so pytest does not
-collect it.
+caught.
+
+A sampled sweep, to look for faults that no test catches::
+
+    python tests/mutants.py --sample N [--seed S]
+
+lists every site of one AST edit in ``src/cherednik`` (``+`` and ``-``
+swapped, ``*`` made ``+``, a comparison negated, an int constant bumped by
+one), draws N of them with seed S, and runs the whole test suite with
+``-x`` on each edit in turn, after one unmutated run that must pass.  An
+edit is caught when the suite fails, errors or times out.  Survivors are
+printed for review; they may be equivalent mutants, and they are not added
+to the curated list above.  The exit status is 0 when every sampled edit
+is caught.
+
+The file's name does not start with ``test_``, so pytest does not collect
+it.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
+import bisect
+import io
 import pathlib
+import random
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
+import tokenize
 from dataclasses import dataclass
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -74,6 +97,9 @@ T_L1_SWEEP = "tests/test_reptheory.py::test_l1_graded_dimension_matches_the_orac
 T_L1_IDENT = "tests/test_reptheory.py::test_graded_character_identity_element"
 T_TRUNC = "tests/test_cli.py::test_gordon_accepts_the_truncation_budget"
 T_TRIVIAL_CLI = "tests/test_cli.py::test_trivial_group_at_the_gordon_point_exits_two"
+T_GUARD_CLI = "tests/test_cli.py::test_a_failing_guard_exits_two_with_its_record"
+T_DISAGREE = "tests/test_cli.py::test_jack_check_both_disagreement_exits_one"
+T_CAPS = "tests/test_cli.py::test_a_non_positive_cap_exits_two"
 T_WORK_GENERIC = "tests/test_cli.py::test_jack_work_estimate_is_for_generic_parameters"
 T_WORK_FAST = "tests/test_cli.py::test_jack_accepts_the_fast_compositions"
 T_XSIDE = "tests/test_polynomials.py::test_x_side_defects_match_oracle"
@@ -277,6 +303,19 @@ MUTANTS = [
            "catalan_match = [int(v) for v in inv_series] == "
            "cat[\"coefficients\"]",
            (T_CATALAN_EXACT,)),
+    # the CLI's refusals
+    Mutant("cli: a failed guard goes on to the later stages", CLI,
+           'if not guard["ok"]:',
+           "if not guard:",
+           (T_GUARD_CLI,)),
+    Mutant("cli: constructions that disagree are not reported", CLI,
+           "if not agree:",
+           "if False:",
+           (T_DISAGREE,)),
+    Mutant("cli: a zero degree cap or truncation accepted", CLI,
+           "v <= 0 for v in",
+           "v < 0 for v in",
+           (T_CAPS,)),
     Mutant("budget: the budget's own truncation refused", REPTHEORY,
            "if truncation > TRUNCATION_BUDGET:",
            "if truncation >= TRUNCATION_BUDGET:",
@@ -494,7 +533,7 @@ def caught(test: str, failed: set[str]) -> bool:
     return any(f == test or f.startswith(test + "[") for f in failed)
 
 
-def main(names) -> int:
+def curated(names) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
@@ -530,6 +569,149 @@ def main(names) -> int:
                       f"{', '.join(t.split('::')[1] for t in missed)})")
     print(f"{len(chosen) - survived} of {len(chosen)} mutants caught")
     return 0 if survived == 0 else 1
+
+
+# -- the sampled sweep -------------------------------------------------------
+
+SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "+")}
+NEGATIONS = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=",
+             "!=": "=="}
+SUITE_MEMORY = 2 << 30  # bytes of address space for one suite run
+
+
+@dataclass(frozen=True)
+class Edit:
+    path: str  # relative to the repository root
+    line: int
+    start: int  # character columns of the token replaced
+    end: int
+    old: str
+    new: str
+
+    def apply(self, text: str) -> str:
+        lines = text.splitlines(keepends=True)
+        row = lines[self.line - 1]
+        assert row[self.start:self.end] == self.old, self
+        lines[self.line - 1] = row[:self.start] + self.new + row[self.end:]
+        return "".join(lines)
+
+
+def edit_sites(root: pathlib.Path) -> list[Edit]:
+    """Every one-token edit of the package, in file and position order.  An
+    AST node names the edit; the token it changes is found by tokenize, so
+    a node whose token is not where the AST puts it (inside an f-string) is
+    skipped."""
+    sites = []
+    for path in sorted((root / "src" / "cherednik").glob("*.py")):
+        text = path.read_text()
+        rows = text.splitlines()
+        toks = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
+                if t.type in (tokenize.OP, tokenize.NUMBER)]
+        starts = [t.start for t in toks]
+
+        def pos(line, byte_col):  # ast columns count UTF-8 bytes
+            return line, len(rows[line - 1].encode()[:byte_col].decode())
+
+        def between(a, b):
+            lo = bisect.bisect_left(starts, pos(a.end_lineno, a.end_col_offset))
+            hi = bisect.bisect_left(starts, pos(b.lineno, b.col_offset))
+            return toks[lo:hi]
+
+        def add(tok, new):
+            sites.append(Edit(str(path.relative_to(root)), tok.start[0],
+                              tok.start[1], tok.end[1], tok.string, new))
+
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
+                old, new = SWAPS[type(node.op)]
+                ops = [t for t in between(node.left, node.right)
+                       if t.string == old]
+                if len(ops) == 1:
+                    add(ops[0], new)
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                for a, b in zip(sides, sides[1:]):
+                    ops = [t for t in between(a, b) if t.string in NEGATIONS]
+                    if len(ops) == 1:
+                        add(ops[0], NEGATIONS[ops[0].string])
+            elif isinstance(node, ast.Constant) \
+                    and type(node.value) is int:
+                at = pos(node.lineno, node.col_offset)
+                k = bisect.bisect_left(starts, at)
+                if k < len(toks) and toks[k].start == at \
+                        and toks[k].type == tokenize.NUMBER \
+                        and ast.literal_eval(toks[k].string) == node.value:
+                    add(toks[k], str(node.value + 1))
+    return sorted(sites, key=lambda e: (e.path, e.line, e.start))
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (SUITE_MEMORY, SUITE_MEMORY))
+
+
+def run_suite(copy: pathlib.Path, timeout: float) -> str:
+    """The whole suite with -x in the copy: its pytest exit code, or
+    'timeout'."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", "-W", "ignore"],
+            cwd=copy, capture_output=True, timeout=timeout,
+            preexec_fn=_cap_memory)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return str(proc.returncode)
+
+
+def sampled(count: int, seed: int) -> int:
+    sites = edit_sites(ROOT)
+    chosen = random.Random(seed).sample(sites, min(count, len(sites)))
+    print(f"{len(chosen)} of {len(sites)} edit sites, seed {seed}")
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = pathlib.Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        began = time.perf_counter()
+        code = run_suite(copy, timeout=3600)
+        if code != "0":
+            print(f"unmutated run: {code}")
+            return 2
+        # a mutant may loop: allow it twice the unmutated run
+        timeout = max(120.0, 2 * (time.perf_counter() - began))
+        survivors = []
+        for e in chosen:
+            target = copy / e.path
+            source = target.read_text()
+            target.write_text(e.apply(source))
+            try:
+                code = run_suite(copy, timeout)
+            finally:
+                target.write_text(source)
+            where = f"{e.path}:{e.line}:{e.start + 1} {e.old} -> {e.new}"
+            if code == "0":
+                survivors.append(where)
+                print(f"SURVIVED  {where}")
+            else:
+                print(f"caught    {where} (pytest exit {code})")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} sampled edits "
+          "caught")
+    for where in survivors:
+        print(f"  for review: {where}")
+    return 0 if not survivors else 1
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(prog="python tests/mutants.py")
+    parser.add_argument("names", nargs="*",
+                        help="curated mutants to run (default: all)")
+    parser.add_argument("--sample", type=int, metavar="N",
+                        help="run N sampled AST edits instead")
+    parser.add_argument("--seed", type=int, default=0, metavar="S")
+    args = parser.parse_args(argv)
+    if args.sample is None:
+        return curated(args.names)
+    if args.names or args.sample < 1:
+        parser.error("--sample takes a positive N and no mutant names")
+    return sampled(args.sample, args.seed)
 
 
 if __name__ == "__main__":

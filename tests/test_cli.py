@@ -244,6 +244,55 @@ def test_trivial_group_at_the_gordon_point_exits_two(capsys, r, json_flag):
     assert code == 2 and "does not act irreducibly" in out
 
 
+def test_a_failing_guard_exits_two_with_its_record(capsys, monkeypatch):
+    # no correct point fails the guard, so the record is staged; the
+    # stages after the guard must not run
+    failing = {"ok": False, "k": 5, "bound": 16,
+               "violations": ["point lies on H_{2,1}"]}
+    monkeypatch.setattr(cli, "genericity_guard", lambda point, k, n: failing)
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran after a failed guard")
+
+    monkeypatch.setattr(cli, "singular_vector_check", no_stage)
+    code, out, err = run_cli(capsys, "gordon", "--group", "2,1,2", "--json")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"status": "guard-failure", "h": 4, "k": 5,
+                               "guard": failing}
+    code, out, err = run_cli(capsys, "gordon", "--group", "2,1,2")
+    assert (code, out, err) == (
+        2, "guard failed: ['point lies on H_{2,1}']\n", "")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_jack_check_both_disagreement_exits_one(capsys, monkeypatch,
+                                                json_flag):
+    # the two constructions agree on a correct program, so one is made to
+    # return the vector of another composition
+    real = cli.jack_by_intertwiners
+    monkeypatch.setattr(cli, "jack_by_intertwiners",
+                        lambda rep, mu: real(rep, mu[::-1]))
+    code, out, err = run_cli(capsys, "jack", "--group", "2,1,2", "--mu",
+                             "0,0", "--mu", "1,0", "--check-both", *json_flag)
+    assert (code, err) == (1, "")
+    if json_flag:
+        assert json.loads(out) == {"status": "fail", "mu": [1, 0]}
+    else:
+        assert out == "constructions disagree at mu=(1, 0)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "2,1,2", "--max-deg", "0"],
+    ["verify", "--group", "2,1,2", "--max-deg", "-3", "--json"],
+    ["gordon", "--group", "2,1,2", "--truncation", "0"],
+    ["gordon", "--group", "2,1,2", "--truncation", "-1", "--json"],
+], ids=lambda argv: " ".join(argv[3:]))
+def test_a_non_positive_cap_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: degree caps and truncations must be positive\n"
+
+
 def test_bad_group_rejected(capsys):
     code, _, err = run_cli(capsys, "verify", "--group", "4,3,2")
     assert code == 2 and "error" in err

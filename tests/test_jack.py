@@ -14,8 +14,8 @@ from oracles import (
 )
 
 from cherednik import (
-    Composition, NonGenericError, ParamPoint, Poly, PolyRep,
-    SpecializedParameters, bruhat_le, dominance_lt,
+    Composition, Cyc, GenericParameters, NonGenericError, ParamPoint, Poly,
+    PolyRep, SpecializedParameters, bruhat_le, dominance_lt,
     jack_by_intertwiners, jack_by_solve, order_key, order_lt, v_permutation,
     weight_of, zeta_compatible,
 )
@@ -369,3 +369,94 @@ def test_generic_eigenbasis_makes_no_gcd_call(monkeypatch, group, mu):
     k = rep.params.ring.gen(0)
     scalars.RatFunc(k, k * k)  # the counter sees the general path
     assert calls
+
+
+# -- oracles from the literature ---------------------------------------------
+#
+# Both checks below rest on results about non-symmetric Jack polynomials, not
+# on the program's own operators.
+
+def _knop_sahi_value(mu, alpha, one):
+    """f_mu(1, ..., 1) for the monic non-symmetric Jack polynomial of the
+    composition mu at parameter alpha: the evaluation formula of Knop and
+    Sahi (Invent. Math. 128, 1997) and Sahi (IMRN 1996),
+
+        prod over cells s of (alpha (a'(s) + 1) + n - l'(s))
+                             / (alpha (a(s) + 1) + l(s) + 1),
+
+    with arm a, coarm a', leg l and coleg l' of the cell s = (i, j),
+    1 <= j <= mu_i, as counted below."""
+    n, out = len(mu), one
+    for i, m in enumerate(mu):
+        coleg = sum(mu[k] >= m for k in range(i)) \
+            + sum(mu[k] > m for k in range(i + 1, n))
+        for j in range(1, m + 1):
+            arm, coarm = m - j, j - 1
+            leg = sum(j <= mu[k] + 1 <= m for k in range(i)) \
+                + sum(j <= mu[k] <= m for k in range(i + 1, n))
+            out = out * (alpha * (coarm + 1) + one * (n - coleg)) \
+                / (alpha * (arm + 1) + one * (leg + 1))
+    return out
+
+
+def _seeded_points(count, seed):
+    """Seeded points (kappa, c0) with kappa != 1 and c0 over a prime
+    denominator."""
+    rng = random.Random(seed)
+    return [(Fraction(rng.randint(2, 9), rng.randint(1, 4)),
+             Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                      rng.choice([23, 29, 31])))
+            for _ in range(count)]
+
+
+LITERATURE_POINTS = [(Fraction(1), Fraction(7, 23)),
+                     (Fraction(1), Fraction(-3, 11)),
+                     (Fraction(2), Fraction(7, 23)),
+                     (Fraction(5, 3), Fraction(-3, 11)),
+                     *_seeded_points(2, seed=19)]
+
+
+@pytest.mark.parametrize("kappa,c0", LITERATURE_POINTS)
+def test_type_a_eigenvectors_at_one_are_the_knop_sahi_value(kappa, c0):
+    # f_mu for G(1,1,n) is the non-symmetric Jack polynomial at
+    # alpha = -kappa/c0, so its value at (1, ..., 1) is a product over cells
+    point = ParamPoint.make(1, 1, kappa, c0)
+    for n, top in ((2, 8), (3, 6), (4, 5)):
+        rep = PolyRep(1, 1, n, SpecializedParameters(point))
+        for mu in monomials_up_to(n, top):
+            f = jack_by_intertwiners(rep, mu).poly
+            value = sum(f.terms.values(), Cyc.zero(1)).rational_value()
+            assert value == _knop_sahi_value(mu, -kappa / c0, Fraction(1)), \
+                (n, mu)
+
+
+def test_generic_type_a_eigenvectors_at_one_are_the_knop_sahi_value():
+    # the same identity of rational functions in kappa and c0
+    par = GenericParameters(1, 1)
+    alpha = -par.kappa / par.c0
+    for n, top in ((2, 5), (3, 3)):
+        rep = PolyRep(1, 1, n, par)
+        for mu in monomials_up_to(n, top):
+            f = jack_by_solve(rep, mu).poly
+            assert sum(f.terms.values(), par.zero) \
+                == _knop_sahi_value(mu, alpha, par.one), mu
+
+
+@pytest.mark.parametrize("kappa,c0", [(Fraction(2), Fraction(7, 23)),
+                                      *_seeded_points(1, seed=23)])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_with_every_d_zero_f_r_mu_is_f_mu_of_x_to_the_r(r, kappa, c0):
+    # d = 0 leaves only the colored transpositions, whose colors x_i^r does
+    # not see: f_{r mu}(x) is the G(1,1,n) vector f_mu(x_1^r, ..., x_n^r)
+    for n in (2, 3):
+        base = PolyRep(1, 1, n, SpecializedParameters(
+            ParamPoint.make(1, 1, kappa, c0)))
+        rep = PolyRep(r, 1, n, SpecializedParameters(
+            ParamPoint.make(r, 1, kappa, c0, [0] * (r - 1))))
+        for mu in monomials_up_to(n, 4):
+            f = jack_by_intertwiners(base, mu).poly
+            want = {tuple(r * a for a in e):
+                    Cyc.from_rational(r, c.rational_value())
+                    for e, c in f.terms.items()}
+            got = jack_by_intertwiners(rep, tuple(r * m for m in mu)).poly
+            assert got.terms == want, (n, mu)

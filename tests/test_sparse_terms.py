@@ -228,12 +228,15 @@ def test_mpoly_matches_the_replaced_loops(r, p):
 def test_poly_and_mpoly_are_siblings_on_one_core():
     assert issubclass(Poly, SparseTerms) and issubclass(MPoly, SparseTerms)
     assert not issubclass(MPoly, Poly) and not issubclass(Poly, MPoly)
-    shared = ("__add__", "__sub__", "__neg__", "__mul__", "is_zero",
-              "__bool__", "degree", "scaled", "sorted_terms", "__str__",
-              "__repr__")
+    shared = ("__add__", "__sub__", "__neg__", "__mul__", "__eq__",
+              "is_zero", "__bool__", "degree", "scaled", "sorted_terms",
+              "__str__", "__repr__")
     assert not set(shared) & set(vars(MPoly))
     for name in shared:
         assert getattr(MPoly, name) is getattr(SparseTerms, name)
+    assert Poly.__eq__ is SparseTerms.__eq__
+    # each hashes its terms its own way
+    assert "__hash__" in vars(Poly) and "__hash__" in vars(MPoly)
     # Poly binds the traced entries in its own dict, to the shared loops
     assert vars(Poly)["__add__"] is vars(Poly)["__radd__"] \
         is SparseTerms.__add__
