@@ -18,19 +18,19 @@ leading coefficient 1 (graded-lex), so equality is structural.  That makes
 eigenvalue comparisons decidable, which the eigenbasis construction relies on.
 
 The eigenbasis and the intertwiners divide only by weight differences, which
-are linear forms.  A :class:`RatFunc` keeps the split of its denominator into
-monic linear forms whenever it knows it, and such values reduce by trial
-division by those factors, since a numerator that no factor divides is
-coprime to their product.  A sum of such values, and a sum of products
-such as a residual of the eigenbasis solve (one call of ``params.dot``), go
-through one kernel, :func:`_lcm_sum`: every term over the lcm of the
-forms, the numerators added once, the sum trial-divided once by the lcm's
-forms.  A sum with an operand whose split is unknown (the inverse of a
-nonlinear numerator) is cross-multiplied and reduced by the general gcd
-:func:`mp_gcd` in the constructor; in a product, just the other operand's
-numerator meets that denominator, while its forms are shed by trial
-division and carry over (:func:`_mul_general`).  Every way gives the same
-canonical form.  At a specialized point ``dot`` is the plain sum.  Each
+are linear forms.  A :class:`RatFunc` keeps its denominator split as a rest
+times the monic linear forms it knows of; the rest, a factor of degree 2
+or more such as the inverse of a nonlinear numerator brings, is most often
+absent.  Values reduce by trial division by the forms, since a numerator
+that no form divides is coprime to their product, and by the general gcd
+:func:`mp_gcd` against the rest alone.  A product sheds each numerator
+against the other operand's forms and rest (:func:`_mul_split`).  A sum,
+and a sum of products such as a residual of the eigenbasis solve (one call
+of ``params.dot``), go through one kernel, :func:`_lcm_sum`: every term
+over the lcm of the forms and of the rests, the numerators added once, the
+sum trial-divided once by the lcm's forms and reduced once against its
+rest.  Every way gives the same canonical form.  At a specialized point
+``dot`` is the plain sum.  Each
 monic linear form x_v + g carries its plan, v and the terms of g, built the
 first time it is used (:func:`_plan`): multiplying by the form
 (:func:`_times`) shifts in x_v and adds the g-terms, and dividing by it
@@ -326,14 +326,16 @@ def mp_gcd(f: MPoly, g: MPoly) -> MPoly:
         a = {d: c.constant_value() for d, c in fu.items()}
         b = {d: c.constant_value() for d, c in gu.items()}
         while b:
-            db, lb = max(b), b[max(b)]
+            db = max(b)
             if max(a, default=-1) < db:
                 a, b = b, a
                 continue
+            # a monic divisor keeps the remainders' coefficients from growing
+            inv = b[db].inverse()
+            b = {d: c * inv for d, c in b.items()}
             while a and max(a) >= db:
-                da, la = max(a), a[max(a)]
-                q = la / lb
-                del a[da]
+                da = max(a)
+                q = a.pop(da)
                 for d, c in b.items():
                     if d == db:
                         continue
@@ -385,14 +387,13 @@ def mp_gcd(f: MPoly, g: MPoly) -> MPoly:
 class RatFunc:
     """num/den over Q(zeta_r)[params], gcd-reduced, den monic (graded-lex).
 
-    ``split`` is the factorisation of ``den`` into monic linear forms when
-    it is known (a :class:`_Split`), or None.  It is ``_NO_SPLIT`` exactly
-    when ``den`` is 1, so ``+`` and ``*`` spot two polynomials by identity
-    and take the ring's memos.  ``+`` takes :func:`_lcm_sum` when both
-    splits are known, and otherwise cross-multiplies and lets the
-    constructor reduce by ``mp_gcd``.  ``*`` reduces each numerator against
-    the other operand's denominator, by trial division where its split is
-    known (:func:`_mul_split`) and by ``mp_gcd`` where it is not.
+    ``split`` (a :class:`_Split`) writes ``den`` as a rest with no known
+    factor times monic linear forms.  It is ``_NO_SPLIT`` exactly when
+    ``den`` is 1, so ``+`` and ``*`` spot two polynomials by identity and
+    take the ring's memos.  Otherwise ``+`` is :func:`_lcm_sum` of the two
+    operands and ``*`` is :func:`_mul_split`, which reduces each numerator
+    against the other operand's forms by trial division and against its
+    rest by ``mp_gcd``.
     """
 
     __slots__ = ("num", "den", "split")
@@ -407,7 +408,7 @@ class RatFunc:
         num, den = _normal_form(num, den)
         self.num = num
         self.den = den
-        self.split = _linear_split(den)
+        self.split = _intern({}, den, den.ring)
 
     # -- coercion ------------------------------------------------------------
 
@@ -435,11 +436,9 @@ class RatFunc:
             got = ring.sums.get((id(self), id(o)))
             return ring.memo_miss(ring.sums, MPoly.__add__, self, o) \
                 if got is None else got
-        if self.split is not None and o.split is not None:
-            return _lcm_sum(((self.num, self.split.forms),
-                             (o.num, o.split.forms)), self.num.ring) \
-                or _polynomial(self.num.ring.zero())
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        s, t = self.split, o.split
+        return _lcm_sum(((self.num, s.forms, s.rest), (o.num, t.forms, t.rest)),
+                        self.num.ring) or _polynomial(self.num.ring.zero())
 
     __radd__ = __add__
 
@@ -472,9 +471,7 @@ class RatFunc:
             got = ring.products.get((id(self), id(o)))
             return ring.memo_miss(ring.products, MPoly.__mul__, self, o) \
                 if got is None else got
-        if self.split is not None and o.split is not None:
-            return _mul_split(self, o)
-        return _mul_general(self, o)
+        return _mul_split(self, o)
 
     __rmul__ = __mul__
 
@@ -493,7 +490,7 @@ class RatFunc:
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
         num, den = _normal_form(self.den, self.num)
-        return _rf(num, den, _linear_split(den))
+        return _rf(num, den, _intern({}, den, den.ring))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -547,28 +544,38 @@ class RatFunc:
 
 
 class _Split:
-    """A denominator as a product of monic linear forms: ``forms`` maps each
-    form to its multiplicity, ``den`` is the expanded product.  Splits are
-    interned while some value holds them, so equal denominators share one
-    expanded polynomial, multiplied out once."""
+    """A monic denominator ``den`` as ``rest`` times monic linear forms:
+    ``forms`` maps each form to its multiplicity, and ``rest`` is a monic
+    polynomial of degree 2 or more with no known factor, or None (1).
+    Splits are interned while some value holds them, so equal denominators
+    share one expanded polynomial, multiplied out once."""
 
-    __slots__ = ("forms", "den", "__weakref__")
+    __slots__ = ("forms", "rest", "den", "__weakref__")
 
-    def __init__(self, forms: dict, den):
+    def __init__(self, forms: dict, rest, den):
         self.forms = forms
+        self.rest = rest
         self.den = den
 
 
-_NO_SPLIT = _Split({}, None)  # den = 1
-_SPLITS = weakref.WeakValueDictionary()  # frozenset of forms -> _Split
+_NO_SPLIT = _Split({}, None, None)  # den = 1
+_SPLITS = weakref.WeakValueDictionary()  # (frozenset of forms, rest) -> _Split
 
 
-def _intern(forms: dict, ring: ParamRing) -> _Split:
-    """The split with these forms (at least one)."""
-    key = frozenset(forms.items())
+def _intern(forms: dict, rest, ring: ParamRing) -> _Split:
+    """The split of rest (None for 1) times the forms.  A rest of degree 1
+    is one more form, and one of degree 0 is 1."""
+    if rest is not None and rest.degree() < 2:
+        if rest.degree() == 1:
+            forms = _adjust(forms, {rest: 1}, {})
+        rest = None
+    if not forms and rest is None:
+        return _NO_SPLIT
+    key = (frozenset(forms.items()), rest)
     got = _SPLITS.get(key)
     if got is None:
-        got = _SPLITS[key] = _Split(forms, _times(ring.one(), forms))
+        got = _SPLITS[key] = _Split(forms, rest,
+                                    _times(rest or ring.one(), forms))
     return got
 
 
@@ -585,11 +592,11 @@ def _polynomial(num: MPoly) -> RatFunc:
     return _rf(num, num.ring.one(), _NO_SPLIT)
 
 
-def _factored(num: MPoly, forms: dict) -> RatFunc:
-    """num over the product of forms, which num is coprime to."""
-    if not forms:
+def _factored(num: MPoly, forms: dict, rest=None) -> RatFunc:
+    """num over rest times the product of forms, which num is coprime to."""
+    split = _intern(forms, rest, num.ring)
+    if split is _NO_SPLIT:
         return _polynomial(num)
-    split = _intern(forms, num.ring)
     return _rf(num, split.den, split)
 
 
@@ -602,16 +609,6 @@ def _normal_form(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
         inv = lc.inverse()
         num, den = num.scaled(inv), den.scaled(inv)
     return num, den
-
-
-def _linear_split(den: MPoly):
-    """The split of a monic denominator that shows on its face: no factor
-    for 1, itself for a linear form, None (unknown) for anything else."""
-    if den.is_one():
-        return _NO_SPLIT
-    if den.degree() == 1:
-        return _intern({den: 1}, den.ring)
-    return None
 
 
 def _plan(f: MPoly) -> tuple:
@@ -708,94 +705,85 @@ def _strip(num: MPoly, forms: dict, skip: dict) -> tuple[MPoly, dict]:
     return num, off
 
 
+def _shed(num: MPoly, rest):
+    """num and rest (None for 1) divided by their gcd.  No gcd is sought
+    without a rest, or for a constant num, which is a unit."""
+    if rest is None or num.is_constant():
+        return num, rest
+    g = mp_gcd(num, rest)
+    if g.is_one():
+        return num, rest
+    return num.divexact(g), rest.divexact(g)
+
+
+def _rest_product(a, b):
+    """The product of two rests, None standing for 1."""
+    return b if a is None else a if b is None else a * b
+
+
 def _mul_split(a: RatFunc, b: RatFunc) -> RatFunc:
-    """a * b for factored denominators: each numerator sheds the other's
-    factors (a reduced numerator has none of its own)."""
+    """a * b: each numerator sheds the other's forms by trial division (a
+    reduced numerator has none of its own) and what it shares with the
+    other's rest by :func:`_shed`."""
     if a.num.is_zero() or b.num.is_zero():
         return _polynomial(a.num.ring.zero())
-    fa, fb = a.split.forms, b.split.forms
-    na, off_b = _strip(a.num, fb, fa)
-    nb, off_a = _strip(b.num, fa, fb)
-    return _factored(na * nb, _adjust(fa, fb, {**off_a, **off_b}))
-
-
-def _mul_general(a: RatFunc, b: RatFunc) -> RatFunc:
-    """a * b when a split is unknown.  Each numerator sheds what it shares
-    with the other operand's denominator: by :func:`_strip` where that split
-    is known, by :func:`mp_gcd` otherwise (none for a constant numerator).
-    The known forms carry over, and so does what is left of an unknown
-    denominator: the product's split is unknown only if that is nonlinear."""
-    if a.num.is_zero() or b.num.is_zero():
-        return _polynomial(a.num.ring.zero())
-    nums, forms, rest = [], {}, []
-    for x, y in ((a, b), (b, a)):
-        num = x.num
-        if y.split is not None:
-            num, off = _strip(num, y.split.forms, {})
-            forms = _adjust(y.split.forms, {}, off)
-        else:
-            g = None if num.is_constant() else mp_gcd(num, y.den)
-            if g is None or g.is_one():
-                rest.append(y.den)
-            else:
-                rest.append(y.den.divexact(g))
-                num = num.divexact(g)
-        nums.append(num)
-    num = nums[0] * nums[1]
-    den = rest[0] * rest[1] if len(rest) == 2 else rest[0]
-    if den.degree() == 1:
-        forms = _adjust(forms, {den: 1}, {})
-    elif not den.is_one():
-        return _rf(num, _times(den, forms), None)
-    return _factored(num, forms)
+    sa, sb = a.split, b.split
+    na, off_b = _strip(a.num, sb.forms, sa.forms)
+    nb, off_a = _strip(b.num, sa.forms, sb.forms)
+    na, rb = _shed(na, sb.rest)
+    nb, ra = _shed(nb, sa.rest)
+    return _factored(na * nb, _adjust(sa.forms, sb.forms, {**off_a, **off_b}),
+                     _rest_product(ra, rb))
 
 
 def _lcm_sum(terms, ring: ParamRing):
-    """The sum of num / (product of forms) over the (num, forms) terms, over
-    one common denominator; None when the sum is zero.
+    """The sum of num / (rest * product of forms) over the (num, forms, rest)
+    terms, over one common denominator; None when the sum is zero.
 
     The lcm takes each linear form as often as the term that has it most
-    often.  Each numerator is scaled up to the lcm, the numerators are added
-    once, and the sum is trial-divided by the lcm's forms once.  A linear
-    form is prime, so a form that stops dividing is coprime to the sum, and
-    the quotient over what is left of the lcm is reduced.
+    often, and the lcm of the rests, by ``mp_gcd`` where two differ.  Each
+    numerator is scaled up to the lcm, the numerators are added once, and
+    the sum is trial-divided by the lcm's forms once.  A linear form is
+    prime, so a form that stops dividing is coprime to the sum.  Then the
+    sum sheds what it shares with the lcm's rest, and the quotient over
+    what is left of the lcm is reduced.
     """
     lcm: dict = {}
-    for _, forms in terms:
+    rest = None
+    for _, forms, r in terms:
         for f, m in forms.items():
             if m > lcm.get(f, 0):
                 lcm[f] = m
+        if r is not None and r != rest:
+            rest = r if rest is None else rest * r.divexact(mp_gcd(rest, r))
     acc: dict = {}
-    for num, forms in terms:
+    for num, forms, r in terms:
+        if r != rest:
+            num = num * (rest if r is None else rest.divexact(r))
         accumulate(acc, _times(num, _adjust(lcm, {}, forms)).terms.items())
     if not acc:
         return None
     num, off = _strip(MPoly(ring, acc), lcm, {})
-    return _factored(num, _adjust(lcm, {}, off))
+    num, rest = _shed(num, rest)
+    return _factored(num, _adjust(lcm, {}, off), rest)
 
 
 def _dot(pairs, field: "GenericParameters") -> RatFunc:
     """The sum of a * b over pairs of values: :func:`_lcm_sum` of the terms
-    (a.num * b.num, the forms of a.den * b.den) of the pairs whose splits
-    are known, plus the other pairs by ``*`` and ``+``.  The field's ``one``
-    multiplies nothing."""
+    (a.num * b.num, the forms of a.den * b.den, the product of their rests).
+    The field's ``one`` multiplies nothing."""
     one = field.one
-    rest = None
     terms = []
     for a, b in pairs:
-        if a.split is None or b.split is None:
-            rest = a * b if rest is None else rest + a * b
-            continue
         if not a.num.terms or not b.num.terms:
             continue
-        fa, fb = a.split.forms, b.split.forms
+        sa, sb = a.split, b.split
+        fa, fb = sa.forms, sb.forms
         terms.append((b.num if a is one else a.num if b is one
                       else a.num * b.num,
-                      _adjust(fa, fb, {}) if fa and fb else fa or fb))
-    got = _lcm_sum(terms, field.ring)
-    if got is None:
-        return field.zero if rest is None else rest
-    return got if rest is None else rest + got
+                      _adjust(fa, fb, {}) if fa and fb else fa or fb,
+                      _rest_product(sa.rest, sb.rest)))
+    return _lcm_sum(terms, field.ring) or field.zero
 
 
 # ---------------------------------------------------------------------------
@@ -884,9 +872,11 @@ class GenericParameters(_Field):
 
     def __del__(self):
         # the memos refer back to the ring: clearing them frees the ring
-        # with its last value, not at the next cyclic garbage collection
+        # with its last value, not at the next cyclic garbage collection.
+        # The names are read through the ring, since the module's globals
+        # may already be None when this runs at interpreter exit.
         if hasattr(self, "ring"):  # not if __init__ raised
-            for name in ParamRing.MEMOS:
+            for name in self.ring.MEMOS:
                 getattr(self.ring, name).clear()
 
     def d(self, j: int) -> RatFunc:

@@ -109,7 +109,7 @@ def test_specialize_gordon_d_difference():
 @st.composite
 def scalars(draw, par):
     # the last atom has a factored denominator (a linear form), the one
-    # before a denominator with no known split
+    # before a denominator that is all rest (no known factor)
     atoms = [par.kappa, par.c0, par.d(1), par.one, par.rational(2),
              par.rational(-1, 3), par.zeta(1),
              par.one / (par.kappa * par.kappa + par.c0),
@@ -323,10 +323,14 @@ def _assert_same(got, want):
     assert str(got) == str(want)
 
 
-def _assert_split(f):
-    """f.split is a multiset of monic linear forms whose product is f.den."""
-    assert f.split is not None
-    prod = f.num.ring.one()
+def _assert_split(f, forms_only=False):
+    """f.split writes f.den as its rest times a multiset of monic linear
+    forms; the rest is None (1), or monic of degree 2 or more, and with
+    ``forms_only`` it is None."""
+    rest = f.split.rest
+    assert rest is None or (rest.degree() >= 2 and rest.monic() == rest)
+    assert rest is None or not forms_only
+    prod = f.num.ring.one() if rest is None else rest
     for g, m in f.split.forms.items():
         assert g.degree() == 1 and g.monic() == g and m > 0
         for _ in range(m):
@@ -339,7 +343,7 @@ def test_factored_path_matches_the_gcd_path(group, gcd_calls):
     par, diffs = _weight_differences(*group)
     pool = _factored_pool(par, diffs)
     for f in pool:
-        _assert_split(f)
+        _assert_split(f, forms_only=True)
     pairs = list(itertools.combinations_with_replacement(pool, 2))
     sums = [a + b for a, b in pairs]
     products = [a * b for a, b in pairs]
@@ -350,7 +354,7 @@ def test_factored_path_matches_the_gcd_path(group, gcd_calls):
     want += [_oracle(a.num * b.num, a.den * b.den) for a, b in pairs]
     want += [_oracle(a.num, a.den * d.num) for a in pool for d in diffs]
     for got, w in zip(sums + products + quotients, want, strict=True):
-        _assert_split(got)
+        _assert_split(got, forms_only=True)
         _assert_same(got, w)
 
 
@@ -368,25 +372,29 @@ def test_factored_path_cancels_and_falls_back(gcd_calls):
     assert gcd_calls == []
     want = [_oracle(one.num, f.num)] * 3 + [one, par.zero, par.zero]
     for x, w in zip(got, want, strict=True):
-        _assert_split(x)
+        _assert_split(x, forms_only=True)
         _assert_same(x, w)
-    # with an operand whose split is unknown, a product sheds the known
-    # forms by trial division and meets that denominator by mp_gcd only
-    # with a non-constant numerator (here 1); a sum takes the general path
+    # with an operand that has a rest, a product sheds the forms by trial
+    # division and meets the rest by mp_gcd only with a non-constant
+    # numerator (here 1); a sum meets the lcm's rest by mp_gcd once, after
+    # the forms are stripped
     a, b = one / (k * k + c0), one / f
-    assert a.split is None
+    assert a.split.rest == a.den and not a.split.forms
     gcd_calls.clear()
     got = [a * b, b * a, b / a]
     assert gcd_calls == []
-    got.append(a + b)
-    assert gcd_calls
+    with _top_gcd_calls() as calls:
+        got.append(a + b)
+    assert [rest for _, rest in calls] == [a.den]
     want = [_oracle(a.num * b.num, a.den * b.den)] * 2 + [
         _oracle(b.num * a.den, b.den * a.num),
         _oracle(a.num * b.den + b.num * a.den, a.den * b.den)]
     for x, w in zip(got, want, strict=True):
         _assert_same(x, w)
-    assert got[0].split is None
-    _assert_split(got[2])
+    for x in (got[0], got[3]):
+        _assert_split(x)
+        assert x.split.rest == a.den and x.split.forms == {f.num: 1}
+    _assert_split(got[2], forms_only=True)
 
 
 @pytest.mark.parametrize("group", [(1, 1, 4), (2, 1, 3)])
@@ -413,7 +421,7 @@ def test_factored_path_against_sympy_cancel(group):
 
 
 # ---------------------------------------------------------------------------
-# products with exactly one known split
+# products with one operand whose denominator is all rest
 # ---------------------------------------------------------------------------
 
 
@@ -426,7 +434,7 @@ def _mul_by_gcds(a, b):
     num = a.num.divexact(g1) * b.num.divexact(g2)
     den = a.den.divexact(g2) * b.den.divexact(g1)
     num, den = scalar_layer._normal_form(num, den)
-    return scalar_layer._rf(num, den, scalar_layer._linear_split(den))
+    return scalar_layer._rf(num, den, scalar_layer._intern({}, den, den.ring))
 
 
 @contextlib.contextmanager
@@ -462,9 +470,9 @@ def _exchange_factor(par, delta, pi):
 
 @functools.cache
 def _mixed_pool(group):
-    """A field, values with known splits, and values whose split is
-    unknown: 1/(k^2 + c0), (k + 1)/(k^2 - c0^2) and inverses of
-    exchange factors."""
+    """A field, values whose denominators are products of linear forms,
+    and values whose denominators are all rest: 1/(k^2 + c0),
+    (k + 1)/(k^2 - c0^2) and inverses of exchange factors."""
     par, diffs = _weight_differences(*group, count=3)
     k, c0, one = par.kappa, par.c0, par.one
     split = _factored_pool(par, diffs) + [
@@ -480,27 +488,26 @@ def _mixed_pool(group):
 def test_products_with_one_unknown_split_match_the_gcd_path(group, data):
     par, split, unsplit = _mixed_pool(group)
     a, u = data.draw(st.sampled_from(split)), data.draw(st.sampled_from(unsplit))
-    assert a.split is not None and u.split is None
+    assert a.split.rest is None and u.split.rest == u.den
     with _top_gcd_calls() as calls:
         for x, y in ((a, u), (u, a)):
             calls.clear()
             got = x * y
-            # only the split operand's numerator meets the unknown
-            # denominator by mp_gcd, and not when it is a unit
+            # only a's numerator meets u's rest by mp_gcd, and not when it
+            # is a unit
             assert len(calls) <= (0 if a.num.is_constant() else 1)
             _assert_same(got, _oracle(x.num * y.num, x.den * y.den))
             _assert_same(got, _mul_by_gcds(x, y))
-            if got.split is not None:
-                _assert_split(got)
-            else:  # unknown only for a nonlinear leftover
-                assert got.den.degree() >= 2
+            _assert_split(got)
+            # the product's rest is what is left of u's
+            rest = got.split.rest
+            assert rest is None or u.den.divexact(rest) is not None
         quotients = [(a, u)] + ([(u, a)] if a else [])
         for x, y in quotients:
             got = x / y
             _assert_same(got, _oracle(x.num * y.den, x.den * y.num))
             _assert_same(got, _mul_by_gcds(x, y.inverse()))
-            if got.split is not None:
-                _assert_split(got)
+            _assert_split(got)
 
 
 def test_a_product_whose_unknown_factor_cancels_comes_back_split():
@@ -509,7 +516,8 @@ def test_a_product_whose_unknown_factor_cancels_comes_back_split():
     d, e = diffs
     u = _oracle((k + one).num, (k * k - c0 * c0).num)
     lead = _exchange_factor(par, d, 2)
-    assert u.split is None and lead.inverse().split is None
+    assert u.split.rest == u.den and not u.split.forms
+    assert lead.inverse().split.rest == lead.inverse().den
     cases = [
         ((k - c0) * (k + c0) / d, u),     # all of u's denominator cancels
         ((k - c0) / d / e, u),            # a linear form k + c0 is left
@@ -523,7 +531,7 @@ def test_a_product_whose_unknown_factor_cancels_comes_back_split():
                 calls.clear()
                 got = x * y
                 assert len(calls) <= 1
-                _assert_split(got)
+                _assert_split(got, forms_only=True)
                 _assert_same(got, _oracle(x.num * y.num, x.den * y.den))
                 _assert_same(got, _mul_by_gcds(x, y))
     assert (lead * lead.inverse()).split is scalar_layer._NO_SPLIT
@@ -536,7 +544,8 @@ def test_a_product_whose_unknown_factor_cancels_comes_back_split():
 
 @functools.cache
 def _dot_pool(group):
-    """A field, its pool of split values and a value with no known split."""
+    """A field, its pool of values whose denominators are products of
+    linear forms, and a value whose denominator is all rest."""
     par, diffs = _weight_differences(*group, count=3)
     d0, d1 = diffs[:2]
     pool = _factored_pool(par, diffs) + [
@@ -563,8 +572,24 @@ def test_dot_matches_the_pairwise_sum(data):
     got = par.dot(pairs)
     _assert_same(got, oracles.dot_pairwise(par, pairs))
     _assert_same(got, _oracle(got.num, got.den))  # reduced
-    if got.split is not None or not has_unknown:
-        _assert_split(got)
+    _assert_split(got, forms_only=not has_unknown)
+
+
+def test_dot_meets_only_the_rests_by_gcd():
+    # seven pairs over G(2,1)'s field, one with the rest k^2 + c0 and the
+    # others with powers of k - 2 d1 and c0: the sum is formed over the lcm
+    # of the forms and of the rests, so mp_gcd sees the rest alone, never
+    # the expanded lcm of every denominator
+    par, pool, unknown = _dot_pool((2, 1, 3))
+    pairs = [(pool[10], pool[7]), (pool[21], pool[3]), (pool[0], pool[3]),
+             (pool[20], pool[8]), (pool[7], pool[7]), (pool[21], unknown),
+             (pool[18], pool[21])]
+    with _top_gcd_calls() as calls:
+        got = par.dot(pairs)
+    assert calls and all(rest.degree() <= 2 for _, rest in calls)
+    _assert_same(got, oracles.dot_pairwise(par, pairs))
+    _assert_split(got)
+    assert got.split.rest == unknown.den
 
 
 def test_dot_cancels_without_gcd(gcd_calls):
@@ -582,7 +607,7 @@ def test_dot_cancels_without_gcd(gcd_calls):
     got = [par.dot(pairs) for pairs, _ in cases]
     assert gcd_calls == []
     for x, (pairs, want) in zip(got, cases, strict=True):
-        _assert_split(x)
+        _assert_split(x, forms_only=True)
         _assert_same(x, want)
         _assert_same(x, oracles.dot_pairwise(par, pairs))
 
@@ -836,6 +861,16 @@ def test_each_field_starts_cold():
     ring = a.ring
     del a
     assert ring.sums == {} and ring.products == {}
+
+
+def test_a_field_dropped_at_interpreter_exit_empties_its_tables(monkeypatch):
+    # at interpreter exit the module's globals may already be None
+    a = GenericParameters(2, 1)
+    a.kappa * a.c0 + a.kappa
+    assert all(_tables(a.ring)[:2])
+    monkeypatch.setattr(scalar_layer, "ParamRing", None)
+    a.__del__()
+    assert not any(_tables(a.ring))
 
 
 def test_a_dropped_field_leaves_every_table_empty():

@@ -1,5 +1,5 @@
 """The sparse-polynomial core shared by ``Poly`` and ``MPoly``, and the sums
-of ``RatFunc`` values whose denominators have no known split.
+of ``RatFunc`` values whose denominators have a rest with no known factor.
 
 The per-class loops that the shared core replaced are restated below as
 oracles, and the core must give the same terms on polynomials with ``Cyc``
@@ -18,6 +18,7 @@ from cherednik import (
     Cyc, GenericParameters, MPoly, Poly, RatFunc, parse_poly,
 )
 from cherednik.polynomials import SparseTerms, accumulate
+from test_scalars import _assert_split
 
 # ---------------------------------------------------------------------------
 # the replaced loops
@@ -259,14 +260,14 @@ def test_arithmetic_across_ranks_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# sums whose denominators have no known split
+# sums whose denominators have a rest with no known factor
 # ---------------------------------------------------------------------------
 
 
 def _unsplit_pool():
-    """A field, values with unknown splits (each denominator of degree 2
-    or more), values with known ones, and pairs whose unknown
-    denominators cancel down to a linear form or to 1."""
+    """A field, values whose denominators are all rest (each of degree 2
+    or more), values whose denominators are products of linear forms, and
+    pairs whose rests cancel down to a linear form or to 1."""
     par = GenericParameters(2, 1)
     k, c0, d1, one = par.kappa, par.c0, par.d(1), par.one
     sq = (k * k - c0 * c0).num
@@ -280,7 +281,8 @@ def _unsplit_pool():
 
 def test_unsplit_sums_are_reduced_and_split_exactly_when_linear():
     par, unsplit, split = _unsplit_pool()
-    assert all(u.split is None for u in unsplit)
+    assert all(u.split.rest == u.den and not u.split.forms for u in unsplit)
+    assert all(s.split.rest is None for s in split)
     pairs = list(itertools.combinations_with_replacement(unsplit, 2)) \
         + [(u, s) for u in unsplit for s in split]
     sums = [a + b for a, b in pairs] + [b + a for a, b in pairs]
@@ -288,12 +290,19 @@ def test_unsplit_sums_are_reduced_and_split_exactly_when_linear():
                            strict=True):
         want = RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
         assert (got.num, got.den) == (want.num, want.den)
-        assert (got.split is None) == (got.den.degree() >= 2), str(got)
+        _assert_split(got)
+        # the sum's rest is what is left of the operands' rests
+        rests = [x.split.rest for x in (a, b) if x.split.rest is not None]
+        rests = rests[0] * rests[1] if len(rests) == 2 else rests[0]
+        rest = got.split.rest
+        assert rest is None or rests.divexact(rest) is not None, str(got)
         assert got - b == a
-    # (k + 1) + (-c0 - 1) over k^2 - c0^2 reduces to 1/(k + c0)
+    # (k + 1) + (-c0 - 1) over k^2 - c0^2 reduces to 1/(k + c0): the rest
+    # left is linear, so it is a form
     linear = unsplit[2] + unsplit[3]
     assert linear == par.one / (par.kappa + par.c0)
-    assert linear.split is not None and linear.den.degree() == 1
+    _assert_split(linear, forms_only=True)
+    assert linear.den.degree() == 1
     zero = unsplit[0] - unsplit[0]
     assert zero.is_zero() and zero.den.is_one()
 
@@ -311,7 +320,10 @@ def test_unsplit_sums_against_sympy_cancel():
         assert sympy.cancel(num / den - expr(str(a)) - expr(str(b))) == 0
         assert sympy.gcd(num, den).is_number
         degree = max(map(sum, sympy.Poly(den).monoms()))
-        assert (got.split is None) == (degree >= 2)
+        _assert_split(got)
+        rest = got.split.rest
+        assert degree == sum(got.split.forms.values()) + (
+            0 if rest is None else rest.degree())
 
 
 def test_an_unsplit_sum_with_fraction_operands():
