@@ -31,9 +31,10 @@ __all__ = [
     "jack_by_solve", "jack_by_intertwiners", "require_jack_budget",
 ]
 
-# the most monomials jack_by_solve may scan for one composition: G(1,1,3)
-# at |mu| = 60 scans 1,891 and takes about 5 s with --check-both, at
-# |mu| = 98 4,950 and about 97 s.
+# the most monomials of degree |mu| one composition may have, C(|mu|+n-1,
+# n-1): for r = 1 these are the candidates jack_by_solve enumerates, for
+# r > 1 a bound on them.  G(1,1,3) at |mu| = 60 has 1,891 and takes about
+# 5 s with --check-both, at |mu| = 98 4,950 and about 97 s.
 JACK_MONOMIAL_BUDGET = 2_000
 # G(1,1,2) --check-both: (52,0) estimates 59,617,792, 3.5 s; (60,0) 6.5 s
 JACK_WORK_BUDGET = 60_000_000
@@ -58,13 +59,25 @@ class NonGenericError(ValueError):
 
 def v_permutation(mu) -> tuple[int, ...]:
     """The maximal-length permutation sorting mu to its nondecreasing
-    rearrangement, by the closed formula (0-based values)."""
+    rearrangement (0-based values)."""
+    return _order_data(mu)[1]
+
+
+def _order_data(mu) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """What the triangularity order compares of mu: its partition
+    rearrangement and its sorting permutation v, from one sort.
+
+    v[i] = #{j : mu_j < mu_i} + #{j > i : mu_j = mu_i}, the closed formula
+    of the module docstring regrouped, is i's position when the slots are
+    sorted by (mu_j, -j): equal entries go right to left.  Read backwards,
+    that order lists the partition.
+    """
     mu = tuple(mu)
-    n = len(mu)
-    return tuple(
-        sum(1 for j in range(i) if mu[j] < mu[i])
-        + sum(1 for j in range(i + 1, n) if mu[j] <= mu[i])
-        for i in range(n))
+    slots = sorted(range(len(mu)), key=lambda j: (mu[j], -j))
+    v = [0] * len(mu)
+    for pos, j in enumerate(slots):
+        v[j] = pos
+    return tuple(mu[j] for j in reversed(slots)), tuple(v)
 
 
 def bruhat_le(u, w) -> bool:
@@ -97,17 +110,28 @@ def dominance_lt(lam, mu) -> bool:
     return True
 
 
+def _data_lt(a, b) -> bool:
+    """order_lt on two :func:`_order_data` values."""
+    if a[0] != b[0]:
+        return dominance_lt(a[0], b[0])
+    return bruhat_lt(a[1], b[1])
+
+
+def _data_key(data, mu) -> tuple:
+    """order_key from mu's :func:`_order_data`."""
+    part, v = data
+    inversions = sum(1 for i in range(len(v)) for j in range(i + 1, len(v))
+                     if v[i] > v[j])
+    return part, inversions, mu
+
+
 def order_lt(lam, mu) -> bool:
     """The triangularity order: dominance on the partition rearrangements,
     ties broken by Bruhat order on the sorting permutations."""
     lam, mu = tuple(lam), tuple(mu)
     if len(lam) != len(mu):
         raise ValueError("compositions must have equal length")
-    lp = tuple(sorted(lam, reverse=True))
-    mp = tuple(sorted(mu, reverse=True))
-    if lp != mp:
-        return dominance_lt(lp, mp)
-    return bruhat_lt(v_permutation(lam), v_permutation(mu))
+    return _data_lt(_order_data(lam), _order_data(mu))
 
 
 def order_key(mu) -> tuple:
@@ -119,10 +143,7 @@ def order_key(mu) -> tuple:
     inversions; mu itself breaks the remaining ties.
     """
     mu = tuple(mu)
-    v = v_permutation(mu)
-    inversions = sum(1 for i in range(len(v)) for j in range(i + 1, len(v))
-                     if v[i] > v[j])
-    return tuple(sorted(mu, reverse=True)), inversions, mu
+    return _data_key(_order_data(mu), mu)
 
 
 @dataclass(frozen=True)
@@ -205,7 +226,10 @@ def weight_of(mu, params) -> Weight:
     """kappa(mu_i+1) - (d_0 - d_{-mu_i-1}) - r v[i] c0 on z_i; zeta^{-mu_i}
     on the i-th diagonal generator."""
     mu = tuple(mu)
-    v = v_permutation(mu)
+    return _weight(mu, v_permutation(mu), params)
+
+
+def _weight(mu, v, params) -> Weight:
     return Weight(params.r, params.p,
                   tuple(z_eigenvalue(params, m, v[i])
                         for i, m in enumerate(mu)),
@@ -239,38 +263,20 @@ class JackVector:
                 "terms": self.poly.to_json()["terms"]}
 
 
-def _linear_extension_desc(candidates: list[tuple[int, ...]]) -> list:
-    """Order candidates so every element comes after all those above it."""
-    return sorted(candidates, key=order_key, reverse=True)
-
-
-def _pivot(params, mu, v_mu, zvals, nu):
-    """The first (i, z_i(mu) - z_i(nu)) with a nonzero difference, or None.
-
-    ``zvals`` are mu's eigenvalues; nu's are built one coordinate at a time,
-    and a coordinate where (nu_i, v_nu[i]) equals (mu_i, v_mu[i]) has
-    difference zero by the formula.
-    """
-    v_nu = v_permutation(nu)
-    for i, z in enumerate(zvals):
-        if nu[i] == mu[i] and v_nu[i] == v_mu[i]:
-            continue
-        diff = z - z_eigenvalue(params, nu[i], v_nu[i])
-        if diff:
-            return i, diff
-    return None
-
-
 def require_jack_budget(n: int, mu, r: int = 1, generic: bool = True) -> int:
-    """C(|mu|+n-1, n-1), the monomials of degree |mu| that
-    :func:`jack_by_solve` scans; a ValueError when that is over
-    ``JACK_MONOMIAL_BUDGET`` or, at generic parameters, the work estimate
-    C(E+n-1, n-1) (nD)^3 is over ``JACK_WORK_BUDGET`` (README, Command
-    line).  E = (|mu| - n min mu) // r bounds the terms of f_mu, whose x^nu
-    have nu_i >= min mu and nu = mu mod r, and D = (max mu - min mu) // r
-    grows with the parameter degree of its coefficients.  ``gordon``'s
+    """C(|mu|+n-1, n-1), the monomials of degree |mu|; a ValueError when
+    that is over ``JACK_MONOMIAL_BUDGET`` or, at generic parameters, the
+    work estimate C(E+n-1, n-1) (nD)^3 is over ``JACK_WORK_BUDGET``
+    (README, Command line).  E = (|mu| - n min mu) // r bounds the terms of
+    f_mu, whose x^nu have nu_i >= min mu and nu = mu mod r, and
+    D = (max mu - min mu) // r grows with the parameter degree of its
+    coefficients.  :func:`jack_by_solve` enumerates the
+    C((|mu| - |rho|)/r + n-1, n-1) compositions on mu's lattice
+    rho + r Z^n, rho = mu mod r, so for r > 1 the monomial count is only an
+    upper bound on its candidates.  ``gordon``'s
     solve over k e_n checks ``reptheory.GORDON_MONOMIAL_BUDGET`` instead
-    (G(2,1,6) scans 8,568 monomials, G(2,1,7) 54,264)."""
+    (G(2,1,6) has 8,568 monomials of degree 13 and enumerates 462,
+    G(2,1,7) 54,264 and 1,716)."""
     deg, low = sum(mu), min(mu)
     count = comb(deg + n - 1, n - 1)
     if count > JACK_MONOMIAL_BUDGET:
@@ -286,6 +292,25 @@ def require_jack_budget(n: int, mu, r: int = 1, generic: bool = True) -> int:
             f"C(E+n-1, n-1) (nD)^3 = {work:,} with E = {e}, D = {d}, "
             f"n = {n}, over the budget of {JACK_WORK_BUDGET:,}")
     return count
+
+
+def _candidates_desc(mu, mu_data, r: int) -> list:
+    """(nu, v_permutation(nu)) for every nu = mu mod r of degree |mu|
+    below mu, in decreasing ``order_key``.
+
+    nu = rho + r lam with rho = mu mod r slot by slot, and lam runs over
+    the compositions of (|mu| - |rho|)/r: C((|mu| - |rho|)/r + n - 1, n - 1)
+    lattice points, not every monomial of degree |mu|.
+    """
+    rho = tuple(m % r for m in mu)
+    out = []
+    for lam in monomials_of_degree(len(mu), (sum(mu) - sum(rho)) // r):
+        nu = tuple(a + r * b for a, b in zip(rho, lam))
+        data = _order_data(nu)
+        if _data_lt(data, mu_data):
+            out.append((_data_key(data, nu), nu, data[1]))
+    out.sort(reverse=True)
+    return [(nu, v) for _, nu, v in out]
 
 
 def jack_by_solve(rep: PolyRep, mu) -> JackVector:
@@ -304,32 +329,44 @@ def jack_by_solve(rep: PolyRep, mu) -> JackVector:
     class sums phi_i and every z_i commute with T.  T acts on x^nu by the
     character nu mod r, so each z_i keeps the span of the x^nu with
     nu = mu mod r, and f_mu lies in it: any other candidate would get
-    coefficient zero.
+    coefficient zero.  They are enumerated on that lattice
+    (:func:`_candidates_desc`), each with its sorting permutation, which
+    serves the order test, the sort key and the pivot.
+
+    The pivot of nu is the first i with z_i(mu) != z_i(nu); z_i(nu) depends
+    on nu only through (nu_i, v_nu[i]), so one table per call, keyed by
+    (i, nu_i, v_nu[i]), holds 1/(z_i(mu) - z_i(nu)), or None where the
+    difference vanishes.  c_nu is the residual times that inverse; a zero
+    residual leaves x^nu out.
     """
     mu = tuple(int(v) for v in mu)
     if len(mu) != rep.n or any(v < 0 for v in mu):
         raise ValueError(f"bad composition {mu} for rank {rep.n}")
     params = rep.params
-    wt = weight_of(mu, params)
-    deg = sum(mu)
-    cands = [nu for nu in monomials_of_degree(rep.n, deg)
-             if nu != mu and all((a - b) % rep.r == 0 for a, b in zip(nu, mu))
-             and order_lt(nu, mu)]
-    v_mu = v_permutation(mu)
+    mu_data = _order_data(mu)
+    v_mu = mu_data[1]
+    wt = _weight(mu, v_mu, params)
+    inverses: dict[tuple[int, int, int], object] = {}
     coeffs: dict[tuple[int, ...], object] = {mu: params.one}
-    for nu in _linear_extension_desc(cands):
-        pivot = _pivot(params, mu, v_mu, wt.zvals, nu)
-        if pivot is None:
+    for nu, v_nu in _candidates_desc(mu, mu_data, rep.r):
+        for i, z in enumerate(wt.zvals):
+            if nu[i] == mu[i] and v_nu[i] == v_mu[i]:
+                continue
+            key = (i, nu[i], v_nu[i])
+            if key not in inverses:
+                diff = z - z_eigenvalue(params, nu[i], v_nu[i])
+                inverses[key] = diff.inverse() if diff else None
+            inv = inverses[key]
+            if inv is not None:
+                break
+        else:
             raise NonGenericError(mu, nu)
-        i, diff = pivot
         resid = params.dot(
             (c_eta, hit) for eta, c_eta in coeffs.items()
             if (hit := rep.z_monomial(i, eta).terms.get(nu)) is not None)
-        c_nu = resid / diff
-        if c_nu:
-            coeffs[nu] = c_nu
-    poly = Poly(rep.n, {e: c for e, c in coeffs.items() if c})
-    return JackVector(mu, poly, wt)
+        if resid:
+            coeffs[nu] = resid * inv
+    return JackVector(mu, Poly(rep.n, coeffs), wt)
 
 
 def jack_by_intertwiners(rep: PolyRep, mu) -> JackVector:

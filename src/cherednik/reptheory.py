@@ -55,8 +55,11 @@ __all__ = [
 # the largest truncation of the series `gordon` prints: at 20,000 it takes
 # about 1.3 s on G(2,1,6) and 0.6 s on G(2,1,4), and prints 0.4 MB of JSON
 TRUNCATION_BUDGET = 20_000
-# the most monomials of degree k = h+1 the solve over k e_n may scan: G(2,1,7)
-# scans 54,264 in 2.1 s, G(2,2,8) 170,544 in 6.0 s, G(2,1,8) 346,104 in 19 s
+# the most monomials of degree k = h+1, C(k+n-1, n-1), for the solve over
+# k e_n, which enumerates only the C((k - k mod r)/r + n-1, n-1) on its
+# lattice.  Set when the solve scanned every monomial: G(2,1,7) 54,264 in
+# 2.1 s, G(2,2,8) 170,544 in 6.0 s, G(2,1,8) 346,104 in 19 s; now they
+# enumerate 1,716, 3,432 and 6,435.
 GORDON_MONOMIAL_BUDGET = 100_000
 
 
@@ -413,8 +416,10 @@ def require_truncation_budget(truncation: int) -> None:
 
 
 def require_gordon_budget(n: int, k: int) -> int:
-    """C(k+n-1, n-1), the monomials of degree k that the solve over k e_n
-    scans; a ValueError when that is over ``GORDON_MONOMIAL_BUDGET``."""
+    """C(k+n-1, n-1), the monomials of degree k; a ValueError when that is
+    over ``GORDON_MONOMIAL_BUDGET``.  The solve over k e_n enumerates only
+    the C((k - k mod r)/r + n-1, n-1) of them on its lattice, so the count
+    bounds its candidates."""
     count = comb(k + n - 1, n - 1)
     if count > GORDON_MONOMIAL_BUDGET:
         raise ValueError(

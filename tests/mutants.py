@@ -135,6 +135,10 @@ T_CORE_SIBLINGS = "tests/test_sparse_terms.py::test_poly_and_mpoly_are_siblings_
 T_UNSPLIT = "tests/test_sparse_terms.py::test_unsplit_sums_are_reduced_and_split_exactly_when_linear"
 T_UNSPLIT_SYMPY = "tests/test_sparse_terms.py::test_unsplit_sums_against_sympy_cancel"
 T_TRACER = "tests/test_bench_contract.py::test_tracer_targets_exist"
+T_VPERM = "tests/test_jack.py::test_v_permutation_against_brute_force"
+T_CANDIDATES = "tests/test_jack.py::test_candidates_are_the_filtered_scan_in_order"
+T_SCAN_GENERIC = "tests/test_jack.py::test_solve_matches_the_scan_oracle_at_generic_parameters"
+T_SCAN_POINTS = "tests/test_jack.py::test_solve_matches_the_scan_oracle_at_seeded_and_gordon_points"
 T_RENDER_CYC = "tests/test_render.py::test_cyc_text_of_each_order_matches_the_old_loop"
 T_RENDER_MPOLY = "tests/test_render.py::test_mpoly_text_matches_the_old_renderer"
 T_RENDER_POLY = "tests/test_render.py::test_poly_text_with_cyc_coefficients_matches_the_old_renderer"
@@ -439,6 +443,20 @@ MUTANTS = [
            "e, d = (deg - n * low) // r, (max(mu) - low) // r",
            "e, d = deg - n * low, max(mu) - low",
            (T_WORK_FAST,)),
+    # the triangular solve's bookkeeping (jack_by_solve, _candidates_desc,
+    # v_permutation)
+    Mutant("solve: candidates without the lattice offset mu mod r", JACK,
+           "nu = tuple(a + r * b for a, b in zip(rho, lam))",
+           "nu = tuple(r * b for b in lam)",
+           (T_CANDIDATES, T_SCAN_GENERIC)),
+    Mutant("solve: the inverse table keyed by (i, nu_i) alone", JACK,
+           "key = (i, nu[i], v_nu[i])",
+           "key = (i, nu[i])",
+           (T_SCAN_GENERIC, T_SCAN_POINTS)),
+    Mutant("v: equal entries sorted left to right", JACK,
+           "key=lambda j: (mu[j], -j)",
+           "key=lambda j: (mu[j], j)",
+           (T_VPERM,)),
     # params.dot over one common denominator (scalars._dot)
     Mutant("dot: no final strip", SCALARS,
            "num, off = _strip(MPoly(ring, acc), lcm, {})",

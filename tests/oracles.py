@@ -45,11 +45,20 @@ Everything here deliberately avoids the production code paths it checks:
   where the package keeps only the nu = mu mod r; ``div_linear_synthetic``
   is synthetic division by a linear form without the shortcuts that return
   None for an x_v-free or single-term dividend;
+* ``v_permutation_counts`` is the closed formula for the sorting
+  permutation counted slot by slot, where the package sorts the slots once;
 * ``bruhat_le_cover`` computes Bruhat order by transitive closure of the
   covering relation;
 * ``linear_extension_desc_pairwise`` orders the candidates of an
   eigenvector by comparing every pair with ``order_lt`` and peeling off the
   maximal ones layer by layer, where the package sorts by ``order_key``;
+* ``jack_by_solve_scan`` is the triangular solve as the package ran it
+  before: ``solve_candidates_scan`` filters every monomial of degree |mu|,
+  ``linear_extension_desc`` sorts them by ``order_key``, ``pivot_scan``
+  rebuilds each candidate's sorting permutation and weight differences, and
+  each coefficient is ``resid / diff``, where the package enumerates mu's
+  lattice mu mod r + r Z^n, computes each sorting permutation once and
+  reuses each inverse 1/(z_i(mu) - z_i(nu)) within the call;
 * ``span_character_check_all_of_w``, ``singular_vector_check_all_of_w`` and
   ``invariant_char_series_all_of_w`` walk every element of W where the
   package uses the reflections through slot 1 or the cycle index of the
@@ -87,9 +96,9 @@ import itertools
 from fractions import Fraction
 
 from cherednik import (
-    Cyc, GroupElement, NonGenericError, Poly, PolyRep, Q,
-    SpecializedParameters, group_elements, jack_by_solve, order_lt,
-    weight_of, zeta_compatible,
+    Cyc, GroupElement, JackVector, NonGenericError, Poly, PolyRep, Q,
+    SpecializedParameters, group_elements, jack_by_solve, order_key,
+    order_lt, v_permutation, weight_of, z_eigenvalue, zeta_compatible,
 )
 from cherednik.cyclotomic import cyclotomic_polynomial
 from cherednik.operators import monomials_of_degree, monomials_up_to
@@ -655,6 +664,61 @@ def jack_by_solve_zeta_compatible(rep, mu):
     return Poly(rep.n, coeffs), off
 
 
+def linear_extension_desc(candidates: list) -> list:
+    """Order candidates so every element comes after all those above it."""
+    return sorted(candidates, key=order_key, reverse=True)
+
+
+def pivot_scan(params, mu, v_mu, zvals, nu):
+    """The first (i, z_i(mu) - z_i(nu)) with a nonzero difference, or None.
+
+    ``zvals`` are mu's eigenvalues; nu's are built one coordinate at a time,
+    and a coordinate where (nu_i, v_nu[i]) equals (mu_i, v_mu[i]) has
+    difference zero by the formula.
+    """
+    v_nu = v_permutation(nu)
+    for i, z in enumerate(zvals):
+        if nu[i] == mu[i] and v_nu[i] == v_mu[i]:
+            continue
+        diff = z - z_eigenvalue(params, nu[i], v_nu[i])
+        if diff:
+            return i, diff
+    return None
+
+
+def solve_candidates_scan(rep, mu) -> list:
+    """Every monomial of degree |mu| with nu = mu mod r below mu, filtered
+    from all C(|mu|+n-1, n-1) of them."""
+    return [nu for nu in monomials_of_degree(rep.n, sum(mu))
+            if nu != mu and all((a - b) % rep.r == 0 for a, b in zip(nu, mu))
+            and order_lt(nu, mu)]
+
+
+def jack_by_solve_scan(rep, mu, order=linear_extension_desc) -> JackVector:
+    """f_mu by the triangular solve as ``jack_by_solve`` ran it before its
+    candidates were enumerated on mu's lattice: the filter over every
+    monomial of degree |mu|, the sort by ``order`` (``order_key``
+    descending), one pivot scan and one ``resid / diff`` per candidate."""
+    mu = tuple(int(v) for v in mu)
+    params = rep.params
+    wt = weight_of(mu, params)
+    v_mu = v_permutation(mu)
+    coeffs = {mu: params.one}
+    for nu in order(solve_candidates_scan(rep, mu)):
+        pivot = pivot_scan(params, mu, v_mu, wt.zvals, nu)
+        if pivot is None:
+            raise NonGenericError(mu, nu)
+        i, diff = pivot
+        resid = params.dot(
+            (c_eta, hit) for eta, c_eta in coeffs.items()
+            if (hit := rep.z_monomial(i, eta).terms.get(nu)) is not None)
+        c_nu = resid / diff
+        if c_nu:
+            coeffs[nu] = c_nu
+    poly = Poly(rep.n, {e: c for e, c in coeffs.items() if c})
+    return JackVector(mu, poly, wt)
+
+
 def div_linear_synthetic(p, f):
     """p / f for a monic linear form f = x_v + g, or None: synthetic division
     in x_v over every x_v-degree of p, with no shortcut."""
@@ -676,6 +740,16 @@ def div_linear_synthetic(p, f):
     if layers.get(0):
         return None
     return type(p)(p.ring, quot)
+
+
+def v_permutation_counts(mu) -> tuple[int, ...]:
+    """v[i] = #{j<i : mu_j < mu_i} + #{j>i : mu_j <= mu_i}, counted slot by
+    slot, where the package sorts the slots once."""
+    n = len(mu)
+    return tuple(
+        sum(1 for j in range(i) if mu[j] < mu[i])
+        + sum(1 for j in range(i + 1, n) if mu[j] <= mu[i])
+        for i in range(n))
 
 
 def max_length_sorting_permutation(mu) -> tuple[int, ...]:

@@ -9,8 +9,10 @@ import pytest
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import (
-    bruhat_le_cover, dense_eigenvector, jack_by_solve_zeta_compatible,
+    bruhat_le_cover, dense_eigenvector, jack_by_solve_scan,
+    jack_by_solve_zeta_compatible, linear_extension_desc,
     linear_extension_desc_pairwise, max_length_sorting_permutation,
+    pivot_scan, solve_candidates_scan, v_permutation_counts,
 )
 
 from cherednik import (
@@ -25,11 +27,16 @@ from cherednik.reptheory import gordon_point
 
 
 def test_v_permutation_against_brute_force():
+    # few distinct entries, so most compositions repeat one: the tie rule
+    # of the sort is where a fault would hide
     rng = random.Random(2)
     for _ in range(150):
-        n = rng.randint(1, 4)
-        mu = tuple(rng.randint(0, 4) for _ in range(n))
+        n = rng.randint(1, 6)
+        mu = tuple(rng.randint(0, rng.choice((1, 2, 4))) for _ in range(n))
         assert v_permutation(mu) == max_length_sorting_permutation(mu)
+    for n in range(1, 7):
+        for mu in itertools.product(range(3), repeat=n):
+            assert v_permutation(mu) == v_permutation_counts(mu), mu
     assert v_permutation((0, 0)) == (1, 0)
     assert v_permutation((1, 0)) == (1, 0)
     assert v_permutation((0, 1)) == (0, 1)
@@ -120,7 +127,7 @@ def _assert_linear_extension_desc(seq):
 def test_linear_extension_by_key_against_pairwise_oracle(group, mu):
     rep = PolyRep(*group)
     cands = _candidates(rep, mu)
-    got = jack_module._linear_extension_desc(cands)
+    got = linear_extension_desc(cands)
     want = linear_extension_desc_pairwise(cands)
     assert sorted(got) == sorted(want) == sorted(cands)
     _assert_linear_extension_desc(got)
@@ -133,15 +140,13 @@ def test_linear_extension_by_key_against_pairwise_oracle(group, mu):
     ((2, 1, 3), gordon_point(2, 1, 3), [(7, 0, 0), (0, 0, 7)]),
     ((3, 1, 2), gordon_point(3, 1, 2), [(7, 0), (0, 7)]),
 ])
-def test_eigenbasis_does_not_depend_on_the_extension(monkeypatch, group,
-                                                     point, mus):
+def test_eigenbasis_does_not_depend_on_the_extension(group, point, mus):
     params = SpecializedParameters(point) if point is not None else None
     rep = PolyRep(*group, params)
     fast = [jack_by_solve(rep, mu) for mu in mus]
-    monkeypatch.setattr(jack_module, "_linear_extension_desc",
-                        linear_extension_desc_pairwise)
     for mu, jv in zip(mus, fast, strict=True):
-        slow = jack_by_solve(rep, mu)
+        slow = jack_by_solve_scan(rep, mu,
+                                  order=linear_extension_desc_pairwise)
         assert (jv.poly, jv.weight) == (slow.poly, slow.weight)
         assert jv.poly.to_json() == slow.poly.to_json()
 
@@ -193,8 +198,94 @@ def test_pivot_is_the_first_weight_difference(group, point):
             diffs = [(i, a - b) for i, (a, b) in enumerate(
                 zip(wt.zvals, weight_of(nu, rep.params).zvals))]
             want = next(((i, d) for i, d in diffs if d), None)
-            assert jack_module._pivot(rep.params, mu, v_permutation(mu),
-                                      wt.zvals, nu) == want
+            assert pivot_scan(rep.params, mu, v_permutation(mu),
+                              wt.zvals, nu) == want
+
+
+# every composition up to these degrees is solved both ways
+SCAN_GROUPS = {(1, 1, 2): 8, (1, 1, 3): 6, (1, 1, 4): 4, (2, 1, 3): 6,
+               (3, 1, 2): 10, (2, 2, 3): 6, (4, 2, 2): 12, (3, 3, 3): 7}
+SCAN_IDS = [f"G{r}{p}{n}" for r, p, n in SCAN_GROUPS]
+
+
+def _solve_outcome(solve, rep, mu):
+    """f_mu and its weight, or the (mu, nu) that NonGenericError names."""
+    try:
+        jv = solve(rep, mu)
+    except NonGenericError as exc:
+        return "non-generic", exc.mu, exc.nu
+    return jv.poly, jv.weight
+
+
+def _assert_solve_matches_the_scan(rep, max_deg) -> int:
+    """Both solves agree on every composition up to max_deg; the number
+    that raised NonGenericError."""
+    raised = 0
+    for mu in monomials_up_to(rep.n, max_deg):
+        got = _solve_outcome(jack_by_solve, rep, mu)
+        assert got == _solve_outcome(jack_by_solve_scan, rep, mu), mu
+        raised += got[0] == "non-generic"
+    return raised
+
+
+def _seeded_point(rng, r, p):
+    def q(nonzero=False):
+        while True:
+            v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if v or not nonzero:
+                return v
+
+    return ParamPoint.make(r, p, q(nonzero=True), q(),
+                           [q() for _ in range(r // p - 1)])
+
+
+def _coxeter_point(r, p, n):
+    # S_n has Coxeter number n, and gordon_point takes only r > 1
+    if r == 1:
+        return ParamPoint.make(1, 1, 1, Fraction(n + 1, n), [])
+    return gordon_point(r, p, n)
+
+
+@pytest.mark.parametrize("group", list(SCAN_GROUPS), ids=SCAN_IDS)
+def test_solve_matches_the_scan_oracle_at_generic_parameters(group):
+    assert _assert_solve_matches_the_scan(PolyRep(*group),
+                                          SCAN_GROUPS[group]) == 0
+
+
+@pytest.mark.parametrize("group", list(SCAN_GROUPS), ids=SCAN_IDS)
+def test_solve_matches_the_scan_oracle_at_seeded_and_gordon_points(group):
+    r, p, n = group
+    rng = random.Random(100 * r + 10 * p + n)
+    points = [_seeded_point(rng, r, p) for _ in range(3)]
+    for point in points + [_coxeter_point(r, p, n)]:
+        rep = PolyRep(r, p, n, SpecializedParameters(point))
+        _assert_solve_matches_the_scan(rep, SCAN_GROUPS[group])
+
+
+@pytest.mark.parametrize("group", list(SCAN_GROUPS), ids=SCAN_IDS)
+def test_a_collision_is_named_alike_by_the_solve_and_the_scan(group):
+    # kappa = c0 = 1 with every d_j = 0: z_i(mu) = m + 1 - r v, so
+    # (r, 0, ...) and (0, r, ...) collide, and so do others
+    r, p, n = group
+    point = ParamPoint.make(r, p, 1, 1, [0] * (r // p - 1))
+    rep = PolyRep(r, p, n, SpecializedParameters(point))
+    assert _assert_solve_matches_the_scan(rep, SCAN_GROUPS[group]) > 0
+
+
+@pytest.mark.parametrize("group", [(1, 1, 3), (1, 1, 4), (2, 1, 3),
+                                   (3, 1, 2), (2, 2, 3), (4, 2, 2),
+                                   (3, 3, 3), (6, 2, 2)])
+def test_candidates_are_the_filtered_scan_in_order(group):
+    # the solve visits nu in this order: the lattice mu mod r + r Z^n must
+    # give the candidates that the filter over every monomial keeps, and
+    # each with its own sorting permutation
+    r, _, n = group
+    rep = PolyRep(*group)
+    for mu in monomials_up_to(n, 10 if n == 2 else 6):
+        got = jack_module._candidates_desc(mu, jack_module._order_data(mu), r)
+        want = linear_extension_desc(solve_candidates_scan(rep, mu))
+        assert [nu for nu, _ in got] == want, mu
+        assert all(v == v_permutation(nu) for nu, v in got), mu
 
 
 def test_composition_type():
