@@ -28,11 +28,12 @@ It sweeps the monomials in degree order over rolling tables: per x^e, its
 ``y_images`` to degree 2 and t_w x^e per reflection.  The table of x^{mu+e_j}
 is built when x^mu first reaches it and read again on its own turn, then
 dropped, so each table is built once and at most two degrees are live.
-On each monomial the x-side right sides read one table of t_s(y^ev f), an
-image per reflection s and |ev| <= 1 built on first use, instead of one
-moved divided difference per (nu, s).  Every relation and commutator is
-checked by building its two sides and comparing them; their difference is
-formed only for a failure record.
+The x-side right sides apply no group element: the reflections of a pair
+of slots (or at one slot) send x^e to one monomial, up to a root of unity
+fixed by a residue mod r, so ``PolyRep._x_side_plan`` keeps one weight per
+residue and each term of y^ev f is scaled once.  Every relation and
+commutator is checked by building its two sides and comparing them; their
+difference is formed only for a failure record.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = ["PolyRep", "act_on_poly", "monomials_of_degree", "monomials_up_to",
            "require_relation_budget"]
 
 # the most monomials the relation or commutator suite may check; G(2,1,3)
-# at degree 12 checks 455 and its relation suite takes about 0.6 s
+# at degree 12 checks 455 and its relation suite takes about 0.3 s
 RELATION_MONOMIAL_BUDGET = 5_000
 
 
@@ -136,16 +137,6 @@ def _dd_coefficient(s: Reflection, k: int, r: int) -> Cyc:
     if s.kind == "diagonal":
         return Cyc.root(r, s.l + 1) * (Cyc.one(r) - Cyc.root(r, -s.l * k))
     return Cyc.root(r, k) if k < r else -Cyc.root(r, k - r)
-
-
-def _scaled(terms: dict, cy: Cyc, sign: int):
-    """The items of ``terms`` times cy; sign is +-1 when cy = +-1, which
-    skips the scale, and 0 otherwise."""
-    if sign == 1:
-        return terms.items()
-    if sign == -1:
-        return [(e, -c) for e, c in terms.items()]
-    return [(e, c.cmul(cy)) for e, c in terms.items()]
 
 
 class PolyRep:
@@ -321,39 +312,50 @@ class PolyRep:
 
     def _x_side_plan(self) -> list:
         """Per y-monomial nu with 1 <= |nu| <= 2, in check order, and per
-        slot j: each coupling class's -c_s and its terms (reflection index,
-        ev, lam, sign), one per pair (ev, cy) of ``_dd_y_mono(nu, s)``, with
-        lam = <alpha_s^vee, y_j> cy and every zero lam dropped; sign is +-1
-        when lam = +-1, which skips the scale, and 0 otherwise.
+        slot j: entries (a, b, ev, weights), one per pair of slots a < b
+        (b None for the diagonal reflections at slot a) and per ev of their
+        ``_dd_y_mono(nu, s)``.
+
+        Each reflection s of an entry sends x^e to one monomial, e with
+        slots a and b swapped (or e itself), times zeta^{k_s rho}, where
+        rho = e_a - e_b (or e_a) mod r and k_s is read off the action on
+        x_a.  So weights[rho] = sum_s -c_s <alpha_s^vee, y_j> cy
+        zeta^{k_s rho} over the entry's (s, cy), or None where that sum is
+        0; an entry with no weight is dropped.
 
         Built on first use and kept on this representation: it depends only
         on the group, the parameters and ``_dd_y_mono``.
         """
         if self._x_plan is not None:
             return self._x_plan
-        one = Cyc.one(self.r)
+        n, r, params = self.n, self.r, self.params
+        # (s, k_s, -c_s), k_s from w.x_a = zeta^{k_s} x_{w(a)}
+        refl = [(s, s.element.act_on_exponents(
+                     tuple(int(t == s.i) for t in range(n)))[0],
+                 -s.coupling(params)) for s in self.reflections]
         plan = []
-        for nu in monomials_up_to(self.n, 2):
+        for nu in monomials_up_to(n, 2):
             if sum(nu) == 0:
                 continue
-            dds = [(a, s, self._dd_y_mono(nu, s))
-                   for a, s in enumerate(self.reflections)]
+            dds = [(s, k, neg_cs, self._dd_y_mono(nu, s))
+                   for s, k, neg_cs in refl]
             slots = []
-            for j in range(self.n):
-                classes: dict = {}
-                for a, s, pairs in dds:
-                    b = s.alpha_check[j]
-                    terms = [(a, ev, lam, 1 if lam == one else
-                              -1 if lam == -one else 0)
-                             for ev, cy in pairs if (lam := b * cy)]
-                    if not terms:
-                        continue
-                    cls = classes.get(s.cclass)
-                    if cls is None:
-                        cls = classes[s.cclass] = (
-                            -s.coupling(self.params), [])
-                    cls[1].extend(terms)
-                slots.append(list(classes.values()))
+            for j in range(n):
+                groups: dict = {}  # (a, b, ev) -> [(-c_s, lam, k_s)]
+                for s, k, neg_cs, pairs in dds:
+                    for ev, cy in pairs:
+                        if lam := s.alpha_check[j] * cy:
+                            groups.setdefault((s.i, s.j, ev), []).append(
+                                (neg_cs, lam, k))
+                entries = []
+                for (a, b, ev), terms in groups.items():
+                    weights = [sum((neg_cs.cmul(lam * Cyc.root(r, k * rho))
+                                    for neg_cs, lam, k in terms),
+                                   params.zero) or None
+                               for rho in range(r)]
+                    if any(weights):
+                        entries.append((a, b, ev, weights))
+                slots.append(entries)
             plan.append((nu, slots))
         self._x_plan = plan
         return plan
@@ -371,21 +373,20 @@ class PolyRep:
 
         with D_s y^nu = (y^nu - s^{-1} y^nu)/alpha_s^vee, the divided
         difference in the y's applied first and the group element after it.
-        The right side is built from the images t_s(y^ev f), one per
-        (s, ev) on first use in this call, weighted by the plan's lam and
-        summed per class before the class's -c_s scales the sum.  It is
+        The sum over s is read off the plan: each term c x^e of y^ev f
+        adds c * weights[rho] at the swapped exponent, once per entry, for
+        all the reflections of a pair or a slot at once.  The right side is
         compared with the left side as a dict, and the difference is formed
         only when they differ.  The comparison is exact: every coefficient
         is in normal form (a reduced ``RatFunc`` with a monic denominator,
         or a canonical ``Cyc``) and a ``Poly`` stores no zeros.
         """
-        n, refl = self.n, self.reflections
+        n, r = self.n, self.r
         # kappa nu_j for nu_j = 1, 2
         kappa_nu = [None, self.params.kappa,
                     self.params.kappa * self.params.rational(2)]
-        moved: dict = {}  # (reflection index, ev) -> t_s(y^ev f).terms
         for nu, slots in self._x_side_plan():
-            for j, classes in enumerate(slots):
+            for j, entries in enumerate(slots):
                 # x_j y^nu f + kappa nu_j y^(nu - e_j) f
                 rhs = self.x(j, yf[nu]).terms
                 if nu[j]:
@@ -393,16 +394,19 @@ class PolyRep:
                     dn = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
                     accumulate(rhs, [(e, c * k)
                                      for e, c in yf[dn].terms.items()])
-                # - c_s sum_{s in the class} lam t_s(y^ev f)
-                for neg_cs, terms in classes:
-                    tot: dict = {}
-                    for a, ev, lam, sign in terms:
-                        img = moved.get((a, ev))
-                        if img is None:
-                            img = moved[a, ev] = self.t(refl[a].element,
-                                                        yf[ev]).terms
-                        accumulate(tot, _scaled(img, lam, sign))
-                    accumulate(rhs, [(e, c * neg_cs) for e, c in tot.items()])
+                # - sum_s c_s <alpha_s^vee, y_j> t_s(D_s y^nu f)
+                for a, b, ev, weights in entries:
+                    images = []
+                    for e, c in yf[ev].terms.items():
+                        if b is None:
+                            w = weights[e[a] % r]
+                        else:
+                            w = weights[(e[a] - e[b]) % r]
+                            e = e[:a] + (e[b],) + e[a + 1:b] + (e[a],) \
+                                + e[b + 1:]
+                        if w is not None:
+                            images.append((e, c * w))
+                    accumulate(rhs, images)
                 lhs = yxf[j][nu]
                 yield nu, j, (Poly(n, {}) if lhs.terms == rhs
                               else lhs - Poly(n, rhs))

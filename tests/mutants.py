@@ -105,6 +105,7 @@ T_WORK_GENERIC = "tests/test_cli.py::test_jack_work_estimate_is_for_generic_para
 T_WORK_FAST = "tests/test_cli.py::test_jack_accepts_the_fast_compositions"
 T_XSIDE = "tests/test_polynomials.py::test_x_side_defects_match_oracle"
 T_YX = "tests/test_polynomials.py::test_yx_commutator_is_the_first_order_x_side_defect"
+T_XSIDE6 = "tests/test_polynomials.py::test_x_side_defects_match_the_per_reflection_oracle_to_degree_6"
 T_REL_PASS = "tests/test_polynomials.py::test_check_relations_passes"
 T_REL_FAULT = "tests/test_polynomials.py::test_check_relations_fault_injection"
 T_REL_ORACLE = "tests/test_polynomials.py::test_relation_sweep_matches_per_monomial_oracle"
@@ -327,15 +328,14 @@ MUTANTS = [
            "if truncation >= TRUNCATION_BUDGET:",
            (T_TRUNC,)),
     # the x-side relation check (operators.x_side_defects)
-    Mutant("x-side: reflections grouped by kind, not class", OPERATORS,
-           "cls = classes.get(s.cclass)\n                    if cls is None:\n"
-           "                        cls = classes[s.cclass] =",
-           "cls = classes.get(s.kind)\n                    if cls is None:\n"
-           "                        cls = classes[s.kind] =",
+    Mutant("x-side: every diagonal class weighted by one c_l", OPERATORS,
+           "                 -s.coupling(params)) for s in self.reflections]",
+           "                 -(s.coupling(params) if s.j is not None\n"
+           "                   else params.c(self.p))) for s in self.reflections]",
            (T_XSIDE, T_YX)),
-    Mutant("x-side: the -1 scale left unnegated", OPERATORS,
-           "return [(e, -c) for e, c in terms.items()]",
-           "return [(e, c) for e, c in terms.items()]",
+    Mutant("x-side: +c_s where -c_s belongs", OPERATORS,
+           "                 -s.coupling(params)) for s in self.reflections]",
+           "                 s.coupling(params)) for s in self.reflections]",
            (T_REL_PASS, T_XSIDE)),
     Mutant("x-side: one plan per group, shared by representations", OPERATORS,
            "        self._x_plan = plan\n        return plan",
@@ -348,13 +348,27 @@ MUTANTS = [
            "kappa_nu = [None, -self.params.kappa,",
            (T_YX, T_REL_PASS)),
     Mutant("x-side: lam without <alpha_s^vee, y_j>", OPERATORS,
-           "for ev, cy in pairs if (lam := b * cy)]",
-           "for ev, cy in pairs if b and (lam := cy)]",
+           "if lam := s.alpha_check[j] * cy:",
+           "if s.alpha_check[j] and (lam := cy):",
            (T_REL_PASS, T_XSIDE)),
-    Mutant("x-side: t_s images kept across monomials", OPERATORS,
-           "moved: dict = {}  # (reflection index, ev)",
-           "moved = self.__dict__.setdefault(\"_moved\", {})  #",
+    Mutant("x-side: the moved terms read off x_j f's images", OPERATORS,
+           "for e, c in yf[ev].terms.items():",
+           "for e, c in yxf[j][ev].terms.items():",
            (T_REL_PASS, T_XSIDE)),
+    Mutant("x-side: rho taken as e_b - e_a", OPERATORS,
+           "w = weights[(e[a] - e[b]) % r]",
+           "w = weights[(e[b] - e[a]) % r]",
+           (T_XSIDE, T_XSIDE6)),
+    Mutant("x-side: a transposition term left unswapped", OPERATORS,
+           "                            w = weights[(e[a] - e[b]) % r]\n"
+           "                            e = e[:a] + (e[b],) + e[a + 1:b] + (e[a],) \\\n"
+           "                                + e[b + 1:]\n",
+           "                            w = weights[(e[a] - e[b]) % r]\n",
+           (T_REL_PASS, T_XSIDE, T_XSIDE6)),
+    Mutant("x-side: a pair's weights summed over every ev", OPERATORS,
+           "groups.setdefault((s.i, s.j, ev), []).append(",
+           "groups.setdefault((s.i, s.j, pairs[0][0]), []).append(",
+           (T_REL_PASS, T_XSIDE, T_XSIDE6)),
     Mutant("x-side: the left side compared with itself", OPERATORS,
            "yield nu, j, (Poly(n, {}) if lhs.terms == rhs",
            "yield nu, j, (Poly(n, {}) if lhs.terms == lhs.terms",

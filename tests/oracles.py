@@ -16,21 +16,24 @@ Everything here deliberately avoids the production code paths it checks:
   divided difference built the same way;
 * ``apply_y_monomial`` and ``x_side_commutator_defect`` rebuild y^nu f and
   the x-side commutator defect of one (nu, j) from scratch, where the
-  package reads one table of y-images and one of t_s(y^ev f) per monomial;
+  package reads one table of y-images per monomial;
 * ``x_side_defects_per_reflection`` reads the same y-image tables as the
   package but builds each defect as the difference of ``Poly``
   temporaries, moving each y-side divided difference by t_s and scaling
   by ``params.embed`` of every cyclotomic factor and by c_s once per
-  reflection, where the package weights the images t_s(y^ev f) by the
-  plan's <alpha_s^vee, y_j> cy, sums each class into one accumulator,
-  skips the scales by +-1, scales by c_s once per class and compares the
-  two sides before it subtracts;
+  reflection, where the package applies no group element: it scales each
+  term of y^ev f once by the plan's weight for its residue mod r, a sum
+  over the colors of a pair of slots (or over the diagonals at a slot),
+  at the swapped exponent, and compares the two sides before it
+  subtracts;
 * ``commutator_failure_by_difference`` tests each commutator's difference
   for zero, where the package compares the two orders;
 * ``relation_failure`` and ``check_relations_per_monomial`` build, per
   monomial x^mu, the y-image tables of x^mu and of every x_j x^mu and each
-  t_w x^mu and w x_j afresh, where ``PolyRep.check_relations`` builds each
-  monomial's table once in one sweep and each w x_j once per call;
+  t_w x^mu and w x_j afresh, and read the x-side defects off
+  ``x_side_defects_per_reflection``, where ``PolyRep.check_relations``
+  builds each monomial's table once in one sweep and each w x_j once per
+  call, and reads ``PolyRep.x_side_defects``;
 * ``yx_commutator_defect_explicit`` is the defining relation
   [y_i, x_j] = kappa delta_ij - sum_s c_s <alpha_s, y_i> <x_j, alpha_s^vee>
   t_s written out over colored transpositions and diagonals, the way the
@@ -387,7 +390,8 @@ def yx_commutator_defect_explicit(rep, mu: tuple[int, ...], i: int,
 
 def relation_failure(rep, mu: tuple[int, ...]) -> dict | None:
     """The first relation that fails on x^mu, or None: t_w x_j, then the
-    x_side_defects in order, [y_i, x_j] (|nu| = 1) before |nu| = 2.
+    x-side defects of :func:`x_side_defects_per_reflection` in order,
+    [y_i, x_j] (|nu| = 1) before |nu| = 2.
 
     Builds the y-image table of x^mu and of each x_j x^mu afresh, and
     t_w x^mu and w x_j for every (w, j), where ``PolyRep.check_relations``
@@ -405,7 +409,7 @@ def relation_failure(rep, mu: tuple[int, ...]) -> dict | None:
             if rep.t(w, rep.x(j, m)) != wx * rep.t(w, m):
                 return {"relation": "t_w x = (wx) t_w", "w": str(w),
                         "j": j, "mu": list(mu)}
-    for nu, j, defect in rep.x_side_defects(ym, yxm):
+    for nu, j, defect in x_side_defects_per_reflection(rep, ym, yxm):
         if not defect:
             continue
         if sum(nu) == 1:

@@ -331,8 +331,9 @@ def _doubled_dd_y_mono(monkeypatch, degrees=(1, 2)):
 
 # generic G(r,p,n), two specialized points, G(4,1,2) with three diagonal
 # classes, G(2,1,3), G(4,2,2), where the label c0 covers two conjugacy
-# classes, and G(3,3,3), with no diagonal class; each takes PolyRep's
-# keyword arguments
+# classes, G(3,3,3), with no diagonal class, G(1,1,3), with one residue
+# mod r, and G(4,2,3), with four colors per pair of slots and p > 1; each
+# takes PolyRep's keyword arguments
 X_SIDE_CASES = {
     "G212": lambda **kw: PolyRep(2, 1, 2, **kw),
     "G312": lambda **kw: PolyRep(3, 1, 2, **kw),
@@ -346,6 +347,8 @@ X_SIDE_CASES = {
                           [Fraction(1, 5), Fraction(1, 7)])), **kw),
     "G412": lambda **kw: PolyRep(4, 1, 2, **kw),
     "G213": lambda **kw: PolyRep(2, 1, 3, **kw),
+    "G113": lambda **kw: PolyRep(1, 1, 3, **kw),
+    "G423": lambda **kw: PolyRep(4, 2, 3, **kw),
 }
 
 
@@ -371,6 +374,24 @@ def test_x_side_defects_match_oracle(monkeypatch, case, broken):
                 (mu, nu, j)
             nonzero += bool(defect)
     assert bool(nonzero) == broken
+
+
+@pytest.mark.parametrize("r,p,n,point", [
+    (2, 1, 3, False), (2, 1, 3, True), (3, 1, 2, False), (3, 1, 2, True),
+])
+def test_x_side_defects_match_the_per_reflection_oracle_to_degree_6(
+        r, p, n, point):
+    # the benchmark's groups and degree, generic and at the Gordon point:
+    # every (nu, j, defect) of the collapsed color sums equals the one built
+    # from a moved divided difference per reflection, on every monomial
+    params = SpecializedParameters(gordon_point(r, p, n)) if point else None
+    rep = PolyRep(r, p, n, params)
+    for mu in monomials_up_to(n, 6):
+        m = Poly.monomial(mu, rep.params.one)
+        yf = rep.y_images(m, 2)
+        yxf = [rep.y_images(rep.x(j, m), 2) for j in range(n)]
+        assert list(rep.x_side_defects(yf, yxf)) \
+            == list(x_side_defects_per_reflection(rep, yf, yxf)), mu
 
 
 @pytest.mark.parametrize("fault", [False, True])
