@@ -11,6 +11,13 @@ eigenbasis theory are verified against them in the test suite, not assumed.
 Exchange at equal neighbouring entries returns zero by convention (the raw
 formula is singular there); a vanishing denominator with a nonzero class-sum
 action at a specialized point raises :class:`SingularIntertwinerError`.
+
+Each exchange image is built once per representation: ``apply_sigma``
+keeps it in ``PolyRep.sigma_cache`` with its input, next to the
+eigenvectors of ``jack_cache``.  The quadratic check applies sigma_i to
+f_mu and to the image, and the grid it walks is closed under s_i, so each
+image is asked for twice; the construction of the eigenvectors fills the
+same memo.
 """
 
 from __future__ import annotations
@@ -54,9 +61,27 @@ def _pi_scalar(rep: PolyRep, mu, i: int) -> int:
 
 def apply_sigma(rep: PolyRep, i: int, jv: JackVector, *,
                 fault_pi_sign: bool = False) -> Scaled:
-    """Apply the exchange operator at slot i (0-based) to an eigenvector."""
+    """Apply the exchange operator at slot i (0-based) to an eigenvector.
+
+    The image is memoized in ``rep.sigma_cache`` under (i, mu,
+    fault_pi_sign) together with its input, and served again only for
+    that input or an equal one (the same mu, poly and weight).  A raised
+    error is not stored.
+    """
     if not 0 <= i < rep.n - 1:
         raise ValueError(f"exchange slot {i} out of range")
+    key = (i, jv.mu, fault_pi_sign)
+    got = rep.sigma_cache.get(key)
+    if got is not None and (got[0] is jv or got[0] == jv):
+        return got[1]
+    out = _sigma_image(rep, i, jv, fault_pi_sign)
+    rep.sigma_cache[key] = (jv, out)
+    return out
+
+
+def _sigma_image(rep: PolyRep, i: int, jv: JackVector,
+                 fault_pi_sign: bool) -> Scaled:
+    """sigma_i f_mu as built by :func:`apply_sigma`, with no memo."""
     mu = jv.mu
     params = rep.params
     if mu[i] == mu[i + 1]:

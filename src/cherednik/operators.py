@@ -160,6 +160,9 @@ class PolyRep:
         #: Eigenvectors built by :func:`~cherednik.jack.jack_by_intertwiners`,
         #: keyed by composition; shared by every call on this representation.
         self.jack_cache: dict = {}
+        #: Exchange images built by :func:`~cherednik.intertwiners.apply_sigma`,
+        #: keyed by (slot, composition, fault flag), each with its input.
+        self.sigma_cache: dict = {}
 
     # -- elementary operators ------------------------------------------------
 
@@ -225,10 +228,20 @@ class PolyRep:
 
     def _apply_by_monomials(self, image, i: int, f: Poly) -> Poly:
         """Extend ``image(i, mu)``, a polynomial per monomial x^mu, linearly
-        to f."""
+        to f.
+
+        When f is one monomial with coefficient ``params.one`` (by
+        identity), the image itself is returned: the memoized monomial
+        images are shared, and no caller mutates a ``Poly``.
+        """
+        terms = f.terms
+        if len(terms) == 1:
+            (e, c), = terms.items()
+            if c is self.params.one:
+                return image(i, e)
         out: dict = {}
         # inline: accumulate() per monomial image measured ~10% slower
-        for e, c in f.terms.items():
+        for e, c in terms.items():
             for nu, v in image(i, e).terms.items():
                 w = c * v
                 s = out.get(nu)

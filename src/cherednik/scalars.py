@@ -39,15 +39,20 @@ term on every try.
 
 Each :class:`GenericParameters` owns its :class:`ParamRing`, which interns
 the field's polynomial values (denominator 1): one value per numerator, for
-its generators, constants and every polynomial sum, product, negation and
-scaling.  The relation checks repeat these operations on a few hundred
-values tens of thousands of times, so the ring memoizes them keyed by the
-operands' ids, and a repeat hashes and compares no terms.  The keys hold
-ids of interned values only, which the intern table keeps alive, so no id
-is reused while a key holds it; any other operand misses, is interned and
-is looked up again.  The tables live and die with the field, so every job
-starts cold.  Fractions are not memoized: memoizing them too raised the
-peak memory of the ``jack`` jobs by half, with no measured speed-up.
+its generators, constants, every polynomial sum, product, negation and
+scaling, and every fraction whose denominator cancels (:func:`_factored`).
+The relation checks repeat these operations on a few hundred values tens
+of thousands of times, so the ring memoizes them keyed by the operands'
+ids, and a repeat hashes and compares no terms.  The keys hold ids of
+interned values only, which the intern table keeps alive, so no id is
+reused while a key holds it; any other operand misses, is interned and is
+looked up again.  So ``+`` and ``*`` of two ``RatFunc`` values look up
+their ids first, before any coercion or test of the splits: a hit means
+both are live interned values of this ring, and every miss, a value of
+another ring among them, takes the full path.  The tables live and die
+with the field, so every job starts cold.  Fractions are not memoized:
+memoizing them too raised the peak memory of the ``jack`` jobs by half,
+with no measured speed-up.
 """
 
 from __future__ import annotations
@@ -428,17 +433,19 @@ class RatFunc:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
+        ring = self.num.ring
+        if type(other) is RatFunc:  # a hit needs no coercion (module doc)
+            got = ring.sums.get((id(self), id(other)))
+            if got is not None:
+                return got
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
-            ring = self.num.ring
-            got = ring.sums.get((id(self), id(o)))
-            return ring.memo_miss(ring.sums, MPoly.__add__, self, o) \
-                if got is None else got
+            return ring.memo_miss(ring.sums, MPoly.__add__, self, o)
         s, t = self.split, o.split
         return _lcm_sum(((self.num, s.forms, s.rest), (o.num, t.forms, t.rest)),
-                        self.num.ring) or _polynomial(self.num.ring.zero())
+                        ring) or _polynomial(ring.zero())
 
     __radd__ = __add__
 
@@ -463,14 +470,16 @@ class RatFunc:
         return o + (-self)
 
     def __mul__(self, other):
+        ring = self.num.ring
+        if type(other) is RatFunc:
+            got = ring.products.get((id(self), id(other)))
+            if got is not None:
+                return got
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
-            ring = self.num.ring
-            got = ring.products.get((id(self), id(o)))
-            return ring.memo_miss(ring.products, MPoly.__mul__, self, o) \
-                if got is None else got
+            return ring.memo_miss(ring.products, MPoly.__mul__, self, o)
         return _mul_split(self, o)
 
     __rmul__ = __mul__
@@ -518,7 +527,7 @@ class RatFunc:
     # -- predicates ------------------------------------------------------------
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -593,10 +602,11 @@ def _polynomial(num: MPoly) -> RatFunc:
 
 
 def _factored(num: MPoly, forms: dict, rest=None) -> RatFunc:
-    """num over rest times the product of forms, which num is coprime to."""
+    """num over rest times the product of forms, which num is coprime to;
+    the ring's interned value of num when there is no denominator."""
     split = _intern(forms, rest, num.ring)
     if split is _NO_SPLIT:
-        return _polynomial(num)
+        return num.ring.intern(num)
     return _rf(num, split.den, split)
 
 

@@ -121,6 +121,10 @@ T_MEMO_FREE = "tests/test_scalars.py::test_memo_free_runs_print_the_same_bytes"
 T_ONE_OBJECT = "tests/test_scalars.py::test_equal_polynomials_of_one_field_are_one_object"
 T_DROPPED_ID = "tests/test_scalars.py::test_the_id_of_a_dropped_operand_never_hits"
 T_DOT = "tests/test_scalars.py::test_dot_matches_the_pairwise_sum"
+T_MEMO_OPS = "tests/test_scalars.py::test_memo_hits_keep_each_operation_apart"
+T_SIGMA_FAULT = "tests/test_intertwiners.py::test_pi_sign_fault_fails_after_a_clean_run_on_the_same_rep"
+T_SIGMA_OTHER = "tests/test_intertwiners.py::test_sigma_memo_recomputes_for_another_vector_of_the_same_key"
+T_UNIT_MONO = "tests/test_polynomials.py::test_unit_monomials_are_served_from_the_memo"
 T_DOT_CANCEL = "tests/test_scalars.py::test_dot_cancels_without_gcd"
 T_CYC_AXIOMS = "tests/test_cyclotomic.py::test_field_axioms"
 T_ROOTS = "tests/test_cyclotomic.py::test_roots_are_shared"
@@ -421,6 +425,25 @@ MUTANTS = [
            "        a = self.intern(a.num)\n        if b is None:",
            "        if b is None:",
            (T_DROPPED_ID,)),
+    Mutant("memo: * reads the sums", SCALARS,
+           "got = ring.products.get((id(self), id(other)))",
+           "got = ring.sums.get((id(self), id(other)))",
+           (T_MEMO_OPS, T_ONE_OBJECT)),
+    # the exchange memo (intertwiners.apply_sigma) and the unit-monomial
+    # shortcut (operators.PolyRep._apply_by_monomials)
+    Mutant("sigma memo: keyed without the fault flag", INTERTWINERS,
+           "key = (i, jv.mu, fault_pi_sign)",
+           "key = (i, jv.mu)",
+           (T_SIGMA_FAULT,)),
+    Mutant("sigma memo: a hit without the input-equality guard",
+           INTERTWINERS,
+           "if got is not None and (got[0] is jv or got[0] == jv):",
+           "if got is not None:",
+           (T_SIGMA_OTHER,)),
+    Mutant("monomials: the image served for any single term", OPERATORS,
+           "if c is self.params.one:",
+           "if c:",
+           (T_UNIT_MONO,)),
     # Cyc kernels: the general order and the shared roots
     Mutant("cyc: general equal-denominator add without its gcd", CYCLOTOMIC,
            "        if da == db:\n"

@@ -85,6 +85,13 @@ Everything here deliberately avoids the production code paths it checks:
   ``graded_char_series_dense`` is the graded character at any element of W
   as a dense product, where the package builds only its value at the
   identity, as one integer series;
+* ``sigma_uncached`` builds sigma_i f_mu from scratch with ``Poly``
+  arithmetic, where ``apply_sigma`` keeps each image in
+  ``PolyRep.sigma_cache`` and sums a shared coefficient with one
+  ``params.dot``; ``apply_by_monomials_per_term`` extends a monomial image
+  linearly term by term, where ``PolyRep._apply_by_monomials`` returns the
+  memoized image itself for a single monomial with coefficient
+  ``params.one``;
 * ``FractionCyc`` is the cyclotomic number with one ``Fraction`` per
   coordinate, which the package replaced by integer coordinates over one
   common denominator.  It keeps the reduction rows, the Gauss-Jordan
@@ -637,6 +644,43 @@ def dot_pairwise(params, pairs):
     for a, b in pairs:
         out = out + a * b
     return out
+
+
+def sigma_uncached(rep, i: int, jv: JackVector, fault_pi_sign=False):
+    """sigma_i f_mu = t_{s_i} f + (c0 pi_i / delta) f, pi_i = r or 0 by
+    mu_i - mu_{i+1} mod r, as its coefficient at x^{s_i mu} times the monic
+    vector; zero on equal entries.  Reads and fills no memo."""
+    from cherednik.intertwiners import Scaled, SingularIntertwinerError
+
+    params, mu = rep.params, jv.mu
+    if mu[i] == mu[i + 1]:
+        return Scaled(params.zero, None)
+    delta = jv.weight.zvals[i] - jv.weight.zvals[i + 1]
+    pi = rep.r if (mu[i] - mu[i + 1]) % rep.r == 0 else 0
+    si = GroupElement.transposition(rep.r, rep.n, i, i + 1)
+    out = act_on_poly_accumulating(si, jv.poly)
+    if pi:
+        if not delta:
+            raise SingularIntertwinerError(f"delta vanishes on f_{mu}")
+        coeff = params.c0 * params.rational(pi) / delta
+        out = out + jv.poly.scaled(-coeff if fault_pi_sign else coeff)
+    if out.is_zero():
+        return Scaled(params.zero, None)
+    nu = mu[:i] + (mu[i + 1], mu[i]) + mu[i + 2:]
+    lead = out.coeff(nu)
+    if not lead:
+        raise SingularIntertwinerError(f"no x^{nu} term")
+    return Scaled(lead, JackVector(nu, out.scaled(params.one / lead),
+                                   weight_of(nu, params)))
+
+
+def apply_by_monomials_per_term(rep, image, i: int, f: Poly) -> Poly:
+    """The sum over the terms c x^e of f of c * image(i, e), accumulated
+    term by term, with no shortcut for a single monomial."""
+    out: dict = {}
+    for e, c in f.terms.items():
+        accumulate(out, [(nu, c * v) for nu, v in image(i, e).terms.items()])
+    return Poly(rep.n, out)
 
 
 def jack_by_solve_zeta_compatible(rep, mu):

@@ -809,6 +809,13 @@ GOLDEN_CASES = [
     ("gordon_423.json", ["gordon", "--group", "4,2,3", "--json"], 0),
     ("gordon_633.json", ["gordon", "--group", "6,3,3", "--json"], 0),
     ("gordon_224.json", ["gordon", "--group", "2,2,4", "--json"], 0),
+    # the benchmark's other verify job, where phi(3) = 2
+    ("verify_312_deg6.json",
+     ["verify", "--group", "3,1,2", "--max-deg", "6", "--json"], 0),
+    # an injected sign fault in the exchange operator, caught at once
+    ("verify_213_pi_sign.json",
+     ["verify", "--group", "2,1,3", "--max-deg", "4", "--suite",
+      "intertwiners", "--inject-fault", "pi-sign", "--json"], 1),
 ]
 
 

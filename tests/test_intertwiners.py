@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from oracles import dense_eigenvector, oracle_z
+from oracles import dense_eigenvector, oracle_z, sigma_uncached
 
 from cherednik import (
-    NonGenericError, ParamPoint, Poly, PolyRep, SingularIntertwinerError,
-    SpecializedParameters, apply_phi, apply_psi, apply_sigma,
-    jack_by_intertwiners, jack_by_solve, phi_psi_scalar, psi_scalar,
-    v_permutation, verify_braid_and_quadratic,
+    JackVector, NonGenericError, ParamPoint, Poly, PolyRep, Scaled,
+    SingularIntertwinerError, SpecializedParameters, apply_phi, apply_psi,
+    apply_sigma, jack_by_intertwiners, jack_by_solve, phi_psi_scalar,
+    psi_scalar, v_permutation, verify_braid_and_quadratic, weight_of,
 )
+from cherednik import intertwiners
 from cherednik.operators import monomials_up_to
 from cherednik.reptheory import gordon_point
 
@@ -231,3 +232,103 @@ def test_sigma_square_is_one_without_congruence():
     res2 = apply_sigma(rep, 0, res1.vector)
     assert res1.scalar * res2.scalar == rep.params.one
     assert res2.vector.poly == jv.poly
+
+
+# -- the exchange memo against the uncached oracle ---------------------------
+
+SIGMA_MEMO_CASES = [
+    pytest.param(lambda: PolyRep(2, 1, 3), id="G(2,1,3)"),
+    pytest.param(lambda: PolyRep(3, 1, 2), id="G(3,1,2)"),
+    pytest.param(lambda: PolyRep(2, 2, 3), id="G(2,2,3)"),
+    pytest.param(lambda: PolyRep(
+        2, 1, 3, SpecializedParameters(gordon_point(2, 1, 3))),
+        id="G(2,1,3)-gordon"),
+]
+
+
+def _sigma_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except SingularIntertwinerError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("make_rep", SIGMA_MEMO_CASES)
+def test_sigma_memo_matches_the_uncached_oracle(make_rep):
+    rep = make_rep()
+    checked = 0
+    for mu in monomials_up_to(rep.n, 4):
+        try:
+            jv = jack_by_intertwiners(rep, mu)
+        except NonGenericError:
+            continue
+        for i in range(rep.n - 1):
+            expected = _sigma_or_error(sigma_uncached, rep, i, jv)
+            # a miss, then a hit on the same vector
+            assert _sigma_or_error(apply_sigma, rep, i, jv) == expected
+            assert _sigma_or_error(apply_sigma, rep, i, jv) == expected
+            if isinstance(expected, Scaled) and expected.vector is not None:
+                # the image back, served by the memo on the grid's next turn
+                back = expected.vector
+                again = _sigma_or_error(sigma_uncached, rep, i, back)
+                assert _sigma_or_error(apply_sigma, rep, i, back) == again
+                checked += 1
+    assert checked
+
+
+def test_sigma_memo_recomputes_for_another_vector_of_the_same_key():
+    rep = PolyRep(2, 1, 2)
+    par = rep.params
+    jv = jack_by_intertwiners(rep, (3, 1))
+    first = apply_sigma(rep, 0, jv)
+    assert first == sigma_uncached(rep, 0, jv)
+    # the same (i, mu), but another poly, then another weight
+    scaled = JackVector(jv.mu, jv.poly.scaled(par.kappa), jv.weight)
+    other_weight = JackVector(jv.mu, jv.poly, weight_of((1, 3), par))
+    for vec in (scaled, other_weight):
+        got = apply_sigma(rep, 0, vec)
+        assert got == sigma_uncached(rep, 0, vec) and got != first
+    # an equal vector that is another object is served from the memo
+    again = apply_sigma(rep, 0, jv)
+    twin = JackVector(jv.mu, Poly(jv.poly.n, dict(jv.poly.terms)), jv.weight)
+    assert twin is not jv and apply_sigma(rep, 0, twin) is again
+
+
+def test_pi_sign_fault_fails_after_a_clean_run_on_the_same_rep():
+    rep = PolyRep(2, 1, 3)
+    grid = list(monomials_up_to(3, 4))
+    assert verify_braid_and_quadratic(rep, grid)["status"] == "pass"
+    res = verify_braid_and_quadratic(rep, grid, fault_pi_sign=True)
+    assert res["status"] == "fail"
+    assert verify_braid_and_quadratic(rep, grid)["status"] == "pass"
+
+
+def test_sigma_is_computed_once_per_input_on_the_degree_6_suite(monkeypatch):
+    calls, built = [0], [0]
+    served, build = intertwiners.apply_sigma, intertwiners._sigma_image
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return served(*args, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        built[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(intertwiners, "apply_sigma", counted)
+    monkeypatch.setattr(intertwiners, "_sigma_image", counted_build)
+    # the grid of `verify --group 2,1,3 --max-deg 6`
+    grid = list(monomials_up_to(3, 4))
+    res = verify_braid_and_quadratic(PolyRep(2, 1, 3), grid)
+    assert res["status"] == "pass"
+    assert (calls[0], built[0]) == (136, 70)
+
+
+def test_a_raised_sigma_is_not_memoized():
+    point = ParamPoint.make(2, 1, 1, 2, [0])
+    rep = PolyRep(2, 1, 2, SpecializedParameters(point))
+    jv = jack_by_solve(rep, (0, 4))
+    for _ in range(2):
+        with pytest.raises(SingularIntertwinerError):
+            apply_sigma(rep, 0, jv)
+    assert rep.sigma_cache == {}

@@ -11,7 +11,8 @@ import pytest
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import (
-    act_on_poly_accumulating, apply_y_monomial, check_relations_per_monomial,
+    act_on_poly_accumulating, apply_by_monomials_per_term, apply_y_monomial,
+    check_relations_per_monomial,
     class_sum, commutator_failure_by_difference, dd_per_term,
     dd_y_mono_per_term, dunkl_mono_per_term, oracle_dunkl,
     oracle_z, phi_class_sum, poly_divexact, x_side_commutator_defect,
@@ -181,6 +182,32 @@ def test_dunkl_mono_matches_per_term_oracle(r, p, n, point, fault):
         for i in range(n):
             assert rep._dunkl_mono(i, mu) == \
                 dunkl_mono_per_term(rep, i, mu, fault), (i, mu)
+
+
+@pytest.mark.parametrize("point", ["generic", "other"])
+@pytest.mark.parametrize("r,p,n", [(2, 1, 3), (3, 1, 2), (4, 2, 2)])
+def test_unit_monomials_are_served_from_the_memo(r, p, n, point):
+    rep = PolyRep(r, p, n, table_params(r, p, n, point))
+    par = rep.params
+    for mu in monomials_up_to(n, 4):
+        for i in range(n):
+            unit = Poly.monomial(mu, par.one)
+            assert rep.dunkl(i, unit) is rep._dunkl_mono(i, mu)
+            assert rep.z(i, unit) is rep.z_monomial(i, mu)
+            # a single term with another coefficient runs the loop
+            for c in (par.rational(2), par.c0, -par.one):
+                f = Poly.monomial(mu, c)
+                for op, image in ((rep.dunkl, rep._dunkl_mono),
+                                  (rep.z, rep.z_monomial)):
+                    got = op(i, f)
+                    assert got == apply_by_monomials_per_term(
+                        rep, image, i, f), (i, mu, c)
+                    assert got is not image(i, mu)
+    # and so does a sum of unit monomials
+    f = Poly.monomial((1,) + (0,) * (n - 1), par.one) \
+        + Poly.monomial((0,) * (n - 1) + (2,), par.one)
+    assert rep.dunkl(0, f) == apply_by_monomials_per_term(
+        rep, rep._dunkl_mono, 0, f)
 
 
 @pytest.mark.parametrize("r,p,n", TABLE_GROUPS)

@@ -5,6 +5,7 @@ import contextlib
 import functools
 import io
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -892,9 +893,9 @@ def test_equal_polynomials_of_one_field_are_one_object():
     assert a - b is -(b - a) is a + (-1) * b
     assert (a * b).cmul(Cyc.root(3, 2)) is a.cmul(Cyc.root(3, 2)) * b
     assert a - a is par.zero and (a - a) * c is par.zero
-    # a polynomial reached through a fraction is equal but not interned
+    # a polynomial reached through a fraction is the interned value too
     through = c * c / c
-    assert through == c and through is not c and through * 1 is c
+    assert through is c and through * 1 is c
     # a polynomial built outside the ring's arithmetic is not interned, but
     # meets the interned one in every memo
     ring = par.ring
@@ -958,3 +959,43 @@ def test_values_of_two_fields_of_one_group_mix():
     assert other.num != GenericParameters(4, 2).kappa.num
     with pytest.raises(ValueError, match="mixed parameter rings"):
         a.kappa + other
+
+
+def test_memo_hits_keep_each_operation_apart():
+    # a sum, a product and a difference of the same two interned operands
+    # are three memo entries; a hit on one is never read by another
+    par = GenericParameters(3, 1)
+    k, c = par.kappa, par.c0
+    s = k + c
+    p = k * c
+    assert s.num == k.num + c.num and p.num == k.num * c.num
+    assert k * c is p and k + c is s and (k * c) + c is p + c
+    assert c * k is p and c + k is s
+    assert k - c != s and (k - c).num == k.num - c.num
+
+
+def test_mixed_rings_raise_after_their_memos_are_warm():
+    a, b = GenericParameters(3, 1), GenericParameters(2, 1)
+    for x in (a.kappa, a.c0 + a.kappa, a.kappa / a.c0):
+        for y in (b.kappa, b.c0 * b.c0, b.kappa / (b.c0 + 1)):
+            assert x + x == x + x and y * y == y * y  # warm both rings
+            for op in (operator.add, operator.mul, operator.sub):
+                with pytest.raises(ValueError, match="mixed parameter rings"):
+                    op(x, y)
+                with pytest.raises(ValueError, match="mixed parameter rings"):
+                    op(y, x)
+
+
+def test_dot_of_polynomials_returns_the_interned_value():
+    par = GenericParameters(2, 1)
+    k, c, one = par.kappa, par.c0, par.one
+    got = par.dot([(k, c), (one, k), (c, c)])
+    assert got is par.ring.intern(got.num)
+    assert got is k * c + k + c * c
+    # a sum of fractions over one denominator that cancels to a polynomial
+    den = k - c
+    a, b = (k * k) / den, (-(c * c)) / den
+    assert a.den == b.den and not a.den.is_one()
+    total = a + b
+    assert total is k + c
+    assert par.dot([(k, one / den), (-c, one / den)]) is one
