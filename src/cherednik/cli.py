@@ -6,7 +6,8 @@ arguments from a file, one per line, spliced in where ``@job.args`` stands:
 a later flag wins and ``--mu`` accumulates.
 
 Exit codes: 0 success, 1 internal error or failed verification,
-2 precondition/guard failure (bad arguments, non-generic point, caveats).
+2 precondition/guard failure (bad arguments, non-generic point, caveats),
+141 (128 + SIGPIPE) when the reader closed stdout, with nothing printed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -33,7 +35,7 @@ from .reptheory import (
 )
 from .scalars import GenericParameters, ParamPoint, SpecializedParameters
 
-OK, INTERNAL, PRECONDITION = 0, 1, 2
+OK, INTERNAL, PRECONDITION, CLOSED_PIPE = 0, 1, 2, 141
 
 
 def _request(args) -> None:
@@ -342,15 +344,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _request(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PRECONDITION
-    try:
-        if args.command == "jack":
-            return cmd_jack(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_gordon(args)
+        code = {"jack": cmd_jack, "verify": cmd_verify,
+                "gordon": cmd_gordon}[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the flush at
+        # exit cannot fail again (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
     except NonGenericError as exc:
         report = {"status": "non-generic", "error": str(exc)}
         if args.point is not None:

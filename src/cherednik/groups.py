@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .cyclotomic import Cyc
+from .value import Value
 
 __all__ = [
     "GroupElement", "Reflection", "reflections", "group_order",
@@ -224,8 +224,7 @@ def parse_element(text: str, r: int) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(Value):
     """A reflection with its root data.
 
     ``alpha`` / ``alpha_check`` are the coefficient vectors of alpha_s on the
@@ -240,7 +239,7 @@ class Reflection:
     element: GroupElement
     kind: str                      # "transposition" | "diagonal"
     i: int
-    j: Optional[int]               # None for diagonal kind
+    j: int | None                  # None for diagonal kind
     l: int
     cclass: str
     alpha: tuple[Cyc, ...]

@@ -25,13 +25,11 @@ same memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .groups import GroupElement
 from .jack import JackVector, NonGenericError, v_permutation, weight_of
 from .operators import PolyRep
 from .polynomials import Poly
+from .value import Value
 
 __all__ = [
     "Scaled", "SingularIntertwinerError", "apply_sigma", "apply_phi",
@@ -44,12 +42,11 @@ class SingularIntertwinerError(ArithmeticError):
     """sigma_i hit a vanishing denominator with a nonzero class-sum action."""
 
 
-@dataclass(frozen=True)
-class Scaled:
+class Scaled(Value):
     """scalar * (monic eigenvector); vector is None exactly for zero."""
 
     scalar: object
-    vector: Optional[JackVector]
+    vector: JackVector | None
 
     def is_zero(self) -> bool:
         return self.vector is None

@@ -20,11 +20,11 @@ with v[i] = #{j<i : mu_j < mu_i} + #{j>i : mu_j <= mu_i}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .operators import PolyRep, monomials_of_degree
 from .polynomials import Poly
+from .value import Value
 
 __all__ = [
     "Weight", "JackVector", "NonGenericError",
@@ -153,16 +153,13 @@ def order_key(mu) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """The character of the commuting family on f_mu.
 
     ``zvals[i]`` is the z_i eigenvalue; ``zeta_exps[i] = -mu_i mod r`` records
     the diagonal group action.  Weights compare with ``==``, field by field.
     """
 
-    r: int
-    p: int
     zvals: tuple
     zeta_exps: tuple[int, ...]
 
@@ -171,7 +168,7 @@ class Weight:
         e = list(self.zeta_exps)
         z[i], z[i + 1] = z[i + 1], z[i]
         e[i], e[i + 1] = e[i + 1], e[i]
-        return Weight(self.r, self.p, tuple(z), tuple(e))
+        return Weight(tuple(z), tuple(e))
 
     def to_json(self) -> dict:
         return {"z": [str(v) for v in self.zvals],
@@ -186,8 +183,7 @@ def weight_of(mu, params) -> Weight:
 
 
 def _weight(mu, v, params) -> Weight:
-    return Weight(params.r, params.p,
-                  tuple(params.z_eigenvalue(m, v[i])
+    return Weight(tuple(params.z_eigenvalue(m, v[i])
                         for i, m in enumerate(mu)),
                   tuple((-m) % params.r for m in mu))
 
@@ -197,8 +193,7 @@ def _weight(mu, v, params) -> Weight:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JackVector:
+class JackVector(Value):
     """A monic simultaneous eigenvector f_mu = x^mu + lower order terms."""
 
     mu: tuple[int, ...]

@@ -18,12 +18,11 @@ the identity plus one rank-2 form per reflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cyclotomic import Cyc
 from .groups import GroupElement, group_elements, group_order, reflections
 from .polynomials import accumulate
 from .scalars import GenericParameters
+from .value import Value
 
 __all__ = ["FormFamily", "rca_forms", "check_pbw", "require_pbw_budget"]
 
@@ -33,16 +32,20 @@ __all__ = ["FormFamily", "rca_forms", "check_pbw", "require_pbw_budget"]
 PBW_COMPARISON_BUDGET = 2_000_000
 
 
-@dataclass
-class FormFamily:
-    """Sparse family w -> skew form, stored as {(a,b): value} with a < b."""
+class FormFamily(Value):
+    """Sparse family w -> skew form, stored as {(a,b): value} with a < b.
+    It starts empty and is filled by :meth:`set`, so it is not hashable."""
 
     r: int
     p: int
     n: int
     params: object
-    forms: dict[GroupElement, dict[tuple[int, int], object]] \
-        = field(default_factory=dict)
+    forms: dict[GroupElement, dict[tuple[int, int], object]]
+
+    __hash__ = None
+
+    def __init__(self, r: int, p: int, n: int, params):
+        super().__init__(r, p, n, params, {})
 
     def value(self, w: GroupElement, a: int, b: int):
         form = self.forms.get(w)

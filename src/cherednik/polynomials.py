@@ -19,8 +19,8 @@ is ``spaced``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import add
-from typing import Iterable
 
 __all__ = ["Poly", "SparseTerms", "accumulate", "render_terms", "x_monomial"]
 

@@ -32,7 +32,6 @@ product (see :func:`invariant_char_series`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -41,6 +40,7 @@ from .groups import GroupElement, check_group
 from .jack import jack_by_solve
 from .operators import PolyRep
 from .scalars import ParamPoint, SpecializedParameters
+from .value import Value
 
 __all__ = [
     "Hjk", "Hx", "coxeter_number", "degrees", "is_irreducible",
@@ -120,12 +120,12 @@ def gordon_point(r: int, p: int, n: int) -> ParamPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hjk:
+class Hjk(Value):
     j: int
     k: int
 
-    def __post_init__(self):
+    def __init__(self, *fields):
+        super().__init__(*fields)
         if self.j <= 0:
             raise ValueError("j must be positive")
         if self.k <= 0:
@@ -135,8 +135,7 @@ class Hjk:
         return f"H_{{{self.j},{self.k}}}"
 
 
-@dataclass(frozen=True)
-class Hx:
+class Hx(Value):
     x: Fraction
 
     def __str__(self):

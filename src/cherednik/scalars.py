@@ -58,15 +58,15 @@ with no measured speed-up.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from fractions import Fraction
 from operator import add
-from typing import Sequence
 
 from .cyclotomic import Cyc
 from .groups import check_group
 from .polynomials import SparseTerms, _key, accumulate
+from .value import Value
 
 __all__ = [
     "MPoly", "RatFunc", "ParamRing",
@@ -910,8 +910,7 @@ class GenericParameters(_Field):
         return f"GenericParameters(r={self.r}, p={self.p})"
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(Value):
     """An exact specialization (kappa, c0, d1..d_{r/p-1})."""
 
     r: int
@@ -920,11 +919,14 @@ class ParamPoint:
     c0: Cyc
     d: tuple[Cyc, ...]
 
-    def __post_init__(self):
+    def __init__(self, *fields):
+        super().__init__(*fields)
         check_group(self.r, self.p)
         if len(self.d) != self.r // self.p - 1:
             raise ValueError(
                 f"expected {self.r // self.p - 1} d-values, got {len(self.d)}")
+        # d_0 = -(d_1 + ... + d_{r/p-1}), built once; not a field
+        self._d0 = -sum(self.d, Cyc.zero(self.r))
 
     @classmethod
     def make(cls, r: int, p: int, kappa, c0, d=()) -> "ParamPoint":
@@ -935,12 +937,7 @@ class ParamPoint:
     @classmethod
     def from_c(cls, r: int, p: int, kappa, c0, cdiag: Sequence = ()) -> "ParamPoint":
         """Build from the conjugacy-class parameters c_p, c_{2p}, ..., c_{r-p}."""
-        ds = d_from_c(r, p, cdiag)
-        return cls(r, p, _as_cyc(r, kappa), _as_cyc(r, c0), tuple(ds[1:]))
-
-    @cached_property
-    def _d0(self) -> Cyc:  # d_0 = -(d_1 + ... + d_{r/p-1}), built once
-        return -sum(self.d, Cyc.zero(self.r))
+        return cls.make(r, p, kappa, c0, d_from_c(r, p, cdiag)[1:])
 
     def d_value(self, j: int) -> Cyc:
         j %= self.r // self.p

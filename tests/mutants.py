@@ -62,6 +62,7 @@ JACK = "src/cherednik/jack.py"
 PARSING = "src/cherednik/parsing.py"
 CLI = "src/cherednik/cli.py"
 POLYNOMIALS = "src/cherednik/polynomials.py"
+VALUE = "src/cherednik/value.py"
 
 T_MIXED = "tests/test_scalars.py::test_products_with_one_unknown_split_match_the_gcd_path"
 T_CANCEL = "tests/test_scalars.py::test_a_product_whose_unknown_factor_cancels_comes_back_split"
@@ -151,6 +152,8 @@ T_RENDER_MPOLY = "tests/test_render.py::test_mpoly_text_matches_the_old_renderer
 T_RENDER_POLY = "tests/test_render.py::test_poly_text_with_cyc_coefficients_matches_the_old_renderer"
 T_RENDER_RAT = "tests/test_render.py::test_poly_text_with_ratfunc_coefficients_matches_the_old_renderer"
 T_RENDER_COMPOUND = "tests/test_render.py::test_compound_ratfunc_coefficients_are_parenthesized_as_before"
+T_VALUE = "tests/test_value.py::test_a_value_is_equal_hashed_and_printed_by_its_fields"
+T_VALUE_CLASSES = "tests/test_value.py::test_values_of_two_classes_are_never_equal"
 
 
 @dataclass(frozen=True)
@@ -585,6 +588,15 @@ MUTANTS = [
            'chunks.append(" - " + body[1:])',
            'chunks.append(" + " + body)',
            (T_RENDER_CYC, T_RENDER_MPOLY, T_RENDER_POLY, T_GOLDEN)),
+    # the record classes' shared base (value.Value)
+    Mutant("value: == ignores the class", VALUE,
+           "if type(other) is not type(self):",
+           "if not isinstance(other, Value):",
+           (T_VALUE_CLASSES,)),
+    Mutant("value: == compares the first field only", VALUE,
+           "return self._fields() == other._fields()",
+           "return self._fields()[:1] == other._fields()[:1]",
+           (T_VALUE,)),
 ]
 
 

@@ -387,6 +387,26 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert code == 0 and proc.stdout == out
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_stdout_exits_141_and_prints_nothing(unbuffered):
+    # the reader closes its end before the child writes: unbuffered, the
+    # print inside the command fails; buffered, the flush at its end
+    src = str(pathlib.Path(cherednik.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cherednik", "verify", "--group", "2,1,2",
+         "--suite", "relations", "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (cli.CLOSED_PIPE, b"")
+
+
 @pytest.mark.parametrize("group", ["2,1,5", "3,1,4"])
 def test_gordon_reaches_larger_groups(capsys, group):
     code, out, _ = run_cli(capsys, "gordon", "--group", group, "--json")

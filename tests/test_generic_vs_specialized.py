@@ -113,8 +113,8 @@ def test_generic_eigenvectors_specialize_to_the_ones_at_the_point(r, p, n):
             if built is None:
                 skipped.append((str(point), f.mu))
                 continue
-            weight = Weight(r, p, tuple(specialize(z, point)
-                                        for z in f.weight.zvals),
+            weight = Weight(tuple(specialize(z, point)
+                                  for z in f.weight.zvals),
                             f.weight.zeta_exps)
             assert built.poly == poly and built.weight == weight, \
                 (kind, str(point), f.mu)

@@ -1,6 +1,5 @@
 """Hyperplanes, the guard, singular vectors, characters and Catalan series."""
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cherednik import (
-    Cyc, GroupElement, Hjk, Hx, NonGenericError, ParamPoint, Poly, PolyRep,
-    SpecializedParameters, catalan_series, coinvariant_series,
+    Cyc, GroupElement, Hjk, Hx, JackVector, NonGenericError, ParamPoint, Poly,
+    PolyRep, SpecializedParameters, catalan_series, coinvariant_series,
     coxeter_number, degrees, exponents_and_freeness, genericity_guard,
     gordon_point, group_elements, group_order, invariant_char_series,
     is_irreducible, jack_by_solve, l1_graded_dimension, monomials_of_degree,
@@ -517,7 +516,7 @@ def test_span_failure_is_reported_before_annihilation(monkeypatch):
         jv = real(rep, mu)
         if mu != (0, 5):
             return jv
-        return dataclasses.replace(jv, poly=jv.poly + real(rep, (0, 4)).poly)
+        return JackVector(jv.mu, jv.poly + real(rep, (0, 4)).poly, jv.weight)
 
     rep = PolyRep(2, 1, 2, SpecializedParameters(pt))
     g = real(rep, (0, 4)).poly
@@ -606,8 +605,9 @@ def test_span_verdict_matches_both_oracles_on_perturbed_vectors(
                if nu not in tops]:
         def perturbed(rep_, mu, nu=nu):
             jv = real(rep_, mu)
-            return dataclasses.replace(
-                jv, poly=jv.poly + Poly.monomial(nu, rep_.params.one))
+            return JackVector(
+                jv.mu, jv.poly + Poly.monomial(nu, rep_.params.one),
+                jv.weight)
 
         monkeypatch.setattr(reptheory, "jack_by_solve", perturbed)
         report = singular_vector_check(r, p, n, point, k)
@@ -719,8 +719,8 @@ def test_guard_matches_the_scan_at_seeded_points():
             l = rng.choice([v for v in range(1, 4 * r) if v % r])
             j = rng.randrange(1, n)
             shift = Cyc.from_rational(r, l) - reptheory._hjk_lhs(point, l, j, n)
-            point = dataclasses.replace(
-                point, c0=point.c0 + shift / (r * (n - j)))
+            point = ParamPoint(point.r, point.p, point.kappa,
+                               point.c0 + shift / (r * (n - j)), point.d)
             assert on_hyperplane(point, Hjk(l, j), n)
         for k in (kk for kk in range(1, 2 * r + 2) if kk % r):
             report = genericity_guard(point, k, n)
