@@ -39,7 +39,16 @@ from .reptheory import (
     invariant_char_series, is_irreducible, l1_graded_dimension,
     on_hyperplane, singular_vector_check,
 )
-from .parsing import parse_cyc, parse_poly, parse_scalar, poly_from_json
+
+
+def __getattr__(name):
+    # the parser imports ``ast`` and no command reads a printed form back,
+    # so its functions are imported on first use
+    if name in ("parse_cyc", "parse_poly", "parse_scalar", "poly_from_json"):
+        from . import parsing
+        return getattr(parsing, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

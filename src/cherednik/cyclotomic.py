@@ -433,6 +433,9 @@ class Cyc:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
+        if len(self.num) == 1:  # phi(r) = 1: the text of Fraction(n, den)
+            n, = self.num
+            return str(n) if self.den == 1 else f"{n}/{self.den}"
         return render_terms([
             ("" if k == 0 else "z" if k == 1 else f"z^{k}", str(c))
             for k, c in enumerate(self._coordinates()) if c])

@@ -15,7 +15,10 @@ the reflecting line, which is always an exact division.  Monomial images of
 y_i and z_i are memoized.  Summed over the r colors, the colored
 transpositions of a pair of slots leave r c0 or nothing on each term of
 y_i x^mu, so the images need no root of unity (``PolyRep._dunkl_mono``); the
-class sum in z_i collapses the same way.
+class sum in z_i collapses the same way.  The terms of different pairs meet
+only on x^{mu - e_i}, so every other term is written straight into the
+image.  The list of reflections is built on first use: only ``h``, the
+x-side plan and the relation checker read it.
 
 The relation checker proves on each monomial x^mu up to a degree, in this
 order, t_w x_j = (w x_j) t_w for each reflection w and slot j and the x-side
@@ -38,6 +41,7 @@ difference is formed only for a failure record.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 
 from .cyclotomic import Cyc
@@ -150,10 +154,11 @@ class PolyRep:
         self.params = params if params is not None else GenericParameters(r, p)
         if self.params.r != r or self.params.p != p:
             raise ValueError("parameter field does not match the group")
-        self.reflections: list[Reflection] = reflections(r, p, n)
         c0r = self._c0r = self.params.c0 * self.params.rational(r)
-        # -r c0 and +r c0 for _dunkl_mono, swapped by the injected fault
+        # -r c0 and +r c0 for _dunkl_mono, swapped by the injected fault,
+        # which so negates v in its z-eigenvalue
         self._pair_coeffs = (c0r, -c0r) if fault_dunkl_sign else (-c0r, c0r)
+        self._v_sign = -1 if fault_dunkl_sign else 1
         self._dunkl_memo: dict = {}
         self._z_memo: dict = {}
         self._x_plan = None
@@ -163,6 +168,11 @@ class PolyRep:
         #: Exchange images built by :func:`~cherednik.intertwiners.apply_sigma`,
         #: keyed by (slot, composition, fault flag), each with its input.
         self.sigma_cache: dict = {}
+
+    @cached_property
+    def reflections(self) -> list[Reflection]:
+        """Every reflection of G(r,p,n), built on first use."""
+        return reflections(self.r, self.p, self.n)
 
     # -- elementary operators ------------------------------------------------
 
@@ -194,34 +204,49 @@ class PolyRep:
     def _dunkl_mono(self, i: int, mu: tuple[int, ...]) -> Poly:
         """y_i x^mu, memoized per (i, mu), with the colors summed out.
 
-        kappa d/dx_i and the diagonal reflections put the z-eigenvalue
-        kappa mu_i - (d_0 - d_{-mu_i}) on x^{mu - e_i}.  For j != i (j = i
-        adds nothing), the r colored transpositions of (a, b) = (min(i, j),
-        max(i, j)) weight x^nu, nu_a = hi - 1 - t and nu_b = lo + t for
-        0 <= t < hi - lo with {lo, hi} = {mu_a, mu_b}, by zeta^{l m}, where
-        m = t + [i = b], plus mu_a - mu_b if mu_a < mu_b.  Summed over l, r c0
-        is left where m = 0 mod r, negated when (mu_a > mu_b) == (i = a) and
-        again under the fault.  For n = 2 and even p, c0 covers two conjugacy
-        classes (even and odd colors), so "generic" there means c_even = c_odd.
+        kappa d/dx_i and the diagonal reflections put kappa mu_i - (d_0 -
+        d_{-mu_i}) on x^{mu - e_i}.  For j != i, the r colored transpositions
+        of slots i and j weight x^{mu - e_i + s(e_i - e_j)} by -c0 zeta^{l s}
+        for mu_j - mu_i < s <= 0 and by +c0 zeta^{l s} for 0 < s <= mu_j -
+        mu_i.  Summed over l, -r c0 or +r c0 is left where s = 0 mod r, the
+        two swapped under the fault.  So the terms of different pairs meet
+        only at s = 0, on x^{mu - e_i}, whose coefficient is the z-eigenvalue
+        formula ``params.z_eigenvalue(mu_i - 1, v)`` with v the number of
+        mu_j < mu_i (-v under the fault).  Every other term is written
+        straight into the image.  That coefficient, and at c0 = 0 every pair
+        term, may vanish and is then not stored.  For n = 2 and even p, c0
+        covers two conjugacy classes (even and odd colors), so "generic"
+        there means c_even = c_odd.
         """
         key = (i, mu)
         got = self._dunkl_memo.get(key)
         if got is not None:
             return got
         out: dict = {}
-        if mu[i]:
-            accumulate(out, [(mu[:i] + (mu[i] - 1,) + mu[i + 1:],
-                              self.params.z_eigenvalue(mu[i] - 1, 0))])
-        for j in range(self.n):
-            a, b = min(i, j), max(i, j)
-            down = mu[a] > mu[b]
-            m = int(i == b) + (0 if down else mu[a] - mu[b])
-            c = self._pair_coeffs[down != (i == a)]
-            lo, hi = sorted((mu[a], mu[b]))
-            nu = list(mu)
-            for t in range(-m % self.r, hi - lo, self.r):
-                nu[a], nu[b] = hi - 1 - t, lo + t
-                accumulate(out, [(tuple(nu), c)])
+        mi = mu[i]
+        if mi:
+            diag = self.params.z_eigenvalue(
+                mi - 1, self._v_sign * sum(mj < mi for mj in mu))
+            if diag:
+                out[mu[:i] + (mi - 1,) + mu[i + 1:]] = diag
+        if self._c0r:  # at c0 = 0 every pair term vanishes
+            r = self.r
+            down, up = self._pair_coeffs
+            for j, mj in enumerate(mu):
+                if mj < mi:  # s = 0 is on x^{mu - e_i}, above
+                    steps, c = range(-r, mj - mi, -r), down
+                elif mj > mi:
+                    steps, c = range(r, mj - mi + 1, r), up
+                else:
+                    continue
+                if i < j:
+                    head, mid, tail = mu[:i], mu[i + 1:j], mu[j + 1:]
+                    for s in steps:
+                        out[head + (mi - 1 + s,) + mid + (mj - s,) + tail] = c
+                else:
+                    head, mid, tail = mu[:j], mu[j + 1:i], mu[i + 1:]
+                    for s in steps:
+                        out[head + (mj - s,) + mid + (mi - 1 + s,) + tail] = c
         poly = Poly(self.n, out)
         self._dunkl_memo[key] = poly
         return poly

@@ -546,7 +546,10 @@ class RatFunc:
     def __str__(self):
         if self.den.is_one():
             return str(self.num)
-        return f"({self.num})/({self.den})"
+        split = self.split
+        if split.text is None:
+            split.text = str(self.den)
+        return f"({self.num})/({split.text})"
 
     def __repr__(self):
         return f"RatFunc({self})"
@@ -557,14 +560,16 @@ class _Split:
     ``forms`` maps each form to its multiplicity, and ``rest`` is a monic
     polynomial of degree 2 or more with no known factor, or None (1).
     Splits are interned while some value holds them, so equal denominators
-    share one expanded polynomial, multiplied out once."""
+    share one expanded polynomial, multiplied out once, and ``text``, the
+    printed ``den``, rendered on first use."""
 
-    __slots__ = ("forms", "rest", "den", "__weakref__")
+    __slots__ = ("forms", "rest", "den", "text", "__weakref__")
 
     def __init__(self, forms: dict, rest, den):
         self.forms = forms
         self.rest = rest
         self.den = den
+        self.text = None
 
 
 _NO_SPLIT = _Split({}, None, None)  # den = 1

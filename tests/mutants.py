@@ -116,6 +116,7 @@ T_PLAN_OWN = "tests/test_polynomials.py::test_x_side_plan_belongs_to_its_represe
 T_COMM_ORACLE = "tests/test_polynomials.py::test_commutator_report_matches_the_difference_oracle"
 T_COMM_FAULT = "tests/test_polynomials.py::test_commutator_report_fault_injection"
 T_DUNKL_ORACLE = "tests/test_polynomials.py::test_dunkl_mono_matches_per_term_oracle"
+T_DUNKL_DEGENERATE = "tests/test_polynomials.py::test_the_degenerate_points_reach_a_vanishing_term"
 T_TABLES_LIVE = "tests/test_polynomials.py::test_relation_tables_span_two_degrees_and_die_with_the_call"
 T_TABLES_ONCE = "tests/test_polynomials.py::test_check_relations_builds_one_table_per_monomial"
 T_MEMO_FREE = "tests/test_scalars.py::test_memo_free_runs_print_the_same_bytes"
@@ -523,19 +524,29 @@ MUTANTS = [
            "if False:",
            (T_SQUARE,)),
     # y_i x^mu with the colors summed out (operators.PolyRep._dunkl_mono)
-    Mutant("dunkl: no [i = b] residue shift", OPERATORS,
-           "m = int(i == b) + (0 if down else mu[a] - mu[b])",
-           "m = 0 if down else mu[a] - mu[b]",
+    Mutant("dunkl: raising pair terms one residue off", OPERATORS,
+           "steps, c = range(r, mj - mi + 1, r), up",
+           "steps, c = range(1, mj - mi + 1, r), up",
            (T_DUNKL_ORACLE,)),
     Mutant("dunkl: c0 for r c0 on the pair terms", OPERATORS,
            "else (-c0r, c0r)",
            "else (-self.params.c0, self.params.c0)",
            (T_DUNKL_ORACLE,)),
     Mutant("dunkl: d_0 - d_{-mu_i} for d_{-mu_i} - d_0", OPERATORS,
-           "self.params.z_eigenvalue(mu[i] - 1, 0))])",
-           "self.params.kappa * mu[i] + self.params.d(0) "
-           "- self.params.d(-mu[i]))])",
+           "diag = self.params.z_eigenvalue(\n"
+           "                mi - 1, self._v_sign * sum(mj < mi for mj in mu))",
+           "diag = self.params.kappa * mi + self.params.d(0) "
+           "- self.params.d(-mi) + self._pair_coeffs[0] "
+           "* self.params.rational(sum(mj < mi for mj in mu))",
            (T_DUNKL_ORACLE,)),
+    Mutant("dunkl: a vanishing diagonal term is stored", OPERATORS,
+           "if diag:",
+           "if True:",
+           (T_DUNKL_ORACLE, T_DUNKL_DEGENERATE)),
+    Mutant("dunkl: pair terms kept at c0 = 0", OPERATORS,
+           "if self._c0r:  # at c0 = 0 every pair term vanishes",
+           "if True:",
+           (T_DUNKL_ORACLE, T_DUNKL_DEGENERATE)),
     # the parser (parsing._evaluate)
     Mutant("parse: `**` accepted", PARSING,
            'if "**" in text or not _ALPHABET.fullmatch(text):',

@@ -13,7 +13,10 @@ Everything here deliberately avoids the production code paths it checks:
   y_i x^mu with a fresh root of unity and its own products by
   <alpha_s, y_i> and -c_s, where the package sums the r colors of each
   pair of slots out in closed form; ``dd_y_mono_per_term`` is the y-side
-  divided difference built the same way;
+  divided difference built the same way; ``dunkl_mono_accumulating`` is
+  that closed form summed through ``accumulate`` in the (min, max) frame
+  of each pair, where the package writes each term straight into the
+  image and adds only on x^{mu - e_i};
 * ``apply_y_monomial`` and ``x_side_commutator_defect`` rebuild y^nu f and
   the x-side commutator defect of one (nu, j) from scratch, where the
   package reads one table of y-images per monomial;
@@ -94,6 +97,11 @@ Everything here deliberately avoids the production code paths it checks:
   linearly term by term, where ``PolyRep._apply_by_monomials`` returns the
   memoized image itself for a single monomial with coefficient
   ``params.one``;
+* ``cyc_str_by_fractions`` renders every ``Cyc`` from its ``Fraction``
+  coordinates, where the package prints a value of Q (phi(r) = 1) as its
+  numerator and denominator; ``ratfunc_str_rendered`` renders a
+  ``RatFunc``'s denominator afresh, where the package keeps the text on the
+  interned split of the denominator;
 * ``FractionCyc`` is the cyclotomic number with one ``Fraction`` per
   coordinate, which the package replaced by integer coordinates over one
   common denominator.  It keeps the reduction rows, the Gauss-Jordan
@@ -114,7 +122,7 @@ from cherednik import (
 )
 from cherednik.cyclotomic import cyclotomic_polynomial
 from cherednik.operators import monomials_of_degree, monomials_up_to
-from cherednik.polynomials import accumulate
+from cherednik.polynomials import accumulate, render_terms
 
 
 def act_on_poly_accumulating(w: GroupElement, f: Poly) -> Poly:
@@ -248,6 +256,26 @@ def dunkl_mono_per_term(rep, i: int, mu: tuple[int, ...],
         factor = cs if fault_dunkl_sign and s.kind == "transposition" else -cs
         accumulate(out, [(nu, factor.cmul(a * cy))
                          for nu, cy in dd_per_term(rep, mu, s)])
+    return Poly(rep.n, out)
+
+
+def dunkl_mono_accumulating(rep, i: int, mu: tuple[int, ...]) -> Poly:
+    """y_i x^mu with the colors summed out, pair by pair in the (min, max)
+    frame of each pair of slots, every term added through ``accumulate``."""
+    out: dict = {}
+    if mu[i]:
+        accumulate(out, [(mu[:i] + (mu[i] - 1,) + mu[i + 1:],
+                          rep.params.z_eigenvalue(mu[i] - 1, 0))])
+    for j in range(rep.n):
+        a, b = min(i, j), max(i, j)
+        down = mu[a] > mu[b]
+        m = int(i == b) + (0 if down else mu[a] - mu[b])
+        c = rep._pair_coeffs[down != (i == a)]
+        lo, hi = sorted((mu[a], mu[b]))
+        nu = list(mu)
+        for t in range(-m % rep.r, hi - lo, rep.r):
+            nu[a], nu[b] = hi - 1 - t, lo + t
+            accumulate(out, [(tuple(nu), c)])
     return Poly(rep.n, out)
 
 
@@ -1155,3 +1183,18 @@ class FractionCyc:
 
     def __repr__(self):
         return f"Cyc({self.r}, [{', '.join(str(c) for c in self.co)}])"
+
+
+def cyc_str_by_fractions(x: Cyc) -> str:
+    """The text of x from its coordinates as ``Fraction`` values."""
+    return render_terms([
+        ("" if k == 0 else "z" if k == 1 else f"z^{k}",
+         str(Fraction(a, x.den)))
+        for k, a in enumerate(x.num) if a])
+
+
+def ratfunc_str_rendered(f) -> str:
+    """The text of a ``RatFunc``, its denominator rendered on every call."""
+    if f.den.is_one():
+        return str(f.num)
+    return f"({f.num})/({f.den})"

@@ -14,7 +14,8 @@ from oracles import (
     act_on_poly_accumulating, apply_by_monomials_per_term, apply_y_monomial,
     check_relations_per_monomial,
     class_sum, commutator_failure_by_difference, dd_per_term,
-    dd_y_mono_per_term, dunkl_mono_per_term, oracle_dunkl,
+    dd_y_mono_per_term, dunkl_mono_accumulating, dunkl_mono_per_term,
+    oracle_dunkl,
     oracle_z, phi_class_sum, poly_divexact, x_side_commutator_defect,
     x_side_defects_per_reflection, yx_commutator_defect_explicit,
 )
@@ -24,6 +25,7 @@ from cherednik import (
     SpecializedParameters, act_on_poly, group_elements, order_lt, weight_of,
 )
 from cherednik import operators
+from cherednik.cli import main
 from cherednik.operators import monomials_up_to
 from cherednik.parsing import parse_poly, poly_from_json
 from cherednik.reptheory import gordon_point
@@ -167,21 +169,55 @@ def table_params(r, p, n, point):
         return SpecializedParameters(ParamPoint.from_c(1, 1, 1, c))
     if point == "gordon":
         return SpecializedParameters(gordon_point(r, p, n))
+    if point == "cancel":
+        # kappa = 1 and every c_l = 0 put z-eigenvalue 1 on x^{mu - e_i}
+        # for mu_i = 1, and the one -r c0 of a slot mu_j = 0 cancels it
+        return SpecializedParameters(ParamPoint.from_c(
+            r, p, 1, Fraction(1, r), [0] * (r // p - 1)))
     cdiag = [Fraction(t + 2, 2 * t + 5) for t in range(1, r // p)]
+    c0 = 0 if point == "c0=0" else Fraction(1, 3)
     return SpecializedParameters(ParamPoint.from_c(
-        r, p, Fraction(3, 2), Fraction(1, 3), cdiag))
+        r, p, Fraction(3, 2), c0, cdiag))
 
 
+# the Gordon point of G(2,1,1) puts a zero z-eigenvalue on y x^3, so the
+# image of x^3 is 0; "c0=0" makes every pair term vanish and "cancel" the
+# diagonal sum (see table_params)
 @pytest.mark.parametrize("fault", [False, True])
-@pytest.mark.parametrize("point", ["generic", "gordon", "other"])
-@pytest.mark.parametrize("r,p,n", TABLE_GROUPS)
+@pytest.mark.parametrize("point", ["generic", "gordon", "other", "c0=0",
+                                   "cancel"])
+@pytest.mark.parametrize("r,p,n", TABLE_GROUPS + [(2, 1, 1), (3, 1, 1),
+                                                  (4, 2, 1)])
 def test_dunkl_mono_matches_per_term_oracle(r, p, n, point, fault):
     rep = PolyRep(r, p, n, table_params(r, p, n, point),
                   fault_dunkl_sign=fault)
-    for mu in monomials_up_to(n, 6 if n == 2 else 4):
+    for mu in monomials_up_to(n, 6 if n <= 2 else 4):
         for i in range(n):
-            assert rep._dunkl_mono(i, mu) == \
-                dunkl_mono_per_term(rep, i, mu, fault), (i, mu)
+            got = rep._dunkl_mono(i, mu)
+            assert all(got.terms.values()), (i, mu)  # no stored zero
+            assert got == dunkl_mono_per_term(rep, i, mu, fault), (i, mu)
+            assert got == dunkl_mono_accumulating(rep, i, mu), (i, mu)
+
+
+def test_the_degenerate_points_reach_a_vanishing_term():
+    """The points of the test above where a term of y_i x^mu vanishes."""
+    gordon = PolyRep(2, 1, 1, table_params(2, 1, 1, "gordon"))
+    assert gordon.params.z_eigenvalue(2, 0) == 0
+    assert gordon._dunkl_mono(0, (3,)).is_zero()
+    for r, p, n in TABLE_GROUPS:
+        rep = PolyRep(r, p, n, table_params(r, p, n, "cancel"))
+        # one slot below mu_1 = 1
+        mu, low = (1, 0) + (1,) * (n - 2), (0, 0) + (1,) * (n - 2)
+        assert rep.params.z_eigenvalue(0, 0) == rep.params.one
+        assert low not in rep._dunkl_mono(0, mu).terms, (r, p, n)
+        # the oracle sums every reflection's term and leaves 0 there too
+        assert low not in dunkl_mono_per_term(rep, 0, mu).terms
+        zero_c0 = PolyRep(r, p, n, table_params(r, p, n, "c0=0"))
+        assert not zero_c0._c0r
+        image = zero_c0._dunkl_mono(0, (2,) + (1,) * (n - 1))
+        assert list(image.terms) == [(1,) + (1,) * (n - 1)]
+        # each pair (1, j) raises x_1 by s = r at c0 != 0
+        assert zero_c0._dunkl_mono(0, (0,) + (r,) * (n - 1)).is_zero()
 
 
 @pytest.mark.parametrize("point", ["generic", "other"])
@@ -523,6 +559,32 @@ def test_x_side_plan_belongs_to_its_representation(monkeypatch):
     assert (report["status"], report["relation"]) \
         == ("fail", "x-side commutator")
     assert PolyRep(2, 1, 3).check_relations(2)["status"] == "pass"
+
+
+def test_jack_and_gordon_build_no_reflection_list(monkeypatch, capsys):
+    """Only ``h``, the x-side plan and the relation checker read
+    ``PolyRep.reflections``, and it is built on first use."""
+    def refuse(r, p, n):
+        raise AssertionError(f"reflections of G({r},{p},{n}) built")
+
+    monkeypatch.setattr(operators, "reflections", refuse)
+    assert main(["jack", "--group", "2,1,3", "--mu", "2,0,1",
+                 "--check-both"]) == 0
+    assert main(["gordon", "--group", "2,1,3"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="built"):
+        PolyRep(2, 1, 3).reflections
+
+
+def test_a_faulted_and_a_clean_rep_each_get_their_own_reflections():
+    clean = PolyRep(2, 1, 3)
+    faulted = PolyRep(2, 1, 3, fault_dunkl_sign=True)
+    assert faulted.check_relations(2)["status"] == "fail"
+    assert clean.check_relations(2)["status"] == "pass"
+    assert faulted.reflections is not clean.reflections
+    assert faulted.reflections == clean.reflections \
+        == operators.reflections(2, 1, 3)
+    assert clean.reflections is clean.reflections  # built once
 
 
 def _shifted_y1(monkeypatch):

@@ -4,10 +4,16 @@ three renderers it replaced: ``Cyc.__str__``'s own loop, ``scalars``'
 ``render_terms`` of ``Poly``.  They are restated below as oracles, and every
 text must be byte for byte the same, on ``Cyc`` values of every r <= 12,
 on ``MPoly``/``RatFunc`` values of five parameter rings, and on ``Poly``
-values with ``Cyc`` and with compound ``RatFunc`` coefficients.
+values with ``Cyc`` and with compound ``RatFunc`` coefficients.  Two
+shortcuts of the package are checked against the renderers they bypass
+(``tests/oracles.py``): a ``Cyc`` of Q(zeta_r) with phi(r) = 1 printed from
+its numerator and denominator, and a ``RatFunc`` denominator rendered once
+per split.
 """
 
+import importlib.util
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -20,6 +26,7 @@ from cherednik import (
 )
 from cherednik.cli import main
 from cherednik.polynomials import render_terms
+from oracles import cyc_str_by_fractions, ratfunc_str_rendered
 
 # ---------------------------------------------------------------------------
 # the replaced renderers
@@ -256,3 +263,52 @@ def test_the_jack_polynomial_field_is_the_text_of_the_eigenvector(capsys):
     entry, = json.loads(capsys.readouterr().out)["eigenvectors"]
     jv = jack_by_solve(PolyRep(2, 1, 2, GenericParameters(2, 1)), (2, 0))
     assert entry["polynomial"] == str(jv.poly) == poly_str(jv.poly)
+
+
+# ---------------------------------------------------------------------------
+# the shortcuts: a value of Q, and a denominator rendered once per split
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 5, 8, 12])
+def test_cyc_text_matches_the_fraction_renderer(r):
+    """phi(r) = 1, 2 and > 2, on zero, integer, negative and non-integer
+    values, rational and not."""
+    values = [Cyc.zero(r), Cyc.one(r), -Cyc.one(r)]
+    values += [Cyc.from_rational(r, a, b)
+               for a in (-7, -3, -1, 0, 1, 2, 5) for b in (1, 2, 3, 12)]
+    z = Cyc.root(r, 1)
+    values += [Cyc.from_rational(r, a, b) + z * Cyc.from_rational(r, 1, b)
+               for a in (-2, 0, 3) for b in (1, 4)]
+    values.append((z - Cyc.from_rational(r, 1, 3)).inverse())
+    for x in values:
+        assert str(x) == cyc_str_by_fractions(x), repr(x)
+        if euler_phi(r) == 1:
+            assert str(x) == str(x.rational_value())
+
+
+def _jack_bands():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", pathlib.Path(__file__).parents[1] / "bench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.JACK_BANDS
+
+
+def test_every_jack_job_coefficient_prints_as_rendered_afresh():
+    """On each composition of the ``jack`` benchmark bands, every
+    coefficient of f_mu prints as before, and coefficients with one
+    denominator share one split and so one rendering."""
+    for group, band in _jack_bands():
+        r, p, n = map(int, group.split(","))
+        rep = PolyRep(r, p, n, GenericParameters(r, p))
+        for mu in band:
+            texts = {}
+            for c in jack_by_solve(rep, mu).poly.terms.values():
+                assert str(c) == ratfunc_str_rendered(c), (group, mu)
+                if not c.den.is_one():
+                    assert c.split.text == str(c.den)
+                    texts.setdefault(c.split.text, set()).add(
+                        id(c.split.text))
+            assert all(len(ids) == 1 for ids in texts.values())

@@ -98,14 +98,15 @@ def test_a_form_family_is_compared_by_its_forms_and_not_hashable():
 
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
-    # -S: ``site`` itself imports typing on some hosts
+    # -S: ``site`` itself imports typing on some hosts.  Nor is the parser
+    # (and with it ``ast``) loaded: no command reads a printed form back.
     src = str(pathlib.Path(cherednik.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, cherednik, cherednik.cli; "
-            "print(*sorted({'dataclasses', 'inspect', 'typing'} "
-            "& set(sys.modules)))")
+            "print(*sorted({'dataclasses', 'inspect', 'typing', 'ast', "
+            "'cherednik.parsing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
