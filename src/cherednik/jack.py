@@ -120,11 +120,12 @@ def _data_lt(a, b) -> bool:
 
 
 def _data_key(data, mu) -> tuple:
-    """order_key from mu's :func:`_order_data`."""
-    part, v = data
-    inversions = sum(1 for i in range(len(v)) for j in range(i + 1, len(v))
-                     if v[i] > v[j])
-    return part, inversions, mu
+    """order_key from mu's :func:`_order_data`.  The inversions of the
+    sorting permutation v are read off mu: for i < j, v[i] > v[j] exactly
+    when mu_i >= mu_j."""
+    n = len(mu)
+    inversions = sum(mu[i] >= mu[j] for i in range(n) for j in range(i + 1, n))
+    return data[0], inversions, mu
 
 
 def order_lt(lam, mu) -> bool:
@@ -242,15 +243,20 @@ def _candidates_desc(mu, mu_data, r: int) -> list:
 
     nu = rho + r lam with rho = mu mod r slot by slot, and lam runs over
     the compositions of (|mu| - |rho|)/r: C((|mu| - |rho|)/r + n - 1, n - 1)
-    lattice points, not every monomial of degree |mu|.
+    lattice points, not every monomial of degree |mu|.  Dominance on the
+    partition rearrangement rejects most of them before their sorting
+    permutation is built.
     """
     rho = tuple(m % r for m in mu)
+    top, v_mu = mu_data
     out = []
     for lam in monomials_of_degree(len(mu), (sum(mu) - sum(rho)) // r):
         nu = tuple(a + r * b for a, b in zip(rho, lam))
-        data = _order_data(nu)
-        if _data_lt(data, mu_data):
-            out.append((_data_key(data, nu), nu, data[1]))
+        part = tuple(sorted(nu, reverse=True))
+        if part == top or dominance_lt(part, top):
+            v = v_permutation(nu)
+            if part != top or bruhat_lt(v, v_mu):
+                out.append((_data_key((part, v), nu), nu, v))
     out.sort(reverse=True)
     return [(nu, v) for _, nu, v in out]
 

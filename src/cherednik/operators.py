@@ -6,19 +6,28 @@ the standard operators to sparse polynomials:
 * ``x(i, f)`` -- multiplication by x_i,
 * ``t(w, f)`` -- the group action,
 * ``dunkl(i, f)`` -- y_i = kappa d/dx_i - sum_s c_s <alpha_s, y_i> (f - sf)/alpha_s,
+  and ``dunkl_once(i, f)``, the same operator without the memo,
 * ``z(i, f)`` -- z_i = y_i x_i + c0 phi_i with phi_i the partial class sum,
 * ``h(f)`` -- sum_i x_i y_i + sum_s c_s (1 - t_s),
 
 together with exact divided differences and a relation checker.  Divided
 differences are evaluated per monomial by the geometric-series expansion along
-the reflecting line, which is always an exact division.  Monomial images of
-y_i and z_i are memoized.  Summed over the r colors, the colored
-transpositions of a pair of slots leave r c0 or nothing on each term of
-y_i x^mu, so the images need no root of unity (``PolyRep._dunkl_mono``); the
-class sum in z_i collapses the same way.  The terms of different pairs meet
-only on x^{mu - e_i}, so every other term is written straight into the
-image.  The list of reflections is built on first use: only ``h``, the
-x-side plan and the relation checker read it.
+the reflecting line, which is always an exact division.  Summed over the r
+colors, the colored transpositions of a pair of slots leave r c0 or nothing
+on each term of y_i x^mu, so y_i needs no root of unity; the class sum in
+z_i collapses the same way.  One kernel, ``PolyRep._add_dunkl``, holds that
+rule: it adds y_i (c x^mu) into a dict of terms, with one product by c for
+the diagonal term and one for the pair terms.
+
+The kernel has two callers.  ``dunkl`` and ``z`` extend memoized monomial
+images (``_dunkl_mono``, ``z_monomial``) linearly; that serves the callers
+that meet a monomial again: ``y_images`` and so the relation suite, the
+commutator suite, ``h``, ``intertwiners.psi_on_poly`` and every z image of
+the eigenbasis.  ``dunkl_once`` adds each term of f straight into one
+result and stores no image; ``reptheory.singular_vector_check`` applies
+y_1 and y_n so, to one polynomial whose images no one reads again.  The
+list of reflections is built on first use: only ``h``, the x-side plan and
+the relation checker read it.
 
 The relation checker proves on each monomial x^mu up to a degree, in this
 order, t_w x_j = (w x_j) t_w for each reflection w and slot j and the x-side
@@ -155,7 +164,7 @@ class PolyRep:
         if self.params.r != r or self.params.p != p:
             raise ValueError("parameter field does not match the group")
         c0r = self._c0r = self.params.c0 * self.params.rational(r)
-        # -r c0 and +r c0 for _dunkl_mono, swapped by the injected fault,
+        # -r c0 and +r c0 for _add_dunkl, swapped by the injected fault,
         # which so negates v in its z-eigenvalue
         self._pair_coeffs = (c0r, -c0r) if fault_dunkl_sign else (-c0r, c0r)
         self._v_sign = -1 if fault_dunkl_sign else 1
@@ -201,8 +210,9 @@ class PolyRep:
 
     # -- Dunkl operators ------------------------------------------------------
 
-    def _dunkl_mono(self, i: int, mu: tuple[int, ...]) -> Poly:
-        """y_i x^mu, memoized per (i, mu), with the colors summed out.
+    def _add_dunkl(self, out: dict, i: int, mu: tuple[int, ...], c) -> None:
+        """Add y_i (c x^mu) into the terms ``out``, with the colors summed
+        out; c = ``params.one`` (by identity) multiplies nothing.
 
         kappa d/dx_i and the diagonal reflections put kappa mu_i - (d_0 -
         d_{-mu_i}) on x^{mu - e_i}.  For j != i, the r colored transpositions
@@ -212,44 +222,79 @@ class PolyRep:
         two swapped under the fault.  So the terms of different pairs meet
         only at s = 0, on x^{mu - e_i}, whose coefficient is the z-eigenvalue
         formula ``params.z_eigenvalue(mu_i - 1, v)`` with v the number of
-        mu_j < mu_i (-v under the fault).  Every other term is written
-        straight into the image.  That coefficient, and at c0 = 0 every pair
-        term, may vanish and is then not stored.  For n = 2 and even p, c0
-        covers two conjugacy classes (even and odd colors), so "generic"
-        there means c_even = c_odd.
+        mu_j < mu_i (-v under the fault).  That term takes one product by
+        c and the pair terms, on first use, one more: c (-r c0) is
+        -(c (r c0)).  Each term is added into ``out``, which for a fresh
+        dict is a plain write; a term that vanishes (the diagonal one, at
+        c0 = 0 every pair term, or a sum in ``out``) is not stored.  For
+        n = 2 and even p, c0 covers two conjugacy classes (even and odd
+        colors), so "generic" there means c_even = c_odd.
         """
+        one = c is self.params.one
+        mi = mu[i]
+        if mi:
+            diag = self.params.z_eigenvalue(
+                mi - 1, self._v_sign * sum(map(mi.__gt__, mu)))
+            if diag:
+                w = diag if one else c * diag
+                e = mu[:i] + (mi - 1,) + mu[i + 1:]
+                t = out.get(e)
+                if t is None:
+                    out[e] = w
+                elif t := t + w:
+                    out[e] = t
+                else:
+                    del out[e]
+        if self._c0r:  # at c0 = 0 every pair term vanishes
+            r = self.r
+            sides = self._pair_coeffs if one else None
+            nu = list(mu)
+            for j, mj in enumerate(mu):
+                # the steps s = 0 mod r: mu_j - mu_i < s < 0 (s = 0 is on
+                # x^{mu - e_i}, above) or 0 < s <= mu_j - mu_i, if any
+                if mj < mi - r:
+                    steps, side = range(-r, mj - mi, -r), 0
+                elif mj >= mi + r:
+                    steps, side = range(r, mj - mi + 1, r), 1
+                else:
+                    continue
+                if sides is None:  # c (-r c0) = -(c (r c0)): one product
+                    up = c * self._pair_coeffs[1]
+                    sides = -up, up
+                w = sides[side]
+                for s in steps:
+                    nu[i], nu[j] = mi - 1 + s, mj - s
+                    e = tuple(nu)
+                    t = out.get(e)
+                    if t is None:
+                        out[e] = w
+                    elif t := t + w:
+                        out[e] = t
+                    else:
+                        del out[e]
+                nu[j] = mj
+
+    def _dunkl_mono(self, i: int, mu: tuple[int, ...]) -> Poly:
+        """y_i x^mu, memoized per (i, mu): :meth:`_add_dunkl` on x^mu."""
         key = (i, mu)
         got = self._dunkl_memo.get(key)
         if got is not None:
             return got
         out: dict = {}
-        mi = mu[i]
-        if mi:
-            diag = self.params.z_eigenvalue(
-                mi - 1, self._v_sign * sum(mj < mi for mj in mu))
-            if diag:
-                out[mu[:i] + (mi - 1,) + mu[i + 1:]] = diag
-        if self._c0r:  # at c0 = 0 every pair term vanishes
-            r = self.r
-            down, up = self._pair_coeffs
-            for j, mj in enumerate(mu):
-                if mj < mi:  # s = 0 is on x^{mu - e_i}, above
-                    steps, c = range(-r, mj - mi, -r), down
-                elif mj > mi:
-                    steps, c = range(r, mj - mi + 1, r), up
-                else:
-                    continue
-                if i < j:
-                    head, mid, tail = mu[:i], mu[i + 1:j], mu[j + 1:]
-                    for s in steps:
-                        out[head + (mi - 1 + s,) + mid + (mj - s,) + tail] = c
-                else:
-                    head, mid, tail = mu[:j], mu[j + 1:i], mu[i + 1:]
-                    for s in steps:
-                        out[head + (mj - s,) + mid + (mi - 1 + s,) + tail] = c
+        self._add_dunkl(out, i, mu, self.params.one)
         poly = Poly(self.n, out)
         self._dunkl_memo[key] = poly
         return poly
+
+    def dunkl_once(self, i: int, f: Poly) -> Poly:
+        """y_i f in one pass over the terms of f (:meth:`_add_dunkl`),
+        building and memoizing no monomial image: for a caller that applies
+        y_i to each monomial of f once.  :meth:`dunkl` serves callers that
+        meet a monomial again."""
+        out: dict = {}
+        for e, c in f.terms.items():
+            self._add_dunkl(out, i, e, c)
+        return Poly(self.n, out)
 
     def _apply_by_monomials(self, image, i: int, f: Poly) -> Poly:
         """Extend ``image(i, mu)``, a polynomial per monomial x^mu, linearly

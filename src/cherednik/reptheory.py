@@ -265,8 +265,11 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     lies below k e_n, and h fixes slot n, so P t_h f = c P f with c the
     coefficient of t_h f at x^{k e_n}.  Each f over k e_i is x_i^k plus
     lower terms, so P maps U onto V_k by a unitriangular matrix.  If U is
-    W-stable, t_h f - c f lies in U and P kills it, so t_h f = c f.  A
-    failure names h, mu = k e_n and the residual t_h f - c f.  Once U is
+    W-stable, t_h f - c f lies in U and P kills it, so t_h f = c f.  The
+    check compares t_h f with c f (f itself when c is ``params.one``) as
+    polynomials, which is exact: every coefficient is in normal form and a
+    ``Poly`` stores no zero.  A failure names h, mu = k e_n and the
+    residual t_h f - c f, built only for that record.  Once U is
     W-stable, P is a W-isomorphism from U onto V_k, so
     ``"character_match"`` needs no check of its own.
 
@@ -279,7 +282,9 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     y_1 U is in turn read off two images of f: w_i fixes slot 1 for
     i >= 2 and w_1 sends n to 1, so y_1 t_{w_i} f = t_{w_i} y_1 f for
     i >= 2 and y_1 t_{w_1} f = t_{w_1} y_n f.  Hence y_1 U = 0 iff
-    y_1 f = 0 and y_n f = 0 (y_1 alone when n = 1).  A nonzero image is
+    y_1 f = 0 and y_n f = 0 (y_1 alone when n = 1).  Nothing reads a
+    monomial image of f again, so both are applied in one pass over f
+    (``PolyRep.dunkl_once``), with no memo.  A nonzero image is
     carried back by t_{w_i} to the witness that y_1 on each f over k e_i,
     in order, would find: mu = k e_1 with t_{w_1} y_n f if y_n f != 0, else
     mu = k e_2 with t_{w_2} y_1 f.
@@ -301,12 +306,14 @@ def singular_vector_check(r: int, p: int, n: int, point: ParamPoint,
     f = jack_by_solve(rep, tops[-1]).poly
     for h in slot_n_stabilizer_generators(r, p, n):
         g = rep.t(h, f)
-        g = g - f.scaled(g.coeff(tops[-1]))
-        if not g.is_zero():
+        c = g.coeff(tops[-1])
+        cf = f if c is rep.params.one else f.scaled(c)
+        if g != cf:
             return {"status": "fail", "reason": "span not group-stable",
-                    "w": str(h), "mu": list(tops[-1]), "residual": str(g)}
-    y1 = rep.dunkl(0, f)
-    yn = rep.dunkl(n - 1, f) if n > 1 else y1
+                    "w": str(h), "mu": list(tops[-1]),
+                    "residual": str(g - cf)}
+    y1 = rep.dunkl_once(0, f)
+    yn = rep.dunkl_once(n - 1, f) if n > 1 else y1
     for i, img in ((0, yn), (1, y1)):
         if not img.is_zero():
             for j in reversed(range(i, n - 1)):  # t_{w_i}

@@ -116,6 +116,8 @@ T_PLAN_OWN = "tests/test_polynomials.py::test_x_side_plan_belongs_to_its_represe
 T_COMM_ORACLE = "tests/test_polynomials.py::test_commutator_report_matches_the_difference_oracle"
 T_COMM_FAULT = "tests/test_polynomials.py::test_commutator_report_fault_injection"
 T_DUNKL_ORACLE = "tests/test_polynomials.py::test_dunkl_mono_matches_per_term_oracle"
+T_ONE_PASS = "tests/test_polynomials.py::test_one_pass_dunkl_matches_the_memoized_path"
+T_BYTE_SWEEP = "tests/test_byte_sweep.py::test_the_tier1_slice_prints_the_recorded_bytes"
 T_DUNKL_DEGENERATE = "tests/test_polynomials.py::test_the_degenerate_points_reach_a_vanishing_term"
 T_TABLES_LIVE = "tests/test_polynomials.py::test_relation_tables_span_two_degrees_and_die_with_the_call"
 T_TABLES_ONCE = "tests/test_polynomials.py::test_check_relations_builds_one_table_per_monomial"
@@ -144,6 +146,7 @@ T_UNSPLIT_SYMPY = "tests/test_sparse_terms.py::test_unsplit_sums_against_sympy_c
 T_TRACER = "tests/test_bench_contract.py::test_tracer_targets_exist"
 T_VPERM = "tests/test_jack.py::test_v_permutation_against_brute_force"
 T_CANDIDATES = "tests/test_jack.py::test_candidates_are_the_filtered_scan_in_order"
+T_CANDIDATES_ORACLE = "tests/test_jack.py::test_candidates_match_the_order_data_oracle"
 T_CHAIN = "tests/test_jack.py::test_a_fresh_walk_memoizes_exactly_the_predecessor_chain"
 T_SINGULAR_RAW = "tests/test_intertwiners.py::test_singular_intertwiner_error"
 T_SCAN_GENERIC = "tests/test_jack.py::test_solve_matches_the_scan_oracle_at_generic_parameters"
@@ -262,8 +265,8 @@ MUTANTS = [
            (T_DIV_CASES, T_DIV_PROP, T_JACK_PTS)),
     # gordon: annihilation from two images of f over k e_n
     Mutant("annihilation: y_2 in place of y_n", REPTHEORY,
-           "yn = rep.dunkl(n - 1, f) if n > 1 else y1",
-           "yn = rep.dunkl(1, f) if n > 1 else y1",
+           "yn = rep.dunkl_once(n - 1, f) if n > 1 else y1",
+           "yn = rep.dunkl_once(1, f) if n > 1 else y1",
            (T_SPY, T_ANN_PTS, T_ANN_Y1)),
     Mutant("annihilation: no y_n test", REPTHEORY,
            "for i, img in ((0, yn), (1, y1)):",
@@ -284,8 +287,8 @@ MUTANTS = [
            "gens.append(GroupElement.diagonal(r, n, 0, 1))",
            (T_CLOSURE,)),
     Mutant("stability: t_h f compared with f, not c f", REPTHEORY,
-           "g = g - f.scaled(g.coeff(tops[-1]))",
-           "g = g - f",
+           "cf = f if c is rep.params.one else f.scaled(c)",
+           "cf = f",
            (T_GOLDEN, T_ANN_PTS, T_PERTURBED, T_GOLDEN_SPAN)),
     # gordon: the invariant series by the cycle index.  The residue +a r/p
     # is an equivalent mutant: a r/p and -a r/p run over the same residues
@@ -492,6 +495,18 @@ MUTANTS = [
            "nu = tuple(a + r * b for a, b in zip(rho, lam))",
            "nu = tuple(r * b for b in lam)",
            (T_CANDIDATES, T_SCAN_GENERIC)),
+    # the candidate order (jack._candidates_desc, _data_key).  Counting
+    # mu_i > mu_j for mu_i >= mu_j is an equivalent mutant: the two counts
+    # differ by the pairs of equal entries, a constant on each partition,
+    # and the sort key compares counts only within one partition
+    Mutant("candidates: inversions counted with <= for >=", JACK,
+           "inversions = sum(mu[i] >= mu[j] for i in range(n)",
+           "inversions = sum(mu[i] <= mu[j] for i in range(n)",
+           (T_CANDIDATES_ORACLE,)),
+    Mutant("candidates: no dominance test", JACK,
+           "if part == top or dominance_lt(part, top):",
+           "if True:",
+           (T_CANDIDATES, T_CANDIDATES_ORACLE)),
     Mutant("solve: the inverse table keyed by (i, nu_i) alone", JACK,
            "key = (i, nu[i], v_nu[i])",
            "key = (i, nu[i])",
@@ -525,8 +540,8 @@ MUTANTS = [
            (T_SQUARE,)),
     # y_i x^mu with the colors summed out (operators.PolyRep._dunkl_mono)
     Mutant("dunkl: raising pair terms one residue off", OPERATORS,
-           "steps, c = range(r, mj - mi + 1, r), up",
-           "steps, c = range(1, mj - mi + 1, r), up",
+           "steps, side = range(r, mj - mi + 1, r), 1",
+           "steps, side = range(1, mj - mi + 1, r), 1",
            (T_DUNKL_ORACLE,)),
     Mutant("dunkl: c0 for r c0 on the pair terms", OPERATORS,
            "else (-c0r, c0r)",
@@ -534,7 +549,7 @@ MUTANTS = [
            (T_DUNKL_ORACLE,)),
     Mutant("dunkl: d_0 - d_{-mu_i} for d_{-mu_i} - d_0", OPERATORS,
            "diag = self.params.z_eigenvalue(\n"
-           "                mi - 1, self._v_sign * sum(mj < mi for mj in mu))",
+           "                mi - 1, self._v_sign * sum(map(mi.__gt__, mu)))",
            "diag = self.params.kappa * mi + self.params.d(0) "
            "- self.params.d(-mi) + self._pair_coeffs[0] "
            "* self.params.rational(sum(mj < mi for mj in mu))",
@@ -547,6 +562,22 @@ MUTANTS = [
            "if self._c0r:  # at c0 = 0 every pair term vanishes",
            "if True:",
            (T_DUNKL_ORACLE, T_DUNKL_DEGENERATE)),
+    # y_i f in one pass (operators.PolyRep.dunkl_once over _add_dunkl)
+    Mutant("one pass: the lowering-side product reused for the raising side",
+           OPERATORS,
+           "sides = -up, up",
+           "sides = -up, -up",
+           (T_ONE_PASS, T_GOLDEN, T_BYTE_SWEEP)),
+    Mutant("one pass: diagonal term not scaled by c", OPERATORS,
+           "w = diag if one else c * diag",
+           "w = diag",
+           (T_ONE_PASS, T_GOLDEN, T_BYTE_SWEEP)),
+    Mutant("one pass: a pair sum that cancels is kept", OPERATORS,
+           "                    else:\n                        del out[e]\n"
+           "                nu[j] = mj",
+           "                    else:\n                        out[e] = t\n"
+           "                nu[j] = mj",
+           (T_ONE_PASS, T_GOLDEN, T_BYTE_SWEEP)),
     # the parser (parsing._evaluate)
     Mutant("parse: `**` accepted", PARSING,
            'if "**" in text or not _ALPHABET.fullmatch(text):',

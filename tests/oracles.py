@@ -67,6 +67,10 @@ Everything here deliberately avoids the production code paths it checks:
   each coefficient is ``resid / diff``, where the package enumerates mu's
   lattice mu mod r + r Z^n, computes each sorting permutation once and
   reuses each inverse 1/(z_i(mu) - z_i(nu)) within the call;
+  ``candidates_desc_by_order_data`` builds the order data of every lattice
+  point before it tests the order and counts inversions on the sorting
+  permutation, where the package tests dominance on the partition first
+  and counts them on the composition;
 * ``span_character_check_all_of_w``, ``singular_vector_check_all_of_w`` and
   ``invariant_char_series_all_of_w`` walk every element of W where the
   package uses the reflections through slot 1 or the cycle index of the
@@ -121,6 +125,7 @@ from cherednik import (
     order_lt, v_permutation, weight_of,
 )
 from cherednik.cyclotomic import cyclotomic_polynomial
+from cherednik.jack import _data_lt, _order_data
 from cherednik.operators import monomials_of_degree, monomials_up_to
 from cherednik.polynomials import accumulate, render_terms
 
@@ -774,6 +779,26 @@ def pivot_scan(params, mu, v_mu, zvals, nu):
         if diff:
             return i, diff
     return None
+
+
+def candidates_desc_by_order_data(mu, r: int) -> list:
+    """(nu, v_permutation(nu)) for every nu = mu mod r of degree |mu| below
+    mu, in decreasing ``order_key``, as ``jack._candidates_desc`` built
+    them before: the order data of every lattice point first, the
+    inversions counted on v."""
+    mu = tuple(mu)
+    mu_data = _order_data(mu)
+    rho = tuple(m % r for m in mu)
+    out = []
+    for lam in monomials_of_degree(len(mu), (sum(mu) - sum(rho)) // r):
+        nu = tuple(a + r * b for a, b in zip(rho, lam))
+        part, v = data = _order_data(nu)
+        if _data_lt(data, mu_data):
+            inversions = sum(1 for i in range(len(v))
+                             for j in range(i + 1, len(v)) if v[i] > v[j])
+            out.append(((part, inversions, nu), nu, v))
+    out.sort(reverse=True)
+    return [(nu, v) for _, nu, v in out]
 
 
 def solve_candidates_scan(rep, mu) -> list:

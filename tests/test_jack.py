@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from byte_sweep import gordon_groups
 from oracles import (
-    bruhat_le_cover, dense_eigenvector, jack_by_solve_scan,
+    bruhat_le_cover, candidates_desc_by_order_data, dense_eigenvector,
+    jack_by_solve_scan,
     jack_by_solve_zeta_compatible, linear_extension_desc,
     linear_extension_desc_pairwise, max_length_sorting_permutation,
     pivot_scan, solve_candidates_scan, v_permutation_counts,
@@ -23,7 +25,8 @@ from cherednik import (
 )
 from cherednik import jack as jack_module
 from cherednik.operators import monomials_of_degree, monomials_up_to
-from cherednik.reptheory import gordon_point
+from cherednik.reptheory import coxeter_number, gordon_point
+from test_render import _jack_bands
 
 
 def test_v_permutation_against_brute_force():
@@ -286,6 +289,32 @@ def test_candidates_are_the_filtered_scan_in_order(group):
         want = linear_extension_desc(solve_candidates_scan(rep, mu))
         assert [nu for nu, _ in got] == want, mu
         assert all(v == v_permutation(nu) for nu, v in got), mu
+
+
+def _candidate_cases(kind):
+    """(mu, r) per composition of the ``jack`` benchmark bands, per k e_n
+    that ``gordon``'s budget admits, or per composition of a sweep."""
+    if kind == "jack bands":
+        return [(mu, int(group.split(",")[0]))
+                for group, band in _jack_bands() for mu in band]
+    if kind == "gordon":
+        out = []
+        for group in gordon_groups():
+            r, p, n = map(int, group.split(","))
+            k = coxeter_number(r, p, n) + 1
+            out.append(((0,) * (n - 1) + (k,), r))
+        return out
+    return [(mu, r) for r in range(1, 5) for n in range(1, 5)
+            for mu in monomials_up_to(n, {1: 12, 2: 12, 3: 8, 4: 6}[n])]
+
+
+@pytest.mark.parametrize("kind", ["jack bands", "gordon", "sweep"])
+def test_candidates_match_the_order_data_oracle(kind):
+    # dominance is tested on the partition before the order data is built,
+    # and inversions are counted on the composition; the list is the same
+    for mu, r in _candidate_cases(kind):
+        got = jack_module._candidates_desc(mu, jack_module._order_data(mu), r)
+        assert got == candidates_desc_by_order_data(mu, r), (mu, r)
 
 
 def test_weight_values():

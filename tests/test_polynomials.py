@@ -26,7 +26,7 @@ from cherednik import (
 )
 from cherednik import operators
 from cherednik.cli import main
-from cherednik.operators import monomials_up_to
+from cherednik.operators import monomials_of_degree, monomials_up_to
 from cherednik.parsing import parse_poly, poly_from_json
 from cherednik.reptheory import gordon_point
 
@@ -197,6 +197,54 @@ def test_dunkl_mono_matches_per_term_oracle(r, p, n, point, fault):
             assert all(got.terms.values()), (i, mu)  # no stored zero
             assert got == dunkl_mono_per_term(rep, i, mu, fault), (i, mu)
             assert got == dunkl_mono_accumulating(rep, i, mu), (i, mu)
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("point", ["generic", "gordon", "other", "c0=0",
+                                   "cancel"])
+@pytest.mark.parametrize("r,p,n", TABLE_GROUPS + [(2, 1, 1), (3, 1, 1),
+                                                  (4, 2, 1)])
+def test_one_pass_dunkl_matches_the_memoized_path(r, p, n, point, fault):
+    # dunkl_once adds each product straight into one dict; the oracle is
+    # the memoized path, one image per monomial extended linearly.  The
+    # coefficients include params.one, which takes no product
+    params = table_params(r, p, n, point)
+    rep = PolyRep(r, p, n, params, fault_dunkl_sign=fault)
+    oracle = PolyRep(r, p, n, params, fault_dunkl_sign=fault)
+
+    def check(i, f):
+        got = rep.dunkl_once(i, f)
+        assert all(got.terms.values()), (i, f)  # no stored zero
+        assert got == oracle._apply_by_monomials(oracle._dunkl_mono, i, f)
+        return got
+
+    pool = [params.one, -params.one, params.rational(3),
+            params.rational(Fraction(-2, 5)), params.c0,
+            params.kappa - params.c0]
+    rng = random.Random(f"{r}{p}{n}{point}{fault}")
+    deg = 6 if n <= 2 else 4
+    for _ in range(6):
+        f = Poly.from_terms(n, [
+            (tuple(rng.randint(0, deg) for _ in range(n)), rng.choice(pool))
+            for _ in range(8)])
+        for i in range(n):
+            check(i, f)
+    # x^mu + c x^nu with c chosen so that the two images cancel at e; the
+    # images of two monomials share an exponent only through a pair term,
+    # so not at c0 = 0 or for n = 1
+    cancelled = 0
+    monos = list(monomials_of_degree(n, r + 1))
+    for i in range(n):
+        for mu in monos:
+            a = oracle._dunkl_mono(i, mu).terms
+            for nu in monos:
+                b = oracle._dunkl_mono(i, nu).terms
+                for e in (a.keys() & b.keys() if nu != mu else ()):
+                    f = Poly(n, {mu: params.one, nu: -a[e] / b[e]})
+                    assert e not in check(i, f).terms
+                    cancelled += 1
+    assert bool(cancelled) == (n > 1 and point != "c0=0")
+    assert not rep._dunkl_memo  # nothing memoized
 
 
 def test_the_degenerate_points_reach_a_vanishing_term():

@@ -395,17 +395,18 @@ def test_singular_check_needs_k_nonzero_mod_r(r, p, k):
 @pytest.mark.parametrize("r,p,n", [(2, 1, 3), (3, 3, 4), (4, 2, 2), (3, 1, 1)])
 def test_y1_and_yn_are_applied_to_the_last_vector(monkeypatch, r, p, n):
     # the annihilation test reads y_1 f and y_n f for f over k e_n alone
-    # (y_1 alone at n = 1); the other f over k e_i are t_{w_i} f
+    # (y_1 alone at n = 1), each in one pass; the other f over k e_i are
+    # t_{w_i} f
     k = coxeter_number(r, p, n) + 1
     point = gordon_point(r, p, n)
     applied = []
-    real = PolyRep.dunkl
+    real = PolyRep.dunkl_once
 
     def spy(rep, i, f):
         applied.append((i, f))
         return real(rep, i, f)
 
-    monkeypatch.setattr(PolyRep, "dunkl", spy)
+    monkeypatch.setattr(PolyRep, "dunkl_once", spy)
     assert singular_vector_check(r, p, n, point, k)["status"] == "pass"
     monkeypatch.undo()
     rep = PolyRep(r, p, n, SpecializedParameters(point))
@@ -479,7 +480,8 @@ def test_annihilation_matches_the_oracle_where_only_y1_acts(monkeypatch):
     # y_1 f is 0 at every seeded point, so y_1 f != 0 = y_n f is staged with
     # an S_n-equivariant stand-in for y_i: 0 on any f with a term of degree
     # >= k in slot i, else the sum of the true y_j over j != i.  Then the
-    # witness is mu = k e_2 with t_{w_2} y_1 f
+    # witness is mu = k e_2 with t_{w_2} y_1 f.  The check applies it as
+    # dunkl_once, the oracle as dunkl
     r, p, k = 2, 1, 5
     real = PolyRep.dunkl
 
@@ -491,6 +493,7 @@ def test_annihilation_matches_the_oracle_where_only_y1_acts(monkeypatch):
                     out = out + real(rep, j, f)
         return out
 
+    monkeypatch.setattr(PolyRep, "dunkl_once", sideways)
     monkeypatch.setattr(PolyRep, "dunkl", sideways)
     point = ParamPoint.from_c(r, p, 1, Fraction(1, 3), [Fraction(1, 3)])
     for n in (2, 3, 4):
@@ -593,7 +596,9 @@ def test_span_verdict_matches_both_oracles_on_perturbed_vectors(
     # f + x^nu, for nu of degree k - 1 or k other than k e_i, keeps what
     # the argument needs (coefficient 1 at x^{k e_n}, no other x_j^k); on
     # it the generators of the stabilizer of slot n decide stability as
-    # the slot-1 peel and the walk over all of W do
+    # the slot-1 peel and the walk over all of W do.  The check compares
+    # t_h f with c f; the residual t_h f - c f, tested for zero, gives the
+    # same verdict and the witness
     k = coxeter_number(r, p, n) + 1
     point = gordon_point(r, p, n)
     rep = PolyRep(r, p, n, SpecializedParameters(point))
@@ -612,8 +617,16 @@ def test_span_verdict_matches_both_oracles_on_perturbed_vectors(
         monkeypatch.setattr(reptheory, "jack_by_solve", perturbed)
         report = singular_vector_check(r, p, n, point, k)
         found = report.get("reason") != "span not group-stable"
-        basis = list(zip(tops, _transported(
-            rep, f + Poly.monomial(nu, rep.params.one))))
+        g = f + Poly.monomial(nu, rep.params.one)
+        residuals = [(h, t_g - g.scaled(t_g.coeff(tops[-1])))
+                     for h in slot_n_stabilizer_generators(r, p, n)
+                     for t_g in [rep.t(h, g)]]
+        witness = next(((str(h), str(res)) for h, res in residuals if res),
+                       None)
+        assert (witness is None) == found, nu
+        if witness is not None:
+            assert (report["w"], report["residual"]) == witness, nu
+        basis = list(zip(tops, _transported(rep, g)))
         assert (span_stability_check(rep, basis) is None) == found, nu
         assert (span_character_check_all_of_w(rep, basis, k) is None) \
             == found, nu
