@@ -13,34 +13,55 @@ An ``MPoly`` prints through ``polynomials.render_terms``, the package's one
 renderer of a sum, as ``k*c0^2 + (-1 - z)*d1``; a :class:`RatFunc` prints as
 ``(num)/(den)``.
 
-Rational functions are kept gcd-reduced with the denominator normalized to
-leading coefficient 1 (graded-lex), so equality is structural.  That makes
-eigenvalue comparisons decidable, which the eigenbasis construction relies on.
+A generic value computes on Python integers.  Its normal form is
+n / (k * rest * F_1^m_1 * ... * F_s^m_s):
+
+* n is an integer polynomial: each exponent tuple carries one more slot,
+  last, for the power of zeta (below phi(r)), so Q(zeta_r) is carried as
+  integer coordinates in the reduced basis, and a product is folded back
+  below phi(r) with ``cyclotomic._ctx``'s rows of x^z;
+* k > 0 is an integer coprime to the gcd of n's coefficients;
+* each F is a primitive linear form: integer coordinates of gcd 1, with a
+  positive integer graded-lex lead.  A form whose coordinates are all
+  rational is divided by its content and takes its lead's sign; otherwise
+  its lead coefficient is first made rational by multiplying by the
+  product of its Galois conjugates;
+* the rest, a factor of degree 2 or more normalized the same way, is
+  most often absent.
+
+That form is canonical, so equality is structural; it makes eigenvalue
+comparisons decidable, which the eigenbasis construction relies on.  The
+forms and rests are interned (:class:`_Factor`), so dicts key them by
+identity, and a denominator's multiset of them (:class:`_Split`) is
+interned too.  ``num``, ``den`` and the printed text, the gcd-reduced
+numerator and the monic denominator with ``Cyc`` coefficients, are views
+built when something reads them: printing, ``specialize``, the parser and
+the tests.  A rest meets other polynomials through the general gcd
+:func:`mp_gcd`, on those views; that boundary is rare (the intertwiner
+suite, the parser).
 
 The eigenbasis and the intertwiners divide only by weight differences, which
-are linear forms.  A :class:`RatFunc` keeps its denominator split as a rest
-times the monic linear forms it knows of; the rest, a factor of degree 2
-or more such as the inverse of a nonlinear numerator brings, is most often
-absent.  Values reduce by trial division by the forms, since a numerator
-that no form divides is coprime to their product, and by the general gcd
-:func:`mp_gcd` against the rest alone.  A product sheds each numerator
-against the other operand's forms and rest (:func:`_mul_split`).  A sum,
-and a sum of products such as a residual of the eigenbasis solve (one call
-of ``params.dot``), go through one kernel, :func:`_lcm_sum`: every term
-over the lcm of the forms and of the rests, the numerators added once, the
-sum trial-divided once by the lcm's forms and reduced once against its
-rest.  Every way gives the same canonical form.  At a specialized point
-``dot`` is the plain sum.  Each
-monic linear form x_v + g carries its plan, v and the terms of g, built the
-first time it is used (:func:`_plan`): multiplying by the form
+are linear forms.  Values reduce by trial division by the forms, since a
+numerator that no form divides is coprime to their product.  Each form
+L x_v + g carries its plan (v, L and the terms of g), so multiplying by it
 (:func:`_times`) shifts in x_v and adds the g-terms, and dividing by it
-(:func:`_div_linear`) reads the plan instead of finding the form's leading
-term on every try.
+(:func:`_div_linear`) is synthetic division in x_v.  For a rational form,
+Gauss's lemma makes the quotient of an integer polynomial integral, so the
+division stops at the first quotient coefficient that L does not divide.
+A form with a root-of-unity coordinate does not take that exit: its
+division scales the numerator by a power of L to stay integral.  A product sheds each numerator against the other
+operand's forms and rest (:func:`_mul_split`).  A sum, and a sum of
+products such as a residual of the eigenbasis solve (one call of
+``params.dot``), go through one kernel, :func:`_lcm_sum`: every term over
+the lcm of the forms and of the rests, the numerators added once, the sum
+trial-divided once by the lcm's forms and reduced once against its rest.
+At a specialized point ``dot`` is the plain sum, and the scalars are
+``Cyc`` values.
 
 Each :class:`GenericParameters` owns its :class:`ParamRing`, which interns
-the field's polynomial values (denominator 1): one value per numerator, for
-its generators, constants, every polynomial sum, product, negation and
-scaling, and every fraction whose denominator cancels (:func:`_factored`).
+the field's polynomial values (denominator 1): one value per numerator and
+k, for its generators, constants, every polynomial sum, product, negation
+and scaling, and every fraction whose denominator cancels.
 The relation checks repeat these operations on a few hundred values tens
 of thousands of times, so the ring memoizes them keyed by the operands'
 ids, and a repeat hashes and compares no terms.  The keys hold ids of
@@ -61,9 +82,10 @@ import weakref
 from collections.abc import Sequence
 from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, _ctx, _cyc
 from .groups import check_group
 from .polynomials import SparseTerms, _key, accumulate
 from .value import Value
@@ -99,7 +121,8 @@ class ParamRing:
     # this order empties the memos before the values their keys name can go.
     MEMOS = ("sums", "products", "negations", "scalings", "interned")
 
-    __slots__ = ("r", "names", "nvars", "czero", "cone") + MEMOS
+    __slots__ = ("r", "names", "nvars", "czero", "cone", "phi", "rows",
+                 "origin", "unit") + MEMOS
 
     def __init__(self, r: int, names: tuple[str, ...]):
         self.r = r
@@ -107,30 +130,36 @@ class ParamRing:
         self.nvars = len(names)
         self.czero = Cyc.zero(r)
         self.cone = Cyc.one(r)
+        self.phi, self.rows, _ = _ctx(r)
+        # the exponent of 1, with the slot of zeta's power last
+        self.origin = (0,) * (self.nvars + 1)
+        self.unit = {self.origin: 1}
         for name in self.MEMOS:
             setattr(self, name, {})
 
-    def intern(self, num: "MPoly") -> "RatFunc":
-        """The ring's one polynomial value with numerator ``num``."""
-        got = self.interned.get(num)
+    def intern(self, num: dict, k: int = 1) -> "RatFunc":
+        """The ring's one polynomial value num / k (in normal form)."""
+        key = (frozenset(num.items()), k)
+        got = self.interned.get(key)
         if got is None:
-            got = self.interned[num] = _polynomial(num)
+            got = self.interned[key] = _rf(self, num, k, _NO_SPLIT)
         return got
 
     def memo_miss(self, memo: dict, op, a: "RatFunc", b=None) -> "RatFunc":
-        """``op`` of a's numerator (and b's, or the Cyc b) as an interned
-        value, stored in ``memo`` under the interned operands' ids."""
-        a = self.intern(a.num)
+        """``op`` of a (and of b, a value or a Cyc), a numerator and its k,
+        as an interned value, stored in ``memo`` under the interned
+        operands' ids."""
+        a = self.intern(a.n, a.k)
         if b is None:
-            key, args = id(a), (a.num,)
+            key, args = id(a), (a,)
         elif isinstance(b, RatFunc):
-            b = self.intern(b.num)
-            key, args = (id(a), id(b)), (a.num, b.num)
+            b = self.intern(b.n, b.k)
+            key, args = (id(a), id(b)), (a, b)
         else:
-            key, args = (id(a), b), (a.num, b)
+            key, args = (id(a), b), (a, b)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = self.intern(op(*args))
+            got = memo[key] = self.intern(*op(*args))
         return got
 
     def __eq__(self, other):
@@ -146,16 +175,6 @@ class ParamRing:
     def one(self) -> "MPoly":
         return MPoly(self, {(0,) * self.nvars: self.cone})
 
-    def const(self, c: Cyc) -> "MPoly":
-        if not c:
-            return MPoly(self, {})
-        return MPoly(self, {(0,) * self.nvars: c})
-
-    def gen(self, i: int) -> "MPoly":
-        e = [0] * self.nvars
-        e[i] = 1
-        return MPoly(self, {tuple(e): self.cone})
-
     def __repr__(self):
         return f"ParamRing(r={self.r}, names={self.names})"
 
@@ -165,13 +184,12 @@ class MPoly(SparseTerms):
     ``+``, ``-`` and ``*`` (by an MPoly, or by a Cyc through ``scaled``)
     are the loops of :class:`~cherednik.polynomials.SparseTerms`."""
 
-    __slots__ = ("ring", "plan")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: ParamRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
-        self.plan = None  # set by _plan on a monic linear form
 
     def _like(self, terms: dict) -> "MPoly":
         return MPoly(self.ring, terms)
@@ -385,271 +403,172 @@ def mp_gcd(f: MPoly, g: MPoly) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# rational functions
+# integer polynomials: the arithmetic of the generic field
 # ---------------------------------------------------------------------------
 
 
-class RatFunc:
-    """num/den over Q(zeta_r)[params], gcd-reduced, den monic (graded-lex).
-
-    ``split`` (a :class:`_Split`) writes ``den`` as a rest with no known
-    factor times monic linear forms.  It is ``_NO_SPLIT`` exactly when
-    ``den`` is 1, so ``+`` and ``*`` spot two polynomials by identity and
-    take the ring's memos.  Otherwise ``+`` is :func:`_lcm_sum` of the two
-    operands and ``*`` is :func:`_mul_split`, which reduces each numerator
-    against the other operand's forms by trial division and against its
-    rest by ``mp_gcd``.
-    """
-
-    __slots__ = ("num", "den", "split")
-
-    def __init__(self, num: MPoly, den: MPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            g = mp_gcd(num, den)
-            if not g.is_one():
-                num, den = num.divexact(g), den.divexact(g)
-        num, den = _normal_form(num, den)
-        self.num = num
-        self.den = den
-        self.split = _intern({}, den, den.ring)
-
-    # -- coercion ------------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            ring = other.num.ring
-            if ring is not self.num.ring and ring != self.num.ring:
-                raise ValueError("mixed parameter rings")
-            return other
-        ring = self.num.ring
-        if isinstance(other, Cyc):
-            return ring.intern(ring.const(other))
-        if isinstance(other, (int, Fraction)):
-            return ring.intern(ring.const(Cyc.from_rational(ring.r, other)))
-        return None
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other):
-        ring = self.num.ring
-        if type(other) is RatFunc:  # a hit needs no coercion (module doc)
-            got = ring.sums.get((id(self), id(other)))
-            if got is not None:
-                return got
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
-            return ring.memo_miss(ring.sums, MPoly.__add__, self, o)
-        s, t = self.split, o.split
-        return _lcm_sum(((self.num, s.forms, s.rest), (o.num, t.forms, t.rest)),
-                        ring) or ring.intern(ring.zero())
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.split is _NO_SPLIT:
-            ring = self.num.ring
-            got = ring.negations.get(id(self))
-            return ring.memo_miss(ring.negations, MPoly.__neg__, self) \
-                if got is None else got
-        return _rf(-self.num, self.den, self.split)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        ring = self.num.ring
-        if type(other) is RatFunc:
-            got = ring.products.get((id(self), id(other)))
-            if got is not None:
-                return got
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
-            return ring.memo_miss(ring.products, MPoly.__mul__, self, o)
-        return _mul_split(self, o)
-
-    __rmul__ = __mul__
-
-    def cmul(self, c: Cyc) -> "RatFunc":
-        """Fast scale by a cyclotomic unit (or zero)."""
-        if self.split is _NO_SPLIT:
-            ring = self.num.ring
-            got = ring.scalings.get((id(self), c))
-            return ring.memo_miss(ring.scalings, MPoly.scaled, self, c) \
-                if got is None else got
-        if not c:
-            return self.num.ring.intern(self.num.ring.zero())
-        return _rf(self.num.scaled(c), self.den, self.split)
-
-    def inverse(self) -> "RatFunc":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of zero rational function")
-        num, den = _normal_form(self.den, self.num)
-        return _rf(num, den, _intern({}, den, den.ring))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        out = _polynomial(self.num.ring.one())
-        base = self.inverse() if n < 0 else self
-        n = abs(n)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- predicates ------------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.num.terms)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        split = self.split
-        if split.text is None:
-            split.text = str(self.den)
-        return f"({self.num})/({split.text})"
-
-    def __repr__(self):
-        return f"RatFunc({self})"
+def _fold(terms: dict, ring: ParamRing) -> dict:
+    """terms with each zeta power z >= phi(r) written in the reduced basis
+    by ``cyclotomic._ctx``'s row of x^z; no zero is kept."""
+    phi, rows = ring.phi, ring.rows
+    high = [e for e in terms if e[-1] >= phi]
+    for e in high:
+        c = terms.pop(e)
+        base = e[:-1]
+        accumulate(terms, ((base + (m,), c * t)
+                           for m, t in enumerate(rows[e[-1]]) if t))
+    return terms
 
 
-class _Split:
-    """A monic denominator ``den`` as ``rest`` times monic linear forms:
-    ``forms`` maps each form to its multiplicity, and ``rest`` is a monic
-    polynomial of degree 2 or more with no known factor, or None (1).
-    Splits are interned while some value holds them, so equal denominators
-    share one expanded polynomial, multiplied out once, and ``text``, the
-    printed ``den``, rendered on first use."""
-
-    __slots__ = ("forms", "rest", "den", "text", "__weakref__")
-
-    def __init__(self, forms: dict, rest, den):
-        self.forms = forms
-        self.rest = rest
-        self.den = den
-        self.text = None
+def _nonzero(terms: dict) -> dict:
+    """terms without its zero coefficients."""
+    if 0 in terms.values():
+        return {e: c for e, c in terms.items() if c}
+    return terms
 
 
-_NO_SPLIT = _Split({}, None, None)  # den = 1
-_SPLITS = weakref.WeakValueDictionary()  # (frozenset of forms, rest) -> _Split
+def _product(a: dict, b: dict, ring: ParamRing) -> dict:
+    """The product of two integer polynomials."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    out = _nonzero(out)
+    return _fold(out, ring) if ring.phi > 1 else out
 
 
-def _intern(forms: dict, rest, ring: ParamRing) -> _Split:
-    """The split of rest (None for 1) times the forms.  A rest of degree 1
-    is one more form, and one of degree 0 is 1."""
-    if rest is not None and rest.degree() < 2:
-        if rest.degree() == 1:
-            forms = _adjust(forms, {rest: 1}, {})
-        rest = None
-    if not forms and rest is None:
-        return _NO_SPLIT
-    key = (frozenset(forms.items()), rest)
-    got = _SPLITS.get(key)
-    if got is None:
-        got = _SPLITS[key] = _Split(forms, rest,
-                                    _times(rest or ring.one(), forms))
-    return got
+def _reduced(terms: dict, k: int) -> tuple[dict, int]:
+    """terms / k with their common factor cancelled (k > 0)."""
+    if k != 1:
+        g = gcd(k, *terms.values())
+        if g != 1:
+            return {e: c // g for e, c in terms.items()}, k // g
+    return terms, k
 
 
-def _rf(num: MPoly, den: MPoly, split) -> RatFunc:
-    """A RatFunc from parts already in normal form, with den's split."""
-    out = object.__new__(RatFunc)
-    out.num = num
-    out.den = den
-    out.split = split
+def _ints(p: MPoly) -> tuple[dict, int]:
+    """(terms, L) with p = terms / L, L > 0 least."""
+    den = lcm(*(c.den for c in p.terms.values())) if p.terms else 1
+    out = {}
+    for e, c in p.terms.items():
+        s = den // c.den
+        for z, a in enumerate(c.num):
+            if a:
+                out[e + (z,)] = a * s
+    return out, den
+
+
+def _mpoly(ring: ParamRing, terms: dict, den: int = 1) -> MPoly:
+    """The MPoly view of terms / den, with Cyc coefficients."""
+    coords: dict = {}
+    for e, c in terms.items():
+        row = coords.get(e[:-1])
+        if row is None:
+            row = coords[e[:-1]] = [0] * ring.phi
+        row[e[-1]] = c
+    return MPoly(ring, {e: _cyc(ring.r, tuple(row), den)
+                        for e, row in coords.items()})
+
+
+def _conjugates(c: dict, ring: ParamRing) -> dict:
+    """The product of the Galois conjugates zeta -> zeta^j (j a unit mod r,
+    j != 1) of the constant c, so that c times it is the rational norm."""
+    r = ring.r
+    out = ring.unit
+    for j in range(2, r):
+        if gcd(j, r) == 1:  # z -> z j mod r is one-to-one
+            out = _product(out, _fold({e[:-1] + (e[-1] * j % r,): a
+                                       for e, a in c.items()}, ring), ring)
     return out
 
 
-def _polynomial(num: MPoly) -> RatFunc:
-    return _rf(num, num.ring.one(), _NO_SPLIT)
+class _Factor:
+    """A primitive polynomial over Z[zeta_r] (coordinate gcd 1) whose
+    graded-lex lead coefficient is a positive integer: a linear form of a
+    denominator, or a rest.  Interned by ring and terms, so dicts key it by
+    identity.  A linear form L x_v + g, x_v its lead, carries its plan (v,
+    L, the terms of g); ``rational`` says that every coordinate is
+    rational."""
+
+    __slots__ = ("ring", "terms", "degree", "rational", "plan", "_poly",
+                 "__weakref__")
+
+    def poly(self) -> MPoly:
+        """The factor as a monic MPoly."""
+        if self._poly is None:
+            terms = self.terms
+            lead = max((e[:-1] for e in terms), key=_key) + (0,)
+            self._poly = _mpoly(self.ring, terms, terms[lead])
+        return self._poly
 
 
-def _factored(num: MPoly, forms: dict, rest=None) -> RatFunc:
-    """num over rest times the product of forms, which num is coprime to;
-    the ring's interned value of num when there is no denominator."""
-    split = _intern(forms, rest, num.ring)
-    if split is _NO_SPLIT:
-        return num.ring.intern(num)
-    return _rf(num, split.den, split)
+_FACTORS = weakref.WeakValueDictionary()  # (r, names, terms) -> _Factor
 
 
-def _normal_form(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
-    """Scale coprime num/den so den is monic; zero becomes 0/1."""
-    if num.is_zero():
-        return num, den.ring.one()
-    _, lc = den.lead()
-    if lc != den.ring.cone:
-        inv = lc.inverse()
-        num, den = num.scaled(inv), den.scaled(inv)
-    return num, den
+def _factor(ring: ParamRing, terms: dict):
+    """(F, u, g) with terms = F g / u: F the interned primitive factor (None
+    for a constant), u a constant with integer coordinates, g > 0.
+
+    A rational polynomial divides by its content and takes the sign of its
+    lead.  Otherwise the lead coefficient c is made rational by the product
+    u of its conjugates, and c u = N(c) is the norm."""
+    nv = ring.nvars
+    lead = max((e[:nv] for e in terms), key=_key)
+    rational = all(not e[nv] for e in terms)
+    if rational:
+        u, prim = ring.unit, terms
+    else:
+        u = _conjugates({ring.origin[:nv] + e[nv:]: c
+                         for e, c in terms.items() if e[:nv] == lead}, ring)
+        prim = _product(terms, u, ring)
+    g = gcd(*prim.values())
+    if prim[lead + (0,)] < 0:
+        g = -g
+        u = {e: -c for e, c in u.items()}
+    prim = {e: c // g for e, c in prim.items()}
+    g = abs(g)
+    if not any(lead):
+        return None, u, g
+    key = (ring.r, ring.names, frozenset(prim.items()))
+    f = _FACTORS.get(key)
+    if f is None:
+        f = _FACTORS[key] = object.__new__(_Factor)
+        f.ring, f.terms, f._poly = ring, prim, None
+        f.degree, f.rational, f.plan = sum(lead), rational, None
+        if f.degree == 1:
+            top = lead + (0,)
+            f.plan = (lead.index(1), prim[top],
+                      tuple((e, c) for e, c in prim.items() if e != top))
+    return f, u, g
 
 
-def _plan(f: MPoly) -> tuple:
-    """The monic linear form f = x_v + g as (v, the terms of g), stored on f
-    the first time it is asked for, so it lives and dies with f."""
-    lead, _ = f.lead()
-    f.plan = (lead.index(1),
-              tuple((e, c) for e, c in f.terms.items() if e != lead))
-    return f.plan
+def _div_linear(p: dict, f: _Factor, ring: ParamRing):
+    """(q, s) with s p = f q for the linear form f, or None when f does not
+    divide p.
 
-
-def _div_linear(p: MPoly, f: MPoly):
-    """p / f for a monic linear form f, or None when f does not divide p.
-
-    f = x_v + g with g free of x_v, so this is synthetic division in x_v,
-    from the top x_v-degree down; the x_v-free remainder must vanish.
-    """
-    if not p.terms:
-        return p
-    v, g = f.plan or _plan(f)
-    # p(x_v = -g) = p when p is free of x_v, and a single term has only
+    f = L x_v + g with g free of x_v, so this is synthetic division in x_v,
+    from the top x_v-degree down; the x_v-free remainder must vanish.  For a
+    rational f, Gauss's lemma makes the quotient of an integer polynomial
+    integral, so a quotient coefficient that L does not divide ends the
+    division, and s = 1.  Otherwise p is first scaled by s = L^d, d its
+    x_v-degree, which keeps every step in the integers."""
+    if not p:
+        return p, 1
+    v, lead, g = f.plan
+    # p(x_v = -g/L) = p when p is free of x_v, and a single term has only
     # variables for linear factors
-    if all(not e[v] for e in p.terms) or (len(p.terms) == 1 and g):
+    if all(not e[v] for e in p) or (len(p) == 1 and g):
         return None
+    scale = 1
+    if lead != 1 and not f.rational:
+        scale = lead ** max(e[v] for e in p)
+        p = {e: c * scale for e, c in p.items()}
     layers: dict[int, dict] = {}
-    for e, c in p.terms.items():
+    for e, c in p.items():
         layers.setdefault(e[v], {})[e] = c
     quot: dict = {}
     for d in range(max(layers), 0, -1):
@@ -658,33 +577,39 @@ def _div_linear(p: MPoly, f: MPoly):
             continue
         below = layers.setdefault(d - 1, {})
         for e, c in layer.items():
+            if lead != 1:
+                c, rem = divmod(c, lead)
+                if rem:
+                    return None
             qe = e[:v] + (d - 1,) + e[v + 1:]
             quot[qe] = c
             for ge, gc in g:
                 t = tuple(map(add, qe, ge))
-                s = below.get(t)
-                s = -(c * gc) if s is None else s - c * gc
-                if s:
-                    below[t] = s
-                else:
-                    below.pop(t, None)
+                below[t] = below.get(t, 0) - c * gc
+        below = layers[d - 1] = _nonzero(below)
+        if not f.rational:
+            _fold(below, ring)
     if layers.get(0):
         return None
-    return MPoly(p.ring, quot)
+    return quot, scale
 
 
-def _times(p: MPoly, forms: dict) -> MPoly:
-    """p times the product of f^k for f, k in forms.  Each factor x_v + g
-    shifts p up in x_v and adds p times each term of g."""
+def _times(p: dict, forms: dict, ring: ParamRing) -> dict:
+    """p times the product of f^k for f, k in forms.  Each factor
+    L x_v + g shifts p up in x_v, scales it by L and adds p times each term
+    of g."""
     for f, k in forms.items():
-        v, g = f.plan or _plan(f)
+        v, lead, g = f.plan
         for _ in range(k):
-            terms = p.terms
-            out = {e[:v] + (e[v] + 1,) + e[v + 1:]: c for e, c in terms.items()}
+            out = {e[:v] + (e[v] + 1,) + e[v + 1:]: c * lead
+                   for e, c in p.items()}
+            get = out.get
             for ge, gc in g:
-                accumulate(out, ((tuple(map(add, e, ge)), c * gc)
-                                 for e, c in terms.items()))
-            p = MPoly(p.ring, out)
+                for e, c in p.items():
+                    t = tuple(map(add, e, ge))
+                    out[t] = get(t, 0) + c * gc
+            out = _nonzero(out)
+            p = out if f.rational else _fold(out, ring)
     return p
 
 
@@ -701,58 +626,139 @@ def _adjust(base: dict, more: dict, less: dict) -> dict:
     return out
 
 
-def _strip(num: MPoly, forms: dict, skip: dict) -> tuple[MPoly, dict]:
+def _strip(num: dict, forms: dict, skip: dict, ring: ParamRing):
     """Divide num by each factor of forms outside skip, as often as it goes
-    up to the factor's multiplicity; the quotient and the factors taken."""
+    up to the factor's multiplicity: (s num / the factors taken, the
+    factors taken, s)."""
     off = {}
+    scale = 1
     for f, m in forms.items():
         if f in skip:
             continue
         k = 0
         while k < m:
-            q = _div_linear(num, f)
-            if q is None:
+            got = _div_linear(num, f, ring)
+            if got is None:
                 break
-            num = q
+            num, s = got
+            scale *= s
             k += 1
         if k:
             off[f] = k
-    return num, off
+    return num, off, scale
 
 
-def _shed(num: MPoly, rest):
-    """num and rest (None for 1) divided by their gcd.  No gcd is sought
-    without a rest, or for a constant num, which is a unit."""
-    if rest is None or num.is_constant():
-        return num, rest
-    g = mp_gcd(num, rest)
+def _shed(num: dict, rest, ring: ParamRing):
+    """(n, s, t) with num / rest = n / (s t): num and the factor rest (None
+    for 1) divided by their gcd, t the raw terms left of rest (None for 1).
+    No gcd is sought without a rest, or for a constant num, which is a
+    unit."""
+    if rest is None:
+        return num, 1, None
+    if all(not any(e[:-1]) for e in num):
+        return num, 1, rest.terms
+    p = _mpoly(ring, num)
+    g = mp_gcd(p, rest.poly())
     if g.is_one():
-        return num, rest
-    return num.divexact(g), rest.divexact(g)
+        return num, 1, rest.terms
+    (n, ln), (t, lt) = (_ints(p.divexact(g)),
+                        _ints(_mpoly(ring, rest.terms).divexact(g)))
+    return {e: c * lt for e, c in n.items()}, ln, t
 
 
-def _rest_product(a, b):
-    """The product of two rests, None standing for 1."""
-    return b if a is None else a if b is None else a * b
+class _Split:
+    """A denominator as ``rest`` times linear forms: ``forms`` maps each
+    form (a :class:`_Factor`) to its multiplicity, and ``rest`` is a factor
+    of degree 2 or more with no known factor, or None (1).  Splits are
+    interned while some value holds them, so equal denominators are one
+    object.  The expanded product, its lead, the MPoly view and ``text``,
+    the printed monic ``den``, are built on first use."""
+
+    __slots__ = ("forms", "rest", "_terms", "_lead", "_den", "text",
+                 "__weakref__")
+
+    def __init__(self, forms: dict, rest):
+        self.forms = forms
+        self.rest = rest
+        self._terms = self._den = self.text = None
+
+    def terms(self, ring: ParamRing) -> dict:
+        """The expanded integer denominator."""
+        if self._terms is None:
+            terms = _times(self.rest.terms if self.rest else
+                           {ring.origin: 1}, self.forms, ring)
+            top = max((e[:-1] for e in terms), key=_key)
+            self._terms, self._lead = terms, terms[top + (0,)]
+        return self._terms
+
+    def view(self, ring: ParamRing) -> MPoly:
+        """The denominator as a monic MPoly."""
+        if self._den is None:
+            self._den = _mpoly(ring, self.terms(ring), self._lead)
+        return self._den
 
 
-def _mul_split(a: RatFunc, b: RatFunc) -> RatFunc:
+_NO_SPLIT = _Split({}, None)  # den = 1
+_NO_SPLIT._terms, _NO_SPLIT._lead = {}, 1
+_SPLITS = weakref.WeakValueDictionary()  # (frozenset of forms, rest) -> _Split
+
+
+def _make(ring: ParamRing, num: dict, k: int, forms: dict, rest=None):
+    """The value num / (k rest forms), num coprime to the denominator.
+    ``rest`` is a raw integer polynomial (None for 1); it is brought to its
+    factor, and one of degree 1 joins the forms.  The ring's interned value
+    when there is no denominator; zero is the interned zero."""
+    if rest is not None:
+        f, u, g = _factor(ring, rest)
+        if u != ring.unit:
+            num = _product(num, u, ring)
+        k *= g
+        rest = f
+        if f is not None and f.degree == 1:
+            forms, rest = _adjust(forms, {f: 1}, {}), None
+    if not num:
+        return ring.intern({}, 1)
+    num, k = _reduced(num, k)
+    if not forms and rest is None:
+        return ring.intern(num, k)
+    key = (frozenset(forms.items()), rest)
+    split = _SPLITS.get(key)
+    if split is None:
+        split = _SPLITS[key] = _Split(forms, rest)
+    return _rf(ring, num, k, split)
+
+
+def _rf(ring: ParamRing, num: dict, k: int, split: _Split) -> "RatFunc":
+    """A RatFunc from parts already in normal form."""
+    out = object.__new__(RatFunc)
+    out.ring, out.n, out.k, out.split = ring, num, k, split
+    return out
+
+
+def _mul_split(a: "RatFunc", b: "RatFunc") -> "RatFunc":
     """a * b: each numerator sheds the other's forms by trial division (a
     reduced numerator has none of its own) and what it shares with the
     other's rest by :func:`_shed`."""
-    if a.num.is_zero() or b.num.is_zero():
-        return a.num.ring.intern(a.num.ring.zero())
+    ring = a.ring
+    if not a.n or not b.n:
+        return ring.intern({}, 1)
     sa, sb = a.split, b.split
-    na, off_b = _strip(a.num, sb.forms, sa.forms)
-    nb, off_a = _strip(b.num, sa.forms, sb.forms)
-    na, rb = _shed(na, sb.rest)
-    nb, ra = _shed(nb, sa.rest)
-    return _factored(na * nb, _adjust(sa.forms, sb.forms, {**off_a, **off_b}),
-                     _rest_product(ra, rb))
+    na, off_b, s = _strip(a.n, sb.forms, sa.forms, ring)
+    nb, off_a, t = _strip(b.n, sa.forms, sb.forms, ring)
+    k = a.k * b.k * s * t
+    rest = None
+    if sa.rest is not None or sb.rest is not None:
+        na, s, rb = _shed(na, sb.rest, ring)
+        nb, t, ra = _shed(nb, sa.rest, ring)
+        k *= s * t
+        rest = rb if ra is None else ra if rb is None else \
+            _product(ra, rb, ring)
+    return _make(ring, _product(na, nb, ring), k,
+                 _adjust(sa.forms, sb.forms, {**off_a, **off_b}), rest)
 
 
 def _lcm_sum(terms, ring: ParamRing):
-    """The sum of num / (rest * product of forms) over the (num, forms, rest)
+    """The sum of num / (k rest forms) over the (num, k, forms, rest)
     terms, over one common denominator; None when the sum is zero.
 
     The lcm takes each linear form as often as the term that has it most
@@ -763,42 +769,293 @@ def _lcm_sum(terms, ring: ParamRing):
     sum sheds what it shares with the lcm's rest, and the quotient over
     what is left of the lcm is reduced.
     """
-    lcm: dict = {}
+    forms: dict = {}
     rest = None
-    for _, forms, r in terms:
-        for f, m in forms.items():
-            if m > lcm.get(f, 0):
-                lcm[f] = m
-        if r is not None and r != rest:
-            rest = r if rest is None else rest * r.divexact(mp_gcd(rest, r))
+    for _, _, fs, r in terms:
+        for f, m in fs.items():
+            if m > forms.get(f, 0):
+                forms[f] = m
+        if r is not None and r is not rest:
+            if rest is None:
+                rest = r
+            else:
+                p, q = rest.poly(), r.poly()
+                rest = _factor(ring, _ints(p * q.divexact(mp_gcd(p, q)))[0])[0]
+    if rest is not None:  # each term over the lcm of the rests
+        over = []
+        for num, k, fs, r in terms:
+            if r is not rest:  # r q = lq rest
+                q, lq = (rest.terms, 1) if r is None else _ints(
+                    _mpoly(ring, rest.terms).divexact(_mpoly(ring, r.terms)))
+                num, k = _product(num, q, ring), k * lq
+            over.append((num, k, fs, rest))
+        terms = over
+    top = lcm(*(k for _, k, _, _ in terms))
     acc: dict = {}
-    for num, forms, r in terms:
-        if r != rest:
-            num = num * (rest if r is None else rest.divexact(r))
-        accumulate(acc, _times(num, _adjust(lcm, {}, forms)).terms.items())
+    get = acc.get
+    for num, k, fs, _ in terms:
+        s = top // k
+        if s != 1:
+            num = {e: c * s for e, c in num.items()}
+        num = _times(num, {f: m - fs.get(f, 0) for f, m in forms.items()
+                           if m != fs.get(f, 0)}, ring)
+        for e, c in num.items():
+            acc[e] = get(e, 0) + c
+    acc = _nonzero(acc)
     if not acc:
         return None
-    num, off = _strip(MPoly(ring, acc), lcm, {})
-    num, rest = _shed(num, rest)
-    return _factored(num, _adjust(lcm, {}, off), rest)
+    num, off, s = _strip(acc, forms, {}, ring)
+    num, t, rest = _shed(num, rest, ring)
+    return _make(ring, num, top * s * t, _adjust(forms, {}, off), rest)
 
 
-def _dot(pairs, field: "GenericParameters") -> RatFunc:
+def _dot(pairs, field: "GenericParameters") -> "RatFunc":
     """The sum of a * b over pairs of values: :func:`_lcm_sum` of the terms
-    (a.num * b.num, the forms of a.den * b.den, the product of their rests).
+    (a's times b's numerator, k and forms, the product of their rests).
     The field's ``one`` multiplies nothing."""
-    one = field.one
+    one, ring = field.one, field.ring
     terms = []
     for a, b in pairs:
-        if not a.num.terms or not b.num.terms:
+        if not a.n or not b.n:
             continue
         sa, sb = a.split, b.split
         fa, fb = sa.forms, sb.forms
-        terms.append((b.num if a is one else a.num if b is one
-                      else a.num * b.num,
-                      _adjust(fa, fb, {}) if fa and fb else fa or fb,
-                      _rest_product(sa.rest, sb.rest)))
-    return _lcm_sum(terms, field.ring) or field.zero
+        num = b.n if a is one else a.n if b is one else \
+            _product(a.n, b.n, ring)
+        k = a.k * b.k
+        rest = sa.rest or sb.rest
+        if sa.rest is not None and sb.rest is not None:
+            rest, u, g = _factor(ring, _product(sa.rest.terms, sb.rest.terms,
+                                                ring))
+            num, k = _product(num, u, ring), k * g
+        terms.append((num, k, _adjust(fa, fb, {}) if fa and fb else fa or fb,
+                      rest))
+    return _lcm_sum(terms, ring) or field.zero
+
+
+# ---------------------------------------------------------------------------
+# rational functions
+# ---------------------------------------------------------------------------
+
+
+def _sum(a: "RatFunc", b: "RatFunc") -> tuple[dict, int]:
+    """The numerator and k of the sum of two polynomial values."""
+    top = lcm(a.k, b.k)
+    s, t = top // a.k, top // b.k
+    out = {e: c * s for e, c in a.n.items()}
+    return _reduced(accumulate(out, ((e, c * t) for e, c in b.n.items())),
+                    top)
+
+
+def _negated(a: "RatFunc") -> tuple[dict, int]:
+    return {e: -c for e, c in a.n.items()}, a.k
+
+
+def _times_poly(a: "RatFunc", b: "RatFunc") -> tuple[dict, int]:
+    return _reduced(_product(a.n, b.n, a.ring), a.k * b.k)
+
+
+def _scaled(a: "RatFunc", c: Cyc) -> tuple[dict, int]:
+    """The numerator and k of a times the nonzero Cyc c."""
+    return _reduced(_product(a.n, _coords(a.ring, c), a.ring), a.k * c.den)
+
+
+def _coords(ring: ParamRing, c: Cyc) -> dict:
+    """The numerator of the constant c: its integer coordinates."""
+    return {ring.origin[:-1] + (z,): a for z, a in enumerate(c.num) if a}
+
+
+def _const(ring: ParamRing, c: Cyc) -> "RatFunc":
+    """The ring's interned value of the constant c."""
+    return ring.intern(_coords(ring, c), c.den)
+
+
+class RatFunc:
+    """n / (k times the denominator) over Z[zeta_r][params]: n an integer
+    polynomial, k > 0 coprime to its coefficients, and the denominator the
+    product that ``split`` (a :class:`_Split`) writes as a rest times
+    primitive linear forms.  ``split`` is ``_NO_SPLIT`` exactly when the
+    denominator is 1, so ``+`` and ``*`` spot two polynomials by identity
+    and take the ring's memos.  Otherwise ``+`` is :func:`_lcm_sum` of the
+    two operands and ``*`` is :func:`_mul_split`.  ``num`` and ``den``, the
+    gcd-reduced numerator and monic denominator with Cyc coefficients, are
+    views built when read.
+    """
+
+    __slots__ = ("ring", "n", "k", "split")
+
+    def __init__(self, num: MPoly, den: MPoly):
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if not num.is_zero():
+            g = mp_gcd(num, den)
+            if not g.is_one():
+                num, den = num.divexact(g), den.divexact(g)
+        (n, ln), (d, ld) = _ints(num), _ints(den)
+        v = _make(den.ring, {e: c * ld for e, c in n.items()}, ln, {}, d)
+        self.ring, self.n, self.k, self.split = v.ring, v.n, v.k, v.split
+
+    @property
+    def num(self) -> MPoly:
+        """The numerator over the monic denominator, built when read."""
+        self.split.terms(self.ring)  # sets the lead of the denominator
+        return _mpoly(self.ring, self.n, self.k * self.split._lead)
+
+    @property
+    def den(self) -> MPoly:
+        """The monic denominator, built when read."""
+        if self.split is _NO_SPLIT:
+            return self.ring.one()
+        return self.split.view(self.ring)
+
+    # -- coercion ------------------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, RatFunc):
+            ring = other.ring
+            if ring is not self.ring and ring != self.ring:
+                raise ValueError("mixed parameter rings")
+            return other
+        if isinstance(other, Cyc):
+            return _const(self.ring, other)
+        if isinstance(other, (int, Fraction)):
+            return _const(self.ring, Cyc.from_rational(self.ring.r, other))
+        return None
+
+    # -- arithmetic ------------------------------------------------------------
+
+    def __add__(self, other):
+        ring = self.ring
+        if type(other) is RatFunc:  # a hit needs no coercion (module doc)
+            got = ring.sums.get((id(self), id(other)))
+            if got is not None:
+                return got
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
+            return ring.memo_miss(ring.sums, _sum, self, o)
+        s, t = self.split, o.split
+        return _lcm_sum(((self.n, self.k, s.forms, s.rest),
+                         (o.n, o.k, t.forms, t.rest)), ring) \
+            or ring.intern({}, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        ring = self.ring
+        if self.split is _NO_SPLIT:
+            got = ring.negations.get(id(self))
+            return ring.memo_miss(ring.negations, _negated, self) \
+                if got is None else got
+        return _rf(ring, *_negated(self), self.split)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        ring = self.ring
+        if type(other) is RatFunc:
+            got = ring.products.get((id(self), id(other)))
+            if got is not None:
+                return got
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.split is _NO_SPLIT and o.split is _NO_SPLIT:
+            return ring.memo_miss(ring.products, _times_poly, self, o)
+        return _mul_split(self, o)
+
+    __rmul__ = __mul__
+
+    def cmul(self, c: Cyc) -> "RatFunc":
+        """Fast scale by a cyclotomic unit (or zero)."""
+        ring = self.ring
+        if not c or not self.n:
+            return ring.intern({}, 1)
+        if self.split is _NO_SPLIT:
+            got = ring.scalings.get((id(self), c))
+            return ring.memo_miss(ring.scalings, _scaled, self, c) \
+                if got is None else got
+        return _rf(ring, *_scaled(self, c), self.split)
+
+    def inverse(self) -> "RatFunc":
+        if not self.n:
+            raise ZeroDivisionError("inverse of zero rational function")
+        ring = self.ring
+        den = self.split.terms(ring) if self.split is not _NO_SPLIT \
+            else {ring.origin: 1}
+        return _make(ring, {e: c * self.k for e, c in den.items()}, 1, {},
+                     self.n)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n: int):
+        out = self.ring.intern(self.ring.unit)
+        base = self.inverse() if n < 0 else self
+        n = abs(n)
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # -- predicates ------------------------------------------------------------
+
+    def __bool__(self):
+        return bool(self.n)
+
+    def is_zero(self) -> bool:
+        return not self.n
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        s, t = self.split, o.split
+        if s is t:
+            return self.k == o.k and self.n == o.n
+        # denominators of forms alone are equal only as one split; a rest
+        # may expand to a product of forms
+        if s.rest is None and t.rest is None:
+            return False
+        return self.num == o.num and self.den == o.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __str__(self):
+        split = self.split
+        if split is _NO_SPLIT:
+            return str(self.num)
+        if split.text is None:
+            split.text = str(self.den)
+        return f"({self.num})/({split.text})"
+
+    def __repr__(self):
+        return f"RatFunc({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -877,12 +1134,11 @@ class GenericParameters(_Field):
         self.r = r
         self.p = p
         m = r // p - 1
-        self.ring = ParamRing(r, _param_names(m))
-        self.kappa = self.ring.intern(self.ring.gen(0))
-        self.c0 = self.ring.intern(self.ring.gen(1))
-        dpolys = [self.ring.gen(2 + j) for j in range(m)]
-        d0 = -sum(dpolys, self.ring.zero())
-        self._d = [self.ring.intern(q) for q in [d0] + dpolys]
+        ring = self.ring = ParamRing(r, _param_names(m))
+        gens = [ring.origin[:v] + (1,) + ring.origin[v + 1:]
+                for v in range(ring.nvars)]
+        self.kappa, self.c0, *ds = (ring.intern({e: 1}) for e in gens)
+        self._d = [ring.intern({e: -1 for e in gens[2:]})] + ds
         self._c: dict[int, RatFunc] = {}
 
     def __del__(self):
@@ -905,7 +1161,7 @@ class GenericParameters(_Field):
         return got
 
     def embed(self, c: Cyc) -> RatFunc:
-        return self.ring.intern(self.ring.const(c))
+        return _const(self.ring, c)
 
     def dot(self, pairs) -> RatFunc:
         """The sum of a * b over the pairs (a, b), built by :func:`_dot`."""
@@ -1032,7 +1288,7 @@ def specialize(s, point: ParamPoint) -> Cyc:
         if s.r != point.r:
             raise ValueError("cyclotomic order mismatch")
         return s
-    ring = s.num.ring
+    ring = s.ring
     if ring.r != point.r or ring.names != _param_names(len(point.d)):
         raise ValueError(f"a scalar over {ring.names} of Q(zeta_{ring.r}) "
                          f"cannot be specialized at {point}")

@@ -12,7 +12,7 @@ request, and the exit status is 1.  ``--record`` runs every request, writes
 the file anew and prints which classes changed; a change that re-records a
 class says so and why.
 
-Classes so far, all of ``gordon``:
+The classes:
 
 * ``gordon-text`` and ``gordon-json`` -- every irreducible G(r,p,n) with
   r <= 12 that ``reptheory.GORDON_MONOMIAL_BUDGET`` admits, in text and
@@ -21,7 +21,21 @@ Classes so far, all of ``gordon``:
   degree n(k-1) of the graded dimension, the budget and one over it, zero,
   negative and malformed values;
 * ``gordon-refusals`` -- r = 1, G(2,2,2), the trivial group G(r,r,1), a
-  group over the monomial budget, invalid and malformed ``--group``.
+  group over the monomial budget, invalid and malformed ``--group``;
+* ``jack-generic`` -- generic ``jack --check-both`` on groups with r = 1,
+  p > 1 and n = 2 with even p, every composition of each degree in one
+  request, in text and with ``--json``;
+* ``jack-points`` -- the same constructions at rational points (``--c0``,
+  ``--c0=-1/2``, ``--kappa``, ``--cdiag``) and at ``--gordon-point``,
+  some of them non-generic;
+* ``jack-refusals`` -- both budgets, bad compositions, point flags that
+  clash or are malformed, invalid groups;
+* ``verify-suites`` -- every suite, generic and at points, in text and
+  with ``--json``;
+* ``verify-faults`` -- both ``--inject-fault`` values under every suite
+  that runs the broken operator;
+* ``verify-refusals`` -- the relation and PBW budgets, bad ``--max-deg``,
+  ``--suite`` and ``--inject-fault`` values.
 
 argparse's usage and error text can differ between Python versions, so the
 file records the version it was recorded under (major.minor), and under
@@ -72,6 +86,117 @@ def _gordon(group: str, *flags: str) -> tuple[str, ...]:
     return ("gordon", "--group", group, *flags)
 
 
+def compositions(n: int, d: int) -> list[str]:
+    """Every composition of d into n parts, as ``--mu`` values, in
+    reverse lexicographic order."""
+    if n == 1:
+        return [str(d)]
+    return [f"{a},{rest}" for a in range(d, -1, -1)
+            for rest in compositions(n - 1, d - a)]
+
+
+def _jack(group: str, degree: int, *flags: str) -> tuple[str, ...]:
+    """``jack`` on every composition of one degree, in one request."""
+    n = int(group.rsplit(",", 1)[1])
+    mus = [t for mu in compositions(n, degree) for t in ("--mu", mu)]
+    return ("jack", "--group", group, *mus, *flags)
+
+
+# (group, the highest degree swept): r = 1, p > 1, n = 2 with even p
+JACK_GROUPS = (("1,1,2", 5), ("1,1,3", 3), ("2,1,2", 4), ("2,2,2", 4),
+               ("3,1,2", 4), ("3,3,2", 4), ("4,2,2", 4), ("4,4,2", 4),
+               ("2,1,3", 3), ("2,2,3", 3), ("3,3,3", 3), ("1,1,4", 4),
+               ("2,1,4", 3), ("3,3,4", 4))
+# the point flags of each jack-points group, beside --gordon-point
+JACK_POINTS = (("--c0", "1/3"), ("--c0=-1/2",), ("--c0", "1", "--kappa", "2"),
+               ("--c0", "1"), ("--c0", "0"))
+CDIAG = {"3,1,2": ("1/3,0", "=-1/2,2"), "4,2,2": ("1/5", "=-2/3")}
+VERIFY_GROUPS = ("1,1,3", "2,1,2", "2,2,2", "3,1,2", "3,3,2", "4,2,2",
+                 "2,1,3", "2,2,3")
+SUITES = ("all", "relations", "commutators", "pbw", "intertwiners")
+
+
+def _verify(group: str, *flags: str) -> tuple[str, ...]:
+    return ("verify", "--group", group, *flags)
+
+
+def _jack_classes() -> dict[str, list[tuple[str, ...]]]:
+    generic = [_jack(g, d, "--check-both", *json) for g, top in JACK_GROUPS
+               for d in range(top + 1) for json in ((), ("--json",))]
+    points = []
+    for g, top in JACK_GROUPS:
+        flags = [*JACK_POINTS, *(("--c0", "1/3", "--cdiag" + ("" if c[0] == "="
+                                                             else " ") + c)
+                                 for c in CDIAG.get(g, ()))]
+        flags = [tuple(" ".join(f).split()) for f in flags]
+        if not g.startswith("1,"):
+            flags.append(("--gordon-point",))
+        for f in flags:
+            points += [_jack(g, top - 1, *f, "--check-both"),
+                       _jack(g, top - 1, *f, "--json")]
+    refusals = [("jack", "--group", "1,1,2", "--mu", "60,0"),
+                ("jack", "--group", "1,1,2", "--mu", "53,0"),
+                ("jack", "--group", "2,1,8", "--mu", "3,3,3,3,3,3,3,3"),
+                ("jack", "--group", "1,1,2", "--mu", "2000,0", "--c0", "1"),
+                ("jack", "--group", "2,1,2", "--mu", "1,0,0"),
+                ("jack", "--group", "2,1,2", "--mu", "1,-1"),
+                ("jack", "--group", "2,1,2", "--mu", "a,b"),
+                ("jack", "--group", "2,1,2", "--mu", ""),
+                ("jack", "--group", "2,1,2"),
+                ("jack", "--group", "2,1,2", "--mu", "1,0", "--kappa", "2"),
+                ("jack", "--group", "2,1,2", "--mu", "1,0", "--cdiag", "1"),
+                ("jack", "--group", "2,1,2", "--mu", "1,0", "--c0", "1",
+                 "--gordon-point"),
+                ("jack", "--group", "3,1,2", "--mu", "1,0", "--c0", "1",
+                 "--cdiag", "1"),
+                ("jack", "--group", "3,1,2", "--mu", "1,0", "--c0", "1",
+                 "--cdiag", "x,1"),
+                ("jack", "--group", "2,1,2", "--mu", "1,0", "--c0", "1/0"),
+                ("jack", "--group", "2,1,2", "--mu", "1,0", "--c0", "-1/2"),
+                ("jack", "--group", "1,1,2", "--mu", "1,0", "--gordon-point"),
+                ("jack", "--group", "2,3,2", "--mu", "1,0"),
+                ("jack", "--group", "2,1", "--mu", "1,0"),
+                ("jack", "--mu", "1,0")]
+    refusals += [argv + ("--json",) for argv in refusals[:6]]
+    return {"jack-generic": generic, "jack-points": points,
+            "jack-refusals": refusals}
+
+
+def _verify_classes() -> dict[str, list[tuple[str, ...]]]:
+    suites = []
+    for g in VERIFY_GROUPS:
+        for suite in SUITES:
+            for point in ((), ("--c0", "1/3"), ("--gordon-point",)):
+                if point and g.startswith("1,") and point[0] != "--c0":
+                    continue
+                suites += [_verify(g, "--suite", suite, "--max-deg", "3",
+                                   *point),
+                           _verify(g, "--suite", suite, "--max-deg", "2",
+                                   *point, "--json")]
+    faults = [_verify(g, "--suite", suite, "--max-deg", "3",
+                      "--inject-fault", fault, *json)
+              for g in ("2,1,2", "3,1,2", "2,2,3")
+              for fault, runs in (("dunkl-sign", ("all", "relations",
+                                                  "commutators")),
+                                  ("pi-sign", ("all", "intertwiners")))
+              for suite in runs for json in ((), ("--json",))]
+    refusals = [_verify("2,1,3", "--max-deg", "30"),
+                _verify("2,1,3", "--suite", "commutators", "--max-deg", "30"),
+                _verify("4,1,4", "--suite", "pbw"),
+                _verify("2,1,2", "--max-deg", "0"),
+                _verify("2,1,2", "--max-deg", "-1"),
+                _verify("2,1,2", "--max-deg", "x"),
+                _verify("2,1,2", "--suite", "none"),
+                _verify("2,1,2", "--inject-fault", "other"),
+                _verify("2,1,2", "--kappa", "2"),
+                _verify("2,3,2"),
+                _verify("2,1", "--max-deg", "2"),
+                ("verify",)]
+    refusals += [argv + ("--json",) for argv in refusals[:6]]
+    return {"verify-suites": suites, "verify-faults": faults,
+            "verify-refusals": refusals}
+
+
 def classes() -> dict[str, list[tuple[str, ...]]]:
     """The requests of each class, in a fixed order."""
     groups = gordon_groups()
@@ -93,17 +218,20 @@ def classes() -> dict[str, list[tuple[str, ...]]]:
     return {"gordon-text": [_gordon(g) for g in groups],
             "gordon-json": [_gordon(g, "--json") for g in groups],
             "gordon-truncation": truncation,
-            "gordon-refusals": refusals}
+            "gordon-refusals": refusals,
+            **_jack_classes(), **_verify_classes()}
 
 
 def tier1_slice() -> list[tuple[str, int]]:
-    """(class, index) of each request tier-1 runs, under 2 s: every
-    refusal, every truncation but the budget itself, and every group of
-    rank at most 4 in each form."""
+    """(class, index) of each request tier-1 runs, in about 3 s: every
+    request of the ``jack`` and ``verify`` classes, every ``gordon``
+    refusal, every truncation but the budget itself, and every ``gordon``
+    group of rank at most 4 in each form."""
     requests = classes()
     ranks = [int(g.rsplit(",", 1)[1]) for g in gordon_groups()]
-    picks = [("gordon-refusals", i)
-             for i in range(len(requests["gordon-refusals"]))]
+    picks = [(name, i) for name, argvs in requests.items()
+             if name.startswith(("jack", "verify", "gordon-refusals"))
+             for i in range(len(argvs))]
     picks += [("gordon-truncation", i)
               for i, argv in enumerate(requests["gordon-truncation"])
               if str(TRUNCATION_BUDGET) not in argv]

@@ -157,6 +157,10 @@ T_RENDER_POLY = "tests/test_render.py::test_poly_text_with_cyc_coefficients_matc
 T_RENDER_RAT = "tests/test_render.py::test_poly_text_with_ratfunc_coefficients_matches_the_old_renderer"
 T_RENDER_COMPOUND = "tests/test_render.py::test_compound_ratfunc_coefficients_are_parenthesized_as_before"
 T_VALUE = "tests/test_value.py::test_a_value_is_equal_hashed_and_printed_by_its_fields"
+T_KERNEL_SUMS = "tests/test_scalar_kernels.py::test_sums_and_products_match_the_cyc_kernels"
+T_KERNEL_DOT = "tests/test_scalar_kernels.py::test_dot_matches_the_cyc_kernel_and_the_pairwise_sum"
+T_KERNEL_FORMS = "tests/test_scalar_kernels.py::test_trial_division_and_products_by_forms_match_the_cyc_kernels"
+T_NO_SHORTCUT = "tests/test_scalar_kernels.py::test_forms_with_a_root_of_unity_coordinate_take_no_shortcut"
 T_VALUE_CLASSES = "tests/test_value.py::test_values_of_two_classes_are_never_equal"
 
 
@@ -170,23 +174,37 @@ class Mutant:
 
 
 MUTANTS = [
+    # the integer normal form n / (k rest forms) (scalars._factor, _reduced)
+    Mutant("factor: the early exit on a form with a root-of-unity coordinate",
+           SCALARS,
+           "rational = all(not e[nv] for e in terms)",
+           "rational = all(not e[nv] for e in terms if e[:nv] == lead)",
+           (T_KERNEL_SUMS, T_KERNEL_FORMS, T_NO_SHORTCUT)),
+    Mutant("normal form: k not reduced by the content gcd", SCALARS,
+           "    if k != 1:\n        g = gcd(k, *terms.values())",
+           "    if False:\n        g = gcd(k, *terms.values())",
+           (T_KERNEL_SUMS, T_KERNEL_DOT)),
+    Mutant("factor: the sign rule flipped", SCALARS,
+           "if prim[lead + (0,)] < 0:",
+           "if prim[lead + (0,)] > 0:",
+           (T_KERNEL_SUMS, T_KERNEL_DOT, T_KERNEL_FORMS)),
     # products and denominators with a rest (scalars._mul_split, _shed,
     # _intern)
     Mutant("mul: a's numerator keeps b's forms", SCALARS,
-           "na, off_b = _strip(a.num, sb.forms, sa.forms)",
-           "na, off_b = a.num, {}",
+           "na, off_b, s = _strip(a.n, sb.forms, sa.forms, ring)",
+           "na, off_b, s = a.n, {}, 1",
            (T_MIXED, T_CANCEL)),
     Mutant("split: a linear rest stays a rest", SCALARS,
-           "if rest is not None and rest.degree() < 2:",
-           "if rest is not None and rest.degree() < 1:",
+           "if f is not None and f.degree == 1:",
+           "if f is not None and f.degree == 0:",
            (T_CANCEL, T_UNSPLIT)),
     Mutant("mul: a numerator sheds against its own rest", SCALARS,
-           "na, rb = _shed(na, sb.rest)",
-           "na, rb = _shed(na, sa.rest)",
+           "na, s, rb = _shed(na, sb.rest, ring)",
+           "na, s, rb = _shed(na, sa.rest, ring)",
            (T_MIXED, T_CANCEL)),
     Mutant("mul: mp_gcd for a constant numerator too", SCALARS,
-           "if rest is None or num.is_constant():",
-           "if rest is None:",
+           "if all(not any(e[:-1]) for e in num):\n        return num, 1, rest.terms",
+           "if False:\n        return num, 1, rest.terms",
            (T_MIXED, T_FALLBACK)),
     # condition (a) by whole conjugated forms (pbw.check_pbw)
     Mutant("pbw: compare only w's keys", PBW,
@@ -200,7 +218,7 @@ MUTANTS = [
     Mutant("pbw: one comparison too few per (v, w)", PBW,
            "checked_a += pairs",
            "checked_a += pairs - 1",
-           (T_PBW_PASS, T_PBW_COUNT)),
+           (T_PBW_PASS, T_PBW_COUNT, T_BYTE_SWEEP)),
     Mutant("pbw: first differing key in dict order", PBW,
            "a, b = min(key for key in conj.keys() | form.keys()",
            "a, b = next(key for key in [*conj, *form]",
@@ -223,7 +241,7 @@ MUTANTS = [
     Mutant("cyc: phi = 1 sub with the operands swapped", CYCLOTOMIC,
            "return _rat(self.r, self.num[0] - o.num[0], da)",
            "return _rat(self.r, o.num[0] - self.num[0], da)",
-           (T_CYC, T_DIV_CASES, T_PLAN, T_JACK_PTS)),
+           (T_CYC, T_JACK_PTS)),
     Mutant("cyc: phi = 1 mul dropping o.den", CYCLOTOMIC,
            "return _rat(self.r, a[0] * b[0], self.den * o.den)",
            "return _rat(self.r, a[0] * b[0], self.den)",
@@ -246,22 +264,22 @@ MUTANTS = [
            "out = {(e[0] + 1,) + e[1:]: c",
            (T_TIMES, T_PLAN)),
     Mutant("plan: _times reuses the first form's plan", SCALARS,
-           "v, g = f.plan or _plan(f)\n        for _ in range(k):",
-           "v, g = _times.__dict__.setdefault('stale', f.plan or _plan(f))"
+           "v, lead, g = f.plan\n        for _ in range(k):",
+           "v, lead, g = _times.__dict__.setdefault('stale', f.plan)"
            "\n        for _ in range(k):",
            (T_PLAN, T_TIMES, T_JACK_PTS)),
     Mutant("plan: _div_linear reuses the first form's plan", SCALARS,
-           "v, g = f.plan or _plan(f)\n    # p(x_v = -g)",
-           "v, g = _div_linear.__dict__.setdefault('stale', f.plan or "
-           "_plan(f))\n    # p(x_v = -g)",
+           "v, lead, g = f.plan\n    # p(x_v = -g/L)",
+           "v, lead, g = _div_linear.__dict__.setdefault('stale', f.plan)"
+           "\n    # p(x_v = -g/L)",
            (T_DIV_CASES, T_DIV_PROP, T_PLAN, T_JACK_PTS)),
     Mutant("plan: g keeps the lead term", SCALARS,
-           "for e, c in f.terms.items() if e != lead)",
-           "for e, c in f.terms.items())",
+           "tuple((e, c) for e, c in prim.items() if e != top))",
+           "tuple((e, c) for e, c in prim.items()))",
            (T_DIV_CASES, T_DIV_PROP, T_PLAN, T_TIMES, T_JACK_PTS)),
     Mutant("plan: single-term exit without `and g`", SCALARS,
-           "(len(p.terms) == 1 and g)",
-           "(len(p.terms) == 1)",
+           "(len(p) == 1 and g)",
+           "(len(p) == 1)",
            (T_DIV_CASES, T_DIV_PROP, T_JACK_PTS)),
     # gordon: annihilation from two images of f over k e_n
     Mutant("annihilation: y_2 in place of y_n", REPTHEORY,
@@ -427,11 +445,11 @@ MUTANTS = [
            (T_TRIVIAL, T_TRIVIAL_CLI)),
     # memos of polynomial RatFunc values (scalars.ParamRing.memo_miss)
     Mutant("memo: a binary op keyed by its first operand alone", SCALARS,
-           "key, args = (id(a), id(b)), (a.num, b.num)",
-           "key, args = id(a), (a.num, b.num)",
+           "key, args = (id(a), id(b)), (a, b)",
+           "key, args = id(a), (a, b)",
            (T_MEMO_FREE, T_ONE_OBJECT)),
     Mutant("memo: operands keyed before they are interned", SCALARS,
-           "        a = self.intern(a.num)\n        if b is None:",
+           "        a = self.intern(a.n, a.k)\n        if b is None:",
            "        if b is None:",
            (T_DROPPED_ID,)),
     Mutant("memo: * reads the sums", SCALARS,
@@ -510,7 +528,7 @@ MUTANTS = [
     Mutant("solve: the inverse table keyed by (i, nu_i) alone", JACK,
            "key = (i, nu[i], v_nu[i])",
            "key = (i, nu[i])",
-           (T_SCAN_GENERIC, T_SCAN_POINTS)),
+           (T_SCAN_GENERIC, T_SCAN_POINTS, T_BYTE_SWEEP)),
     # the chain jack_by_intertwiners walks, and the exchange coefficient
     # (jack._predecessor, intertwiners._exchange_q)
     Mutant("chain: the exchange at the largest descent", JACK,
@@ -527,12 +545,12 @@ MUTANTS = [
            (T_VPERM,)),
     # params.dot over one common denominator (scalars._dot)
     Mutant("dot: no final strip", SCALARS,
-           "num, off = _strip(MPoly(ring, acc), lcm, {})",
-           "num, off = MPoly(ring, acc), {}",
+           "num, off, s = _strip(acc, forms, {}, ring)",
+           "num, off, s = acc, {}, 1",
            (T_DOT, T_DOT_CANCEL)),
     Mutant("dot: the lcm keeps the last multiplicity", SCALARS,
-           "            if m > lcm.get(f, 0):\n                lcm[f] = m",
-           "            if True:\n                lcm[f] = m",
+           "            if m > forms.get(f, 0):\n                forms[f] = m",
+           "            if True:\n                forms[f] = m",
            (T_DOT, T_DOT_CANCEL)),
     Mutant("sigma: a vanishing square where 1 - q^2 = 0 is a fail", INTERTWINERS,
            "if res2.vector is None and not predicted:",
@@ -609,7 +627,7 @@ MUTANTS = [
            "                s = s + c\n",
            (T_CORE_CYC, T_CORE_MPOLY)),
     Mutant("add: the lcm of the rests is the first rest", SCALARS,
-           "if r is not None and r != rest:",
+           "if r is not None and r is not rest:",
            "if r is not None and rest is None:",
            (T_UNSPLIT, T_UNSPLIT_SYMPY)),
     Mutant("core: Poly without its own __mul__ entry", POLYNOMIALS,

@@ -73,8 +73,8 @@ def test_the_tracer_counts_poly_arithmetic_apart_from_the_shared_core():
 
     tracer = _load_tracer()
     shared_add = polynomials.SparseTerms.__add__
-    ring = GenericParameters(2, 1).ring
-    k, c0 = ring.gen(0), ring.gen(1)
+    par = GenericParameters(2, 1)
+    k, c0 = par.kappa.num, par.c0.num
     with tracer.Tracer() as trace:
         assert scalars.MPoly.__add__ is shared_add
         (k + c0) * (k - c0) + -k

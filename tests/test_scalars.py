@@ -5,6 +5,7 @@ import contextlib
 import functools
 import io
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import scalar_kernels
 from cherednik import (
     Cyc, GenericParameters, ParamPoint, PoleError, RatFunc,
     SpecializedParameters, c_from_d, d_from_c, specialize, weight_of,
@@ -251,10 +253,10 @@ def test_d0_is_built_once_per_point(r, p):
 def test_ratfunc_normal_form_is_pinned():
     # (str(num), str(den)) as the package printed them before the normal
     # form had one definition
-    ring = GenericParameters(3, 1).ring
-    k, c0, d1 = (ring.gen(v) for v in range(3))
-    two = ring.const(Cyc.from_rational(3, 2))
-    z = ring.const(Cyc.root(3, 1))
+    par = GenericParameters(3, 1)
+    ring = par.ring
+    k, c0, d1 = par.kappa.num, par.c0.num, par.d(1).num
+    two, z = par.rational(2).num, par.zeta(1).num
     a = RatFunc(ring.one(), k * (k + c0))
     cases = [
         (RatFunc(ring.zero(), k * two + c0), ("0", "1")),
@@ -324,18 +326,43 @@ def _assert_same(got, want):
     assert str(got) == str(want)
 
 
+def _assert_normal(f):
+    """f = n / (k den): k > 0 and coprime to the coefficients of n, no zero
+    stored, every zeta power below phi(r)."""
+    ring = f.ring
+    assert f.k > 0 and math.gcd(f.k, *f.n.values()) == 1
+    assert all(c and e[-1] < ring.phi and len(e) == ring.nvars + 1
+               for e, c in f.n.items())
+    assert (f.split is scalar_layer._NO_SPLIT) == (not f.split.forms
+                                                   and f.split.rest is None)
+
+
+def _assert_factor(g):
+    """g is the interned primitive factor of its terms: integer coordinates
+    with gcd 1 and a positive integer graded-lex lead."""
+    terms = g.terms
+    lead = max((e[:-1] for e in terms), key=lambda e: (sum(e), e))
+    assert math.gcd(*terms.values()) == 1 and terms[lead + (0,)] > 0
+    assert all(e[:-1] != lead or e[-1] == 0 for e in terms)
+    assert scalar_layer._factor(g.ring, terms)[0] is g
+
+
 def _assert_split(f, forms_only=False):
-    """f.split writes f.den as its rest times a multiset of monic linear
-    forms; the rest is None (1), or monic of degree 2 or more, and with
-    ``forms_only`` it is None."""
+    """f.split writes f.den as its rest times a multiset of primitive
+    linear forms; the rest is None (1), or a factor of degree 2 or more,
+    and with ``forms_only`` it is None.  f is in normal form."""
+    _assert_normal(f)
     rest = f.split.rest
-    assert rest is None or (rest.degree() >= 2 and rest.monic() == rest)
+    assert rest is None or (rest.degree >= 2 and rest.poly().degree() >= 2)
     assert rest is None or not forms_only
-    prod = f.num.ring.one() if rest is None else rest
+    prod = f.ring.one() if rest is None else rest.poly()
+    for g in [rest] if rest is not None else []:
+        _assert_factor(g)
     for g, m in f.split.forms.items():
-        assert g.degree() == 1 and g.monic() == g and m > 0
+        _assert_factor(g)
+        assert g.degree == 1 and g.poly().degree() == 1 and m > 0
         for _ in range(m):
-            prod = prod * g
+            prod = prod * g.poly()
     assert prod == f.den
 
 
@@ -380,7 +407,7 @@ def test_factored_path_cancels_and_falls_back(gcd_calls):
     # numerator (here 1); a sum meets the lcm's rest by mp_gcd once, after
     # the forms are stripped
     a, b = one / (k * k + c0), one / f
-    assert a.split.rest == a.den and not a.split.forms
+    assert a.split.rest.poly() == a.den and not a.split.forms
     gcd_calls.clear()
     got = [a * b, b * a, b / a]
     assert gcd_calls == []
@@ -394,7 +421,8 @@ def test_factored_path_cancels_and_falls_back(gcd_calls):
         _assert_same(x, w)
     for x in (got[0], got[3]):
         _assert_split(x)
-        assert x.split.rest == a.den and x.split.forms == {f.num: 1}
+        assert x.split.rest.poly() == a.den
+        assert {g.poly(): m for g, m in x.split.forms.items()} == {f.num: 1}
     _assert_split(got[2], forms_only=True)
 
 
@@ -434,8 +462,7 @@ def _mul_by_gcds(a, b):
     g2 = scalar_layer.mp_gcd(b.num, a.den)
     num = a.num.divexact(g1) * b.num.divexact(g2)
     den = a.den.divexact(g2) * b.den.divexact(g1)
-    num, den = scalar_layer._normal_form(num, den)
-    return scalar_layer._rf(num, den, scalar_layer._intern({}, den, den.ring))
+    return RatFunc(num, den)
 
 
 @contextlib.contextmanager
@@ -489,7 +516,7 @@ def _mixed_pool(group):
 def test_products_with_one_unknown_split_match_the_gcd_path(group, data):
     par, split, unsplit = _mixed_pool(group)
     a, u = data.draw(st.sampled_from(split)), data.draw(st.sampled_from(unsplit))
-    assert a.split.rest is None and u.split.rest == u.den
+    assert a.split.rest is None and u.split.rest.poly() == u.den
     with _top_gcd_calls() as calls:
         for x, y in ((a, u), (u, a)):
             calls.clear()
@@ -502,7 +529,7 @@ def test_products_with_one_unknown_split_match_the_gcd_path(group, data):
             _assert_split(got)
             # the product's rest is what is left of u's
             rest = got.split.rest
-            assert rest is None or u.den.divexact(rest) is not None
+            assert rest is None or u.den.divexact(rest.poly()) is not None
         quotients = [(a, u)] + ([(u, a)] if a else [])
         for x, y in quotients:
             got = x / y
@@ -517,8 +544,8 @@ def test_a_product_whose_unknown_factor_cancels_comes_back_split():
     d, e = diffs
     u = _oracle((k + one).num, (k * k - c0 * c0).num)
     lead = _exchange_factor(par, d, 2)
-    assert u.split.rest == u.den and not u.split.forms
-    assert lead.inverse().split.rest == lead.inverse().den
+    assert u.split.rest.poly() == u.den and not u.split.forms
+    assert lead.inverse().split.rest.poly() == lead.inverse().den
     cases = [
         ((k - c0) * (k + c0) / d, u),     # all of u's denominator cancels
         ((k - c0) / d / e, u),            # a linear form k + c0 is left
@@ -590,7 +617,7 @@ def test_dot_meets_only_the_rests_by_gcd():
     assert calls and all(rest.degree() <= 2 for _, rest in calls)
     _assert_same(got, oracles.dot_pairwise(par, pairs))
     _assert_split(got)
-    assert got.split.rest == unknown.den
+    assert got.split.rest.poly() == unknown.den
 
 
 def test_dot_cancels_without_gcd(gcd_calls):
@@ -653,6 +680,37 @@ def _linear_forms(draw, ring):
 _DIV_RING = GenericParameters(3, 1).ring
 
 
+def _form(f):
+    """The interned factor of the monic linear form f (an MPoly)."""
+    got, _, _ = scalar_layer._factor(f.ring, scalar_layer._ints(f)[0])
+    assert got.poly() == f
+    return got
+
+
+def _div_linear(q, f):
+    """q / f for MPoly values by ``scalars._div_linear`` on q's integer
+    numerator and f's factor L x_v + g = L f, or None."""
+    form = _form(f)
+    num, den = scalar_layer._ints(q)
+    got = scalar_layer._div_linear(num, form, q.ring)
+    if got is None:
+        return None
+    quot, s = got  # s num = (L f) quot
+    return scalar_layer._mpoly(q.ring, {e: c * form.plan[1]
+                                        for e, c in quot.items()}, s * den)
+
+
+def _times(p, forms):
+    """p times the product of f^k for monic MPoly forms f by
+    ``scalars._times`` on integers."""
+    num, den = scalar_layer._ints(p)
+    factors = {_form(f): k for f, k in forms.items()}
+    got = scalar_layer._times(num, factors, p.ring)
+    for f, k in factors.items():
+        den *= f.plan[1] ** k
+    return scalar_layer._mpoly(p.ring, got, den)
+
+
 def _product_outside_the_kernel(p, f):
     """p * f with each coefficient multiplied and summed as a
     ``FractionCyc``, so no ``Cyc`` kernel computes it."""
@@ -687,13 +745,14 @@ def _non_rational_quotient_case():
 @example(*_non_rational_quotient_case())
 def test_div_linear_shortcuts_agree_with_synthetic_division(f, p, single):
     for q in (p, p * f, single, single * f, f):
-        got = scalar_layer._div_linear(q, f)
+        got = _div_linear(q, f)
         assert got == oracles.div_linear_synthetic(q, f)
+        assert got == scalar_kernels.div_linear(q, f)
         assert got == q.divexact(f)
     for q in (p, single):
         product = _product_outside_the_kernel(q, f)
         assert product == q * f
-        assert scalar_layer._div_linear(product, f) == q
+        assert _div_linear(product, f) == q
 
 
 def _times_by_products(p, forms):
@@ -734,29 +793,30 @@ def _unequal_denominators_case():
 def test_times_by_plan_matches_repeated_products(case):
     p, forms = case
     ring = p.ring
-    got = scalar_layer._times(p, forms)
+    got = _times(p, forms)
     assert got == _times_by_products(p, forms)
+    assert got == scalar_kernels.times(p, forms)
     assert all(c for c in got.terms.values())
-    # the forms' plans, now stored, serve a second call and a zero
-    assert scalar_layer._times(p, forms) == got
-    assert scalar_layer._times(ring.zero(), forms) == ring.zero()
+    # the interned forms' plans serve a second call and a zero
+    assert _times(p, forms) == got
+    assert _times(ring.zero(), forms) == ring.zero()
 
 
 def test_each_form_keeps_its_own_plan():
     par = GenericParameters(2, 1)
     f = (par.kappa + par.c0 * 2 + 1).num  # x_v = k, g = 2 c0 + 1
     g = (par.c0 + par.d(1)).num  # x_v = c0, g = d1
-    assert f.plan is None
-    assert scalar_layer._plan(f) is f.plan
-    assert f.plan[0] == 0 and dict(f.plan[1]) == {
-        (0, 1, 0): Cyc.from_rational(2, 2), (0, 0, 0): Cyc.one(2)}
+    form = _form(f)
+    assert _form(f) is form  # interned, with the plan built once
+    assert form.plan[:2] == (0, 1) and dict(form.plan[2]) == {
+        (0, 1, 0, 0): 2, (0, 0, 0, 0): 1}
     # a plan answers for its own form only: dividing by g after f, and by f
     # after g, each reads the right one
     for a, b in ((f, g), (g, f), (f, f)):
-        assert scalar_layer._div_linear(a * b, b) == a
-        assert scalar_layer._div_linear(a * b, a) == b
-        assert scalar_layer._times(a, {b: 2}) == a * b * b
-    assert g.plan == (1, (((0, 0, 1), Cyc.one(2)),))
+        assert _div_linear(a * b, b) == a
+        assert _div_linear(a * b, a) == b
+        assert _times(a, {b: 2}) == a * b * b
+    assert _form(g).plan == (1, 1, (((0, 0, 1, 0), 1),))
 
 
 DIV_LINEAR_CASES = [
@@ -774,9 +834,10 @@ def test_div_linear_cases_match_synthetic_division(num, form):
     par = GenericParameters(2, 1)
     p = parse_scalar(num, par).num
     f = parse_scalar(f"1/({form})", par).den
-    got = scalar_layer._div_linear(p, f)
+    got = _div_linear(p, f)
     assert got == oracles.div_linear_synthetic(p, f) == p.divexact(f)
-    assert scalar_layer._div_linear(p * f, f) == p
+    assert got == scalar_kernels.div_linear(p, f)
+    assert _div_linear(p * f, f) == p
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +984,7 @@ def test_the_id_of_a_dropped_operand_never_hits():
     par = GenericParameters(2, 1)
     ring = par.ring
     for lo in range(2, 200, 40):
-        batch = [RatFunc(ring.const(Cyc.from_rational(2, v)), ring.one())
+        batch = [RatFunc(par.rational(v).num, ring.one())
                  for v in range(lo, lo + 40)]
         for v, x in enumerate(batch, start=lo):
             assert str(x * par.kappa + x) == f"{v}*k + {v}"
@@ -1003,7 +1064,7 @@ def test_dot_of_polynomials_returns_the_interned_value():
     par = GenericParameters(2, 1)
     k, c, one = par.kappa, par.c0, par.one
     got = par.dot([(k, c), (one, k), (c, c)])
-    assert got is par.ring.intern(got.num)
+    assert got is par.ring.intern(got.n, got.k)
     assert got is k * c + k + c * c
     # a sum of fractions over one denominator that cancels to a polynomial
     den = k - c
