@@ -21,7 +21,7 @@ print(f"== G(2,1,2): h = {h}, specializing every c_s to {k}/{h} ==")
 print(f"point: {point}")
 print()
 
-guard = genericity_guard(point, k, n, bound=20)
+guard = genericity_guard(point, k, n)
 print(f"hyperplane certificate (target H_{{{k},1}}, scanning bound "
       f"{guard['bound']}): {'clean' if guard['ok'] else guard['violations']}")
 print()

@@ -224,7 +224,7 @@ def require_jack_budget(n: int, mu, r: int = 1, generic: bool = True) -> int:
     count = comb(deg + n - 1, n - 1)
     if count > JACK_MONOMIAL_BUDGET:
         raise ValueError(
-            f"f_mu for mu={tuple(mu)} scans {count:,} monomials of degree "
+            f"f_mu for mu={tuple(mu)} has {count:,} monomials of degree "
             f"{deg} in {n} variables, over the budget of "
             f"{JACK_MONOMIAL_BUDGET:,}")
     e, d = (deg - n * low) // r, (max(mu) - low) // r

@@ -175,14 +175,14 @@ def simple_spectrum_violations(point: ParamPoint, n: int) -> list[str]:
     return out
 
 
-def genericity_guard(point: ParamPoint, k: int, n: int,
-                     bound: int | None = None) -> dict:
+def genericity_guard(point: ParamPoint, k: int, n: int) -> dict:
     """Certify the submodule-structure hypotheses up to a scanning bound.
 
     Verifies membership in H_{k,1}, absence from every other H_{l,j} with
-    l <= bound, and the simple-spectrum condition on c_0.  The left side of
-    H_{l,j} (``_hjk_lhs``) is built once per (l mod r/p, j) and compared
-    with each l of that residue, in the order l, then j.
+    l <= bound = max(2k, 4h) (h the Coxeter number, 1 for r = 1), and the
+    simple-spectrum condition on c_0.  The left side of H_{l,j}
+    (``_hjk_lhs``) is built once per (l mod r/p, j) and compared with each
+    l of that residue, in the order l, then j.
     """
     if point.kappa != Cyc.one(point.r):
         raise ValueError("the hyperplane arrangement lives at kappa = 1")
@@ -190,9 +190,8 @@ def genericity_guard(point: ParamPoint, k: int, n: int,
         raise ValueError("k must be positive and nonzero mod r")
     r = point.r
     period = r // point.p
-    if bound is None:
-        h = coxeter_number(r, point.p, n) if r > 1 else 1
-        bound = max(2 * k, 4 * h)
+    h = coxeter_number(r, point.p, n) if r > 1 else 1
+    bound = max(2 * k, 4 * h)
     violations = []
     if not on_hyperplane(point, Hjk(k, 1), n):
         violations.append(f"point is not on H_{{{k},1}}")
@@ -429,7 +428,7 @@ def require_gordon_budget(n: int, k: int) -> int:
     count = comb(k + n - 1, n - 1)
     if count > GORDON_MONOMIAL_BUDGET:
         raise ValueError(
-            f"the singular vector over {k} e_{n} scans {count:,} monomials "
+            f"the singular vector over {k} e_{n} has {count:,} monomials "
             f"of degree {k} in {n} variables, over the budget of "
             f"{GORDON_MONOMIAL_BUDGET:,}")
     return count

@@ -21,13 +21,13 @@ n / (k * rest * F_1^m_1 * ... * F_s^m_s):
   integer coordinates in the reduced basis, and a product is folded back
   below phi(r) with ``cyclotomic._ctx``'s rows of x^z;
 * k > 0 is an integer coprime to the gcd of n's coefficients;
-* each F is a primitive linear form: integer coordinates of gcd 1, with a
-  positive integer graded-lex lead.  A form whose coordinates are all
-  rational is divided by its content and takes its lead's sign; otherwise
-  its lead coefficient is first made rational by multiplying by the
-  product of its Galois conjugates;
-* the rest, a factor of degree 2 or more normalized the same way, is
-  most often absent.
+* each F is a primitive linear form with rational coordinates: integers
+  of gcd 1, none on a power of zeta, with a positive integer graded-lex
+  lead;
+* the rest, most often absent, is any other factor: of degree 2 or more,
+  or linear with a root-of-unity coordinate.  It is normalized as a form
+  is, once its lead coefficient is made rational by multiplying by the
+  product of its Galois conjugates.
 
 That form is canonical, so equality is structural; it makes eigenvalue
 comparisons decidable, which the eigenbasis construction relies on.  The
@@ -41,22 +41,21 @@ the tests.  A rest meets other polynomials through the general gcd
 suite, the parser).
 
 The eigenbasis and the intertwiners divide only by weight differences, which
-are linear forms.  Values reduce by trial division by the forms, since a
-numerator that no form divides is coprime to their product.  Each form
-L x_v + g carries its plan (v, L and the terms of g), so multiplying by it
-(:func:`_times`) shifts in x_v and adds the g-terms, and dividing by it
-(:func:`_div_linear`) is synthetic division in x_v.  For a rational form,
-Gauss's lemma makes the quotient of an integer polynomial integral, so the
-division stops at the first quotient coefficient that L does not divide.
-A form with a root-of-unity coordinate does not take that exit: its
-division scales the numerator by a power of L to stay integral.  A product sheds each numerator against the other
-operand's forms and rest (:func:`_mul_split`).  A sum, and a sum of
-products such as a residual of the eigenbasis solve (one call of
-``params.dot``), go through one kernel, :func:`_lcm_sum`: every term over
-the lcm of the forms and of the rests, the numerators added once, the sum
-trial-divided once by the lcm's forms and reduced once against its rest.
-At a specialized point ``dot`` is the plain sum, and the scalars are
-``Cyc`` values.
+are linear forms in k, c0 and the d_j with rational coefficients.  Values
+reduce by trial division by the forms, since a numerator that no form
+divides is coprime to their product.  Each form L x_v + g carries its plan
+(v, L and the terms of g), so multiplying by it (:func:`_times`) shifts in
+x_v and adds the g-terms, and dividing by it (:func:`_div_linear`) is
+synthetic division in x_v.  Gauss's lemma makes the quotient of an integer
+polynomial by a rational form integral, so the division stops at the first
+quotient coefficient that L does not divide.  A product sheds each
+numerator against the other operand's forms and rest (:func:`_mul_split`).
+A sum, and a sum of products such as a residual of the eigenbasis solve
+(one call of ``params.dot``), go through one kernel, :func:`_lcm_sum`:
+every term over the lcm of the forms and of the rests, the numerators
+added once, the sum trial-divided once by the lcm's forms and reduced once
+against its rest.  At a specialized point ``dot`` is the plain sum, and
+the scalars are ``Cyc`` values.
 
 Each :class:`GenericParameters` owns its :class:`ParamRing`, which interns
 the field's polynomial values (denominator 1): one value per numerator and
@@ -490,12 +489,11 @@ class _Factor:
     """A primitive polynomial over Z[zeta_r] (coordinate gcd 1) whose
     graded-lex lead coefficient is a positive integer: a linear form of a
     denominator, or a rest.  Interned by ring and terms, so dicts key it by
-    identity.  A linear form L x_v + g, x_v its lead, carries its plan (v,
-    L, the terms of g); ``rational`` says that every coordinate is
-    rational."""
+    identity.  A linear form L x_v + g, x_v its lead, has only rational
+    coordinates and carries its plan (v, L, the terms of g); every other
+    factor has the plan None."""
 
-    __slots__ = ("ring", "terms", "degree", "rational", "plan", "_poly",
-                 "__weakref__")
+    __slots__ = ("ring", "terms", "plan", "_poly", "__weakref__")
 
     def poly(self) -> MPoly:
         """The factor as a monic MPoly."""
@@ -515,11 +513,11 @@ def _factor(ring: ParamRing, terms: dict):
 
     A rational polynomial divides by its content and takes the sign of its
     lead.  Otherwise the lead coefficient c is made rational by the product
-    u of its conjugates, and c u = N(c) is the norm."""
+    u of its conjugates, and c u = N(c) is the norm.  F is a linear form,
+    with its plan, when it has degree 1 and only rational coordinates."""
     nv = ring.nvars
     lead = max((e[:nv] for e in terms), key=_key)
-    rational = all(not e[nv] for e in terms)
-    if rational:
+    if all(not e[nv] for e in terms):
         u, prim = ring.unit, terms
     else:
         u = _conjugates({ring.origin[:nv] + e[nv:]: c
@@ -537,36 +535,29 @@ def _factor(ring: ParamRing, terms: dict):
     f = _FACTORS.get(key)
     if f is None:
         f = _FACTORS[key] = object.__new__(_Factor)
-        f.ring, f.terms, f._poly = ring, prim, None
-        f.degree, f.rational, f.plan = sum(lead), rational, None
-        if f.degree == 1:
+        f.ring, f.terms, f._poly, f.plan = ring, prim, None, None
+        if sum(lead) == 1 and all(not e[nv] for e in prim):
             top = lead + (0,)
             f.plan = (lead.index(1), prim[top],
                       tuple((e, c) for e, c in prim.items() if e != top))
     return f, u, g
 
 
-def _div_linear(p: dict, f: _Factor, ring: ParamRing):
-    """(q, s) with s p = f q for the linear form f, or None when f does not
-    divide p.
+def _div_linear(p: dict, f: _Factor):
+    """p / f for the linear form f, or None when f does not divide p.
 
     f = L x_v + g with g free of x_v, so this is synthetic division in x_v,
-    from the top x_v-degree down; the x_v-free remainder must vanish.  For a
-    rational f, Gauss's lemma makes the quotient of an integer polynomial
-    integral, so a quotient coefficient that L does not divide ends the
-    division, and s = 1.  Otherwise p is first scaled by s = L^d, d its
-    x_v-degree, which keeps every step in the integers."""
+    from the top x_v-degree down; the x_v-free remainder must vanish.  f has
+    rational coordinates and leaves p's zeta slot alone, so Gauss's lemma
+    makes the quotient of an integer polynomial integral, and a quotient
+    coefficient that L does not divide ends the division."""
     if not p:
-        return p, 1
+        return p
     v, lead, g = f.plan
     # p(x_v = -g/L) = p when p is free of x_v, and a single term has only
     # variables for linear factors
     if all(not e[v] for e in p) or (len(p) == 1 and g):
         return None
-    scale = 1
-    if lead != 1 and not f.rational:
-        scale = lead ** max(e[v] for e in p)
-        p = {e: c * scale for e, c in p.items()}
     layers: dict[int, dict] = {}
     for e, c in p.items():
         layers.setdefault(e[v], {})[e] = c
@@ -586,15 +577,13 @@ def _div_linear(p: dict, f: _Factor, ring: ParamRing):
             for ge, gc in g:
                 t = tuple(map(add, qe, ge))
                 below[t] = below.get(t, 0) - c * gc
-        below = layers[d - 1] = _nonzero(below)
-        if not f.rational:
-            _fold(below, ring)
+        layers[d - 1] = _nonzero(below)
     if layers.get(0):
         return None
-    return quot, scale
+    return quot
 
 
-def _times(p: dict, forms: dict, ring: ParamRing) -> dict:
+def _times(p: dict, forms: dict) -> dict:
     """p times the product of f^k for f, k in forms.  Each factor
     L x_v + g shifts p up in x_v, scales it by L and adds p times each term
     of g."""
@@ -608,8 +597,7 @@ def _times(p: dict, forms: dict, ring: ParamRing) -> dict:
                 for e, c in p.items():
                     t = tuple(map(add, e, ge))
                     out[t] = get(t, 0) + c * gc
-            out = _nonzero(out)
-            p = out if f.rational else _fold(out, ring)
+            p = _nonzero(out)
     return p
 
 
@@ -626,26 +614,24 @@ def _adjust(base: dict, more: dict, less: dict) -> dict:
     return out
 
 
-def _strip(num: dict, forms: dict, skip: dict, ring: ParamRing):
+def _strip(num: dict, forms: dict, skip: dict):
     """Divide num by each factor of forms outside skip, as often as it goes
-    up to the factor's multiplicity: (s num / the factors taken, the
-    factors taken, s)."""
+    up to the factor's multiplicity: (num / the factors taken, the factors
+    taken)."""
     off = {}
-    scale = 1
     for f, m in forms.items():
         if f in skip:
             continue
         k = 0
         while k < m:
-            got = _div_linear(num, f, ring)
+            got = _div_linear(num, f)
             if got is None:
                 break
-            num, s = got
-            scale *= s
+            num = got
             k += 1
         if k:
             off[f] = k
-    return num, off, scale
+    return num, off
 
 
 def _shed(num: dict, rest, ring: ParamRing):
@@ -668,11 +654,12 @@ def _shed(num: dict, rest, ring: ParamRing):
 
 class _Split:
     """A denominator as ``rest`` times linear forms: ``forms`` maps each
-    form (a :class:`_Factor`) to its multiplicity, and ``rest`` is a factor
-    of degree 2 or more with no known factor, or None (1).  Splits are
-    interned while some value holds them, so equal denominators are one
-    object.  The expanded product, its lead, the MPoly view and ``text``,
-    the printed monic ``den``, are built on first use."""
+    form (a :class:`_Factor` with a plan) to its multiplicity, and ``rest``
+    is a factor with no known factor that is not a form (of degree 2 or
+    more, or linear with a root-of-unity coordinate), or None (1).  Splits
+    are interned while some value holds them, so equal denominators are
+    one object.  The expanded product, its lead, the MPoly view and
+    ``text``, the printed monic ``den``, are built on first use."""
 
     __slots__ = ("forms", "rest", "_terms", "_lead", "_den", "text",
                  "__weakref__")
@@ -686,7 +673,7 @@ class _Split:
         """The expanded integer denominator."""
         if self._terms is None:
             terms = _times(self.rest.terms if self.rest else
-                           {ring.origin: 1}, self.forms, ring)
+                           {ring.origin: 1}, self.forms)
             top = max((e[:-1] for e in terms), key=_key)
             self._terms, self._lead = terms, terms[top + (0,)]
         return self._terms
@@ -706,15 +693,16 @@ _SPLITS = weakref.WeakValueDictionary()  # (frozenset of forms, rest) -> _Split
 def _make(ring: ParamRing, num: dict, k: int, forms: dict, rest=None):
     """The value num / (k rest forms), num coprime to the denominator.
     ``rest`` is a raw integer polynomial (None for 1); it is brought to its
-    factor, and one of degree 1 joins the forms.  The ring's interned value
-    when there is no denominator; zero is the interned zero."""
+    factor, which joins the forms when it is a linear form.  The ring's
+    interned value when there is no denominator; zero is the interned
+    zero."""
     if rest is not None:
         f, u, g = _factor(ring, rest)
         if u != ring.unit:
             num = _product(num, u, ring)
         k *= g
         rest = f
-        if f is not None and f.degree == 1:
+        if f is not None and f.plan:
             forms, rest = _adjust(forms, {f: 1}, {}), None
     if not num:
         return ring.intern({}, 1)
@@ -743,9 +731,9 @@ def _mul_split(a: "RatFunc", b: "RatFunc") -> "RatFunc":
     if not a.n or not b.n:
         return ring.intern({}, 1)
     sa, sb = a.split, b.split
-    na, off_b, s = _strip(a.n, sb.forms, sa.forms, ring)
-    nb, off_a, t = _strip(b.n, sa.forms, sb.forms, ring)
-    k = a.k * b.k * s * t
+    na, off_b = _strip(a.n, sb.forms, sa.forms)
+    nb, off_a = _strip(b.n, sa.forms, sb.forms)
+    k = a.k * b.k
     rest = None
     if sa.rest is not None or sb.rest is not None:
         na, s, rb = _shed(na, sb.rest, ring)
@@ -798,15 +786,15 @@ def _lcm_sum(terms, ring: ParamRing):
         if s != 1:
             num = {e: c * s for e, c in num.items()}
         num = _times(num, {f: m - fs.get(f, 0) for f, m in forms.items()
-                           if m != fs.get(f, 0)}, ring)
+                           if m != fs.get(f, 0)})
         for e, c in num.items():
             acc[e] = get(e, 0) + c
     acc = _nonzero(acc)
     if not acc:
         return None
-    num, off, s = _strip(acc, forms, {}, ring)
+    num, off = _strip(acc, forms, {})
     num, t, rest = _shed(num, rest, ring)
-    return _make(ring, num, top * s * t, _adjust(forms, {}, off), rest)
+    return _make(ring, num, top * t, _adjust(forms, {}, off), rest)
 
 
 def _dot(pairs, field: "GenericParameters") -> "RatFunc":
@@ -877,7 +865,8 @@ class RatFunc:
     primitive linear forms.  ``split`` is ``_NO_SPLIT`` exactly when the
     denominator is 1, so ``+`` and ``*`` spot two polynomials by identity
     and take the ring's memos.  Otherwise ``+`` is :func:`_lcm_sum` of the
-    two operands and ``*`` is :func:`_mul_split`.  ``num`` and ``den``, the
+    two operands and ``*`` is :func:`_mul_split`, which also builds
+    ``RatFunc(num, den)`` as num times 1/den.  ``num`` and ``den``, the
     gcd-reduced numerator and monic denominator with Cyc coefficients, are
     views built when read.
     """
@@ -887,12 +876,10 @@ class RatFunc:
     def __init__(self, num: MPoly, den: MPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            g = mp_gcd(num, den)
-            if not g.is_one():
-                num, den = num.divexact(g), den.divexact(g)
+        ring = den.ring
         (n, ln), (d, ld) = _ints(num), _ints(den)
-        v = _make(den.ring, {e: c * ld for e, c in n.items()}, ln, {}, d)
+        v = _mul_split(_make(ring, n, ln, {}),
+                       _make(ring, {ring.origin: ld}, 1, {}, d))
         self.ring, self.n, self.k, self.split = v.ring, v.n, v.k, v.split
 
     @property

@@ -186,8 +186,7 @@ def singular_vector_check_per_vector(r: int, p: int, n: int, point,
             "character_match": True}
 
 
-def genericity_guard_scan(point, k: int, n: int,
-                          bound: int | None = None) -> dict:
+def genericity_guard_scan(point, k: int, n: int) -> dict:
     """``genericity_guard`` with ``on_hyperplane`` called on every H_{l,j}
     it scans."""
     if point.kappa != Cyc.one(point.r):
@@ -195,9 +194,8 @@ def genericity_guard_scan(point, k: int, n: int,
     if k <= 0 or k % point.r == 0:
         raise ValueError("k must be positive and nonzero mod r")
     r = point.r
-    if bound is None:
-        h = coxeter_number(r, point.p, n) if r > 1 else 1
-        bound = max(2 * k, 4 * h)
+    h = coxeter_number(r, point.p, n) if r > 1 else 1
+    bound = max(2 * k, 4 * h)
     violations = []
     if not on_hyperplane(point, Hjk(k, 1), n):
         violations.append(f"point is not on H_{{{k},1}}")

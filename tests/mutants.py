@@ -161,6 +161,7 @@ T_KERNEL_SUMS = "tests/test_scalar_kernels.py::test_sums_and_products_match_the_
 T_KERNEL_DOT = "tests/test_scalar_kernels.py::test_dot_matches_the_cyc_kernel_and_the_pairwise_sum"
 T_KERNEL_FORMS = "tests/test_scalar_kernels.py::test_trial_division_and_products_by_forms_match_the_cyc_kernels"
 T_NO_SHORTCUT = "tests/test_scalar_kernels.py::test_forms_with_a_root_of_unity_coordinate_take_no_shortcut"
+T_ROOT_REST = "tests/test_scalar_kernels.py::test_a_linear_rest_with_a_root_of_unity_coordinate_matches_the_gcd_path"
 T_VALUE_CLASSES = "tests/test_value.py::test_values_of_two_classes_are_never_equal"
 
 
@@ -175,11 +176,12 @@ class Mutant:
 
 MUTANTS = [
     # the integer normal form n / (k rest forms) (scalars._factor, _reduced)
-    Mutant("factor: the early exit on a form with a root-of-unity coordinate",
+    Mutant("factor: a linear factor with a root-of-unity coordinate is a form",
            SCALARS,
-           "rational = all(not e[nv] for e in terms)",
-           "rational = all(not e[nv] for e in terms if e[:nv] == lead)",
-           (T_KERNEL_SUMS, T_KERNEL_FORMS, T_NO_SHORTCUT)),
+           "if sum(lead) == 1 and all(not e[nv] for e in prim):",
+           "if sum(lead) == 1 and all(not e[nv] for e in prim"
+           " if e[:nv] == lead):",
+           (T_KERNEL_SUMS, T_NO_SHORTCUT, T_ROOT_REST)),
     Mutant("normal form: k not reduced by the content gcd", SCALARS,
            "    if k != 1:\n        g = gcd(k, *terms.values())",
            "    if False:\n        g = gcd(k, *terms.values())",
@@ -191,17 +193,21 @@ MUTANTS = [
     # products and denominators with a rest (scalars._mul_split, _shed,
     # _intern)
     Mutant("mul: a's numerator keeps b's forms", SCALARS,
-           "na, off_b, s = _strip(a.n, sb.forms, sa.forms, ring)",
-           "na, off_b, s = a.n, {}, 1",
+           "na, off_b = _strip(a.n, sb.forms, sa.forms)",
+           "na, off_b = a.n, {}",
            (T_MIXED, T_CANCEL)),
     Mutant("split: a linear rest stays a rest", SCALARS,
-           "if f is not None and f.degree == 1:",
-           "if f is not None and f.degree == 0:",
+           "forms, rest = _adjust(forms, {f: 1}, {}), None",
+           "forms, rest = forms, f",
            (T_CANCEL, T_UNSPLIT)),
     Mutant("mul: a numerator sheds against its own rest", SCALARS,
            "na, s, rb = _shed(na, sb.rest, ring)",
            "na, s, rb = _shed(na, sa.rest, ring)",
            (T_MIXED, T_CANCEL)),
+    Mutant("ratfunc: den's integer scale dropped", SCALARS,
+           "_make(ring, {ring.origin: ld}, 1, {}, d))",
+           "_make(ring, {ring.origin: 1}, 1, {}, d))",
+           (T_KERNEL_SUMS, T_MIXED)),
     Mutant("mul: mp_gcd for a constant numerator too", SCALARS,
            "if all(not any(e[:-1]) for e in num):\n        return num, 1, rest.terms",
            "if False:\n        return num, 1, rest.terms",
@@ -545,8 +551,8 @@ MUTANTS = [
            (T_VPERM,)),
     # params.dot over one common denominator (scalars._dot)
     Mutant("dot: no final strip", SCALARS,
-           "num, off, s = _strip(acc, forms, {}, ring)",
-           "num, off, s = acc, {}, 1",
+           "num, off = _strip(acc, forms, {})",
+           "num, off = acc, {}",
            (T_DOT, T_DOT_CANCEL)),
     Mutant("dot: the lcm keeps the last multiplicity", SCALARS,
            "            if m > forms.get(f, 0):\n                forms[f] = m",

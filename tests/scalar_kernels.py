@@ -1,8 +1,8 @@
 """The generic field's kernels on ``Cyc`` coefficients, kept as test oracles.
 
 ``scalars`` computes on integer polynomials (a numerator, a positive integer
-k and primitive linear forms); these are the kernels it replaced, which
-worked on :class:`~cherednik.scalars.MPoly` values with ``Cyc``
+k and primitive rational linear forms); these are the kernels it replaced,
+which worked on :class:`~cherednik.scalars.MPoly` values with ``Cyc``
 coefficients: a value is ``(num, forms, rest)``, the numerator over the
 monic denominator ``rest`` (an MPoly, or None for 1) times the monic linear
 forms of ``forms`` with their multiplicities.  :func:`parts` reads a
@@ -128,12 +128,13 @@ def _product(a, b):
 
 
 def _normal(num: MPoly, forms: dict, rest):
-    """(num, forms, rest) with the rest monic, a linear rest one more form
-    and a constant rest folded into num."""
+    """(num, forms, rest) with the rest monic, a linear rest with rational
+    coordinates one more form and a constant rest folded into num."""
     if rest is not None:
         _, lc = rest.lead()
         num, rest = num.scaled(lc.inverse()), rest.monic()
-        if rest.degree() == 1:
+        if rest.degree() == 1 and all(c.is_rational()
+                                      for c in rest.terms.values()):
             forms, rest = adjust(forms, {rest: 1}, {}), None
         elif rest.degree() == 0:
             rest = None

@@ -148,7 +148,7 @@ def test_criterion_5_gordon_g212():
     r, p, n = 2, 1, 2
     k = coxeter_number(r, p, n) + 1
     point = gordon_point(r, p, n)
-    guard = genericity_guard(point, k, n, bound=20)
+    guard = genericity_guard(point, k, n)
     ok = guard["ok"]
     sing = singular_vector_check(r, p, n, point, k)
     ok = ok and sing["status"] == "pass"

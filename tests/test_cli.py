@@ -663,7 +663,7 @@ def test_jack_refuses_an_oversized_composition_at_once(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "jack", "--group", "1,1,4",
                              "--mu", "1,0,0,0", "--mu", "20,10,10,10")
     assert code == 2 and out == ""
-    assert "mu=(20, 10, 10, 10) scans 23,426 monomials of degree 50" in err
+    assert "mu=(20, 10, 10, 10) has 23,426 monomials of degree 50" in err
     assert "budget of 2,000" in err
 
 
@@ -773,13 +773,13 @@ def test_gordon_refuses_an_oversized_group_at_once(capsys, monkeypatch,
     code, out, err = run_cli(capsys, "gordon", "--group", "2,1,9",
                              *json_flag)
     assert code == 2 and out == ""
-    assert err == ("error: the singular vector over 19 e_9 scans 2,220,075 "
+    assert err == ("error: the singular vector over 19 e_9 has 2,220,075 "
                    "monomials of degree 19 in 9 variables, over the budget "
                    "of 100,000\n")
 
 
 def test_gordon_budget_admits_the_golden_and_benchmark_groups():
-    # G(2,1,7) scans 54,264 monomials in about 2 s; G(2,2,8) 170,544 in 6 s
+    # G(2,1,7) has 54,264 monomials (about 2 s); G(2,2,8) 170,544 (6 s)
     groups = [(2, 1, 7), (3, 3, 2), (2, 1, 5), (3, 1, 4), (3, 1, 5),
               (2, 1, 6), (5, 1, 3), (3, 3, 4), (4, 2, 3), (6, 3, 3),
               (2, 2, 4), (2, 1, 4), (3, 1, 3)]

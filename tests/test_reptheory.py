@@ -127,7 +127,7 @@ def test_hjk_validation():
 
 
 def test_guard_passes_at_gordon_points():
-    g = genericity_guard(gordon_point(2, 1, 2), 5, 2, bound=20)
+    g = genericity_guard(gordon_point(2, 1, 2), 5, 2)
     assert g["ok"] and g["violations"] == []
     for (r, p, n) in [(3, 3, 2), (2, 1, 3)]:
         h = coxeter_number(r, p, n)
@@ -138,7 +138,7 @@ def test_guard_passes_at_gordon_points():
 def test_guard_flags_simple_spectrum():
     pt = ParamPoint.make(2, 1, 1, Fraction(1, 2), [Fraction(-9, 4)])
     # d chosen to put the point on H_{1,1}: d0 - d_{-1} + 2 c0 = 1
-    g = genericity_guard(pt, 1, 2, bound=8)
+    g = genericity_guard(pt, 1, 2)
     assert any("Z_>0" in v for v in g["violations"])
 
 
@@ -147,7 +147,7 @@ def test_guard_flags_second_hyperplane():
     pt = ParamPoint.from_c(2, 1, 1, 1, [Fraction(3, 2)])
     assert on_hyperplane(pt, Hjk(5, 1), 2)
     assert on_hyperplane(pt, Hjk(3, 2), 2)
-    g = genericity_guard(pt, 5, 2, bound=20)
+    g = genericity_guard(pt, 5, 2)
     assert not g["ok"]
     assert any("H_{3,2}" in v for v in g["violations"])
 
@@ -713,9 +713,8 @@ def test_guard_matches_the_scan_on_golden_groups():
     for r, p, n in GOLDEN_GORDON_GROUPS:
         point = gordon_point(r, p, n)
         k = coxeter_number(r, p, n) + 1
-        for bound in (None, 3 * k):
-            assert genericity_guard(point, k, n, bound) \
-                == genericity_guard_scan(point, k, n, bound)
+        assert genericity_guard(point, k, n) \
+            == genericity_guard_scan(point, k, n)
 
 
 GUARD_GROUPS = [(2, 1, 2), (3, 1, 2), (4, 1, 2), (4, 2, 3), (6, 2, 2),

@@ -1,13 +1,14 @@
 """The integer kernels of the generic field against the ``Cyc``-coefficient
 kernels they replaced (``tests/scalar_kernels.py``) and against pairwise
 ``+`` and ``*`` through the gcd path, on drawn values of every field with
-r in {1, 2, 3, 4, 6}: nonzero zeta coordinates, linear forms with a
-root-of-unity coordinate, rests of degree 2 or more, zero and full
-cancellation.  Every result is in normal form and prints as the oracle's
-value does."""
+r in {1, 2, 3, 4, 6}: nonzero zeta coordinates, linear factors with a
+root-of-unity coordinate (rests, like those of degree 2 or more), zero and
+full cancellation.  Every result is in normal form and prints as the
+oracle's value does."""
 
 import contextlib
 import functools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from cherednik import Cyc, GenericParameters, PolyRep, RatFunc
 from cherednik import cyclotomic
 from cherednik import scalars as scalar_layer
 from cherednik.jack import jack_by_intertwiners, jack_by_solve
-from test_scalars import _assert_split
+from cherednik.parsing import parse_scalar
+from test_scalars import _assert_split, _top_gcd_calls
 
 FIELDS = [(r, p) for r in (1, 2, 3, 4, 6) for p in range(1, r + 1)
           if r % p == 0]
@@ -27,8 +29,9 @@ FIELDS = [(r, p) for r in (1, 2, 3, 4, 6) for p in range(1, r + 1)
 @functools.cache
 def _pool(r, p):
     """A field and its values: polynomials with zeta coordinates, quotients
-    by rational forms (one with lead 2), by forms with a root-of-unity
-    coordinate (lead 1 and lead 2), by rests, and values that cancel."""
+    by rational forms (one with lead 2), by linear factors with a
+    root-of-unity coordinate (lead 1 and lead 2), by rests, and values that
+    cancel."""
     par = GenericParameters(r, p)
     k, c0, one, z = par.kappa, par.c0, par.one, par.zeta(1)
     d = par.d(1) if r // p > 1 else par.rational(3)
@@ -121,52 +124,99 @@ def test_trial_division_and_products_by_forms_match_the_cyc_kernels(r, p):
         num, den = scalar_layer._ints(x.num)
         for f in forms:
             for m in (1, 2):
-                prod = scalar_layer._times(num, {f: m}, ring)
+                prod = scalar_layer._times(num, {f: m})
                 assert scalar_layer._mpoly(ring, prod, den * f.plan[1] ** m) \
                     == scalar_kernels.times(x.num, {f.poly(): m})
-                got = scalar_layer._strip(prod, {f: m + 1}, {}, ring)
+                quot, off = scalar_layer._strip(prod, {f: m + 1}, {})
                 want = scalar_kernels.strip(scalar_kernels.times(
                     x.num, {f.poly(): m}), {f.poly(): m + 1}, {})
-                quot, off, s = got  # s prod = quot F^t, F = L f
+                # prod = quot F^t, F = L f
                 t, lead = off.get(f, 0), f.plan[1]
                 assert {g.poly(): k for g, k in off.items()} == want[1]
                 assert scalar_layer._mpoly(
                     ring, {e: c * lead ** t for e, c in quot.items()},
-                    s * den * lead ** m) == want[0]
+                    den * lead ** m) == want[0]
             if x:
-                q = scalar_layer._div_linear(num, f, ring)
+                q = scalar_layer._div_linear(num, f)
                 want = scalar_kernels.div_linear(x.num, f.poly())
                 assert (q is None) == (want is None)
 
 
 def test_forms_with_a_root_of_unity_coordinate_take_no_shortcut():
+    # only a linear factor with rational coordinates is a form with a plan,
+    # so Gauss's lemma's exit in _div_linear holds for every form; a linear
+    # factor with a root-of-unity coordinate is a rest and meets mp_gcd
     par, _ = _pool(4, 4)  # variables k, c0, then zeta's slot
+    ring = par.ring
     k, c0, z = par.kappa, par.c0, par.zeta(1)
-    form = (2 * k + (1 + z) * c0).inverse().split.forms
-    (f, m), = form.items()
-    assert m == 1 and not f.rational
-    assert f.plan[1] == 2 and f.terms == {(1, 0, 0): 2, (0, 1, 0): 1,
-                                          (0, 1, 1): 1}
-    # f divides f q with q = ((1 - z) k + 1)/2, but the integer numerator
-    # meets a coordinate that 2 does not divide: Gauss's lemma needs a
-    # rational form, and its exit would say f does not divide
+    u = 2 * k + (1 + z) * c0
+    inv = u.inverse()
+    f = inv.split.rest
+    assert not inv.split.forms and f.plan is None
+    assert f.terms == {(1, 0, 0): 2, (0, 1, 0): 1, (0, 1, 1): 1}
+    # f divides f q with q = ((1 - z) k + 1)/2, though the integer
+    # numerator meets a coordinate that 2 does not divide, where the exit
+    # would stop: the rest sheds it by one gcd
     q = ((1 - z) * k + 1) / 2
-    num, den = scalar_layer._ints((f.poly() * q.num))
-    as_rational = object.__new__(type(f))
-    for name in ("ring", "terms", "degree", "plan", "_poly"):
-        setattr(as_rational, name, getattr(f, name))
-    as_rational.rational = True
-    assert scalar_layer._div_linear(num, as_rational, par.ring) is None
-    got = scalar_layer._div_linear(num, f, par.ring)
-    assert got is not None
-    quot, s = got
-    assert scalar_layer._mpoly(par.ring, {e: c * 2 for e, c in quot.items()},
-                               s * den) == q.num
+    with _top_gcd_calls() as calls:
+        got = (u * q) * inv
+    assert got == q and got.split is scalar_layer._NO_SPLIT
+    assert [rest for _, rest in calls] == [f.poly()]
+    assert RatFunc((u * q).num, u.num) == q
+    # a unit multiple of a rational form is that form, with its plan
+    form = scalar_layer._factor(ring, scalar_layer._ints((k + c0).num)[0])[0]
+    assert form.plan is not None
+    assert scalar_layer._factor(
+        ring, scalar_layer._ints((z * (k + c0)).num)[0])[0] is form
     # the rational form 2k + 3c0 stops at the first coordinate 2 does not
     # divide
     g, = (one := par.one / (2 * k + 3 * c0)).split.forms
-    assert g.rational and one.k == 1
-    assert scalar_layer._div_linear({(1, 0, 0): 1}, g, par.ring) is None
+    assert g.plan[1] == 2 and one.k == 1
+    assert scalar_layer._div_linear({(1, 0, 0): 1}, g) is None
+    # every form of every pool is rational, and no rest is a rational form
+    for r, p in FIELDS:
+        for x in _pool(r, p)[1]:
+            _assert_split(x)
+
+
+# the text each value printed when a linear factor with a root-of-unity
+# coordinate was still a form: the same for r = 3 and r = 4, except the
+# last denominator, where z^2 = -1 - z or -1
+_ROOT_OF_UNITY_TEXT = {
+    3: ("(1)/(k + z*c0)", "(k^2 + (-1 + z)*k*c0 - z*c0^2)/(c0 + 2)",
+        "(k - c0)/(c0 + 2)", "(k + 1)/(k^2 + (2*z)*k*c0 + (-1 - z)*c0^2)"),
+    4: ("(1)/(k + z*c0)", "(k^2 + (-1 + z)*k*c0 - z*c0^2)/(c0 + 2)",
+        "(k - c0)/(c0 + 2)", "(k + 1)/(k^2 + (2*z)*k*c0 - c0^2)"),
+}
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_a_linear_rest_with_a_root_of_unity_coordinate_matches_the_gcd_path(r):
+    par = GenericParameters(r, 1)
+    k, c0, z, one = par.kappa, par.c0, par.zeta(1), par.one
+    u = k + z * c0
+    inv = one / u
+    assert inv.split.rest.poly() == u.num and not inv.split.forms
+    x = u * (k - c0) / (c0 + 2)
+    got = [inv, x, inv * x, inv * inv * (k + one)]
+    assert got[2].split.rest is None  # u cancels
+    want = [RatFunc(one.num, u.num), RatFunc((u * (k - c0)).num, (c0 + 2).num),
+            RatFunc((u * (k - c0)).num, (u * (c0 + 2)).num),
+            RatFunc((k + one).num, (u * u).num)]
+    point = scalar_layer.ParamPoint.make(
+        r, 1, 3, Fraction(1, 2), [Fraction(j, 5) for j in range(1, r)])
+    kv, cv, zv = point.kappa, point.c0, Cyc.root(r, 1)
+    uv = kv + zv * cv
+    at = [1 / uv, uv * (kv - cv) / (cv + 2), (kv - cv) / (cv + 2),
+          (kv + 1) / (uv * uv)]
+    for v, w, text, value in zip(got, want, _ROOT_OF_UNITY_TEXT[r], at,
+                                 strict=True):
+        _assert_split(v)
+        _assert_same(v, w)
+        assert str(v) == text
+        assert parse_scalar(text, par) == v
+        assert scalar_layer.specialize(v, point) == value
+        assert scalar_layer.specialize(w, point) == value
 
 
 @contextlib.contextmanager

@@ -347,20 +347,28 @@ def _assert_factor(g):
     assert scalar_layer._factor(g.ring, terms)[0] is g
 
 
+def _rational_linear(g):
+    """Whether the factor g is a linear form with rational coordinates."""
+    poly = g.poly()
+    return poly.degree() == 1 and all(c.is_rational()
+                                      for c in poly.terms.values())
+
+
 def _assert_split(f, forms_only=False):
     """f.split writes f.den as its rest times a multiset of primitive
-    linear forms; the rest is None (1), or a factor of degree 2 or more,
-    and with ``forms_only`` it is None.  f is in normal form."""
+    linear forms, each rational and with its plan; the rest is None (1), or
+    a factor without a plan that is not a rational linear form, and with
+    ``forms_only`` it is None.  f is in normal form."""
     _assert_normal(f)
     rest = f.split.rest
-    assert rest is None or (rest.degree >= 2 and rest.poly().degree() >= 2)
+    assert rest is None or (rest.plan is None and not _rational_linear(rest))
     assert rest is None or not forms_only
     prod = f.ring.one() if rest is None else rest.poly()
     for g in [rest] if rest is not None else []:
         _assert_factor(g)
     for g, m in f.split.forms.items():
         _assert_factor(g)
-        assert g.degree == 1 and g.poly().degree() == 1 and m > 0
+        assert g.plan is not None and _rational_linear(g) and m > 0
         for _ in range(m):
             prod = prod * g.poly()
     assert prod == f.den
@@ -692,12 +700,11 @@ def _div_linear(q, f):
     numerator and f's factor L x_v + g = L f, or None."""
     form = _form(f)
     num, den = scalar_layer._ints(q)
-    got = scalar_layer._div_linear(num, form, q.ring)
-    if got is None:
+    quot = scalar_layer._div_linear(num, form)  # num = (L f) quot
+    if quot is None:
         return None
-    quot, s = got  # s num = (L f) quot
     return scalar_layer._mpoly(q.ring, {e: c * form.plan[1]
-                                        for e, c in quot.items()}, s * den)
+                                        for e, c in quot.items()}, den)
 
 
 def _times(p, forms):
@@ -705,7 +712,7 @@ def _times(p, forms):
     ``scalars._times`` on integers."""
     num, den = scalar_layer._ints(p)
     factors = {_form(f): k for f, k in forms.items()}
-    got = scalar_layer._times(num, factors, p.ring)
+    got = scalar_layer._times(num, factors)
     for f, k in factors.items():
         den *= f.plan[1] ** k
     return scalar_layer._mpoly(p.ring, got, den)
