@@ -43,9 +43,10 @@ dropped, so each table is built once and at most two degrees are live.
 The x-side right sides apply no group element: the reflections of a pair
 of slots (or at one slot) send x^e to one monomial, up to a root of unity
 fixed by a residue mod r, so ``PolyRep._x_side_plan`` keeps one weight per
-residue and each term of y^ev f is scaled once.  Every relation and
-commutator is checked by building its two sides and comparing them; their
-difference is formed only for a failure record.
+residue and each term of y^ev f is scaled once, straight into one dict per
+(nu, j) that holds the right side.  Every relation and commutator is
+checked by building its two sides and comparing them; their difference is
+formed only for a failure record.
 """
 
 from __future__ import annotations
@@ -412,6 +413,7 @@ class PolyRep:
         if self._x_plan is not None:
             return self._x_plan
         n, r, params = self.n, self.r, self.params
+        zero = Cyc.zero(r)
         # (s, k_s, -c_s), k_s from w.x_a = zeta^{k_s} x_{w(a)}
         refl = [(s, s.element.act_on_exponents(
                      tuple(int(t == s.i) for t in range(n)))[0],
@@ -424,18 +426,24 @@ class PolyRep:
                    for s, k, neg_cs in refl]
             slots = []
             for j in range(n):
-                groups: dict = {}  # (a, b, ev) -> [(-c_s, lam, k_s)]
+                # (a, b, ev) -> {class of s: (-c_s, [(lam, k_s)])}
+                groups: dict = {}
                 for s, k, neg_cs, pairs in dds:
                     for ev, cy in pairs:
                         if lam := s.alpha_check[j] * cy:
-                            groups.setdefault((s.i, s.j, ev), []).append(
-                                (neg_cs, lam, k))
+                            groups.setdefault((s.i, s.j, ev), {}).setdefault(
+                                s.cclass, (neg_cs, []))[1].append((lam, k))
                 entries = []
-                for (a, b, ev), terms in groups.items():
-                    weights = [sum((neg_cs.cmul(lam * Cyc.root(r, k * rho))
-                                    for neg_cs, lam, k in terms),
-                                   params.zero) or None
-                               for rho in range(r)]
+                for (a, b, ev), classes in groups.items():
+                    weights = []
+                    for rho in range(r):
+                        # one cmul per coupling constant, by its summed roots
+                        w = params.zero
+                        for neg_cs, terms in classes.values():
+                            if m := sum((lam * Cyc.root(r, k * rho)
+                                         for lam, k in terms), zero):
+                                w = w + neg_cs.cmul(m)
+                        weights.append(w or None)
                     if any(weights):
                         entries.append((a, b, ev, weights))
                 slots.append(entries)
@@ -456,30 +464,33 @@ class PolyRep:
 
         with D_s y^nu = (y^nu - s^{-1} y^nu)/alpha_s^vee, the divided
         difference in the y's applied first and the group element after it.
-        The sum over s is read off the plan: each term c x^e of y^ev f
-        adds c * weights[rho] at the swapped exponent, once per entry, for
-        all the reflections of a pair or a slot at once.  The right side is
-        compared with the left side as a dict, and the difference is formed
-        only when they differ.  The comparison is exact: every coefficient
-        is in normal form (a reduced ``RatFunc`` with a monic denominator,
-        or a canonical ``Cyc``) and a ``Poly`` stores no zeros.
+        The right side is built in place, as one dict: the x_j shift of
+        y^nu f, then kappa nu_j y^(nu - e_j) f as an entry with one weight
+        for every residue, then the plan's entries.  Each term c x^e of
+        y^ev f adds c * weights[rho] at the swapped exponent, once per
+        entry, for all the reflections of a pair or a slot at once; a sum
+        that cancels is deleted.  The dict is compared with the left side's
+        terms, and a ``Poly`` difference is built only when they differ: a
+        passing (nu, j) yields one empty ``Poly`` shared by the whole call.
+        The comparison is exact: every coefficient is in normal form (a
+        reduced ``RatFunc`` with a monic denominator, or a canonical
+        ``Cyc``) and neither side stores a zero.
         """
         n, r = self.n, self.r
-        # kappa nu_j for nu_j = 1, 2
-        kappa_nu = [None, self.params.kappa,
-                    self.params.kappa * self.params.rational(2)]
+        # weights kappa nu_j for every residue, nu_j = 1, 2 (None at kappa 0)
+        kappa = self.params.kappa
+        kappa_nu = [None] + [[kappa * self.params.rational(m) or None] * r
+                             for m in (1, 2)]
+        passed = Poly(n, {})
         for nu, slots in self._x_side_plan():
             for j, entries in enumerate(slots):
-                # x_j y^nu f + kappa nu_j y^(nu - e_j) f
-                rhs = self.x(j, yf[nu]).terms
+                # x_j y^nu f, then kappa nu_j y^(nu - e_j) f and the entries
+                rhs = {e[:j] + (e[j] + 1,) + e[j + 1:]: c
+                       for e, c in yf[nu].terms.items()}
                 if nu[j]:
-                    k = kappa_nu[nu[j]]
-                    dn = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
-                    accumulate(rhs, [(e, c * k)
-                                     for e, c in yf[dn].terms.items()])
-                # - sum_s c_s <alpha_s^vee, y_j> t_s(D_s y^nu f)
+                    entries = [(j, None, nu[:j] + (nu[j] - 1,) + nu[j + 1:],
+                                kappa_nu[nu[j]]), *entries]
                 for a, b, ev, weights in entries:
-                    images = []
                     for e, c in yf[ev].terms.items():
                         if b is None:
                             w = weights[e[a] % r]
@@ -487,11 +498,16 @@ class PolyRep:
                             w = weights[(e[a] - e[b]) % r]
                             e = e[:a] + (e[b],) + e[a + 1:b] + (e[a],) \
                                 + e[b + 1:]
-                        if w is not None:
-                            images.append((e, c * w))
-                    accumulate(rhs, images)
+                        if w is None:
+                            continue
+                        if (s := rhs.get(e)) is None:
+                            rhs[e] = c * w
+                        elif s := s + c * w:
+                            rhs[e] = s
+                        else:
+                            del rhs[e]
                 lhs = yxf[j][nu]
-                yield nu, j, (Poly(n, {}) if lhs.terms == rhs
+                yield nu, j, (passed if lhs.terms == rhs
                               else lhs - Poly(n, rhs))
 
     # -- relation checking ------------------------------------------------------

@@ -92,16 +92,18 @@ def rca_forms(r: int, p: int, n: int, params=None) -> FormFamily:
         # symplectic pairing extending <x,y> = x(y) with h, h* isotropic
         fam.set(one, i, n + i, -params.kappa)
     for s in reflections(r, p, n):
+        # c_s <x_a, alpha_s^vee> <alpha_s, y_b> is c_s times the x_b
+        # coordinate of x_a - s x_a, and s x_a = zeta^k x_b
         cs = s.coupling(params)
         for a in range(n):
-            xa = s.alpha_check[a]
-            if not xa:
-                continue
-            for b in range(n):
-                yb = s.alpha[b]
-                if not yb:
-                    continue
-                fam.set(s.element, a, n + b, cs.cmul(xa * yb))
+            k, b = s.element.x_image(a)
+            if b != a:
+                fam.set(s.element, a, n + a, cs)
+                fam.set(s.element, a, n + b,
+                        -(cs.cmul(Cyc.root(r, k)) if k else cs))
+            elif k:
+                fam.set(s.element, a, n + a,
+                        cs.cmul(Cyc.one(r) - Cyc.root(r, k)))
     return fam
 
 
@@ -117,6 +119,17 @@ def require_pbw_budget(family: FormFamily) -> int:
     return count
 
 
+def _conjugate(v: GroupElement, w: GroupElement) -> tuple:
+    """(perm, col) of v w v^-1, by index arithmetic: it sends slot v(i) to
+    v(w(i)) with color w.col[i] + v.col[w(i)] - v.col[i] (mod r)."""
+    vp, vc, wp, wc, r = v.perm, v.col, w.perm, w.col, v.r
+    perm, col = [0] * len(vp), [0] * len(vp)
+    for i, t in enumerate(vp):
+        perm[t] = vp[wp[i]]
+        col[t] = (wc[i] + vc[wp[i]] - vc[i]) % r
+    return tuple(perm), tuple(col)
+
+
 def check_pbw(family: FormFamily) -> dict:
     """Check conditions (a) and (b), after :func:`require_pbw_budget`;
     returns a JSON-ready report with the first violated instance as witness.
@@ -126,6 +139,9 @@ def check_pbw(family: FormFamily) -> dict:
     at vwv^{-1} back through v's basis images and compares the result with
     the form at w as a whole; on a difference the witness is the least
     (a, b) whose two values differ, the first the pairwise order meets.
+    The conjugate is not built as a group element: its form is looked up
+    under the (perm, col) of :func:`_conjugate`, perm[v(i)] = v(w(i)) and
+    col[v(i)] = w.col[i] + v.col[w(i)] - v.col[i] (mod r).
     ``checked_a`` counts n(2n-1) comparisons per (v, w).
     """
     require_pbw_budget(family)
@@ -133,11 +149,11 @@ def check_pbw(family: FormFamily) -> dict:
     dim = 2 * n
     elements = list(group_elements(family.r, family.p, family.n))
     support = list(family.forms)
+    by_key = {(w.perm, w.col): form for w, form in family.forms.items()}
     pairs = n * (2 * n - 1)
     zero = family.params.zero
     checked_a = checked_b = 0
     for v in elements:
-        vinv = v.inverse()
         images = [_basis_image(v, a, n) for a in range(dim)]
         back = [0] * dim  # v e_a = zeta^k e_c: back[c] = a
         for a, (_, c) in enumerate(images):
@@ -145,9 +161,10 @@ def check_pbw(family: FormFamily) -> dict:
         for w in support:
             # <v e_a, v e_b>_{vwv^-1} = zeta^(k_a + k_b) <e_c, e_d>_{vwv^-1}
             conj = {}
-            for (c, d), val in family.forms.get(v * w * vinv, {}).items():
+            for (c, d), val in by_key.get(_conjugate(v, w), {}).items():
                 a, b = back[c], back[d]
-                val = val.cmul(Cyc.root(r, images[a][0] + images[b][0]))
+                if k := (images[a][0] + images[b][0]) % r:
+                    val = val.cmul(Cyc.root(r, k))
                 if a > b:
                     a, b, val = b, a, -val
                 conj[(a, b)] = val
@@ -164,20 +181,20 @@ def check_pbw(family: FormFamily) -> dict:
                             "rhs": str(form.get((a, b), zero))},
             }
     for w in support:
-        images = [(Cyc.root(r, k), j)
-                  for k, j in (_basis_image(w, a, n) for a in range(dim))]
+        images = [_basis_image(w, a, n) for a in range(dim)]
         for a in range(dim):
             for b in range(a + 1, dim):
                 vab = family.value(w, a, b)
                 for c in range(dim):
                     # (w e_c - e_c) weighted by <a,b>_w, plus cyclic shifts
                     acc: dict[int, object] = {}
-                    for (coef, (sc, tgt), src) in (
+                    for (coef, (k, tgt), src) in (
                             (vab, images[c], c),
                             (family.value(w, b, c), images[a], a),
                             (family.value(w, c, a), images[b], b)):
                         if coef:
-                            accumulate(acc, ((tgt, coef.cmul(sc)),
+                            accumulate(acc, ((tgt, coef.cmul(Cyc.root(r, k))
+                                              if k else coef),
                                              (src, -coef)))
                     checked_b += 1
                     if acc:

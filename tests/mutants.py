@@ -70,6 +70,8 @@ T_FALLBACK = "tests/test_scalars.py::test_factored_path_cancels_and_falls_back"
 T_PBW_PASS = "tests/test_pbw.py::test_check_pbw_matches_the_pairwise_loop_on_passing_families"
 T_PBW_FAIL = "tests/test_pbw.py::test_check_pbw_matches_the_pairwise_loop_on_perturbed_families"
 T_PBW_COUNT = "tests/test_pbw.py::test_condition_a_count_is_the_closed_form"
+T_CONJ = "tests/test_pbw.py::test_conjugate_by_index_arithmetic_is_v_w_v_inverse"
+T_RCA = "tests/test_pbw.py::test_rca_forms_match_the_root_products"
 T_CYC = "tests/test_cyclotomic.py::test_in_place_kernels_match_the_oracles_exactly"
 T_TIMES = "tests/test_scalars.py::test_times_by_plan_matches_repeated_products"
 T_PLAN = "tests/test_scalars.py::test_each_form_keeps_its_own_plan"
@@ -113,6 +115,8 @@ T_REL_ORACLE = "tests/test_polynomials.py::test_relation_sweep_matches_per_monom
 T_FIRST_ORDER = "tests/test_polynomials.py::test_a_first_order_break_reports_the_yx_commutator"
 T_YX_SLOT = "tests/test_polynomials.py::test_the_yx_record_names_y_by_its_slot"
 T_PLAN_OWN = "tests/test_polynomials.py::test_x_side_plan_belongs_to_its_representation"
+T_PLAN_TERMS = "tests/test_polynomials.py::test_x_side_plan_matches_the_per_term_sums"
+T_XSIDE_CANCEL = "tests/test_polynomials.py::test_x_side_right_sides_that_cancel_pass_with_one_shared_empty_defect"
 T_COMM_ORACLE = "tests/test_polynomials.py::test_commutator_report_matches_the_difference_oracle"
 T_COMM_FAULT = "tests/test_polynomials.py::test_commutator_report_fault_injection"
 T_DUNKL_ORACLE = "tests/test_polynomials.py::test_dunkl_mono_matches_per_term_oracle"
@@ -229,6 +233,19 @@ MUTANTS = [
            "a, b = min(key for key in conj.keys() | form.keys()",
            "a, b = next(key for key in [*conj, *form]",
            (T_PBW_FAIL,)),
+    Mutant("pbw: the conjugate's color without - v.col[i]", PBW,
+           "col[t] = (wc[i] + vc[wp[i]] - vc[i]) % r",
+           "col[t] = (wc[i] + vc[wp[i]]) % r",
+           (T_CONJ, T_PBW_PASS)),
+    Mutant("pbw: the conjugate's permutation composed in the wrong order",
+           PBW,
+           "perm[t] = vp[wp[i]]",
+           "perm[t] = wp[vp[i]]",
+           (T_CONJ, T_PBW_PASS)),
+    Mutant("rca: the x_b coordinate of x_a - s x_a without its sign", PBW,
+           "-(cs.cmul(Cyc.root(r, k)) if k else cs))",
+           "(cs.cmul(Cyc.root(r, k)) if k else cs))",
+           (T_RCA,)),
     # a singular sigma_i in the intertwiner suite
     Mutant("sigma: a singular sigma escapes the suite", INTERTWINERS,
            "except SingularIntertwinerError as exc:",
@@ -381,8 +398,8 @@ MUTANTS = [
            "        return self._x_plan",
            (T_PLAN_OWN,)),
     Mutant("x-side: +kappa nu_j for nu_j = 1", OPERATORS,
-           "kappa_nu = [None, self.params.kappa,",
-           "kappa_nu = [None, -self.params.kappa,",
+           "for m in (1, 2)]",
+           "for m in (-1, 2)]",
            (T_YX, T_REL_PASS)),
     Mutant("x-side: lam without <alpha_s^vee, y_j>", OPERATORS,
            "if lam := s.alpha_check[j] * cy:",
@@ -403,13 +420,22 @@ MUTANTS = [
            "                            w = weights[(e[a] - e[b]) % r]\n",
            (T_REL_PASS, T_XSIDE, T_XSIDE6)),
     Mutant("x-side: a pair's weights summed over every ev", OPERATORS,
-           "groups.setdefault((s.i, s.j, ev), []).append(",
-           "groups.setdefault((s.i, s.j, pairs[0][0]), []).append(",
+           "groups.setdefault((s.i, s.j, ev), {}).setdefault(",
+           "groups.setdefault((s.i, s.j, pairs[0][0]), {}).setdefault(",
            (T_REL_PASS, T_XSIDE, T_XSIDE6)),
     Mutant("x-side: the left side compared with itself", OPERATORS,
-           "yield nu, j, (Poly(n, {}) if lhs.terms == rhs",
-           "yield nu, j, (Poly(n, {}) if lhs.terms == lhs.terms",
+           "yield nu, j, (passed if lhs.terms == rhs",
+           "yield nu, j, (passed if lhs.terms == lhs.terms",
            (T_REL_FAULT, T_XSIDE)),
+    Mutant("x-side: an in-place sum that cancels is stored as a zero",
+           OPERATORS,
+           "                        else:\n                            del rhs[e]",
+           "                        else:\n                            rhs[e] = s",
+           (T_XSIDE_CANCEL,)),
+    Mutant("x-side: one class's roots weighted by another's c_s", OPERATORS,
+           "                                s.cclass, (neg_cs, []))[1]",
+           "                                s.j is None, (neg_cs, []))[1]",
+           (T_PLAN_TERMS,)),
     Mutant("commutators: [y_i, y_j]'s first order compared with itself",
            OPERATORS,
            "                if a != b:\n"

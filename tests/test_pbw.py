@@ -124,6 +124,56 @@ def test_oversized_pbw_request_fails_before_enumerating_w(monkeypatch):
         check_pbw(rca_forms(2, 1, 5))
 
 
+@pytest.mark.parametrize("group", [(2, 1, 3), (3, 1, 2), (4, 2, 2),
+                                   (2, 2, 3), (3, 3, 3)])
+def test_conjugate_by_index_arithmetic_is_v_w_v_inverse(group):
+    elements = list(group_elements(*group))
+    for v in elements:
+        vinv = v.inverse()
+        for w in elements:
+            u = v * w * vinv
+            assert pbw._conjugate(v, w) == (u.perm, u.col), (v, w)
+
+
+def rca_forms_by_root_products(r, p, n, params=None):
+    """The replaced ``rca_forms``: c_s times the product of the stored
+    coordinates <x_a, alpha_s^vee> and <alpha_s, y_b>, where the package
+    reads x_a - s x_a off the element and scales by shared roots."""
+    if params is None:
+        params = GenericParameters(r, p)
+    fam = FormFamily(r, p, n, params)
+    one = GroupElement.identity(r, n)
+    for i in range(n):
+        fam.set(one, i, n + i, -params.kappa)
+    for s in reflections(r, p, n):
+        cs = s.coupling(params)
+        for a in range(n):
+            for b in range(n):
+                if s.alpha_check[a] and s.alpha[b]:
+                    fam.set(s.element, a, n + b,
+                            cs.cmul(s.alpha_check[a] * s.alpha[b]))
+    return fam
+
+
+@pytest.mark.parametrize("group", [(2, 1, 2), (2, 2, 2), (3, 3, 2),
+                                   (3, 1, 2), (4, 2, 2), (2, 1, 3),
+                                   (4, 1, 2), (6, 2, 2), (3, 3, 3),
+                                   (1, 1, 3)])
+def test_rca_forms_match_the_root_products(group):
+    from fractions import Fraction
+
+    from cherednik import ParamPoint, SpecializedParameters
+
+    r, p, n = group
+    point = ParamPoint.make(r, p, Fraction(2, 3), Fraction(-1, 4),
+                            [Fraction(j, 5) for j in range(1, r // p)])
+    for params in (GenericParameters(r, p), SpecializedParameters(point)):
+        got = rca_forms(r, p, n, params).forms
+        want = rca_forms_by_root_products(r, p, n, params).forms
+        assert got == want
+        assert list(got) == list(want)  # the support in the same order
+
+
 # ---------------------------------------------------------------------------
 # condition (a) by whole conjugated forms against the pairwise loop
 # ---------------------------------------------------------------------------

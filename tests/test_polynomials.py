@@ -505,6 +505,99 @@ def test_x_side_defects_match_the_per_reflection_oracle_to_degree_6(
             == list(x_side_defects_per_reflection(rep, yf, yxf)), mu
 
 
+def _x_side_touched(rep, yf, nu, j):
+    """The exponents that some term of the right side of (nu, j) is added
+    at: the x_j shift of y^nu f, kappa nu_j y^(nu - e_j) f and every plan
+    entry's swapped exponents where its weight is not None."""
+    r = rep.r
+    out = {e[:j] + (e[j] + 1,) + e[j + 1:] for e in yf[nu].terms}
+    if nu[j] and rep.params.kappa:
+        out |= set(yf[nu[:j] + (nu[j] - 1,) + nu[j + 1:]].terms)
+    for a, b, ev, weights in dict(rep._x_side_plan())[nu][j]:
+        for e in yf[ev].terms:
+            if b is None:
+                if weights[e[a] % r] is not None:
+                    out.add(e)
+            elif weights[(e[a] - e[b]) % r] is not None:
+                out.add(e[:a] + (e[b],) + e[a + 1:b] + (e[a],) + e[b + 1:])
+    return out
+
+
+@pytest.mark.parametrize("case", ["G212", "G312-c0", "G223", "G113",
+                                  "G212-kappa0"])
+def test_x_side_right_sides_that_cancel_pass_with_one_shared_empty_defect(
+        monkeypatch, case):
+    # a passing right side equals the left side's terms, so an exponent
+    # that received a term but is not on the left side was added to and
+    # cancelled in place; the sums that cancel are deleted, so no (nu, j)
+    # builds a difference and every pass yields one empty Poly per call
+    if case == "G212-kappa0":
+        rep = PolyRep(2, 1, 2, SpecializedParameters(ParamPoint.from_c(
+            2, 1, 0, Fraction(1, 3), [Fraction(1, 5)])))
+    else:
+        rep = X_SIDE_CASES[case]()
+    n = rep.n
+    tables = []
+    for mu in monomials_up_to(n, 4):
+        m = Poly.monomial(mu, rep.params.one)
+        tables.append((rep.y_images(m, 2),
+                       [rep.y_images(rep.x(j, m), 2) for j in range(n)]))
+    cancelled = 0
+    with monkeypatch.context() as patch:
+        def no_difference(*args):
+            raise AssertionError("a passing check built a difference")
+
+        patch.setattr(Poly, "__sub__", no_difference)
+        for yf, yxf in tables:
+            got = list(rep.x_side_defects(yf, yxf))
+            shared = got[0][2]
+            assert shared.terms == {}
+            assert all(defect is shared for _, _, defect in got)
+            for nu, j, _ in got:
+                cancelled += len(_x_side_touched(rep, yf, nu, j)
+                                 - yxf[j][nu].terms.keys())
+    assert cancelled
+    assert rep.check_relations(4)["status"] == "pass"
+
+
+def _x_side_plan_per_term(rep):
+    """``PolyRep._x_side_plan`` with one ``cmul`` per (reflection, residue),
+    c_s scaled by lam zeta^{k_s rho} term by term, where the package sums
+    the roots of each coupling constant before one ``cmul``."""
+    n, r, params = rep.n, rep.r, rep.params
+    refl = [(s, s.element.act_on_exponents(
+                 tuple(int(t == s.i) for t in range(n)))[0],
+             -s.coupling(params)) for s in rep.reflections]
+    plan = []
+    for nu in monomials_up_to(n, 2):
+        if sum(nu) == 0:
+            continue
+        slots = []
+        for j in range(n):
+            groups: dict = {}
+            for s, k, neg_cs in refl:
+                for ev, cy in rep._dd_y_mono(nu, s):
+                    if lam := s.alpha_check[j] * cy:
+                        groups.setdefault((s.i, s.j, ev), []).append(
+                            (neg_cs, lam, k))
+            entries = []
+            for (a, b, ev), terms in groups.items():
+                weights = [sum((neg_cs.cmul(lam * Cyc.root(r, k * rho))
+                                for neg_cs, lam, k in terms),
+                               params.zero) or None for rho in range(r)]
+                if any(weights):
+                    entries.append((a, b, ev, weights))
+            slots.append(entries)
+        plan.append((nu, slots))
+    return plan
+
+
+@pytest.mark.parametrize("case", list(X_SIDE_CASES))
+def test_x_side_plan_matches_the_per_term_sums(case):
+    rep = X_SIDE_CASES[case]()
+    assert rep._x_side_plan() == _x_side_plan_per_term(rep)
+
+
 @pytest.mark.parametrize("fault", [False, True])
 @pytest.mark.parametrize("case", list(X_SIDE_CASES))
 def test_yx_commutator_is_the_first_order_x_side_defect(case, fault):
